@@ -30,7 +30,7 @@ from .matfun import (
     quartic_trace,
     spectral_abs,
 )
-from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, dG_adjoint, dG_apply
+from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint, dG_apply
 from .optimality import (
     MultiplierPair,
     OptimalityResiduals,
@@ -50,7 +50,6 @@ from .penalty import (
     penalty_hess,
     penalty_value,
     script_f_grad,
-    script_f_hess,
     script_f_value,
     script_p_value,
     special_params,

@@ -105,15 +105,19 @@ class NsdpProblem:
         return symmetrize(0.5 * (Dij + Dji))
 
 
+def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
+    """The n partial derivatives dG(x, i), symmetrized, as one (n, d, d) array."""
+    Gs = np.stack([np.asarray(prob.dG(x, i), dtype=float) for i in range(prob.n)])
+    if Gs.shape != (prob.n, prob.d, prob.d):
+        raise InvalidInputError(f"dG must return {prob.d} x {prob.d} arrays, got {Gs.shape[1:]}")
+    return 0.5 * (Gs + Gs.transpose(0, 2, 1))
+
+
 def dG_apply(prob: NsdpProblem, x, h) -> np.ndarray:
     """Directional derivative of G at x along h: sum_i h_i * dG(x, i)."""
     x = _vec(x, prob.n)
     h = _vec(h, prob.n, "h")
-    out = np.zeros((prob.d, prob.d))
-    for i in range(prob.n):
-        if h[i] != 0.0:
-            out += h[i] * np.asarray(prob.dG(x, i), dtype=float)
-    return symmetrize(out)
+    return symmetrize(np.tensordot(h, _dG_stack(prob, x), 1))
 
 
 def dG_adjoint(prob: NsdpProblem, x, Z) -> np.ndarray:
@@ -122,9 +126,24 @@ def dG_adjoint(prob: NsdpProblem, x, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (prob.d, prob.d):
         raise InvalidInputError(f"Z must have shape ({prob.d}, {prob.d}), got {Z.shape}")
-    out = np.zeros(prob.n)
-    for i in range(prob.n):
-        out[i] = float(np.sum(np.asarray(prob.dG(x, i), dtype=float) * Z))
+    return _dG_stack(prob, x).reshape(prob.n, -1) @ Z.ravel()
+
+
+def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
+    """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
+
+    One ``d2G`` call per upper-triangle entry, row by row (i, then j >= i);
+    each row is contracted with W in one product, so at most n matrices are held.
+    """
+    x = _vec(x, prob.n)
+    W = np.asarray(W, dtype=float)
+    if W.shape != (prob.d, prob.d):
+        raise InvalidInputError(f"W must have shape ({prob.d}, {prob.d}), got {W.shape}")
+    n = prob.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        row = np.stack([np.asarray(prob.d2G(x, i, j), dtype=float) for j in range(i, n)]).reshape(n - i, -1) @ W.ravel()
+        out[i, i:] = out[i:, i] = row
     return out
 
 

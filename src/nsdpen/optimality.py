@@ -13,7 +13,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
-from .model import NsdpProblem, dG_adjoint, _vec
+from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,7 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
             if y[j] != 0.0:
                 H -= y[j] * symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
     if prob.d > 0:
-        for i in range(prob.n):
-            for j in range(i, prob.n):
-                val = float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * Z))
-                H[i, j] -= val
-                if i != j:
-                    H[j, i] -= val
+        H -= d2G_contract(prob, x, Z)
     return symmetrize(H)
 
 
@@ -126,13 +121,8 @@ def sigma_term(prob: NsdpProblem, x, Z) -> np.ndarray:
     inv[keep] = 1.0 / dec.values[keep]
     P = dec.vectors
     pinv = (P * inv) @ P.T
-    Gi = [symmetrize(np.asarray(prob.dG(x, i), dtype=float)) for i in range(prob.n)]
-    left = [Z @ Gi[i] @ pinv for i in range(prob.n)]
-    S = np.zeros((prob.n, prob.n))
-    for i in range(prob.n):
-        for j in range(prob.n):
-            S[i, j] = 2.0 * float(np.sum(left[i] * Gi[j]))
-    return symmetrize(S)
+    Gs = _dG_stack(prob, x)
+    return symmetrize(2.0 * (Z @ Gs @ pinv).reshape(prob.n, -1) @ Gs.reshape(prob.n, -1).T)
 
 
 def infeasibility_u(prob: NsdpProblem, x) -> float:
@@ -164,7 +154,7 @@ def critical_subspace_basis(prob: NsdpProblem, x, b_count: int) -> np.ndarray:
     if b_count > 0:
         dec = matfun.eig_sym(np.asarray(prob.G(x), dtype=float))
         U = dec.vectors[:, prob.d - b_count:]
-        comp = np.stack([U.T @ symmetrize(np.asarray(prob.dG(x, i), dtype=float)) @ U for i in range(prob.n)])
+        comp = U.T @ _dG_stack(prob, x) @ U
         for p in range(b_count):
             for q in range(p, b_count):
                 rows.append(comp[:, p, q][None, :])

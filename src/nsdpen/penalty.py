@@ -17,7 +17,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
-from .model import NsdpProblem, dG_adjoint, _vec
+from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ def penalty_grad(prob: NsdpProblem, x, p: PenaltyParams) -> np.ndarray:
 
 
 def penalty_hess(prob: NsdpProblem, x, p: PenaltyParams) -> np.ndarray:
-    """Exact Hessian of the penalty.
+    """Exact Hessian of the penalty, symmetrized.
 
-    The matrix block is assembled as n applications of the derivative
-    operator of ``[.]+^3`` (one eigendecomposition, shared with the cube
-    term) followed by n^2 trace inner products; the result is symmetrized.
+    With P, C the eigenbasis and coefficients of ``matfun.dq_coeff`` and
+    K_i = P^T dG(x, i) P, orthogonality of P gives <dG_i, P (C o K_j) P^T> =
+    <K_i, C o K_j>, so the matrix block is st * (K (C o K)^T - d2G_contract(x, [.]+^3)).
     """
     x = _vec(x, prob.n)
     st = p.sigma * p.tau
@@ -132,17 +132,9 @@ def penalty_hess(prob: NsdpProblem, x, p: PenaltyParams) -> np.ndarray:
         H = H + st * (J @ J.T)
     if prob.d > 0:
         dec = matfun.eig_sym(_shifted_matrix(prob, x, p))
-        cube = matfun.q_cube_from(dec)
         op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
-        Gi = [symmetrize(np.asarray(prob.dG(x, i), dtype=float)) for i in range(prob.n)]
-        dq_Gj = [matfun.dq_apply(op, Gj) for Gj in Gi]
-        for i in range(prob.n):
-            for j in range(i, prob.n):
-                val = -st * float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * cube))
-                val += st * float(np.sum(Gi[i] * dq_Gj[j]))
-                H[i, j] += val
-                if i != j:
-                    H[j, i] += val
+        K = (op.basis.T @ _dG_stack(prob, x) @ op.basis).reshape(prob.n, -1)
+        H = H + st * (K @ (op.coeff.ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
     return symmetrize(H)
 
 
@@ -152,10 +144,6 @@ def script_f_value(prob: NsdpProblem, x, gamma: float) -> float:
 
 def script_f_grad(prob: NsdpProblem, x, gamma: float) -> np.ndarray:
     return penalty_grad(prob, x, special_params("script_F", gamma))
-
-
-def script_f_hess(prob: NsdpProblem, x, gamma: float) -> np.ndarray:
-    return penalty_hess(prob, x, special_params("script_F", gamma))
 
 
 def script_p_value(prob: NsdpProblem, x) -> float:

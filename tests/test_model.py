@@ -4,7 +4,7 @@ import pytest
 from nsdpen import model, problems
 from nsdpen.errors import InvalidInputError
 
-from conftest import rng
+from conftest import ball_problem, rng
 
 
 def affine_matrix_problem():
@@ -82,6 +82,31 @@ class TestDGAdjoint:
                 rhs = float(h @ model.dG_adjoint(prob, x, Z))
                 scale = 1 + np.linalg.norm(h) * np.linalg.norm(Z)
                 assert abs(lhs - rhs) <= 1e-12 * scale
+
+    def test_rejects_wrong_dG_shape(self):
+        prob = affine_matrix_problem()
+        bad = model.NsdpProblem(name="bad-dG", n=2, m=0, d=2, start_point=np.zeros(2),
+                                f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=lambda x, i: np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):
+            model.dG_adjoint(bad, np.zeros(2), np.zeros((2, 2)))
+
+
+class TestD2GContract:
+    def test_entries_and_symmetry(self):
+        gen = rng(24)
+        prob = ball_problem(3)
+        x = gen.normal(size=prob.n)
+        W = gen.normal(size=(3, 3))
+        out = model.d2G_contract(prob, x, W)
+        assert np.array_equal(out, out.T)
+        for i, j in ((0, 0), (1, 4), (5, 2)):
+            k, l = min(i, j), max(i, j)
+            assert out[i, j] == pytest.approx(float(np.sum(prob.d2G(x, k, l) * W)), rel=1e-12, abs=1e-14)
+
+    def test_rejects_wrong_shape(self):
+        prob = ball_problem(3)
+        with pytest.raises(InvalidInputError):
+            model.d2G_contract(prob, np.zeros(prob.n), np.eye(2))
 
 
 class TestAudit:

@@ -8,7 +8,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import rng
+from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng
 
 
 def unconstrained_indefinite():
@@ -38,6 +38,69 @@ def scalar_free_matrix(values):
         dG=lambda x, i: np.zeros((d, d)),
         d2G=lambda x, i, j: np.zeros((d, d)),
     )
+
+
+def mixed_point(prob, seed):
+    """A point where G(x) has positive, zero and negative eigenvalues, with multipliers y, Z."""
+    gen = rng(seed)
+    x = mixed_ball_point(gen, prob.d)
+    y = gen.normal(size=prob.m)
+    Z = gen.normal(size=(prob.d, prob.d))
+    return x, y, Z + Z.T
+
+
+def loop_lagrangian_hess(prob, x, y, Z):
+    """Reference Lagrangian Hessian: one trace inner product per upper-triangle entry."""
+    H = matfun.symmetrize(np.asarray(prob.hess_f(x), dtype=float))
+    for j in range(prob.m):
+        H -= y[j] * matfun.symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
+    for i in range(prob.n):
+        for j in range(i, prob.n):
+            val = float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * Z))
+            H[i, j] -= val
+            if i != j:
+                H[j, i] -= val
+    return matfun.symmetrize(H)
+
+
+def loop_sigma_term(prob, x, Z):
+    """Reference sigma-term: one trace inner product per entry."""
+    dec = matfun.eig_sym(np.asarray(prob.G(x), dtype=float))
+    keep = np.abs(dec.values) > matfun.default_zero_tol(dec)
+    inv = np.zeros(prob.d)
+    inv[keep] = 1.0 / dec.values[keep]
+    pinv = (dec.vectors * inv) @ dec.vectors.T
+    Gi = [matfun.symmetrize(np.asarray(prob.dG(x, i), dtype=float)) for i in range(prob.n)]
+    left = [Z @ Gi[i] @ pinv for i in range(prob.n)]
+    S = np.zeros((prob.n, prob.n))
+    for i in range(prob.n):
+        for j in range(prob.n):
+            S[i, j] = 2.0 * float(np.sum(left[i] * Gi[j]))
+    return matfun.symmetrize(S)
+
+
+class TestLoopEquivalence:
+    @pytest.mark.parametrize("d,m,fd", BALL_CASES)
+    def test_matches_loop_assembly(self, d, m, fd):
+        prob = ball_problem(d, m=m, fd_second_order=fd, seed=d + m)
+        for seed in (40, 41):
+            x, y, Z = mixed_point(prob, seed)
+            cls = matfun.classify_eigs(matfun.eig_sym(prob.G(x)))
+            assert cls.pos.size and cls.zero.size and cls.neg.size
+            for point in (x, rng(seed).normal(size=prob.n)):
+                for new, ref in ((optimality.lagrangian_hess(prob, point, y, Z), loop_lagrangian_hess(prob, point, y, Z)),
+                                 (optimality.sigma_term(prob, point, Z), loop_sigma_term(prob, point, Z))):
+                    assert np.linalg.norm(new - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_hook_counts(self):
+        prob, counts = counting(ball_problem(4, m=2))
+        x, y, Z = mixed_point(prob, 42)
+        n = prob.n
+        optimality.lagrangian_hess(prob, x, y, Z)
+        assert (counts["dG"], counts["d2G"]) == (0, n * (n + 1) // 2)
+        counts.update(dict.fromkeys(counts, 0))
+        optimality.sigma_term(prob, x, Z)
+        assert (counts["G"], counts["dG"], counts["d2G"]) == (1, n, 0)
 
 
 class TestLagrangian:

@@ -7,7 +7,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import rng
+from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, spectrum_matrix
 
 
 def scalar_quartic_problem():
@@ -33,6 +33,46 @@ def generic_params(prob, seed=100):
         M = gen.normal(size=(prob.d, prob.d))
         M = 0.5 * (M + M.T)
     return penalty.PenaltyParams(v=v, M=M, rho=0.7, sigma=1.3, tau=2.0)
+
+
+def mixed_point(prob, seed):
+    """A point and parameters at which both G(x) and M/tau - G(x) have positive, zero and negative eigenvalues."""
+    gen = rng(seed)
+    x = mixed_ball_point(gen, prob.d)
+    M = 2.0 * (prob.G(x) + spectrum_matrix(gen, [2.0, 0.0, -1.5, 0.7][:prob.d]))
+    v = gen.normal(size=prob.m) if prob.m > 0 else None
+    return x, penalty.PenaltyParams(v=v, M=M, rho=0.7, sigma=1.3, tau=2.0)
+
+
+def loop_penalty_hess(prob, x, p):
+    """Reference penalty Hessian assembled by explicit loops.
+
+    n applications of the derivative operator of [.]+^3, then one trace
+    inner product per upper-triangle entry.
+    """
+    st = p.sigma * p.tau
+    H = p.rho * matfun.symmetrize(np.asarray(prob.hess_f(x), dtype=float))
+    if prob.m > 0:
+        v = p.v if p.v is not None else np.zeros(prob.m)
+        r = v / p.tau - np.asarray(prob.g(x), dtype=float)
+        for j in range(prob.m):
+            H = H - st * r[j] * matfun.symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
+        J = np.asarray(prob.jac_g(x), dtype=float)
+        H = H + st * (J @ J.T)
+    Gx = matfun.symmetrize(np.asarray(prob.G(x), dtype=float))
+    dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
+    cube = matfun.q_cube_from(dec)
+    op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
+    Gi = [matfun.symmetrize(np.asarray(prob.dG(x, i), dtype=float)) for i in range(prob.n)]
+    dq_Gj = [matfun.dq_apply(op, Gj) for Gj in Gi]
+    for i in range(prob.n):
+        for j in range(i, prob.n):
+            val = -st * float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * cube))
+            val += st * float(np.sum(Gi[i] * dq_Gj[j]))
+            H[i, j] += val
+            if i != j:
+                H[j, i] += val
+    return matfun.symmetrize(H)
 
 
 def fd_grad(fun, x, n):
@@ -231,3 +271,28 @@ class TestHessian:
         H_fd = penalty.penalty_hess(fd_prob, x, p)
         H_exact = penalty.penalty_hess(base, x, p)
         assert np.linalg.norm(H_fd - H_exact) <= 1e-6 * (1 + np.linalg.norm(H_exact))
+
+    @pytest.mark.parametrize("d,m,fd", BALL_CASES)
+    def test_matches_loop_assembly(self, d, m, fd):
+        prob = ball_problem(d, m=m, fd_second_order=fd, seed=d + m)
+        for seed in (110, 111):
+            x, p = mixed_point(prob, seed)
+            gen = rng(seed)
+            for point, params in ((x, p), (x, penalty.special_params("script_F", 3.0)),
+                                  (gen.normal(size=prob.n), p)):
+                if point is x:
+                    M = params.M / params.tau if params.M is not None else 0.0
+                    cls = matfun.classify_eigs(matfun.eig_sym(M - prob.G(x)))
+                    assert cls.pos.size and cls.zero.size and cls.neg.size
+                ref = loop_penalty_hess(prob, point, params)
+                H = penalty.penalty_hess(prob, point, params)
+                assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_hook_counts(self):
+        # n dG and n(n+1)/2 d2G calls per Hessian: the per-entry hook contract
+        prob, counts = counting(ball_problem(4, m=2))
+        x, p = mixed_point(prob, 112)
+        counts.update(dict.fromkeys(counts, 0))
+        penalty.penalty_hess(prob, x, p)
+        n = prob.n
+        assert (counts["G"], counts["dG"], counts["d2G"]) == (1, n, n * (n + 1) // 2)
