@@ -28,7 +28,6 @@ from .matfun import (
     proj_psd,
     q_cube,
     quartic_trace,
-    spectral_abs,
 )
 from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint, dG_apply
 from .optimality import (

@@ -13,6 +13,7 @@ a separate non-compared field.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,13 @@ import numpy as np
 from . import driver, model, optimality, problems
 from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+
+# the PenaltyConfig fields that are solve flags and the report's config section
+CONFIG_FLAGS = ("gamma0", "eta", "theta", "delta0", "beta", "tol_feas", "tol_opt", "max_outer")
+_TRACE_ROW = tuple(field.name for field in dataclasses.fields(driver.IterateRecord))
+REPORT_ROW = ("k", "gamma", "delta", "u", "stationarity", "complementarity", "second_order",
+              "epsilon", "subspace_dim", "f_value", "script_F_value", "xhat_branch")
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -80,93 +87,45 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _trace_row(rec: driver.IterateRecord) -> dict:
-    return {
-        "k": rec.k,
-        "gamma": rec.gamma,
-        "delta": rec.delta,
-        "u": rec.u,
-        "stationarity": rec.stationarity,
-        "complementarity": rec.complementarity,
-        "second_order": rec.second_order,
-        "epsilon": rec.epsilon,
-        "subspace_dim": rec.subspace_dim,
-        "f_value": rec.f_value,
-        "script_F_value": rec.script_F_value,
-        "script_F_at_start": rec.script_F_at_start,
-        "xhat_branch": rec.xhat_branch,
-        "inner_iterations": rec.inner_iterations,
-        "x": [float(v) for v in rec.x],
-        "y": [float(v) for v in rec.y],
-        "Z": sym_to_lower(rec.Z),
-    }
+def _row(record, names) -> dict:
+    """The named fields of a record as JSON values.
+
+    A 1-D array becomes a list of floats, a 2-D array its ``sym_to_lower``
+    form; every other value passes through unchanged.
+    """
+    row = {}
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, np.ndarray):
+            value = [float(v) for v in value] if value.ndim == 1 else sym_to_lower(value)
+        row[name] = value
+    return row
 
 
-def _report_document(report: driver.SolveReport, seed: int | None) -> dict:
-    cfg = report.config
-    iterations = []
-    for rec in report.iterates:
-        iterations.append({
-            "k": rec.k,
-            "gamma": rec.gamma,
-            "delta": rec.delta,
-            "u": rec.u,
-            "stationarity": rec.stationarity,
-            "complementarity": rec.complementarity,
-            "second_order": rec.second_order,
-            "epsilon": rec.epsilon,
-            "subspace_dim": rec.subspace_dim,
-            "f_value": rec.f_value,
-            "script_F_value": rec.script_F_value,
-            "xhat_branch": rec.xhat_branch,
-        })
+def _report_document(report: driver.SolveReport) -> dict:
     final = report.final
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "problem": report.problem,
-        "config": {
-            "eta": cfg.eta,
-            "theta": cfg.theta,
-            "gamma0": cfg.gamma0,
-            "delta0": cfg.delta0,
-            "beta": cfg.beta,
-            "tol_feas": cfg.tol_feas,
-            "tol_opt": cfg.tol_opt,
-            "max_outer": cfg.max_outer,
-            "seed": seed,
-        },
-        "iterations": iterations,
+        "config": {name: getattr(report.config, name) for name in CONFIG_FLAGS},
+        "iterations": [_row(rec, REPORT_ROW) for rec in report.iterates],
         "final_status": report.final_status,
         "detail": report.detail,
         "b_count": report.b_count,
-        "final": None,
+        "final": None if final is None else _row(final, ("x", "y", "Z", "f_value", "u")),
         "wall_time_sec": report.wall_time_sec,
     }
-    if final is not None:
-        doc["final"] = {
-            "x": [float(v) for v in final.x],
-            "y": [float(v) for v in final.y],
-            "Z": sym_to_lower(final.Z),
-            "f_value": final.f_value,
-            "u": final.u,
-        }
-    return doc
 
 
 def _add_solve_parser(sub):
     p = sub.add_parser("solve", help="run the penalty method on a registered problem")
     p.add_argument("--problem", required=True)
-    p.add_argument("--gamma0", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--theta", type=float, default=10.0)
-    p.add_argument("--delta0", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--tol-feas", type=float, default=1e-8)
-    p.add_argument("--tol-opt", type=float, default=1e-6)
-    p.add_argument("--max-outer", type=int, default=60)
+    defaults = driver.PenaltyConfig()
+    for name in CONFIG_FLAGS:
+        default = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--trace", default=None, help="JSONL path, one iterate record per line")
     p.add_argument("--report", default=None, help="JSON report path")
-    p.add_argument("--seed", type=int, default=None, help="reserved for randomized starts")
 
 
 def _add_check_parser(sub):
@@ -178,33 +137,20 @@ def _add_check_parser(sub):
 
 
 def _cmd_solve(args) -> int:
+    entry = problems.get_problem(args.problem)
     try:
-        entry = problems.get_problem(args.problem)
-    except UnknownProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_PROBLEM
-    try:
-        cfg = driver.PenaltyConfig(
-            eta=args.eta, theta=args.theta, gamma0=args.gamma0,
-            delta0=args.delta0, beta=args.beta,
-            tol_feas=args.tol_feas, tol_opt=args.tol_opt,
-            max_outer=args.max_outer,
-        ).validate()
+        cfg = driver.PenaltyConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS}).validate()
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 
     trace_rows: list[dict] = []
-    sink = (lambda rec: trace_rows.append(_trace_row(rec))) if args.trace else None
-    try:
-        report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution, sink=sink)
-    except StartNotFeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVE_FAILED
+    sink = (lambda rec: trace_rows.append(_row(rec, _TRACE_ROW))) if args.trace else None
+    report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution, sink=sink)
 
     if args.trace:
         _atomic_write(args.trace, "".join(json.dumps(row, sort_keys=True) + "\n" for row in trace_rows))
     if args.report:
-        _atomic_write(args.report, _dump_json(_report_document(report, args.seed)))
+        _atomic_write(args.report, _dump_json(_report_document(report)))
 
     final = report.final
     print(f"{report.problem}: {report.final_status} after {len(report.iterates)} outer iterations"
@@ -232,11 +178,7 @@ def _parse_point(text: str, entry) -> np.ndarray:
 
 
 def _cmd_check(args) -> int:
-    try:
-        entry = problems.get_problem(args.problem)
-    except UnknownProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_PROBLEM
+    entry = problems.get_problem(args.problem)
     if not args.gamma > 0:
         raise _UsageError("gamma must be positive")
     x = _parse_point(args.at, entry)
@@ -265,18 +207,8 @@ def _cmd_check(args) -> int:
                 "passed": audit.passed,
                 "failures": sorted(audit.failures),
             },
-            "residuals": {
-                "stationarity": res.stationarity,
-                "feasibility_u": res.feasibility_u,
-                "complementarity": res.complementarity,
-                "second_order": res.second_order,
-                "epsilon": res.epsilon,
-                "subspace_dim": res.subspace_dim,
-            },
-            "multipliers": {
-                "y": [float(v) for v in mult.y],
-                "Z": sym_to_lower(mult.Z),
-            },
+            "residuals": _row(res, [field.name for field in dataclasses.fields(res)]),
+            "multipliers": _row(mult, ("y", "Z")),
         }
         _atomic_write(args.json, _dump_json(doc))
     return EXIT_OK if audit.passed else EXIT_AUDIT_FAILED
@@ -296,6 +228,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    except UnknownProblemError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_PROBLEM
+    except StartNotFeasibleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE_FAILED
 
 
 if __name__ == "__main__":

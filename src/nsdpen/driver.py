@@ -144,6 +144,11 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     are complete.
     """
     cfg = (config or PenaltyConfig()).validate()
+    needed = (("hess_f", True), ("hess_g", prob.m > 0), ("d2G", prob.d > 0))
+    missing = [hook for hook, used in needed if used and getattr(prob, hook) is None]
+    if missing:
+        raise InvalidInputError(f"problem {prob.name!r} has no {', '.join(missing)} hook; "
+                                "supply it or build the problem with fd_second_order=True")
     t0 = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(prob.start_point, dtype=float))
     u0 = optimality.infeasibility_u(prob, x0)
@@ -160,6 +165,13 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     status = MAX_OUTER
     detail = ""
     inline_certs = b_count is not None
+
+    def certify(rec):
+        basis = optimality.critical_subspace_basis(prob, rec.x, b_count)
+        rec.second_order = optimality.second_order_residual(prob, rec.x, rec.y, rec.Z, basis)
+        rec.subspace_dim = int(basis.shape[1])
+        if sink is not None:
+            sink(rec)
 
     for k in range(cfg.max_outer):
         params = penalty.special_params("script_F", gamma)
@@ -197,15 +209,10 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             y=mult.y.copy(),
             Z=mult.Z.copy(),
         )
-        if inline_certs:
-            basis = optimality.critical_subspace_basis(prob, x_next, b_count)
-            rec.second_order = optimality.second_order_residual(prob, x_next, mult.y, mult.Z, basis)
-            rec.subspace_dim = int(basis.shape[1])
-        xhat, branch = next_xhat(x_next, res.value, f0, x0)
-        rec.xhat_branch = branch
+        xhat, rec.xhat_branch = next_xhat(x_next, res.value, f0, x0)
         records.append(rec)
-        if inline_certs and sink is not None:
-            sink(rec)
+        if inline_certs:
+            certify(rec)
 
         if u_next <= cfg.tol_feas and delta <= cfg.tol_opt:
             status = FEAS_OPT_REACHED
@@ -227,11 +234,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         else:
             b_count = 0
         for rec in records:
-            basis = optimality.critical_subspace_basis(prob, rec.x, b_count)
-            rec.second_order = optimality.second_order_residual(prob, rec.x, rec.y, rec.Z, basis)
-            rec.subspace_dim = int(basis.shape[1])
-            if sink is not None:
-                sink(rec)
+            certify(rec)
 
     return SolveReport(
         problem=prob.name,

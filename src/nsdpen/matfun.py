@@ -149,12 +149,6 @@ def quartic_trace(X) -> float:
     return quartic_trace_from(eig_sym(X))
 
 
-def spectral_abs(X) -> np.ndarray:
-    """Spectral absolute value |X| (eigenvalues replaced by their magnitudes)."""
-    dec = eig_sym(X)
-    return _spectral_map(dec, np.abs(dec.values))
-
-
 def dq_coeff(dec: EigenDecomp, cls: EigClassification) -> DQOperator:
     """Divided-difference coefficient matrix of the derivative of ``[X]+^3``.
 

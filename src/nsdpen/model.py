@@ -24,8 +24,18 @@ def _vec(x, n: int, name: str = "x") -> np.ndarray:
     return x
 
 
-def _fd_steps(x: np.ndarray, step: float) -> np.ndarray:
-    return step * (1.0 + np.abs(x))
+def _central_diff(fn, x: np.ndarray, step: float, i: int | None = None) -> np.ndarray:
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) with h = step * (1 + |x|).
+
+    For one coordinate i, or stacked over all i along a new leading axis.
+    This is the one finite-difference routine of the package.
+    """
+    x = np.asarray(x, dtype=float)
+    if i is None:
+        return np.stack([_central_diff(fn, x, step, i) for i in range(x.size)])
+    e = np.zeros(x.size)
+    e[i] = step * (1.0 + abs(x[i]))
+    return (np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * e[i])
 
 
 @dataclass
@@ -74,34 +84,14 @@ class NsdpProblem:
 
     # synthesized second derivatives (central differences of first-derivative hooks)
     def _fd_hess_f(self, x):
-        x = np.asarray(x, dtype=float)
-        h = _fd_steps(x, FD_STEP_SECOND_ORDER)
-        H = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h[i]
-            H[:, i] = (self.grad_f(x + e) - self.grad_f(x - e)) / (2 * h[i])
-        return symmetrize(H)
+        return symmetrize(_central_diff(self.grad_f, x, FD_STEP_SECOND_ORDER))
 
     def _fd_hess_g(self, x, j):
-        x = np.asarray(x, dtype=float)
-        h = _fd_steps(x, FD_STEP_SECOND_ORDER)
-        H = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h[i]
-            H[:, i] = (self.jac_g(x + e)[:, j] - self.jac_g(x - e)[:, j]) / (2 * h[i])
-        return symmetrize(H)
+        return symmetrize(_central_diff(lambda z: self.jac_g(z)[:, j], x, FD_STEP_SECOND_ORDER))
 
     def _fd_d2G(self, x, i, j):
-        x = np.asarray(x, dtype=float)
-        h = _fd_steps(x, FD_STEP_SECOND_ORDER)
-        ej = np.zeros(self.n)
-        ej[j] = h[j]
-        Dij = (np.asarray(self.dG(x + ej, i)) - np.asarray(self.dG(x - ej, i))) / (2 * h[j])
-        ei = np.zeros(self.n)
-        ei[i] = h[i]
-        Dji = (np.asarray(self.dG(x + ei, j)) - np.asarray(self.dG(x - ei, j))) / (2 * h[i])
+        Dij = _central_diff(lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)
+        Dji = _central_diff(lambda z: self.dG(z, j), x, FD_STEP_SECOND_ORDER, i)
         return symmetrize(0.5 * (Dij + Dji))
 
 
@@ -175,74 +165,33 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     if not step > 0:
         raise InvalidInputError("step must be positive")
     x = _vec(x, prob.n)
-    h = _fd_steps(x, step)
     thr1, thr2 = 1e-6, 1e-4
+
+    def fd(fn):
+        return _central_diff(fn, x, step)
+
+    # each check lists one relative error per hook call it audits
+    checks = {"grad_f": lambda: [_rel_err(prob.grad_f(x), fd(prob.f))]}
+    if prob.hess_f is not None:
+        checks["hess_f"] = lambda: [_rel_err(prob.hess_f(x), symmetrize(fd(prob.grad_f)))]
+    if prob.m > 0:
+        checks["jac_g"] = lambda: [_rel_err(prob.jac_g(x), fd(prob.g))]
+        if prob.hess_g is not None:
+            checks["hess_g"] = lambda: [_rel_err(prob.hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
+                                        for j in range(prob.m)]
+    if prob.d > 0:
+        checks["dG"] = lambda: [_rel_err(prob.dG(x, i), D) for i, D in enumerate(fd(prob.G))]
+        if prob.d2G is not None:
+            checks["d2G"] = lambda: [_rel_err(prob.d2G(x, i, j), D)
+                                     for i in range(prob.n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
+
     errors: dict[str, float] = {}
-
-    def _basis(i):
-        e = np.zeros(prob.n)
-        e[i] = h[i]
-        return e
-
-    def _run(label, fn):
+    for label, check in checks.items():
         try:
-            err = fn()
-            if not np.isfinite(err):
-                err = float("inf")
+            err = float(np.max(check()))  # np.max, unlike max, propagates NaN
         except Exception:
             err = float("inf")
-        errors[label] = err
-
-    def _check_grad_f():
-        fd = np.array([(prob.f(x + _basis(i)) - prob.f(x - _basis(i))) / (2 * h[i]) for i in range(prob.n)])
-        return _rel_err(prob.grad_f(x), fd)
-
-    _run("grad_f", _check_grad_f)
-
-    if prob.hess_f is not None:
-        def _check_hess_f():
-            fd = np.column_stack([(prob.grad_f(x + _basis(i)) - prob.grad_f(x - _basis(i))) / (2 * h[i]) for i in range(prob.n)])
-            return _rel_err(prob.hess_f(x), symmetrize(fd))
-
-        _run("hess_f", _check_hess_f)
-
-    if prob.m > 0:
-        def _check_jac_g():
-            fd = np.column_stack([(prob.g(x + _basis(i)) - prob.g(x - _basis(i))) / (2 * h[i]) for i in range(prob.n)]).T
-            return _rel_err(prob.jac_g(x), fd)
-
-        _run("jac_g", _check_jac_g)
-
-        if prob.hess_g is not None:
-            def _check_hess_g():
-                worst = 0.0
-                for j in range(prob.m):
-                    fd = np.column_stack([(prob.jac_g(x + _basis(i))[:, j] - prob.jac_g(x - _basis(i))[:, j]) / (2 * h[i]) for i in range(prob.n)])
-                    worst = max(worst, _rel_err(prob.hess_g(x, j), symmetrize(fd)))
-                return worst
-
-            _run("hess_g", _check_hess_g)
-
-    if prob.d > 0:
-        def _check_dG():
-            worst = 0.0
-            for i in range(prob.n):
-                fd = (np.asarray(prob.G(x + _basis(i)), dtype=float) - np.asarray(prob.G(x - _basis(i)), dtype=float)) / (2 * h[i])
-                worst = max(worst, _rel_err(prob.dG(x, i), fd))
-            return worst
-
-        _run("dG", _check_dG)
-
-        if prob.d2G is not None:
-            def _check_d2G():
-                worst = 0.0
-                for i in range(prob.n):
-                    for j in range(prob.n):
-                        fd = (np.asarray(prob.dG(x + _basis(j), i), dtype=float) - np.asarray(prob.dG(x - _basis(j), i), dtype=float)) / (2 * h[j])
-                        worst = max(worst, _rel_err(prob.d2G(x, i, j), fd))
-                return worst
-
-            _run("d2G", _check_d2G)
+        errors[label] = err if np.isfinite(err) else float("inf")
 
     thresholds = {"grad_f": thr1, "jac_g": thr1, "dG": thr1, "hess_f": thr2, "hess_g": thr2, "d2G": thr2}
     failures = [k for k, v in errors.items() if v > thresholds[k]]

@@ -375,7 +375,7 @@ def test_criterion_7_cli_contract(tmp_path):
     assert _strip_wall_time(reports[0][0]) == _strip_wall_time(reports[1][0])
     assert reports[0][1] == reports[1][1]
     doc = json.loads(reports[0][0])
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["final_status"] == "FeasOptReached"
 
     # documented exit codes

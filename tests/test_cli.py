@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nsdpen import cli, optimality, penalty, problems
+from nsdpen import cli, driver, optimality, penalty, problems
 
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
 
@@ -38,7 +39,7 @@ class TestSolveCommand:
                          "--report", str(report), "--trace", str(trace)])
         assert code == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["final_status"] == "FeasOptReached"
         assert doc["b_count"] == 1
         assert abs(doc["final"]["x"][0]) <= 1e-4
@@ -110,12 +111,38 @@ class TestSolveCommand:
         assert json.loads(json.dumps(doc)) == doc  # binary64 repr round-trips
 
     def test_seed_echoed_in_config(self, tmp_path):
+        # --seed was a no-op and is gone: it is now a usage error
         report = tmp_path / "r.json"
         assert run_main(["solve", "--problem", "scalar-bound", *SOLVE_FLAGS,
-                         "--seed", "7", "--report", str(report)]) == 0
+                         "--seed", "7", "--report", str(report)]) == 64
+        assert run_main(["solve", "--problem", "scalar-bound", *SOLVE_FLAGS,
+                         "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
-        assert doc["config"]["seed"] == 7
+        assert "seed" not in doc["config"]
         assert doc["config"]["tol_feas"] == 3e-5
+
+
+class TestDocumentContract:
+    def test_default_config_mirrors_penalty_config(self, tmp_path):
+        report = tmp_path / "r.json"
+        run_main(["solve", "--problem", "scalar-bound", "--report", str(report)])
+        config = json.loads(report.read_text())["config"]
+        defaults = driver.PenaltyConfig()
+        assert config == {name: getattr(defaults, name) for name in cli.CONFIG_FLAGS}
+
+    def test_rows_follow_iterate_record(self, tmp_path):
+        report = tmp_path / "r.json"
+        trace = tmp_path / "t.jsonl"
+        assert run_main(["solve", "--problem", "nearest-psd", "--tol-feas", "9e-5", "--max-outer", "40",
+                         "--report", str(report), "--trace", str(trace)]) == 0
+        fields = [field.name for field in dataclasses.fields(driver.IterateRecord)]
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        summaries = json.loads(report.read_text())["iterations"]
+        assert len(rows) == len(summaries) > 0
+        for row, summary in zip(rows, summaries):
+            assert sorted(row) == sorted(fields)
+            assert set(summary) <= set(row)
+            assert all(summary[key] == row[key] for key in summary)
 
 
 def _strip_wall_time(text: str) -> str:

@@ -6,7 +6,7 @@ from nsdpen import driver, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import run_config
+from conftest import ball_problem, run_config
 
 
 class TestGammaRule:
@@ -162,6 +162,13 @@ class TestSolveGuards:
         )
         with pytest.raises(StartNotFeasibleError):
             driver.solve(bad, driver.PenaltyConfig())
+
+    @pytest.mark.parametrize("hook", ["hess_f", "hess_g", "d2G"])
+    def test_missing_second_order_hook_rejected(self, hook):
+        prob = ball_problem(2, m=1)
+        setattr(prob, hook, None)
+        with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
+            driver.solve(prob, driver.PenaltyConfig(max_outer=1))
 
     def test_max_outer_status(self):
         entry = problems.get_problem("scalar-bound")

@@ -154,6 +154,23 @@ class TestAudit:
         assert not report.passed
         assert report.errors["grad_f"] == np.inf
 
+    @pytest.mark.parametrize("hook", ["hess_g", "dG", "d2G"])
+    def test_nan_in_one_entry_fails(self, hook):
+        # one NaN among several per-entry results must not be masked by the others
+        prob = ball_problem(3, m=2)
+        clean = getattr(prob, hook)
+
+        def poisoned(x, *idx):
+            out = np.array(clean(x, *idx), dtype=float)
+            if idx[0] == 1:
+                out[0, 0] = np.nan
+            return out
+
+        setattr(prob, hook, poisoned)
+        report = model.audit_derivatives(prob, rng(25).normal(size=prob.n))
+        assert report.errors[hook] == np.inf
+        assert not report.passed and hook in report.failures
+
     def test_bad_step_rejected(self):
         prob = affine_matrix_problem()
         with pytest.raises(InvalidInputError):
