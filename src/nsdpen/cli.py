@@ -174,13 +174,15 @@ def _parse_point(text: str, entry) -> np.ndarray:
         raise _UsageError(f"cannot parse point {text!r}") from None
     if len(values) != entry.problem.n:
         raise _UsageError(f"point has {len(values)} entries, problem {entry.problem.name!r} needs {entry.problem.n}")
+    if not all(np.isfinite(values)):
+        raise _UsageError(f"point {text!r} has non-finite entries")
     return np.asarray(values, dtype=float)
 
 
 def _cmd_check(args) -> int:
     entry = problems.get_problem(args.problem)
-    if not args.gamma > 0:
-        raise _UsageError("gamma must be positive")
+    if not 0 < args.gamma < np.inf:
+        raise _UsageError("gamma must be positive and finite")
     x = _parse_point(args.at, entry)
 
     audit = model.audit_derivatives(entry.problem, x)

@@ -14,6 +14,10 @@ gamma-update rules:
 
 The run stops once infeasibility and delta are below their tolerances, at
 the iteration cap, or on inner-solver failure / gamma blow-up.
+
+The penalty value, gradient and Hessian are each evaluated once per
+(gamma, x) in a solve: an outer iteration that keeps gamma and starts where
+the previous one ended reuses what that one computed at its last point.
 """
 
 import time
@@ -49,6 +53,9 @@ class PenaltyConfig:
     tr: trustregion.TrConfig = field(default_factory=trustregion.TrConfig)
 
     def validate(self):
+        for name in ("gamma0", "theta", "tol_feas", "tol_opt", "feas_check_tol", "gamma_cap"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite")
         if not (0 < self.eta < 1):
             raise InvalidInputError("eta must lie in (0, 1)")
         if not self.theta > 1:
@@ -166,6 +173,25 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     detail = ""
     inline_certs = b_count is not None
 
+    def once_per_point(evaluate):
+        # keeps the last (gamma, z) and its result, so a repeated point is not
+        # recomputed; gamma and params are those of the current outer iteration
+        last = [None, None]
+
+        def memo(z):
+            key = gamma, z.tobytes()
+            if key != last[0]:
+                result = evaluate(z)
+                if isinstance(result, np.ndarray):
+                    result.flags.writeable = False  # shared between calls, never copied
+                last[:] = key, result
+            return last[1]
+        return memo
+
+    value = once_per_point(lambda z: penalty.penalty_value(prob, z, params))
+    grad = once_per_point(lambda z: penalty.penalty_grad(prob, z, params))
+    hess = once_per_point(lambda z: penalty.penalty_hess(prob, z, params))
+
     def certify(rec):
         basis = optimality.critical_subspace_basis(prob, rec.x, b_count)
         rec.second_order = optimality.second_order_residual(prob, rec.x, rec.y, rec.Z, basis)
@@ -175,12 +201,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
 
     for k in range(cfg.max_outer):
         params = penalty.special_params("script_F", gamma)
-        start_value = penalty.penalty_value(prob, xhat, params)
-        res = trustregion.tr_minimize(
-            lambda z: penalty.penalty_value(prob, z, params),
-            lambda z: penalty.penalty_grad(prob, z, params),
-            lambda z: penalty.penalty_hess(prob, z, params),
-            xhat, delta, cfg.tr)
+        start_value = value(xhat)
+        res = trustregion.tr_minimize(value, grad, hess, xhat, delta, cfg.tr)
         x_next = res.x
         if res.status != trustregion.CONVERGED:
             status = INNER_FAILURE

@@ -87,15 +87,11 @@ def eig_sym(X) -> EigenDecomp:
     """
     X = _as_sym(X)
     w, P = np.linalg.eigh(X)
-    w = w[::-1].copy()
-    P = P[:, ::-1].copy()
-    for j in range(P.shape[1]):
-        col = P[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_TOL)
-        k = nz[0] if nz.size else 0
-        if col[k] < 0:
-            P[:, j] = -col
-    return EigenDecomp(values=w, vectors=P, source_norm=float(np.linalg.norm(X)))
+    P = P[:, ::-1]
+    # row of each column's first entry above the tolerance; argmax gives 0 when there is none
+    lead = (np.abs(P) > _SIGN_TOL).argmax(axis=0)
+    P = np.where(P.T[np.arange(P.shape[1]), lead] < 0, -P, P)
+    return EigenDecomp(values=w[::-1].copy(), vectors=P, source_norm=float(np.linalg.norm(X)))
 
 
 def default_zero_tol(dec: EigenDecomp) -> float:

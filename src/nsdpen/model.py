@@ -95,11 +95,20 @@ class NsdpProblem:
         return symmetrize(0.5 * (Dij + Dji))
 
 
+def _gather(hook: str, entries: list, d: int) -> np.ndarray:
+    """Hook outputs as one (k, d, d) float array, built by a single ``np.array`` call."""
+    try:
+        out = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{hook} must return {d} x {d} arrays, got ragged or non-numeric output") from None
+    if out.shape[1:] != (d, d):
+        raise InvalidInputError(f"{hook} must return {d} x {d} arrays, got {out.shape[1:]}")
+    return out
+
+
 def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     """The n partial derivatives dG(x, i), symmetrized, as one (n, d, d) array."""
-    Gs = np.stack([np.asarray(prob.dG(x, i), dtype=float) for i in range(prob.n)])
-    if Gs.shape != (prob.n, prob.d, prob.d):
-        raise InvalidInputError(f"dG must return {prob.d} x {prob.d} arrays, got {Gs.shape[1:]}")
+    Gs = _gather("dG", [prob.dG(x, i) for i in range(prob.n)], prob.d)
     return 0.5 * (Gs + Gs.transpose(0, 2, 1))
 
 
@@ -123,7 +132,8 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
 
     One ``d2G`` call per upper-triangle entry, row by row (i, then j >= i);
-    each row is contracted with W in one product, so at most n matrices are held.
+    each row is gathered into one array and contracted with W in one
+    product, so at most n matrices are held.
     """
     x = _vec(x, prob.n)
     W = np.asarray(W, dtype=float)
@@ -132,7 +142,7 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     n = prob.n
     out = np.zeros((n, n))
     for i in range(n):
-        row = np.stack([np.asarray(prob.d2G(x, i, j), dtype=float) for j in range(i, n)]).reshape(n - i, -1) @ W.ravel()
+        row = _gather("d2G", [prob.d2G(x, i, j) for j in range(i, n)], prob.d).reshape(n - i, -1) @ W.ravel()
         out[i, i:] = out[i:, i] = row
     return out
 

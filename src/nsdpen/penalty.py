@@ -7,7 +7,9 @@ For parameters (v, M, rho, sigma, tau) the penalty is
 
 which is twice continuously differentiable in x.  The gradient and Hessian
 are assembled from the problem hooks and the spectral kernel; each call
-shares a single eigendecomposition of M/tau - G(x) across all terms.
+shares a single eigendecomposition of M/tau - G(x) across all terms.  These
+functions compute afresh on every call; ``driver.solve`` calls each of them
+at most once per (gamma, x) in a solve.
 """
 
 from dataclasses import dataclass

@@ -154,7 +154,9 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     Parameters
     ----------
     fun, grad, hess : callables
-        Objective value, gradient and (symmetric) Hessian hooks.
+        Objective value, gradient and (symmetric) Hessian hooks.  Their
+        results are only read, never written into, so a hook may return
+        a cached array.
     x0 : array_like
         Start point.
     delta : float

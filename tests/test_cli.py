@@ -63,6 +63,12 @@ class TestSolveCommand:
     def test_unparseable_flag_exit(self):
         assert run_main(["solve", "--problem", "scalar-bound", "--max-outer", "xyz"]) == 64
 
+    @pytest.mark.parametrize("flag, value", [("--gamma0", "inf"), ("--tol-feas", "nan"), ("--theta", "inf")])
+    def test_non_finite_config_exit(self, flag, value, capsys):
+        code, out = run_main(["solve", "--problem", "scalar-bound", flag, value], capsys)
+        assert code == 64
+        assert "must be finite" in out.err
+
     def test_missing_required_flag_exit(self):
         assert run_main(["solve"]) == 64
 
@@ -193,6 +199,20 @@ class TestCheckCommand:
 
     def test_bad_gamma_exit(self):
         assert run_main(["check", "--problem", "scalar-bound", "--gamma", "-1"]) == 64
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_exit(self, gamma, capsys):
+        code, out = run_main(["check", "--problem", "scalar-bound", "--gamma", gamma], capsys)
+        assert code == 64
+        assert "gamma" in out.err
+
+    @pytest.mark.parametrize("problem, point", [
+        ("scalar-bound", "nan"), ("scalar-bound", "inf"), ("scalar-bound", "-inf"), ("nearest-psd", "0.5,nan,0.5"),
+    ])
+    def test_non_finite_point_exit(self, problem, point, capsys):
+        code, out = run_main(["check", "--problem", problem, f"--at={point}"], capsys)
+        assert code == 64
+        assert "non-finite" in out.err
 
     def test_no_matrix_block_problem(self, tmp_path):
         path = tmp_path / "c.json"

@@ -52,6 +52,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
         dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
+        dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
+        dict(feas_check_tol=np.nan), dict(gamma_cap=np.inf),
     ])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(InvalidInputError):
@@ -265,3 +267,28 @@ class TestSolveGuards:
         assert all(r.u == 0.0 for r in report.iterates)
         assert all(r.gamma == 1.0 for r in report.iterates)
         assert abs(report.final.x[0] - 1.0) <= 1e-6
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
+    def test_no_point_evaluated_twice(self, case, monkeypatch):
+        if case == "ball":
+            prob, cfg = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
+        else:
+            prob, cfg = problems.get_problem(case).problem, run_config(case)
+        seen = {}
+
+        def recording(name, fn):
+            def evaluate(prob, x, params):
+                seen.setdefault(name, []).append((params.sigma, x.tobytes()))
+                return fn(prob, x, params)
+            monkeypatch.setattr(penalty, name, evaluate)
+
+        for name in ("penalty_value", "penalty_grad", "penalty_hess"):
+            recording(name, getattr(penalty, name))
+        report = driver.solve(prob, cfg)
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        for name, keys in seen.items():
+            assert len(keys) == len(set(keys)), name
+        # every outer iteration evaluates at its start point at least once
+        assert len(seen["penalty_value"]) >= len(report.iterates)

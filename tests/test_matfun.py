@@ -55,6 +55,38 @@ class TestEigSym:
         with pytest.raises(InvalidInputError):
             matfun.eig_sym(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sign_rule_matches_column_loop(self, seed):
+        # reference: the column-by-column form of the sign rule
+        def loop_signs(P):
+            P = P.copy()
+            for j in range(P.shape[1]):
+                nz = np.flatnonzero(np.abs(P[:, j]) > 1e-12)
+                k = nz[0] if nz.size else 0
+                if P[k, j] < 0:
+                    P[:, j] = -P[:, j]
+            return P
+
+        gen = rng(seed)
+        # eigenvectors whose first entries are 0 or +-1e-13, below the sign
+        # tolerance, so the rule must look further down; eigenvalue 2 is repeated
+        Q = np.zeros((5, 5))
+        Q[1:, 1:] = random_orthogonal(gen, 4)
+        Q[0, 0] = 1.0
+        Q[:, 1:] = Q[:, 1:] * np.where(gen.random(4) < 0.5, -1.0, 1.0)
+        tilt = 1e-13 * np.array([1.0, -1.0])
+        Q[0, 1:3] = tilt
+        Q[1:, 0] = -Q[1:, 1:3] @ tilt  # keeps Q orthogonal to first order
+        X = (Q * np.array([3.0, 2.0, 2.0, -1.0, 0.5])) @ Q.T
+        X = 0.5 * (X + X.T)  # exactly symmetric: eig_sym decomposes this very matrix
+        w, P = np.linalg.eigh(X)
+        dec = matfun.eig_sym(X)
+        assert np.array_equal(dec.values, w[::-1])
+        assert np.array_equal(dec.vectors, loop_signs(P[:, ::-1]))
+        assert np.sum(np.abs(dec.vectors[0]) <= 1e-12) >= 2  # the tiny leading entries survive eigh
+        for col in dec.vectors.T:
+            assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0
+
     def test_deterministic(self):
         X = random_sym(rng(11), 4)
         a = matfun.eig_sym(X)

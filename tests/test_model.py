@@ -108,6 +108,18 @@ class TestD2GContract:
         with pytest.raises(InvalidInputError):
             model.d2G_contract(prob, np.zeros(prob.n), np.eye(2))
 
+    @pytest.mark.parametrize("d2G", [
+        lambda x, i, j: np.zeros((3, 3)),  # wrong shape throughout
+        lambda x, i, j: np.zeros((2, 2)) if j == i else np.zeros((2, 3)),  # ragged row
+        lambda x, i, j: np.zeros(2),  # wrong rank
+    ])
+    def test_rejects_wrong_d2G_shape(self, d2G):
+        prob = affine_matrix_problem()
+        bad = model.NsdpProblem(name="bad-d2G", n=2, m=0, d=2, start_point=np.zeros(2),
+                                f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=prob.dG, d2G=d2G)
+        with pytest.raises(InvalidInputError, match="d2G"):
+            model.d2G_contract(bad, np.zeros(2), np.eye(2))
+
 
 class TestAudit:
     def test_polynomial_hooks_near_exact(self):
