@@ -45,12 +45,11 @@ from .optimality import (
 )
 from .penalty import (
     PenaltyParams,
+    PenaltyPoint,
+    penalty_at,
     penalty_grad,
     penalty_hess,
     penalty_value,
-    script_f_grad,
-    script_f_value,
-    script_p_value,
     special_params,
 )
 from .problems import CorpusEntry, get_problem, list_problems

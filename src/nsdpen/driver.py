@@ -15,9 +15,10 @@ gamma-update rules:
 The run stops once infeasibility and delta are below their tolerances, at
 the iteration cap, or on inner-solver failure / gamma blow-up.
 
-The penalty value, gradient and Hessian are each evaluated once per
-(gamma, x) in a solve: an outer iteration that keeps gamma and starts where
-the previous one ended reuses what that one computed at its last point.
+Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
+point (one G, one eigendecomposition) feeds the penalty value, gradient and
+Hessian, and an outer iteration that keeps gamma and starts where the
+previous one ended reuses them.
 """
 
 import time
@@ -188,9 +189,10 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             return last[1]
         return memo
 
-    value = once_per_point(lambda z: penalty.penalty_value(prob, z, params))
-    grad = once_per_point(lambda z: penalty.penalty_grad(prob, z, params))
-    hess = once_per_point(lambda z: penalty.penalty_hess(prob, z, params))
+    at = once_per_point(lambda z: penalty.penalty_at(prob, z, params))
+    value = once_per_point(lambda z: penalty.penalty_value(at(z)))
+    grad = once_per_point(lambda z: penalty.penalty_grad(at(z)))
+    hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
 
     def certify(rec):
         basis = optimality.critical_subspace_basis(prob, rec.x, b_count)

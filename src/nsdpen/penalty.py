@@ -5,11 +5,11 @@ For parameters (v, M, rho, sigma, tau) the penalty is
     F(x) = rho*f(x) + (sigma*tau/2) ||v/tau - g(x)||^2
                     + (sigma*tau/4) tr([M/tau - G(x)]+^4)
 
-which is twice continuously differentiable in x.  The gradient and Hessian
-are assembled from the problem hooks and the spectral kernel; each call
-shares a single eigendecomposition of M/tau - G(x) across all terms.  These
-functions compute afresh on every call; ``driver.solve`` calls each of them
-at most once per (gamma, x) in a solve.
+which is twice continuously differentiable in x.  ``penalty_at`` evaluates
+the two pieces every term is built from, r = v/tau - g(x) and the
+eigendecomposition of M/tau - G(x), once per point; ``penalty_value``,
+``penalty_grad`` and ``penalty_hess`` read them from that ``PenaltyPoint``
+and add the f terms and the derivatives of g and G.
 """
 
 from dataclasses import dataclass
@@ -38,16 +38,18 @@ class PenaltyParams:
     tau: float
 
     def __post_init__(self):
+        if self.M is not None:
+            object.__setattr__(self, "M", symmetrize(np.asarray(self.M, dtype=float)))
+        if self.v is not None:
+            object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
+        if not all(np.all(np.isfinite(a)) for a in (self.rho, self.sigma, self.tau, self.v, self.M) if a is not None):
+            raise InvalidInputError("rho, sigma, tau, v and M must be finite")
         if not self.sigma > 0:
             raise InvalidInputError("sigma must be positive")
         if not self.tau > 0:
             raise InvalidInputError("tau must be positive")
         if self.rho < 0:
             raise InvalidInputError("rho must be nonnegative")
-        if self.M is not None:
-            object.__setattr__(self, "M", symmetrize(np.asarray(self.M, dtype=float)))
-        if self.v is not None:
-            object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
 
 
 def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
@@ -68,85 +70,76 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
     raise InvalidInputError(f"unknown parameter kind {kind!r}")
 
 
-def _v_of(p: PenaltyParams, m: int) -> np.ndarray:
-    if p.v is None:
-        return np.zeros(m)
-    if p.v.shape != (m,):
-        raise InvalidInputError(f"v must have shape ({m},), got {p.v.shape}")
-    return p.v
+@dataclass(frozen=True)
+class PenaltyPoint:
+    """At a copy of x: r = v/tau - g(x) (None if m = 0) and dec = eig(M/tau - G(x)) (None if d = 0)."""
+
+    prob: NsdpProblem
+    p: PenaltyParams
+    x: np.ndarray
+    r: np.ndarray | None
+    dec: matfun.EigenDecomp | None
 
 
-def _shifted_matrix(prob: NsdpProblem, x: np.ndarray, p: PenaltyParams) -> np.ndarray:
-    """M/tau - G(x), the argument of every spectral term."""
-    Gx = symmetrize(np.asarray(prob.G(x), dtype=float))
-    if p.M is None:
-        return -Gx
-    if p.M.shape != (prob.d, prob.d):
-        raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
-    return symmetrize(p.M / p.tau - Gx)
-
-
-def penalty_value(prob: NsdpProblem, x, p: PenaltyParams) -> float:
-    x = _vec(x, prob.n)
-    st = p.sigma * p.tau
-    val = p.rho * float(prob.f(x)) if p.rho != 0.0 else 0.0
+def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
+    """Evaluate g and G once at x and eigendecompose M/tau - G(x) once."""
+    x = _vec(x, prob.n).copy()
+    r = dec = None
     if prob.m > 0:
-        r = _v_of(p, prob.m) / p.tau - np.asarray(prob.g(x), dtype=float)
-        val += 0.5 * st * float(r @ r)
+        if p.v is not None and p.v.shape != (prob.m,):
+            raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
+        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - np.asarray(prob.g(x), dtype=float)
     if prob.d > 0:
-        dec = matfun.eig_sym(_shifted_matrix(prob, x, p))
-        val += 0.25 * st * matfun.quartic_trace_from(dec)
+        Gx = symmetrize(np.asarray(prob.G(x), dtype=float))
+        if p.M is not None and p.M.shape != (prob.d, prob.d):
+            raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
+        dec = matfun.eig_sym(-Gx if p.M is None else symmetrize(p.M / p.tau - Gx))
+    return PenaltyPoint(prob, p, x, r, dec)
+
+
+def penalty_value(at: PenaltyPoint) -> float:
+    prob, p = at.prob, at.p
+    st = p.sigma * p.tau
+    val = p.rho * float(prob.f(at.x)) if p.rho != 0.0 else 0.0
+    if at.r is not None:
+        val += 0.5 * st * float(at.r @ at.r)
+    if at.dec is not None:
+        val += 0.25 * st * matfun.quartic_trace_from(at.dec)
     return float(val)
 
 
-def penalty_grad(prob: NsdpProblem, x, p: PenaltyParams) -> np.ndarray:
-    x = _vec(x, prob.n)
+def penalty_grad(at: PenaltyPoint) -> np.ndarray:
+    prob, p, x = at.prob, at.p, at.x
     st = p.sigma * p.tau
     grad = p.rho * np.asarray(prob.grad_f(x), dtype=float) if p.rho != 0.0 else np.zeros(prob.n)
-    if prob.m > 0:
-        r = _v_of(p, prob.m) / p.tau - np.asarray(prob.g(x), dtype=float)
-        grad = grad - st * (np.asarray(prob.jac_g(x), dtype=float) @ r)
-    if prob.d > 0:
-        dec = matfun.eig_sym(_shifted_matrix(prob, x, p))
-        grad = grad - st * dG_adjoint(prob, x, matfun.q_cube_from(dec))
+    if at.r is not None:
+        grad = grad - st * (np.asarray(prob.jac_g(x), dtype=float) @ at.r)
+    if at.dec is not None:
+        grad = grad - st * dG_adjoint(prob, x, matfun.q_cube_from(at.dec))
     return grad
 
 
-def penalty_hess(prob: NsdpProblem, x, p: PenaltyParams) -> np.ndarray:
+def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     """Exact Hessian of the penalty, symmetrized.
 
     With P, C the eigenbasis and coefficients of ``matfun.dq_coeff`` and
     K_i = P^T dG(x, i) P, orthogonality of P gives <dG_i, P (C o K_j) P^T> =
     <K_i, C o K_j>, so the matrix block is st * (K (C o K)^T - d2G_contract(x, [.]+^3)).
     """
-    x = _vec(x, prob.n)
+    prob, p, x, r, dec = at.prob, at.p, at.x, at.r, at.dec
     st = p.sigma * p.tau
     if p.rho != 0.0:
         H = p.rho * symmetrize(np.asarray(prob.hess_f(x), dtype=float))
     else:
         H = np.zeros((prob.n, prob.n))
-    if prob.m > 0:
-        r = _v_of(p, prob.m) / p.tau - np.asarray(prob.g(x), dtype=float)
+    if r is not None:
         for j in range(prob.m):
             if r[j] != 0.0:
                 H = H - st * r[j] * symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
         J = np.asarray(prob.jac_g(x), dtype=float)
         H = H + st * (J @ J.T)
-    if prob.d > 0:
-        dec = matfun.eig_sym(_shifted_matrix(prob, x, p))
+    if dec is not None:
         op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
         K = (op.basis.T @ _dG_stack(prob, x) @ op.basis).reshape(prob.n, -1)
         H = H + st * (K @ (op.coeff.ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
     return symmetrize(H)
-
-
-def script_f_value(prob: NsdpProblem, x, gamma: float) -> float:
-    return penalty_value(prob, x, special_params("script_F", gamma))
-
-
-def script_f_grad(prob: NsdpProblem, x, gamma: float) -> np.ndarray:
-    return penalty_grad(prob, x, special_params("script_F", gamma))
-
-
-def script_p_value(prob: NsdpProblem, x) -> float:
-    return penalty_value(prob, x, special_params("script_P"))

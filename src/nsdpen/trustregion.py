@@ -30,10 +30,14 @@ class TrConfig:
     radius_min: float = 1e-14
 
     def __post_init__(self):
+        if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
+            raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
+        if not self.max_iter >= 1:
+            raise InvalidInputError("max_iter must be at least 1")
         if not (0 < self.eta1 < self.eta2 < 1):
             raise InvalidInputError("need 0 < eta1 < eta2 < 1")
-        if not (self.shrink < 1 < self.grow):
-            raise InvalidInputError("need shrink < 1 < grow")
+        if not (0 < self.shrink < 1 < self.grow < np.inf):
+            raise InvalidInputError("need 0 < shrink < 1 < grow < inf")
 
 
 @dataclass
@@ -167,12 +171,17 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
     cfg = config or TrConfig()
+
+    def derivatives(z):
+        # gradient, Hessian and smallest Hessian eigenvalue at the start or an accepted point
+        g_z = np.atleast_1d(np.asarray(grad(z), dtype=float))
+        H_z = symmetrize(np.asarray(hess(z), dtype=float))
+        return g_z, H_z, float(np.linalg.eigvalsh(H_z)[0])
+
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     radius = cfg.delta0_radius
     f_x = float(fun(x))
-    g_x = np.atleast_1d(np.asarray(grad(x), dtype=float))
-    H_x = symmetrize(np.asarray(hess(x), dtype=float))
-    lam_min = float(np.linalg.eigvalsh(H_x)[0])
+    g_x, H_x, lam_min = derivatives(x)
 
     for it in range(cfg.max_iter):
         gnorm = float(np.linalg.norm(g_x))
@@ -191,24 +200,18 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
             # the model predicts a change below evaluation precision; the
             # ratio test carries no signal there, so take the (near-Newton)
             # step as long as it does not measurably increase the objective
-            if np.isfinite(f_new) and f_new <= f_x + noise:
-                x, f_x = x_new, f_new
-                g_x = np.atleast_1d(np.asarray(grad(x), dtype=float))
-                H_x = symmetrize(np.asarray(hess(x), dtype=float))
-                lam_min = float(np.linalg.eigvalsh(H_x)[0])
-            else:
-                radius *= cfg.shrink
-            continue
-        ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
-        if ratio >= cfg.eta1:
-            x, f_x = x_new, f_new
-            g_x = np.atleast_1d(np.asarray(grad(x), dtype=float))
-            H_x = symmetrize(np.asarray(hess(x), dtype=float))
-            lam_min = float(np.linalg.eigvalsh(H_x)[0])
-            if ratio >= cfg.eta2 and np.linalg.norm(p) >= 0.99 * radius:
-                radius *= cfg.grow
+            accept, grow = np.isfinite(f_new) and f_new <= f_x + noise, False
         else:
+            ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
+            accept = ratio >= cfg.eta1
+            grow = ratio >= cfg.eta2 and np.linalg.norm(p) >= 0.99 * radius
+        if not accept:
             radius *= cfg.shrink
+            continue
+        x, f_x = x_new, f_new
+        g_x, H_x, lam_min = derivatives(x)
+        if grow:
+            radius *= cfg.grow
 
     gnorm = float(np.linalg.norm(g_x))
     return TrResult(x=x, value=f_x, grad_norm=gnorm, min_hess_eig=lam_min,

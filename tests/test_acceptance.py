@@ -93,12 +93,13 @@ def test_criterion_1_penalty_derivative_exactness():
         for params in param_sets:
             for _ in range(20):
                 x = prob.start_point + gen.normal(size=prob.n)
-                grad = penalty.penalty_grad(prob, x, params)
-                fd_g = fd_grad(lambda z: penalty.penalty_value(prob, z, params), x, prob.n)
+                at = penalty.penalty_at(prob, x, params)
+                grad = penalty.penalty_grad(at)
+                fd_g = fd_grad(lambda z: penalty.penalty_value(penalty.penalty_at(prob, z, params)), x, prob.n)
                 rel_g = np.linalg.norm(grad - fd_g) / (1 + np.linalg.norm(grad))
                 assert rel_g <= 1e-6, (name, rel_g)
-                hess = penalty.penalty_hess(prob, x, params)
-                fd_h = fd_jac(lambda z: penalty.penalty_grad(prob, z, params), x, prob.n)
+                hess = penalty.penalty_hess(at)
+                fd_h = fd_jac(lambda z: penalty.penalty_grad(penalty.penalty_at(prob, z, params)), x, prob.n)
                 fd_h = 0.5 * (fd_h + fd_h.T)
                 rel_h = np.linalg.norm(hess - fd_h) / (1 + np.linalg.norm(hess))
                 assert rel_h <= 1e-4, (name, rel_h)

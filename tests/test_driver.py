@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nsdpen import driver, optimality, penalty, problems
+from nsdpen import driver, matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
@@ -76,7 +76,8 @@ class TestSolveScalarBound:
         entry, report = corpus_runs["scalar-bound"]
         for rec in report.iterates:
             assert rec.stationarity <= rec.delta
-            regrad = penalty.script_f_grad(entry.problem, rec.x, rec.gamma)
+            params = penalty.special_params("script_F", rec.gamma)
+            regrad = penalty.penalty_grad(penalty.penalty_at(entry.problem, rec.x, params))
             assert np.linalg.norm(regrad) == pytest.approx(rec.stationarity, abs=1e-14)
 
     def test_second_order_certificate_every_iterate(self, corpus_runs):
@@ -277,18 +278,36 @@ class TestOneEvaluationPerPoint:
         else:
             prob, cfg = problems.get_problem(case).problem, run_config(case)
         seen = {}
+        eigs = [0]
+        eig_sym = matfun.eig_sym
+
+        def counting_eig_sym(X):
+            eigs[0] += 1
+            return eig_sym(X)
 
         def recording(name, fn):
-            def evaluate(prob, x, params):
-                seen.setdefault(name, []).append((params.sigma, x.tobytes()))
-                return fn(prob, x, params)
+            # records (sigma, x) and the eig_sym calls made inside each call
+            def evaluate(*args):
+                before = eigs[0]
+                out = fn(*args)
+                at = out if name == "penalty_at" else args[0]
+                seen.setdefault(name, []).append((at.p.sigma, at.x.tobytes(), eigs[0] - before))
+                return out
             monkeypatch.setattr(penalty, name, evaluate)
 
-        for name in ("penalty_value", "penalty_grad", "penalty_hess"):
+        monkeypatch.setattr(matfun, "eig_sym", counting_eig_sym)
+        for name in ("penalty_at", "penalty_value", "penalty_grad", "penalty_hess"):
             recording(name, getattr(penalty, name))
         report = driver.solve(prob, cfg)
         assert report.final_status == driver.FEAS_OPT_REACHED
-        for name, keys in seen.items():
-            assert len(keys) == len(set(keys)), name
+        for name, calls in seen.items():
+            points = [call[:2] for call in calls]
+            assert len(points) == len(set(points)), name
+            # one eigendecomposition per point, made where the point is built
+            assert all(call[2] == (name == "penalty_at") for call in calls), name
+        # every value, gradient and Hessian reads a point built for it once
+        assert [call[:2] for call in seen["penalty_at"]] == [call[:2] for call in seen["penalty_value"]]
+        for name in ("penalty_grad", "penalty_hess"):
+            assert set(call[:2] for call in seen[name]) <= set(call[:2] for call in seen["penalty_at"])
         # every outer iteration evaluates at its start point at least once
         assert len(seen["penalty_value"]) >= len(report.iterates)

@@ -124,6 +124,58 @@ class TestSpecialParams:
             penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=0.0, tau=1.0)
         with pytest.raises(InvalidInputError):
             penalty.PenaltyParams(v=None, M=None, rho=-1.0, sigma=1.0, tau=1.0)
+        for bad in (dict(rho=np.nan), dict(rho=np.inf), dict(sigma=np.inf), dict(sigma=np.nan),
+                    dict(tau=np.inf), dict(tau=np.nan),
+                    dict(v=[np.nan, 0.0]), dict(v=[0.0, np.inf]),
+                    dict(M=[[np.inf, 0.0], [0.0, 1.0]]), dict(M=[[1.0, np.nan], [0.0, 1.0]])):
+            with pytest.raises(InvalidInputError, match="finite"):
+                penalty.PenaltyParams(**{**dict(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0), **bad})
+
+
+class TestPenaltyPoint:
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_hook_counts(self, m):
+        # one g (when m > 0), one G and one eigendecomposition per point;
+        # value and gradient read them and call neither again
+        prob, counts = counting(ball_problem(4, m=m))
+        x, p = mixed_point(prob, 113)
+        counts.update(dict.fromkeys(counts, 0))
+        eigs = []
+        eig_sym = matfun.eig_sym
+
+        def counting_eig_sym(X):
+            eigs.append(X)
+            return eig_sym(X)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matfun, "eig_sym", counting_eig_sym)
+            at = penalty.penalty_at(prob, x, p)
+            assert (counts["g"], counts["G"], len(eigs)) == (int(m > 0), 1, 1)
+            assert counts["f"] == counts["dG"] == 0
+            assert (at.r is None) == (m == 0)
+            counts.update(dict.fromkeys(counts, 0))
+            penalty.penalty_value(at)
+            penalty.penalty_grad(at)
+            assert (counts["g"], counts["G"], len(eigs)) == (0, 0, 1)
+
+    def test_owns_a_copy_of_x(self):
+        prob = ball_problem(3, m=2)
+        x = prob.start_point.copy()
+        at = penalty.penalty_at(prob, x, penalty.special_params("script_F", 2.0))
+        before = penalty.penalty_value(at)
+        x += 1.0
+        assert np.array_equal(at.x, prob.start_point)
+        assert penalty.penalty_value(at) == before
+
+    def test_shape_checks(self):
+        prob = ball_problem(3, m=2)
+        x = prob.start_point
+        with pytest.raises(InvalidInputError, match="x must have shape"):
+            penalty.penalty_at(prob, x[:-1], penalty.special_params("script_F", 1.0))
+        with pytest.raises(InvalidInputError, match="v must have shape"):
+            penalty.penalty_at(prob, x, penalty.PenaltyParams(v=np.zeros(3), M=None, rho=1.0, sigma=1.0, tau=1.0))
+        with pytest.raises(InvalidInputError, match="M must have shape"):
+            penalty.penalty_at(prob, x, penalty.PenaltyParams(v=None, M=np.eye(2), rho=1.0, sigma=1.0, tau=1.0))
 
 
 class TestValue:
@@ -131,12 +183,12 @@ class TestValue:
         entry = problems.get_problem("nearest-psd")
         p = penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=3.0, tau=2.0)
         x = entry.problem.start_point
-        assert penalty.penalty_value(entry.problem, x, p) == pytest.approx(entry.problem.f(x))
+        assert penalty.penalty_value(penalty.penalty_at(entry.problem, x, p)) == pytest.approx(entry.problem.f(x))
 
     def test_scalar_quartic(self):
         prob = scalar_quartic_problem()
         p = penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0)
-        assert penalty.penalty_value(prob, [-2.0], p) == pytest.approx(4.0)
+        assert penalty.penalty_value(penalty.penalty_at(prob, [-2.0], p)) == pytest.approx(4.0)
 
     def test_script_f_two_path(self):
         gen = rng(101)
@@ -145,7 +197,7 @@ class TestValue:
             prob = problems.get_problem(name).problem
             for _ in range(5):
                 x = prob.start_point + gen.normal(size=prob.n)
-                lhs = penalty.script_f_value(prob, x, gamma)
+                lhs = penalty.penalty_value(penalty.penalty_at(prob, x, penalty.special_params("script_F", gamma)))
                 direct = prob.f(x)
                 if prob.m > 0:
                     direct += 0.5 * gamma * float(np.sum(np.asarray(prob.g(x)) ** 2))
@@ -159,21 +211,22 @@ class TestValue:
         x = np.array([0.2, -0.1, -1.3])
         base = penalty.PenaltyParams(v=np.array([0.3, -0.2]), M=np.eye(2), rho=0.5, sigma=2.0, tau=1.5)
         scaled = penalty.PenaltyParams(v=base.v, M=base.M, rho=c * base.rho, sigma=c * base.sigma, tau=base.tau)
-        v0 = penalty.penalty_value(prob, x, base)
-        v1 = penalty.penalty_value(prob, x, scaled)
+        v0 = penalty.penalty_value(penalty.penalty_at(prob, x, base))
+        v1 = penalty.penalty_value(penalty.penalty_at(prob, x, scaled))
         assert v1 == pytest.approx(c * v0, rel=1e-12)
 
     def test_infeasibility_measure_nonnegative_zero_iff_feasible(self):
         gen = rng(102)
+        script_p = penalty.special_params("script_P")
         for name in problems.list_problems():
             entry = problems.get_problem(name)
             prob = entry.problem
-            assert penalty.script_p_value(prob, prob.start_point) <= 1e-24
+            assert penalty.penalty_value(penalty.penalty_at(prob, prob.start_point, script_p)) <= 1e-24
             if entry.known_solution is not None:
-                assert penalty.script_p_value(prob, entry.known_solution) <= 1e-24
+                assert penalty.penalty_value(penalty.penalty_at(prob, entry.known_solution, script_p)) <= 1e-24
             for _ in range(10):
                 x = prob.start_point + gen.normal(size=prob.n)
-                val = penalty.script_p_value(prob, x)
+                val = penalty.penalty_value(penalty.penalty_at(prob, x, script_p))
                 assert val >= 0.0
                 if optimality.infeasibility_u(prob, x) > 1e-6:
                     assert val > 0.0
@@ -183,14 +236,14 @@ class TestGradient:
     def test_scalar_quartic_gradient(self):
         prob = scalar_quartic_problem()
         p = penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0)
-        out = penalty.penalty_grad(prob, [-2.0], p)
+        out = penalty.penalty_grad(penalty.penalty_at(prob, [-2.0], p))
         assert out[0] == pytest.approx(-8.0)
 
     def test_strictly_feasible_reduces_to_objective_gradient(self):
         prob = problems.get_problem("nearest-psd").problem
         p = penalty.PenaltyParams(v=None, M=None, rho=2.5, sigma=1.0, tau=1.0)
         x = prob.start_point  # G(x) = I, strictly feasible
-        assert np.allclose(penalty.penalty_grad(prob, x, p), 2.5 * prob.grad_f(x))
+        assert np.allclose(penalty.penalty_grad(penalty.penalty_at(prob, x, p)), 2.5 * prob.grad_f(x))
 
     def test_finite_difference_oracle(self):
         gen = rng(103)
@@ -199,8 +252,8 @@ class TestGradient:
             for params in (penalty.special_params("script_F", 1.0), generic_params(prob)):
                 for _ in range(5):
                     x = prob.start_point + gen.normal(size=prob.n)
-                    ana = penalty.penalty_grad(prob, x, params)
-                    fd = fd_grad(lambda z: penalty.penalty_value(prob, z, params), x, prob.n)
+                    ana = penalty.penalty_grad(penalty.penalty_at(prob, x, params))
+                    fd = fd_grad(lambda z: penalty.penalty_value(penalty.penalty_at(prob, z, params)), x, prob.n)
                     rel = np.linalg.norm(ana - fd) / (1 + np.linalg.norm(ana))
                     assert rel <= 1e-6, (name, rel)
 
@@ -214,7 +267,7 @@ class TestGradient:
             for _ in range(5):
                 x = prob.start_point + gen.normal(size=prob.n)
                 mult = optimality.recover_multipliers(prob, x, gamma)
-                lhs = penalty.script_f_grad(prob, x, gamma)
+                lhs = penalty.penalty_grad(penalty.penalty_at(prob, x, penalty.special_params("script_F", gamma)))
                 rhs = optimality.lagrangian_grad(prob, x, mult.y, mult.Z)
                 assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
 
@@ -223,7 +276,7 @@ class TestHessian:
     def test_scalar_quartic_hessian(self):
         prob = scalar_quartic_problem()
         p = penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0)
-        out = penalty.penalty_hess(prob, [-2.0], p)
+        out = penalty.penalty_hess(penalty.penalty_at(prob, [-2.0], p))
         assert out[0, 0] == pytest.approx(12.0)
 
     def test_strictly_feasible_block_structure(self):
@@ -232,7 +285,7 @@ class TestHessian:
         prob = problems.get_problem("corr-matrix").problem
         x = prob.start_point
         p = penalty.PenaltyParams(v=None, M=None, rho=1.2, sigma=2.0, tau=3.0)
-        H = penalty.penalty_hess(prob, x, p)
+        H = penalty.penalty_hess(penalty.penalty_at(prob, x, p))
         J = prob.jac_g(x)
         expected = 1.2 * prob.hess_f(x) + 2.0 * 3.0 * (J @ J.T)
         assert np.allclose(H, expected, atol=1e-12)
@@ -244,8 +297,8 @@ class TestHessian:
             for params in (penalty.special_params("script_F", 1.0), generic_params(prob)):
                 for _ in range(5):
                     x = prob.start_point + gen.normal(size=prob.n)
-                    ana = penalty.penalty_hess(prob, x, params)
-                    fd = fd_jac(lambda z: penalty.penalty_grad(prob, z, params), x, prob.n)
+                    ana = penalty.penalty_hess(penalty.penalty_at(prob, x, params))
+                    fd = fd_jac(lambda z: penalty.penalty_grad(penalty.penalty_at(prob, z, params)), x, prob.n)
                     rel = np.linalg.norm(ana - 0.5 * (fd + fd.T)) / (1 + np.linalg.norm(ana))
                     assert rel <= 1e-4, (name, rel)
 
@@ -254,7 +307,7 @@ class TestHessian:
         prob = problems.get_problem("corr-matrix").problem
         for _ in range(10):
             x = prob.start_point + gen.normal(size=prob.n)
-            H = penalty.penalty_hess(prob, x, generic_params(prob, seed=107))
+            H = penalty.penalty_hess(penalty.penalty_at(prob, x, generic_params(prob, seed=107)))
             assert np.array_equal(H, H.T)
 
     def test_works_with_synthesized_second_derivatives(self):
@@ -268,8 +321,8 @@ class TestHessian:
         )
         x = np.array([0.2, -0.5, 0.9])
         p = penalty.special_params("script_F", 3.0)
-        H_fd = penalty.penalty_hess(fd_prob, x, p)
-        H_exact = penalty.penalty_hess(base, x, p)
+        H_fd = penalty.penalty_hess(penalty.penalty_at(fd_prob, x, p))
+        H_exact = penalty.penalty_hess(penalty.penalty_at(base, x, p))
         assert np.linalg.norm(H_fd - H_exact) <= 1e-6 * (1 + np.linalg.norm(H_exact))
 
     @pytest.mark.parametrize("d,m,fd", BALL_CASES)
@@ -285,14 +338,16 @@ class TestHessian:
                     cls = matfun.classify_eigs(matfun.eig_sym(M - prob.G(x)))
                     assert cls.pos.size and cls.zero.size and cls.neg.size
                 ref = loop_penalty_hess(prob, point, params)
-                H = penalty.penalty_hess(prob, point, params)
+                H = penalty.penalty_hess(penalty.penalty_at(prob, point, params))
                 assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_hook_counts(self):
-        # n dG and n(n+1)/2 d2G calls per Hessian: the per-entry hook contract
+        # n dG and n(n+1)/2 d2G calls per Hessian: the per-entry hook contract;
+        # G was evaluated by penalty_at, not again here
         prob, counts = counting(ball_problem(4, m=2))
         x, p = mixed_point(prob, 112)
+        at = penalty.penalty_at(prob, x, p)
         counts.update(dict.fromkeys(counts, 0))
-        penalty.penalty_hess(prob, x, p)
+        penalty.penalty_hess(at)
         n = prob.n
-        assert (counts["G"], counts["dG"], counts["d2G"]) == (1, n, n * (n + 1) // 2)
+        assert (counts["G"], counts["g"], counts["dG"], counts["d2G"]) == (0, 0, n, n * (n + 1) // 2)

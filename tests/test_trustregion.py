@@ -221,5 +221,54 @@ class TestTrMinimize:
         assert res.status == tr.MAX_ITER
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            tr.TrConfig(eta1=0.9, eta2=0.5)
+        for bad in (dict(eta1=0.9, eta2=0.5),
+                    dict(delta0_radius=np.nan), dict(delta0_radius=np.inf), dict(delta0_radius=0.0),
+                    dict(radius_min=np.nan), dict(radius_min=np.inf), dict(radius_min=-1e-14),
+                    dict(shrink=0.0), dict(shrink=-0.5), dict(shrink=np.nan),
+                    dict(grow=np.inf), dict(grow=np.nan), dict(grow=1.0),
+                    dict(max_iter=0), dict(max_iter=-3)):
+            with pytest.raises(InvalidInputError):
+                tr.TrConfig(**bad)
+        tr.TrConfig(radius_min=0.0, max_iter=1, shrink=1e-3, grow=1e3, delta0_radius=1e-3)
+
+
+class TestBelowNoiseBranch:
+    # f is huge, so the noise band 8 eps (1 + |f|) is about 2e-7, while the
+    # gradient is 1e-9: every model decrease falls below the noise band
+    F0 = 1e8
+
+    def hooks(self, fun):
+        counts = {"hess": 0}
+
+        def hess(x):
+            counts["hess"] += 1
+            return np.eye(1)
+        return fun, lambda x: x - 1.0, hess, counts
+
+    def test_step_accepted_within_noise(self):
+        fun, grad, hess, counts = self.hooks(lambda x: self.F0 + 0.5 * float((x[0] - 1.0) ** 2))
+        x0 = np.array([1.0 + 1e-9])
+        res = tr.tr_minimize(fun, grad, hess, x0, delta=1e-12)
+        assert res.status == tr.CONVERGED
+        assert res.iterations == 1 and counts["hess"] == 2
+        assert res.x[0] == 1.0
+
+    @pytest.mark.parametrize("trial_value", [np.nan, F0 + 1.0])
+    def test_radius_shrinks_on_rejected_trial(self, trial_value, monkeypatch):
+        x0 = np.array([1.0 + 1e-9])
+        fun, grad, hess, counts = self.hooks(lambda x: self.F0 if x[0] == x0[0] else trial_value)
+        radii = []
+        subproblem = tr.ms_subproblem
+
+        def recording(B, g, radius):
+            radii.append(radius)
+            return subproblem(B, g, radius)
+
+        monkeypatch.setattr(tr, "ms_subproblem", recording)
+        cfg = tr.TrConfig(radius_min=1e-12)
+        res = tr.tr_minimize(fun, grad, hess, x0, delta=1e-12, config=cfg)
+        assert res.status == tr.RADIUS_COLLAPSE
+        assert np.array_equal(res.x, x0) and res.value == self.F0
+        assert counts["hess"] == 1
+        assert radii == [cfg.delta0_radius * cfg.shrink**k for k in range(len(radii))]
+        assert radii[-1] >= cfg.radius_min > radii[-1] * cfg.shrink
