@@ -25,9 +25,6 @@ from .matfun import (
     dq_coeff,
     dq_operator,
     eig_sym,
-    proj_psd,
-    q_cube,
-    quartic_trace,
 )
 from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint, dG_apply
 from .optimality import (

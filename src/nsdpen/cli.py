@@ -7,9 +7,10 @@ optimality residuals with recovered multipliers.
 
 Exit codes: 0 success, 1 failed derivative audit (check), 2 iteration cap
 reached, 3 inner-solver failure or infeasible start, 64 bad flags,
-65 unknown problem.  Reports are written atomically (temp file + rename) and
-identical flags produce byte-identical numeric payloads; wall time lives in
-a separate non-compared field.
+65 unknown problem, 74 an output file could not be written.  Reports are
+written atomically (temp file + rename) and identical flags produce
+byte-identical numeric payloads; wall time lives in a separate non-compared
+field.
 """
 
 import argparse
@@ -38,6 +39,7 @@ EXIT_MAX_OUTER = 2
 EXIT_SOLVE_FAILED = 3
 EXIT_USAGE = 64
 EXIT_UNKNOWN_PROBLEM = 65
+EXIT_IO_ERROR = 74
 
 
 class _UsageError(Exception):
@@ -71,16 +73,18 @@ def lower_to_sym(doc: dict) -> np.ndarray:
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    """Write through a temp file and a rename; an OSError is raised again naming ``path``."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _dump_json(doc: dict) -> str:
@@ -236,6 +240,9 @@ def main(argv=None) -> int:
     except StartNotFeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILED
+    except OSError as exc:  # from _atomic_write: the only file access of a run
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

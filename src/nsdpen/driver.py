@@ -18,7 +18,9 @@ the iteration cap, or on inner-solver failure / gamma blow-up.
 Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
 point (one G, one eigendecomposition) feeds the penalty value, gradient and
 Hessian, and an outer iteration that keeps gamma and starts where the
-previous one ended reuses them.
+previous one ended reuses them.  The start point's infeasibility and every
+iterate's certificates read the same points: ``penalty_at`` is the only
+caller of G and of the eigensolver in a solve.
 """
 
 import time
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import optimality, penalty, trustregion
 from .errors import InvalidInputError, StartNotFeasibleError
-from .matfun import default_zero_tol, eig_sym
+from .matfun import default_zero_tol
 from .model import NsdpProblem
 
 FEAS_OPT_REACHED = "FeasOptReached"
@@ -127,18 +129,18 @@ def next_xhat(x_next: np.ndarray, script_F_next: float, f0: float, x0: np.ndarra
     return x0, BRANCH_RESET
 
 
-def estimate_b_count(prob: NsdpProblem, x: np.ndarray, u: float) -> int:
+def estimate_b_count(at: penalty.PenaltyPoint, u: float) -> int:
     """Rank of the near-null eigenspace of G at an approximate limit point.
 
-    Counts eigenvalues below max(10 * u, classification tolerance); an active
-    constraint approached from the infeasible side leaves eigenvalues of
-    magnitude about u, which the plain classification tolerance would miss.
+    Counts eigenvalues of G (the negated ones of the point ``at``) below
+    max(10 * u, classification tolerance); an active constraint approached
+    from the infeasible side leaves eigenvalues of magnitude about u, which
+    the plain classification tolerance would miss.
     """
-    if prob.d == 0:
+    if at.dec is None:
         return 0
-    dec = eig_sym(np.asarray(prob.G(x), dtype=float))
-    cut = max(10.0 * u, default_zero_tol(dec))
-    return int(np.sum(dec.values <= cut))
+    cut = max(10.0 * u, default_zero_tol(at.dec))
+    return int(np.sum(at.dec.values >= -cut))
 
 
 def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
@@ -159,24 +161,17 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
                                 "supply it or build the problem with fd_second_order=True")
     t0 = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(prob.start_point, dtype=float))
-    u0 = optimality.infeasibility_u(prob, x0)
-    if u0 > cfg.feas_check_tol:
-        raise StartNotFeasibleError(
-            f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
-    f0 = float(prob.f(x0))
-
     records: list[IterateRecord] = []
+    points: list[penalty.PenaltyPoint] = []  # each record's point, kept for deferred certificates
     xhat = x0
     gamma = cfg.gamma0
     delta = cfg.delta0
-    u_prev = u0
     status = MAX_OUTER
     detail = ""
-    inline_certs = b_count is not None
 
     def once_per_point(evaluate):
         # keeps the last (gamma, z) and its result, so a repeated point is not
-        # recomputed; gamma and params are those of the current outer iteration
+        # recomputed; gamma is that of the current outer iteration
         last = [None, None]
 
         def memo(z):
@@ -189,20 +184,26 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             return last[1]
         return memo
 
-    at = once_per_point(lambda z: penalty.penalty_at(prob, z, params))
+    at = once_per_point(lambda z: penalty.penalty_at(prob, z, penalty.special_params("script_F", gamma)))
     value = once_per_point(lambda z: penalty.penalty_value(at(z)))
     grad = once_per_point(lambda z: penalty.penalty_grad(at(z)))
     hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
 
-    def certify(rec):
-        basis = optimality.critical_subspace_basis(prob, rec.x, b_count)
-        rec.second_order = optimality.second_order_residual(prob, rec.x, rec.y, rec.Z, basis)
+    u0 = optimality.infeasibility_u(at(x0))
+    if u0 > cfg.feas_check_tol:
+        raise StartNotFeasibleError(
+            f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
+    f0 = float(prob.f(x0))
+    u_prev = u0
+
+    def certify(rec, point):
+        basis = optimality.critical_subspace_basis(point, b_count)
+        rec.second_order = optimality.second_order_residual(point, rec.y, rec.Z, basis)
         rec.subspace_dim = int(basis.shape[1])
         if sink is not None:
             sink(rec)
 
     for k in range(cfg.max_outer):
-        params = penalty.special_params("script_F", gamma)
         start_value = value(xhat)
         res = trustregion.tr_minimize(value, grad, hess, xhat, delta, cfg.tr)
         x_next = res.x
@@ -211,9 +212,10 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             detail = f"inner solver returned {res.status} at outer iteration {k}"
             break
 
-        mult = optimality.recover_multipliers(prob, x_next, gamma)
-        u_next = optimality.infeasibility_u(prob, x_next)
-        _, comp = optimality.jordan_complementarity(prob, x_next, mult.Z)
+        point = at(x_next)  # the point tr_minimize certified last
+        mult = optimality.recover_multipliers(point)
+        u_next = optimality.infeasibility_u(point)
+        _, comp = optimality.jordan_complementarity(point, mult.Z)
         rec = IterateRecord(
             k=k + 1,
             gamma=gamma,
@@ -235,8 +237,10 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         )
         xhat, rec.xhat_branch = next_xhat(x_next, res.value, f0, x0)
         records.append(rec)
-        if inline_certs:
-            certify(rec)
+        if b_count is not None:
+            certify(rec, point)
+        else:
+            points.append(point)
 
         if u_next <= cfg.tol_feas and delta <= cfg.tol_opt:
             status = FEAS_OPT_REACHED
@@ -252,13 +256,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         u_prev = u_next
 
     if b_count is None:
-        if records:
-            last = records[-1]
-            b_count = estimate_b_count(prob, last.x, last.u)
-        else:
-            b_count = 0
-        for rec in records:
-            certify(rec)
+        b_count = estimate_b_count(points[-1], records[-1].u) if records else 0
+        for rec, point in zip(records, points):
+            certify(rec, point)
 
     return SolveReport(
         problem=prob.name,

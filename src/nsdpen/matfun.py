@@ -130,21 +130,6 @@ def quartic_trace_from(dec: EigenDecomp) -> float:
     return float(np.sum(np.maximum(dec.values, 0.0) ** 4))
 
 
-def proj_psd(X) -> np.ndarray:
-    """Spectral projection onto the PSD cone: clip eigenvalues at zero."""
-    return psd_part_from(eig_sym(X))
-
-
-def q_cube(X) -> np.ndarray:
-    """The matrix function ``[X]+^3``."""
-    return q_cube_from(eig_sym(X))
-
-
-def quartic_trace(X) -> float:
-    """``tr([X]+^4)``, i.e. the sum of clipped eigenvalues to the fourth power."""
-    return quartic_trace_from(eig_sym(X))
-
-
 def dq_coeff(dec: EigenDecomp, cls: EigClassification) -> DQOperator:
     """Divided-difference coefficient matrix of the derivative of ``[X]+^3``.
 

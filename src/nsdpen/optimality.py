@@ -3,7 +3,8 @@
 Lagrangian derivatives, multiplier recovery from the penalty gradient
 structure, the symmetrized complementarity product, the curvature correction
 coming from the PSD cone (sigma-term), the perturbed critical subspace, and
-the residual certificates built on them.
+the residual certificates built on them.  The certificates read the r = -g(x)
+and eig(-G(x)) of a ``penalty.PenaltyPoint``: they call neither G nor the eigensolver.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
 from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint
+from .penalty import PenaltyPoint, penalty_at, penalty_grad, special_params
 
 
 @dataclass(frozen=True)
@@ -80,63 +82,59 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     return symmetrize(H)
 
 
-def recover_multipliers(prob: NsdpProblem, x, gamma: float) -> MultiplierPair:
+def _gamma(at: PenaltyPoint) -> float:
+    """gamma = sigma*tau of a point without shifts, whose r is -g(x) and dec is eig(-G(x))."""
+    if at.p.v is not None or at.p.M is not None:
+        raise InvalidInputError("certificates need a penalty point built with v = M = None")
+    return at.p.sigma * at.p.tau
+
+
+def recover_multipliers(at: PenaltyPoint) -> MultiplierPair:
     """Multipliers y = -gamma*g(x) and Z = gamma*[-G(x)]+^3 (PSD by construction)."""
-    if not gamma > 0:
-        raise InvalidInputError("gamma must be positive")
-    x = _vec(x, prob.n)
-    y = -gamma * np.asarray(prob.g(x), dtype=float) if prob.m > 0 else np.zeros(0)
-    if prob.d > 0:
-        Z = gamma * matfun.q_cube(-np.asarray(prob.G(x), dtype=float))
-    else:
-        Z = np.zeros((0, 0))
+    gamma = _gamma(at)
+    y = gamma * at.r if at.r is not None else np.zeros(0)
+    Z = gamma * matfun.q_cube_from(at.dec) if at.dec is not None else np.zeros((0, 0))
     return MultiplierPair(y=y, Z=Z)
 
 
-def jordan_complementarity(prob: NsdpProblem, x, Z) -> tuple[np.ndarray, float]:
+def jordan_complementarity(at: PenaltyPoint, Z) -> tuple[np.ndarray, float]:
     """The symmetrized product G(x) o Z = (GZ + ZG)/2 and its Frobenius norm."""
-    x = _vec(x, prob.n)
-    Z = _check_Z(prob, Z)
-    if prob.d == 0:
+    _gamma(at)
+    Z = _check_Z(at.prob, Z)
+    if at.G is None:
         return np.zeros((0, 0)), 0.0
-    Gx = symmetrize(np.asarray(prob.G(x), dtype=float))
-    prod = 0.5 * (Gx @ Z + Z @ Gx)
+    prod = 0.5 * (at.G @ Z + Z @ at.G)
     return prod, float(np.linalg.norm(prod))
 
 
-def sigma_term(prob: NsdpProblem, x, Z) -> np.ndarray:
+def sigma_term(at: PenaltyPoint, Z) -> np.ndarray:
     """Curvature correction [2 <Z, dG_i G(x)^+ dG_j>]_ij with a spectral pseudo-inverse.
 
     Eigenvalues of G(x) with magnitude at most the classification tolerance
     are zeroed rather than inverted.
     """
-    x = _vec(x, prob.n)
+    _gamma(at)
+    prob = at.prob
     Z = _check_Z(prob, Z)
-    if prob.d == 0:
+    if at.dec is None:
         return np.zeros((prob.n, prob.n))
-    dec = matfun.eig_sym(np.asarray(prob.G(x), dtype=float))
-    tol = matfun.default_zero_tol(dec)
-    inv = np.zeros(prob.d)
-    keep = np.abs(dec.values) > tol
-    inv[keep] = 1.0 / dec.values[keep]
-    P = dec.vectors
+    values = -at.dec.values  # eigenvalues of G(x)
+    inv = np.divide(1.0, values, out=np.zeros(prob.d), where=np.abs(values) > matfun.default_zero_tol(at.dec))
+    P = at.dec.vectors
     pinv = (P * inv) @ P.T
-    Gs = _dG_stack(prob, x)
+    Gs = _dG_stack(prob, at.x)
     return symmetrize(2.0 * (Z @ Gs @ pinv).reshape(prob.n, -1) @ Gs.reshape(prob.n, -1).T)
 
 
-def infeasibility_u(prob: NsdpProblem, x) -> float:
+def infeasibility_u(at: PenaltyPoint) -> float:
     """max(||g(x)||, ||[-G(x)]+||_F): zero exactly on the feasible set."""
-    x = _vec(x, prob.n)
-    gnorm = float(np.linalg.norm(np.asarray(prob.g(x), dtype=float))) if prob.m > 0 else 0.0
-    if prob.d > 0:
-        pnorm = float(np.linalg.norm(matfun.proj_psd(-np.asarray(prob.G(x), dtype=float))))
-    else:
-        pnorm = 0.0
+    _gamma(at)
+    gnorm = float(np.linalg.norm(at.r)) if at.r is not None else 0.0
+    pnorm = float(np.linalg.norm(matfun.psd_part_from(at.dec))) if at.dec is not None else 0.0
     return max(gnorm, pnorm)
 
 
-def critical_subspace_basis(prob: NsdpProblem, x, b_count: int) -> np.ndarray:
+def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
     """Orthonormal basis of the perturbed critical subspace at x.
 
     The subspace consists of directions h with jac_g(x)^T h = 0 whose image
@@ -145,19 +143,18 @@ def critical_subspace_basis(prob: NsdpProblem, x, b_count: int) -> np.ndarray:
     ``b_count`` from the reference point it trusts (a known solution or the
     final iterate).  Returns an n x s matrix; s = 0 yields an empty basis.
     """
-    x = _vec(x, prob.n)
+    _gamma(at)
+    prob = at.prob
     if b_count < 0 or b_count > prob.d:
         raise InvalidInputError(f"b_count must lie in [0, {prob.d}]")
     rows = []
     if prob.m > 0:
-        rows.append(np.asarray(prob.jac_g(x), dtype=float).T)
+        rows.append(np.asarray(prob.jac_g(at.x), dtype=float).T)
     if b_count > 0:
-        dec = matfun.eig_sym(np.asarray(prob.G(x), dtype=float))
-        U = dec.vectors[:, prob.d - b_count:]
-        comp = U.T @ _dG_stack(prob, x) @ U
-        for p in range(b_count):
-            for q in range(p, b_count):
-                rows.append(comp[:, p, q][None, :])
+        U = at.dec.vectors[:, :b_count]  # eig(-G) is descending: its first columns
+        comp = U.T @ _dG_stack(prob, at.x) @ U
+        p, q = np.triu_indices(b_count)
+        rows.append(comp[:, p, q].T)
     if not rows:
         return np.eye(prob.n)
     A = np.vstack(rows)
@@ -168,17 +165,19 @@ def critical_subspace_basis(prob: NsdpProblem, x, b_count: int) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def second_order_residual(prob: NsdpProblem, x, y, Z, basis: np.ndarray) -> float:
+def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
     """max(0, -lambda_min) of the Lagrangian Hessian plus sigma-term reduced to the basis.
 
     An empty basis makes the bound vacuous and the residual 0.
     """
+    _gamma(at)
+    prob = at.prob
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != prob.n:
         raise InvalidInputError(f"basis must be {prob.n} x s")
     if basis.shape[1] == 0:
         return 0.0
-    M = lagrangian_hess(prob, x, y, Z) + sigma_term(prob, x, Z)
+    M = lagrangian_hess(prob, at.x, y, Z) + sigma_term(at, Z)
     R = symmetrize(basis.T @ M @ basis)
     lam_min = float(np.linalg.eigvalsh(R)[0])
     return max(0.0, -lam_min)
@@ -186,15 +185,17 @@ def second_order_residual(prob: NsdpProblem, x, y, Z, basis: np.ndarray) -> floa
 
 def evaluate_residuals(prob: NsdpProblem, x, gamma: float, b_count: int,
                        epsilon: float | None = None) -> tuple[OptimalityResiduals, MultiplierPair]:
-    """Recover multipliers at x and bundle all optimality residuals."""
-    mult = recover_multipliers(prob, x, gamma)
-    basis = critical_subspace_basis(prob, x, b_count)
-    _, comp = jordan_complementarity(prob, x, mult.Z)
+    """Bundle all residuals at x along ``driver.solve``'s path: one ``script_F`` point at
+    (gamma, x) feeds them, and the stationarity is the norm of its penalty gradient."""
+    at = penalty_at(prob, x, special_params("script_F", gamma))
+    mult = recover_multipliers(at)
+    basis = critical_subspace_basis(at, b_count)
+    _, comp = jordan_complementarity(at, mult.Z)
     res = OptimalityResiduals(
-        stationarity=float(np.linalg.norm(lagrangian_grad(prob, x, mult.y, mult.Z))),
-        feasibility_u=infeasibility_u(prob, x),
+        stationarity=float(np.linalg.norm(penalty_grad(at))),
+        feasibility_u=infeasibility_u(at),
         complementarity=comp,
-        second_order=second_order_residual(prob, x, mult.y, mult.Z, basis),
+        second_order=second_order_residual(at, mult.y, mult.Z, basis),
         epsilon=epsilon,
         subspace_dim=int(basis.shape[1]),
     )

@@ -72,19 +72,20 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 
 @dataclass(frozen=True)
 class PenaltyPoint:
-    """At a copy of x: r = v/tau - g(x) (None if m = 0) and dec = eig(M/tau - G(x)) (None if d = 0)."""
+    """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0)."""
 
     prob: NsdpProblem
     p: PenaltyParams
     x: np.ndarray
     r: np.ndarray | None
+    G: np.ndarray | None
     dec: matfun.EigenDecomp | None
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     """Evaluate g and G once at x and eigendecompose M/tau - G(x) once."""
     x = _vec(x, prob.n).copy()
-    r = dec = None
+    r = Gx = dec = None
     if prob.m > 0:
         if p.v is not None and p.v.shape != (prob.m,):
             raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
@@ -94,7 +95,7 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
         if p.M is not None and p.M.shape != (prob.d, prob.d):
             raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
         dec = matfun.eig_sym(-Gx if p.M is None else symmetrize(p.M / p.tau - Gx))
-    return PenaltyPoint(prob, p, x, r, dec)
+    return PenaltyPoint(prob, p, x, r, Gx, dec)
 
 
 def penalty_value(at: PenaltyPoint) -> float:

@@ -154,6 +154,8 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     ``||grad(x)|| <= delta`` and ``lambda_min(hess(x)) >= -delta``.  Accepted
     iterates decrease the objective monotonically.  ``MaxIter`` and
     ``RadiusCollapse`` report failure; the best point found is returned.
+    A trial point whose value, gradient or Hessian raises an ArithmeticError or
+    ValueError or is not finite is rejected; at the start point these propagate.
 
     Parameters
     ----------
@@ -176,6 +178,8 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         # gradient, Hessian and smallest Hessian eigenvalue at the start or an accepted point
         g_z = np.atleast_1d(np.asarray(grad(z), dtype=float))
         H_z = symmetrize(np.asarray(hess(z), dtype=float))
+        if not (np.all(np.isfinite(g_z)) and np.all(np.isfinite(H_z))):
+            raise InvalidInputError("gradient or Hessian has non-finite entries")
         return g_z, H_z, float(np.linalg.eigvalsh(H_z)[0])
 
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -194,22 +198,26 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         p = ms_subproblem(H_x, g_x, radius)
         pred = -(float(g_x @ p) + 0.5 * float(p @ H_x @ p))
         x_new = x + p
-        f_new = float(fun(x_new))
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(f_x))
-        if pred <= noise:
-            # the model predicts a change below evaluation precision; the
-            # ratio test carries no signal there, so take the (near-Newton)
-            # step as long as it does not measurably increase the objective
-            accept, grow = np.isfinite(f_new) and f_new <= f_x + noise, False
-        else:
-            ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
-            accept = ratio >= cfg.eta1
-            grow = ratio >= cfg.eta2 and np.linalg.norm(p) >= 0.99 * radius
+        try:
+            f_new = float(fun(x_new))
+            if pred <= noise:
+                # the model predicts a change below evaluation precision; the
+                # ratio test carries no signal there, so take the (near-Newton)
+                # step as long as it does not measurably increase the objective
+                accept, grow = np.isfinite(f_new) and f_new <= f_x + noise, False
+            else:
+                ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
+                accept = ratio >= cfg.eta1
+                grow = ratio >= cfg.eta2 and np.linalg.norm(p) >= 0.99 * radius
+            new_derivatives = derivatives(x_new) if accept else None
+        except (ArithmeticError, ValueError):  # InvalidInputError and LinAlgError are ValueErrors
+            accept = False  # a hook failed at the trial point
         if not accept:
             radius *= cfg.shrink
             continue
         x, f_x = x_new, f_new
-        g_x, H_x, lam_min = derivatives(x)
+        g_x, H_x, lam_min = new_derivatives
         if grow:
             radius *= cfg.grow
 

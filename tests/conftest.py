@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nsdpen import driver, problems
+from nsdpen import driver, matfun, penalty, problems
 from nsdpen.model import NsdpProblem
 
 settings.register_profile(
@@ -39,6 +39,16 @@ def corpus_runs():
                               b_count=entry.b_count_at_solution)
         runs[name] = (entry, report)
     return runs
+
+
+def script_F_point(prob: NsdpProblem, x, gamma: float = 1.0) -> penalty.PenaltyPoint:
+    """The penalty point the certificates read: ``script_F`` at (gamma, x)."""
+    return penalty.penalty_at(prob, x, penalty.special_params("script_F", gamma))
+
+
+def q_cube(X) -> np.ndarray:
+    """[X]+^3 through one eigendecomposition; finite differences of it check dq."""
+    return matfun.q_cube_from(matfun.eig_sym(X))
 
 
 def rng(seed: int) -> np.random.Generator:

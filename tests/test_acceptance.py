@@ -25,7 +25,7 @@ from nsdpen import (
     trustregion,
 )
 
-from conftest import rng
+from conftest import q_cube, rng, script_F_point
 
 
 def criterion(num, label):
@@ -121,7 +121,7 @@ def test_criterion_2_dq_correctness_and_continuity():
         X = sym_from_spectrum(gen, values)
         H = random_sym(gen, d)
         out = matfun.dq_apply(matfun.dq_operator(X), H)
-        fd = (matfun.q_cube(X + t * H) - matfun.q_cube(X - t * H)) / (2 * t)
+        fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
         rel = np.linalg.norm(out - fd) / (1 + np.linalg.norm(out))
         assert rel <= 1e-6, (idx, rel)
 
@@ -338,10 +338,11 @@ def test_criterion_6_optimality_identities(corpus_runs):
         if prob.d == 0:
             continue
         for rec in report.iterates[-5:]:
-            basis = optimality.critical_subspace_basis(prob, rec.x, report.b_count)
+            at = script_F_point(prob, rec.x, rec.gamma)
+            basis = optimality.critical_subspace_basis(at, report.b_count)
             if basis.shape[1] == 0:
                 continue
-            sigma = optimality.sigma_term(prob, rec.x, rec.Z)
+            sigma = optimality.sigma_term(at, rec.Z)
             op = matfun.dq_operator(-np.asarray(prob.G(rec.x)))
             for _ in range(20):
                 h = basis @ gen.normal(size=basis.shape[1])

@@ -96,15 +96,15 @@ class TestSolveCommand:
             at = penalty.penalty_at(prob, x, penalty.special_params("script_F", gamma))
             regrad = penalty.penalty_grad(at)
             assert abs(np.linalg.norm(regrad) - row["stationarity"]) <= 1e-12 * (1 + row["stationarity"])
-            assert optimality.infeasibility_u(prob, x) == pytest.approx(row["u"], abs=1e-12)
+            assert optimality.infeasibility_u(at) == pytest.approx(row["u"], abs=1e-12)
             assert prob.f(x) == pytest.approx(row["f_value"], abs=1e-12)
             assert penalty.penalty_value(at) == pytest.approx(
                 row["script_F_value"], abs=1e-12 * (1 + abs(row["script_F_value"])))
-            mult = optimality.recover_multipliers(prob, x, gamma)
+            mult = optimality.recover_multipliers(at)
             assert np.allclose(cli.lower_to_sym(row["Z"]), mult.Z, atol=1e-12)
             res, _ = optimality.evaluate_residuals(prob, x, gamma, doc["b_count"])
             assert res.second_order == pytest.approx(row["second_order"], abs=1e-12)
-            _, comp = optimality.jordan_complementarity(prob, x, mult.Z)
+            _, comp = optimality.jordan_complementarity(at, mult.Z)
             assert comp == pytest.approx(row["complementarity"], abs=1e-12)
             for key in ("k", "gamma", "delta", "u", "stationarity", "second_order"):
                 assert summary[key] == row[key]
@@ -127,6 +127,25 @@ class TestSolveCommand:
         doc = json.loads(report.read_text())
         assert "seed" not in doc["config"]
         assert doc["config"]["tol_feas"] == 3e-5
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "scalar-bound", *SOLVE_FLAGS, "--report"],
+        ["solve", "--problem", "scalar-bound", *SOLVE_FLAGS, "--trace"],
+        ["check", "--problem", "scalar-bound", "--json"],
+    ], ids=["solve-report", "solve-trace", "check-json"])
+    def test_io_error_exit(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        code, out = run_main([*argv, str(path)], capsys)
+        assert code == cli.EXIT_IO_ERROR == 74
+        assert out.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_directory_as_output_leaves_no_temp_file(self, tmp_path, capsys):
+        code, out = run_main(["check", "--problem", "scalar-bound", "--json", str(tmp_path)], capsys)
+        assert code == 74
+        assert "Is a directory" in out.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDocumentContract:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -6,7 +8,7 @@ from nsdpen import driver, matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import ball_problem, run_config
+from conftest import ball_problem, counting, run_config, script_F_point
 
 
 class TestGammaRule:
@@ -145,12 +147,23 @@ class TestSolveCorpus:
         for name, (entry, report) in corpus_runs.items():
             prob = entry.problem
             for rec in report.iterates[::5]:
-                mult = optimality.recover_multipliers(prob, rec.x, rec.gamma)
+                at = script_F_point(prob, rec.x, rec.gamma)
+                mult = optimality.recover_multipliers(at)
                 assert np.allclose(mult.y, rec.y, atol=1e-14)
                 assert np.allclose(mult.Z, rec.Z, atol=1e-14)
-                assert optimality.infeasibility_u(prob, rec.x) == pytest.approx(rec.u, abs=1e-14)
-                _, comp = optimality.jordan_complementarity(prob, rec.x, rec.Z)
+                assert optimality.infeasibility_u(at) == pytest.approx(rec.u, abs=1e-14)
+                _, comp = optimality.jordan_complementarity(at, rec.Z)
                 assert comp == pytest.approx(rec.complementarity, abs=1e-14)
+
+    def test_check_reproduces_solve(self, corpus_runs):
+        # check and solve certify along one path, so every recorded number comes back exactly
+        for name, (entry, report) in corpus_runs.items():
+            for rec in report.iterates:
+                res, mult = optimality.evaluate_residuals(entry.problem, rec.x, rec.gamma, report.b_count)
+                assert (res.stationarity, res.feasibility_u, res.complementarity, res.second_order,
+                        res.subspace_dim) == (rec.stationarity, rec.u, rec.complementarity,
+                                              rec.second_order, rec.subspace_dim), (name, rec.k)
+                assert np.array_equal(mult.y, rec.y) and np.array_equal(mult.Z, rec.Z), (name, rec.k)
 
 
 class TestSolveGuards:
@@ -237,7 +250,7 @@ class TestSolveGuards:
             d2G=lambda x, i, j: np.zeros((d, d)),
         )
         from nsdpen import matfun
-        sol_mat = matfun.proj_psd(C)
+        sol_mat = matfun.psd_part_from(matfun.eig_sym(C))
         sol = np.array([sol_mat[p] for p in pairs])
 
         cfg = driver.PenaltyConfig(tol_feas=2e-4, tol_opt=1e-6, max_outer=45)
@@ -268,6 +281,39 @@ class TestSolveGuards:
         assert all(r.u == 0.0 for r in report.iterates)
         assert all(r.gamma == 1.0 for r in report.iterates)
         assert abs(report.final.x[0] - 1.0) <= 1e-6
+
+
+def sqrt_problem(sqrt) -> NsdpProblem:
+    """G(x) = sqrt(x + 1/2) - sqrt(1/2) >= 0 with f = (x + 2)^2 from x = 1; G is undefined below -1/2."""
+    return NsdpProblem(
+        name="sqrt-domain", n=1, m=0, d=1,
+        start_point=np.array([1.0]),
+        f=lambda x: (x[0] + 2.0) ** 2,
+        grad_f=lambda x: np.array([2.0 * (x[0] + 2.0)]),
+        hess_f=lambda x: np.array([[2.0]]),
+        G=lambda x: np.array([[sqrt(x[0] + 0.5) - math.sqrt(0.5)]]),
+        dG=lambda x, i: np.array([[0.5 / sqrt(x[0] + 0.5)]]),
+        d2G=lambda x, i, j: np.array([[-0.25 / sqrt(x[0] + 0.5) ** 3]]),
+    )
+
+
+class TestHookFailureAtTrialPoint:
+    # trial steps of the penalized problem overshoot into x < -1/2, where
+    # math.sqrt raises and np.sqrt returns nan; both are rejected steps
+    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt], ids=["raises", "non-finite"])
+    def test_solve_reaches_tolerance(self, sqrt):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = driver.solve(sqrt_problem(sqrt), driver.PenaltyConfig(tol_feas=1e-4))
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert -2e-4 <= report.final.x[0] < 0.0  # infeasible by about gamma^(-1/3)
+        assert report.final.u <= 1e-4
+
+    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt], ids=["raises", "non-finite"])
+    def test_default_tolerance_ends_in_named_status(self, sqrt):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            report = driver.solve(sqrt_problem(sqrt))
+        assert report.final_status == driver.INNER_FAILURE
+        assert "exceeds cap" in report.detail
 
 
 class TestOneEvaluationPerPoint:
@@ -311,3 +357,27 @@ class TestOneEvaluationPerPoint:
             assert set(call[:2] for call in seen[name]) <= set(call[:2] for call in seen["penalty_at"])
         # every outer iteration evaluates at its start point at least once
         assert len(seen["penalty_value"]) >= len(report.iterates)
+
+    @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
+    def test_G_and_eig_sym_only_in_penalty_at(self, case, monkeypatch):
+        # deferred certificates on the ball problem, inline ones on the corpus problem
+        if case == "ball":
+            prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+        else:
+            entry = problems.get_problem(case)
+            prob, cfg, b_count = entry.problem, run_config(case), entry.b_count_at_solution
+        prob, hooks = counting(prob)
+        calls = dict(penalty_at=0, eig_sym=0)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(penalty, "penalty_at", counted("penalty_at", penalty.penalty_at))
+        monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
+        report = driver.solve(prob, cfg, b_count=b_count)
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert all(rec.second_order is not None for rec in report.iterates)
+        assert hooks["G"] == calls["eig_sym"] == calls["penalty_at"] > len(report.iterates)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nsdpen import matfun
 from nsdpen.errors import InvalidInputError
 
-from conftest import rng
+from conftest import q_cube, rng
 
 
 def random_sym(gen, d, scale=1.0):
@@ -139,51 +139,51 @@ class TestClassify:
 
 class TestPsdMaps:
     def test_proj_diag(self):
-        assert np.allclose(matfun.proj_psd(np.diag([2.0, -3.0])), np.diag([2.0, 0.0]))
+        assert np.allclose(matfun.psd_part_from(matfun.eig_sym(np.diag([2.0, -3.0]))), np.diag([2.0, 0.0]))
 
     def test_proj_identity_on_psd(self):
         X = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.linalg.norm(matfun.proj_psd(X) - X) <= 1e-12
+        assert np.linalg.norm(matfun.psd_part_from(matfun.eig_sym(X)) - X) <= 1e-12
 
     def test_proj_exchange_matrix(self):
         # eigenvalues +-1; the positive part is the projector onto (1,1)/sqrt(2)
-        P = matfun.proj_psd([[0.0, 1.0], [1.0, 0.0]])
+        P = matfun.psd_part_from(matfun.eig_sym([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(P, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
     def test_proj_result_psd(self):
         X = random_sym(rng(2), 6)
-        P = matfun.proj_psd(X)
+        P = matfun.psd_part_from(matfun.eig_sym(X))
         lo = np.linalg.eigvalsh(P)[0]
         assert lo >= -1e-10 * (1 + np.linalg.norm(X))
 
     def test_q_cube_diag(self):
-        assert np.allclose(matfun.q_cube(np.diag([2.0, -1.0])), np.diag([8.0, 0.0]))
+        assert np.allclose(matfun.q_cube_from(matfun.eig_sym(np.diag([2.0, -1.0]))), np.diag([8.0, 0.0]))
 
     def test_q_cube_zero(self):
-        assert np.allclose(matfun.q_cube(np.zeros((3, 3))), 0.0)
+        assert np.allclose(matfun.q_cube_from(matfun.eig_sym(np.zeros((3, 3)))), 0.0)
 
     def test_q_cube_exchange_matrix(self):
-        Q = matfun.q_cube([[0.0, 1.0], [1.0, 0.0]])
+        Q = matfun.q_cube_from(matfun.eig_sym([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(Q, [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
     def test_q_cube_commutes_with_argument(self):
         X = random_sym(rng(3), 5, scale=2.0)
-        Q = matfun.q_cube(X)
+        Q = matfun.q_cube_from(matfun.eig_sym(X))
         assert np.linalg.norm(Q @ X - X @ Q) <= 1e-9 * (1 + np.linalg.norm(X) ** 4)
 
     def test_quartic_trace_values(self):
-        assert matfun.quartic_trace(np.diag([1.0, -2.0])) == pytest.approx(1.0)
-        assert matfun.quartic_trace(-np.eye(3)) == 0.0
-        assert matfun.quartic_trace([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(1.0)
+        assert matfun.quartic_trace_from(matfun.eig_sym(np.diag([1.0, -2.0]))) == pytest.approx(1.0)
+        assert matfun.quartic_trace_from(matfun.eig_sym(-np.eye(3))) == 0.0
+        assert matfun.quartic_trace_from(matfun.eig_sym([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
 
     def test_quartic_trace_matches_spectrum(self):
         X = random_sym(rng(4), 6)
         w = np.linalg.eigvalsh(X)
-        assert matfun.quartic_trace(X) == pytest.approx(np.sum(np.maximum(w, 0) ** 4))
+        assert matfun.quartic_trace_from(matfun.eig_sym(X)) == pytest.approx(np.sum(np.maximum(w, 0) ** 4))
 
     def test_half_identity_with_spectral_abs(self):
         X = random_sym(rng(6), 5)
-        lhs = matfun.proj_psd(X)
+        lhs = matfun.psd_part_from(matfun.eig_sym(X))
         w, V = np.linalg.eigh(X)
         rhs = 0.5 * (X + (V * np.abs(w)) @ V.T)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(X))
@@ -227,7 +227,7 @@ class TestDqApply:
         out = matfun.dq_apply(matfun.dq_operator(X), H)
         assert np.allclose(out, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
         t = 1e-5
-        fd = (matfun.q_cube(X + t * H) - matfun.q_cube(X - t * H)) / (2 * t)
+        fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
         assert np.linalg.norm(out - fd) <= 1e-8
 
     def test_positive_definite_polynomial_rule(self):
@@ -268,7 +268,7 @@ class TestDqApply:
             X = sym_from_spectrum(gen, values)
             H = random_sym(gen, d)
             out = matfun.dq_apply(matfun.dq_operator(X), H)
-            fd = (matfun.q_cube(X + t * H) - matfun.q_cube(X - t * H)) / (2 * t)
+            fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
             scale = 1 + np.linalg.norm(X) ** 3 * np.linalg.norm(H)
             assert np.linalg.norm(out - fd) <= 1e-6 * scale
 
@@ -355,6 +355,7 @@ class TestDqApply:
         X = random_sym(gen, d)
         U = random_orthogonal(gen, d)
         tol = 1e-10 * (1 + np.linalg.norm(X) ** 4)
-        assert np.linalg.norm(matfun.proj_psd(U.T @ X @ U) - U.T @ matfun.proj_psd(X) @ U) <= tol
-        assert np.linalg.norm(matfun.q_cube(U.T @ X @ U) - U.T @ matfun.q_cube(X) @ U) <= tol
-        assert matfun.quartic_trace(U.T @ X @ U) == pytest.approx(matfun.quartic_trace(X), abs=tol)
+        dec, rotated = matfun.eig_sym(X), matfun.eig_sym(U.T @ X @ U)
+        assert np.linalg.norm(matfun.psd_part_from(rotated) - U.T @ matfun.psd_part_from(dec) @ U) <= tol
+        assert np.linalg.norm(matfun.q_cube_from(rotated) - U.T @ matfun.q_cube_from(dec) @ U) <= tol
+        assert matfun.quartic_trace_from(rotated) == pytest.approx(matfun.quartic_trace_from(dec), abs=tol)

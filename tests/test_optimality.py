@@ -8,7 +8,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng
+from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, script_F_point
 
 
 def unconstrained_indefinite():
@@ -89,7 +89,7 @@ class TestLoopEquivalence:
             assert cls.pos.size and cls.zero.size and cls.neg.size
             for point in (x, rng(seed).normal(size=prob.n)):
                 for new, ref in ((optimality.lagrangian_hess(prob, point, y, Z), loop_lagrangian_hess(prob, point, y, Z)),
-                                 (optimality.sigma_term(prob, point, Z), loop_sigma_term(prob, point, Z))):
+                                 (optimality.sigma_term(script_F_point(prob, point), Z), loop_sigma_term(prob, point, Z))):
                     assert np.linalg.norm(new - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_hook_counts(self):
@@ -98,9 +98,10 @@ class TestLoopEquivalence:
         n = prob.n
         optimality.lagrangian_hess(prob, x, y, Z)
         assert (counts["dG"], counts["d2G"]) == (0, n * (n + 1) // 2)
+        at = script_F_point(prob, x)
         counts.update(dict.fromkeys(counts, 0))
-        optimality.sigma_term(prob, x, Z)
-        assert (counts["G"], counts["dG"], counts["d2G"]) == (1, n, 0)
+        optimality.sigma_term(at, Z)
+        assert (counts["G"], counts["dG"], counts["d2G"]) == (0, n, 0)
 
 
 class TestLagrangian:
@@ -161,12 +162,12 @@ class TestLagrangian:
 class TestRecoverMultipliers:
     def test_fixed_spectrum(self):
         prob = scalar_free_matrix([1.0, -1.0])
-        mult = optimality.recover_multipliers(prob, np.zeros(1), 3.0)
+        mult = optimality.recover_multipliers(script_F_point(prob, np.zeros(1), 3.0))
         assert np.allclose(mult.Z, np.diag([0.0, 3.0]))
 
     def test_feasible_point_gives_zero(self):
         entry = problems.get_problem("corr-matrix")
-        mult = optimality.recover_multipliers(entry.problem, entry.problem.start_point, 5.0)
+        mult = optimality.recover_multipliers(script_F_point(entry.problem, entry.problem.start_point, 5.0))
         assert np.allclose(mult.y, 0.0)
         assert np.allclose(mult.Z, 0.0)
 
@@ -175,7 +176,7 @@ class TestRecoverMultipliers:
         prob = problems.get_problem("nearest-psd").problem
         for _ in range(10):
             x = gen.normal(size=3)
-            Z = optimality.recover_multipliers(prob, x, 11.0).Z
+            Z = optimality.recover_multipliers(script_F_point(prob, x, 11.0)).Z
             assert np.linalg.eigvalsh(Z)[0] >= -1e-10 * (1 + np.linalg.norm(Z))
 
     def test_scalar_bound_stationarity_identity(self):
@@ -184,13 +185,13 @@ class TestRecoverMultipliers:
         prob = problems.get_problem("scalar-bound").problem
         for gamma in (1e2, 1e5, 1e8):
             x_star = -brentq(lambda t: gamma * t**3 - 2.0 * (1.0 - t), 0.0, 1.0, xtol=1e-15)
-            mult = optimality.recover_multipliers(prob, np.array([x_star]), gamma)
+            mult = optimality.recover_multipliers(script_F_point(prob, np.array([x_star]), gamma))
             assert mult.Z[0, 0] == pytest.approx(2.0 * (1.0 + x_star), rel=1e-9)
 
     def test_requires_positive_gamma(self):
         prob = problems.get_problem("scalar-bound").problem
         with pytest.raises(InvalidInputError):
-            optimality.recover_multipliers(prob, np.zeros(1), 0.0)
+            optimality.recover_multipliers(script_F_point(prob, np.zeros(1), 0.0))
 
     def test_recovered_z_commutes_and_vanishes_on_positive_eigenspace(self):
         gen = rng(33)
@@ -198,7 +199,7 @@ class TestRecoverMultipliers:
         for _ in range(20):
             x = gen.normal(size=3)
             Gx = np.asarray(prob.G(x))
-            Z = optimality.recover_multipliers(prob, x, 4.0).Z
+            Z = optimality.recover_multipliers(script_F_point(prob, x, 4.0)).Z
             scale = 1 + np.linalg.norm(Gx) * np.linalg.norm(Z)
             assert np.linalg.norm(Gx @ Z - Z @ Gx) <= 1e-9 * scale
             dec = matfun.eig_sym(Gx)
@@ -208,15 +209,41 @@ class TestRecoverMultipliers:
                 assert abs(v @ Z @ v) <= 1e-12 * (1 + np.linalg.norm(Z))
 
 
+class TestPenaltyPointInput:
+    def test_gamma_is_sigma_tau(self):
+        prob = problems.get_problem("corr-matrix").problem
+        x = np.array([0.3, -1.4, 0.8])
+        at = penalty.penalty_at(prob, x, penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=2.0, tau=3.0))
+        ref = optimality.recover_multipliers(script_F_point(prob, x, 6.0))
+        mult = optimality.recover_multipliers(at)
+        assert np.array_equal(mult.y, ref.y) and np.array_equal(mult.Z, ref.Z)
+
+    @pytest.mark.parametrize("shift", ["v", "M"])
+    def test_shifted_point_rejected(self, shift):
+        prob = problems.get_problem("corr-matrix").problem
+        shifts = dict(v=None, M=None)
+        shifts[shift] = np.ones(2) if shift == "v" else np.eye(2)
+        at = penalty.penalty_at(prob, prob.start_point, penalty.PenaltyParams(rho=1.0, sigma=1.0, tau=1.0, **shifts))
+        Z = np.eye(2)
+        for call in (lambda: optimality.recover_multipliers(at),
+                     lambda: optimality.infeasibility_u(at),
+                     lambda: optimality.jordan_complementarity(at, Z),
+                     lambda: optimality.sigma_term(at, Z),
+                     lambda: optimality.critical_subspace_basis(at, 1),
+                     lambda: optimality.second_order_residual(at, np.zeros(2), Z, np.eye(3))):
+            with pytest.raises(InvalidInputError, match="v = M = None"):
+                call()
+
+
 class TestJordan:
     def test_zero_multiplier(self):
         prob = scalar_free_matrix([1.0, -1.0])
-        prod, norm = optimality.jordan_complementarity(prob, np.zeros(1), np.zeros((2, 2)))
+        prod, norm = optimality.jordan_complementarity(script_F_point(prob, np.zeros(1)), np.zeros((2, 2)))
         assert norm == 0.0 and np.allclose(prod, 0.0)
 
     def test_diagonal_example(self):
         prob = scalar_free_matrix([1.0, -1.0])
-        prod, norm = optimality.jordan_complementarity(prob, np.zeros(1), np.diag([0.0, 3.0]))
+        prod, norm = optimality.jordan_complementarity(script_F_point(prob, np.zeros(1)), np.diag([0.0, 3.0]))
         assert np.allclose(prod, np.diag([0.0, -3.0]))
         assert norm == pytest.approx(3.0)
 
@@ -235,12 +262,12 @@ class TestJordan:
 class TestSigmaTerm:
     def test_zero_multiplier(self):
         prob = problems.get_problem("nearest-psd").problem
-        assert np.allclose(optimality.sigma_term(prob, np.array([1.0, 1.0, 0.0]), np.zeros((2, 2))), 0.0)
+        assert np.allclose(optimality.sigma_term(script_F_point(prob, np.array([1.0, 1.0, 0.0])), np.zeros((2, 2))), 0.0)
 
     def test_scalar_pseudo_inverse(self):
         prob = problems.get_problem("scalar-bound").problem
         for x, z in ((0.5, 2.0), (-0.3, 1.5)):
-            out = optimality.sigma_term(prob, np.array([x]), np.array([[z]]))
+            out = optimality.sigma_term(script_F_point(prob, np.array([x])), np.array([[z]]))
             assert out[0, 0] == pytest.approx(2.0 * z / x)
 
     def test_symmetry_and_homogeneity(self):
@@ -250,10 +277,10 @@ class TestSigmaTerm:
             x = gen.normal(size=3)
             Z = gen.normal(size=(2, 2))
             Z = 0.5 * (Z + Z.T)
-            S = optimality.sigma_term(prob, x, Z)
+            S = optimality.sigma_term(script_F_point(prob, x), Z)
             assert np.array_equal(S, S.T)
             a = float(gen.uniform(0.1, 5.0))
-            Sa = optimality.sigma_term(prob, x, a * Z)
+            Sa = optimality.sigma_term(script_F_point(prob, x), a * Z)
             assert np.allclose(Sa, a * S, rtol=1e-12, atol=1e-12)
 
     def test_entrywise_trace_oracle(self):
@@ -271,14 +298,14 @@ class TestSigmaTerm:
                 for j in range(3):
                     ref[i, j] = 2.0 * np.trace(Z @ prob.dG(x, i) @ pinv @ prob.dG(x, j))
             ref = 0.5 * (ref + ref.T)
-            S = optimality.sigma_term(prob, x, Z)
+            S = optimality.sigma_term(script_F_point(prob, x), Z)
             assert np.linalg.norm(S - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
 
 
 class TestInfeasibility:
     def test_feasible(self):
         entry = problems.get_problem("corr-matrix")
-        assert optimality.infeasibility_u(entry.problem, entry.problem.start_point) == 0.0
+        assert optimality.infeasibility_u(script_F_point(entry.problem, entry.problem.start_point)) == 0.0
 
     def test_equality_part(self):
         prob = NsdpProblem(
@@ -290,17 +317,17 @@ class TestInfeasibility:
             jac_g=lambda x: np.zeros((1, 2)),
             hess_g=lambda x, j: np.zeros((1, 1)),
         )
-        assert optimality.infeasibility_u(prob, np.zeros(1)) == pytest.approx(5.0)
+        assert optimality.infeasibility_u(script_F_point(prob, np.zeros(1))) == pytest.approx(5.0)
 
     def test_matrix_part(self):
         prob = scalar_free_matrix([1.0, -2.0])
-        assert optimality.infeasibility_u(prob, np.zeros(1)) == pytest.approx(2.0)
+        assert optimality.infeasibility_u(script_F_point(prob, np.zeros(1))) == pytest.approx(2.0)
 
 
 class TestCriticalSubspace:
     def test_unconstrained_full_space(self):
         prob = unconstrained_indefinite()
-        B = optimality.critical_subspace_basis(prob, np.zeros(2), 0)
+        B = optimality.critical_subspace_basis(script_F_point(prob, np.zeros(2)), 0)
         assert B.shape == (2, 2)
         assert np.allclose(B.T @ B, np.eye(2))
 
@@ -314,19 +341,19 @@ class TestCriticalSubspace:
             jac_g=lambda x: np.eye(2),
             hess_g=lambda x, j: np.zeros((2, 2)),
         )
-        B = optimality.critical_subspace_basis(prob, np.zeros(2), 0)
+        B = optimality.critical_subspace_basis(script_F_point(prob, np.zeros(2)), 0)
         assert B.shape == (2, 0)
 
     def test_scalar_bound_active_compression_empty(self):
         prob = problems.get_problem("scalar-bound").problem
-        B = optimality.critical_subspace_basis(prob, np.array([1e-8]), 1)
+        B = optimality.critical_subspace_basis(script_F_point(prob, np.array([1e-8])), 1)
         assert B.shape == (1, 0)
 
     def test_constraints_annihilated(self):
         gen = rng(35)
         prob = problems.get_problem("nearest-psd").problem
         x = gen.normal(size=3)
-        B = optimality.critical_subspace_basis(prob, x, 1)
+        B = optimality.critical_subspace_basis(script_F_point(prob, x), 1)
         assert B.shape == (3, 2)
         dec = matfun.eig_sym(np.asarray(prob.G(x)))
         u = dec.vectors[:, -1]
@@ -337,34 +364,35 @@ class TestCriticalSubspace:
     def test_b_count_bounds(self):
         prob = problems.get_problem("nearest-psd").problem
         with pytest.raises(InvalidInputError):
-            optimality.critical_subspace_basis(prob, np.zeros(3), 3)
+            optimality.critical_subspace_basis(script_F_point(prob, np.zeros(3)), 3)
 
 
 class TestSecondOrderResidual:
     def test_psd_reduced_matrix(self):
         prob = unconstrained_indefinite()
         basis = np.eye(2)[:, :1]  # only the positive-curvature direction
-        assert optimality.second_order_residual(prob, np.zeros(2), None, None, basis) == 0.0
+        assert optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, basis) == 0.0
 
     def test_indefinite_reduced_matrix(self):
         prob = unconstrained_indefinite()
-        out = optimality.second_order_residual(prob, np.zeros(2), None, None, np.eye(2))
+        out = optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, np.eye(2))
         assert out == pytest.approx(2.0)
 
     def test_empty_basis_vacuous(self):
         prob = unconstrained_indefinite()
-        assert optimality.second_order_residual(prob, np.zeros(2), None, None, np.zeros((2, 0))) == 0.0
+        assert optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, np.zeros((2, 0))) == 0.0
 
     def test_rotation_invariance(self):
         gen = rng(36)
         prob = problems.get_problem("nearest-psd").problem
         x = gen.normal(size=3)
-        mult = optimality.recover_multipliers(prob, x, 3.0)
-        B = optimality.critical_subspace_basis(prob, x, 1)
+        at = script_F_point(prob, x, 3.0)
+        mult = optimality.recover_multipliers(at)
+        B = optimality.critical_subspace_basis(at, 1)
         theta = 1.2
         R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        r1 = optimality.second_order_residual(prob, x, mult.y, mult.Z, B)
-        r2 = optimality.second_order_residual(prob, x, mult.y, mult.Z, B @ R)
+        r1 = optimality.second_order_residual(at, mult.y, mult.Z, B)
+        r2 = optimality.second_order_residual(at, mult.y, mult.Z, B @ R)
         assert r1 == pytest.approx(r2, abs=1e-10)
 
 
@@ -379,3 +407,15 @@ class TestEvaluateResiduals:
         assert res.complementarity == 0.0
         assert res.feasibility_u == 0.0
         assert res.subspace_dim == 0
+
+    def test_stationarity_is_penalty_gradient_norm(self):
+        # the number solve records: the norm of the script_F gradient, not of a
+        # separately assembled Lagrangian gradient (these differ in the last bits)
+        gen = rng(39)
+        entry = problems.get_problem("equality-degenerate")
+        prob = entry.problem
+        for _ in range(50):
+            x = prob.start_point + gen.normal(size=prob.n)
+            gamma = 10.0 ** gen.uniform(0, 12)
+            res, _ = optimality.evaluate_residuals(prob, x, gamma, entry.b_count_at_solution)
+            assert res.stationarity == float(np.linalg.norm(penalty.penalty_grad(script_F_point(prob, x, gamma))))

@@ -4,6 +4,8 @@ import pytest
 from nsdpen import model, optimality, problems
 from nsdpen.errors import UnknownProblemError
 
+from conftest import script_F_point
+
 
 class TestRegistry:
     def test_expected_names(self):
@@ -37,13 +39,13 @@ class TestKnownData:
         for name in problems.list_problems():
             entry = problems.get_problem(name)
             if entry.known_solution is not None:
-                u = optimality.infeasibility_u(entry.problem, entry.known_solution)
+                u = optimality.infeasibility_u(script_F_point(entry.problem, entry.known_solution))
                 assert u <= 1e-10, name
 
     def test_starts_feasible(self):
         for name in problems.list_problems():
             entry = problems.get_problem(name)
-            u = optimality.infeasibility_u(entry.problem, entry.problem.start_point)
+            u = optimality.infeasibility_u(script_F_point(entry.problem, entry.problem.start_point))
             assert u <= 1e-10, name
 
     def test_known_multipliers_satisfy_kkt(self):

@@ -209,6 +209,37 @@ class TestTrMinimize:
         assert res.status == tr.RADIUS_COLLAPSE
         assert res.x[0] == 0.0
 
+    @pytest.mark.parametrize("failure", ["value-raises", "gradient-raises", "hessian-non-finite"])
+    def test_failing_trial_point_rejected(self, failure):
+        # f = (x - 3)^2 / 2 is undefined beyond x = 1.5, so the first full
+        # step from 0 fails and the radius must shrink until steps stay inside
+        def fun(x):
+            if failure == "value-raises" and x[0] > 1.5:
+                raise ValueError("outside the domain")
+            return 0.5 * float((x[0] - 3.0) ** 2) if x[0] <= 1.5 else 0.0
+
+        def grad(x):
+            if failure == "gradient-raises" and x[0] > 1.5:
+                raise ArithmeticError("outside the domain")
+            return x - 3.0
+
+        def hess(x):
+            return np.array([[np.inf if x[0] > 1.5 else 1.0]])
+
+        res = tr.tr_minimize(fun, grad, hess, np.zeros(1), delta=1e-8)
+        # the constrained infimum lies on the domain edge, never crossed
+        assert res.status in (tr.RADIUS_COLLAPSE, tr.MAX_ITER)
+        assert 1.0 < res.x[0] <= 1.5
+
+    def test_failing_start_point_raises(self):
+        def grad(x):
+            raise ValueError("outside the domain")
+        with pytest.raises(ValueError):
+            tr.tr_minimize(lambda x: 0.0, grad, lambda x: np.eye(1), np.zeros(1), delta=1e-8)
+        with pytest.raises(InvalidInputError):
+            tr.tr_minimize(lambda x: 0.0, lambda x: np.array([np.nan]), lambda x: np.eye(1),
+                           np.zeros(1), delta=1e-8)
+
     def test_delta_range_validated(self):
         fun, grad, hess = saddle_hooks()
         with pytest.raises(InvalidInputError):
