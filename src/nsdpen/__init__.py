@@ -26,7 +26,7 @@ from .matfun import (
     dq_operator,
     eig_sym,
 )
-from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint, dG_apply
+from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint
 from .optimality import (
     MultiplierPair,
     OptimalityResiduals,

@@ -147,12 +147,11 @@ def _cmd_solve(args) -> int:
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 
-    trace_rows: list[dict] = []
-    sink = (lambda rec: trace_rows.append(_row(rec, _TRACE_ROW))) if args.trace else None
-    report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution, sink=sink)
+    report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution)
 
     if args.trace:
-        _atomic_write(args.trace, "".join(json.dumps(row, sort_keys=True) + "\n" for row in trace_rows))
+        _atomic_write(args.trace, "".join(json.dumps(_row(rec, _TRACE_ROW), sort_keys=True) + "\n"
+                                          for rec in report.iterates))
     if args.report:
         _atomic_write(args.report, _dump_json(_report_document(report)))
 

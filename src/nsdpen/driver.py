@@ -3,7 +3,7 @@
 Each outer iteration minimizes the smooth penalty with the current weight
 gamma down to certificate tolerance delta (gradient norm and Hessian
 eigenvalue bound), recovers multipliers from the penalty gradient structure,
-records all optimality residuals, and then applies the warm-start and
+records the first-order residuals, and then applies the warm-start and
 gamma-update rules:
 
 * the next start is the new iterate if its penalty value does not exceed
@@ -13,14 +13,15 @@ gamma-update rules:
 * delta decays geometrically.
 
 The run stops once infeasibility and delta are below their tolerances, at
-the iteration cap, or on inner-solver failure / gamma blow-up.
+the iteration cap, or on inner-solver failure / gamma blow-up; then every
+iterate's second-order certificates are computed from its kept point.
 
 Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
-point (one G, one eigendecomposition) feeds the penalty value, gradient and
-Hessian, and an outer iteration that keeps gamma and starts where the
-previous one ended reuses them.  The start point's infeasibility and every
-iterate's certificates read the same points: ``penalty_at`` is the only
-caller of G and of the eigensolver in a solve.
+point (one G, one eigendecomposition, one dG stack) feeds the penalty value,
+gradient and Hessian, and an outer iteration that keeps gamma and starts
+where the previous one ended reuses them.  The start point's infeasibility
+and every iterate's certificates read the same points: ``penalty_at`` is the
+only caller of G and of the eigensolver in a solve.
 """
 
 import time
@@ -31,7 +32,7 @@ import numpy as np
 from . import optimality, penalty, trustregion
 from .errors import InvalidInputError, StartNotFeasibleError
 from .matfun import default_zero_tol
-from .model import NsdpProblem
+from .model import NsdpProblem, _real
 
 FEAS_OPT_REACHED = "FeasOptReached"
 MAX_OUTER = "MaxOuter"
@@ -144,14 +145,13 @@ def estimate_b_count(at: penalty.PenaltyPoint, u: float) -> int:
 
 
 def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
-          b_count: int | None = None, sink=None) -> SolveReport:
+          b_count: int | None = None) -> SolveReport:
     """Run the outer penalty method on a problem with a feasible start.
 
     ``b_count`` is the trusted dimension of the null eigenspace of G at the
     limit, used for the second-order certificates; when omitted it is
-    estimated from the final iterate and the certificates are filled in
-    after the run.  ``sink`` receives each IterateRecord once its residuals
-    are complete.
+    estimated from the final iterate.  Every record's certificates are filled
+    in after the loop, from the penalty point the record was taken at.
     """
     cfg = (config or PenaltyConfig()).validate()
     needed = (("hess_f", True), ("hess_g", prob.m > 0), ("d2G", prob.d > 0))
@@ -162,7 +162,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     t0 = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(prob.start_point, dtype=float))
     records: list[IterateRecord] = []
-    points: list[penalty.PenaltyPoint] = []  # each record's point, kept for deferred certificates
+    points: list[penalty.PenaltyPoint] = []  # each record's point, kept for its certificates
     xhat = x0
     gamma = cfg.gamma0
     delta = cfg.delta0
@@ -193,15 +193,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     if u0 > cfg.feas_check_tol:
         raise StartNotFeasibleError(
             f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
-    f0 = float(prob.f(x0))
+    f0 = float(_real("f", prob.f(x0)))
     u_prev = u0
-
-    def certify(rec, point):
-        basis = optimality.critical_subspace_basis(point, b_count)
-        rec.second_order = optimality.second_order_residual(point, rec.y, rec.Z, basis)
-        rec.subspace_dim = int(basis.shape[1])
-        if sink is not None:
-            sink(rec)
 
     for k in range(cfg.max_outer):
         start_value = value(xhat)
@@ -226,7 +219,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             second_order=None,
             epsilon=delta,
             subspace_dim=None,
-            f_value=float(prob.f(x_next)),
+            f_value=float(_real("f", prob.f(x_next))),
             script_F_value=res.value,
             script_F_at_start=start_value,
             xhat_branch="",
@@ -237,10 +230,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         )
         xhat, rec.xhat_branch = next_xhat(x_next, res.value, f0, x0)
         records.append(rec)
-        if b_count is not None:
-            certify(rec, point)
-        else:
-            points.append(point)
+        points.append(point)
 
         if u_next <= cfg.tol_feas and delta <= cfg.tol_opt:
             status = FEAS_OPT_REACHED
@@ -257,8 +247,10 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
 
     if b_count is None:
         b_count = estimate_b_count(points[-1], records[-1].u) if records else 0
-        for rec, point in zip(records, points):
-            certify(rec, point)
+    for rec, point in zip(records, points):
+        basis = optimality.critical_subspace_basis(point, b_count)
+        rec.second_order = optimality.second_order_residual(point, rec.y, rec.Z, basis)
+        rec.subspace_dim = int(basis.shape[1])
 
     return SolveReport(
         problem=prob.name,

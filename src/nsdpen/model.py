@@ -95,12 +95,20 @@ class NsdpProblem:
         return symmetrize(0.5 * (Dij + Dji))
 
 
-def _gather(hook: str, entries: list, d: int) -> np.ndarray:
-    """Hook outputs as one (k, d, d) float array, built by a single ``np.array`` call."""
+def _real(hook: str, value) -> np.ndarray:
+    """A hook's output as a float array; complex, ragged or non-numeric output raises ``InvalidInputError``."""
     try:
-        out = np.array(entries, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{hook} must return {d} x {d} arrays, got ragged or non-numeric output") from None
+        out = np.asarray(value)
+    except ValueError:
+        raise InvalidInputError(f"{hook} returned ragged output") from None
+    if out.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{hook} must return real numbers, got {out.dtype} output")
+    return out.astype(float, copy=False)
+
+
+def _gather(hook: str, entries: list, d: int) -> np.ndarray:
+    """Hook outputs as one (k, d, d) float array, built by a single ``np.asarray`` call."""
+    out = _real(hook, entries)
     if out.shape[1:] != (d, d):
         raise InvalidInputError(f"{hook} must return {d} x {d} arrays, got {out.shape[1:]}")
     return out
@@ -112,20 +120,13 @@ def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     return 0.5 * (Gs + Gs.transpose(0, 2, 1))
 
 
-def dG_apply(prob: NsdpProblem, x, h) -> np.ndarray:
-    """Directional derivative of G at x along h: sum_i h_i * dG(x, i)."""
-    x = _vec(x, prob.n)
-    h = _vec(h, prob.n, "h")
-    return symmetrize(np.tensordot(h, _dG_stack(prob, x), 1))
-
-
-def dG_adjoint(prob: NsdpProblem, x, Z) -> np.ndarray:
-    """Adjoint of the directional derivative: component i is <dG(x, i), Z>."""
-    x = _vec(x, prob.n)
+def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
+    """Adjoint of the directional derivative: component i is <Gs[i], Z> for the (n, d, d) stack Gs of dG(x, i)."""
+    n, d = Gs.shape[:2]
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != (prob.d, prob.d):
-        raise InvalidInputError(f"Z must have shape ({prob.d}, {prob.d}), got {Z.shape}")
-    return _dG_stack(prob, x).reshape(prob.n, -1) @ Z.ravel()
+    if Z.shape != (d, d):
+        raise InvalidInputError(f"Z must have shape ({d}, {d}), got {Z.shape}")
+    return Gs.reshape(n, -1) @ Z.ravel()
 
 
 def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint
+from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
 from .penalty import PenaltyPoint, penalty_at, penalty_grad, special_params
 
 
@@ -60,11 +60,11 @@ def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """grad f(x) - jac_g(x) y - adjoint(dG)(x) Z."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    out = np.asarray(prob.grad_f(x), dtype=float).copy()
+    out = _real("grad_f", prob.grad_f(x)).copy()
     if prob.m > 0:
-        out -= np.asarray(prob.jac_g(x), dtype=float) @ y
+        out -= _real("jac_g", prob.jac_g(x)) @ y
     if prob.d > 0:
-        out -= dG_adjoint(prob, x, Z)
+        out -= dG_adjoint(_dG_stack(prob, x), Z)
     return out
 
 
@@ -72,11 +72,11 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """hess f(x) - sum_j y_j hess g_j(x) - [<d2G(x,i,j), Z>]_ij."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    H = symmetrize(np.asarray(prob.hess_f(x), dtype=float)).copy()
+    H = symmetrize(_real("hess_f", prob.hess_f(x))).copy()
     if prob.m > 0:
         for j in range(prob.m):
             if y[j] != 0.0:
-                H -= y[j] * symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
+                H -= y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j)))
     if prob.d > 0:
         H -= d2G_contract(prob, x, Z)
     return symmetrize(H)
@@ -122,8 +122,7 @@ def sigma_term(at: PenaltyPoint, Z) -> np.ndarray:
     inv = np.divide(1.0, values, out=np.zeros(prob.d), where=np.abs(values) > matfun.default_zero_tol(at.dec))
     P = at.dec.vectors
     pinv = (P * inv) @ P.T
-    Gs = _dG_stack(prob, at.x)
-    return symmetrize(2.0 * (Z @ Gs @ pinv).reshape(prob.n, -1) @ Gs.reshape(prob.n, -1).T)
+    return symmetrize(2.0 * (Z @ at.dG @ pinv).reshape(prob.n, -1) @ at.dG.reshape(prob.n, -1).T)
 
 
 def infeasibility_u(at: PenaltyPoint) -> float:
@@ -149,10 +148,10 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
         raise InvalidInputError(f"b_count must lie in [0, {prob.d}]")
     rows = []
     if prob.m > 0:
-        rows.append(np.asarray(prob.jac_g(at.x), dtype=float).T)
+        rows.append(_real("jac_g", prob.jac_g(at.x)).T)
     if b_count > 0:
         U = at.dec.vectors[:, :b_count]  # eig(-G) is descending: its first columns
-        comp = U.T @ _dG_stack(prob, at.x) @ U
+        comp = U.T @ at.dG @ U
         p, q = np.triu_indices(b_count)
         rows.append(comp[:, p, q].T)
     if not rows:

@@ -13,13 +13,14 @@ and add the f terms and the derivatives of g and G.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint
+from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 
 @dataclass(frozen=True)
 class PenaltyPoint:
-    """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0)."""
+    """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0), and
+    the read-only (n, d, d) stack ``dG`` of dG(x, i), made on first read and shared by every derivative at x."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -80,6 +82,12 @@ class PenaltyPoint:
     r: np.ndarray | None
     G: np.ndarray | None
     dec: matfun.EigenDecomp | None
+
+    @cached_property
+    def dG(self) -> np.ndarray:
+        Gs = _dG_stack(self.prob, self.x)
+        Gs.flags.writeable = False
+        return Gs
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
@@ -89,9 +97,9 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     if prob.m > 0:
         if p.v is not None and p.v.shape != (prob.m,):
             raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
-        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - np.asarray(prob.g(x), dtype=float)
+        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - _real("g", prob.g(x))
     if prob.d > 0:
-        Gx = symmetrize(np.asarray(prob.G(x), dtype=float))
+        Gx = symmetrize(_real("G", prob.G(x)))
         if p.M is not None and p.M.shape != (prob.d, prob.d):
             raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
         dec = matfun.eig_sym(-Gx if p.M is None else symmetrize(p.M / p.tau - Gx))
@@ -101,7 +109,7 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
 def penalty_value(at: PenaltyPoint) -> float:
     prob, p = at.prob, at.p
     st = p.sigma * p.tau
-    val = p.rho * float(prob.f(at.x)) if p.rho != 0.0 else 0.0
+    val = p.rho * float(_real("f", prob.f(at.x))) if p.rho != 0.0 else 0.0
     if at.r is not None:
         val += 0.5 * st * float(at.r @ at.r)
     if at.dec is not None:
@@ -112,11 +120,11 @@ def penalty_value(at: PenaltyPoint) -> float:
 def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     prob, p, x = at.prob, at.p, at.x
     st = p.sigma * p.tau
-    grad = p.rho * np.asarray(prob.grad_f(x), dtype=float) if p.rho != 0.0 else np.zeros(prob.n)
+    grad = p.rho * _real("grad_f", prob.grad_f(x)) if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
-        grad = grad - st * (np.asarray(prob.jac_g(x), dtype=float) @ at.r)
+        grad = grad - st * (_real("jac_g", prob.jac_g(x)) @ at.r)
     if at.dec is not None:
-        grad = grad - st * dG_adjoint(prob, x, matfun.q_cube_from(at.dec))
+        grad = grad - st * dG_adjoint(at.dG, matfun.q_cube_from(at.dec))
     return grad
 
 
@@ -130,17 +138,17 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     prob, p, x, r, dec = at.prob, at.p, at.x, at.r, at.dec
     st = p.sigma * p.tau
     if p.rho != 0.0:
-        H = p.rho * symmetrize(np.asarray(prob.hess_f(x), dtype=float))
+        H = p.rho * symmetrize(_real("hess_f", prob.hess_f(x)))
     else:
         H = np.zeros((prob.n, prob.n))
     if r is not None:
         for j in range(prob.m):
             if r[j] != 0.0:
-                H = H - st * r[j] * symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
-        J = np.asarray(prob.jac_g(x), dtype=float)
+                H = H - st * r[j] * symmetrize(_real("hess_g", prob.hess_g(x, j)))
+        J = _real("jac_g", prob.jac_g(x))
         H = H + st * (J @ J.T)
     if dec is not None:
         op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
-        K = (op.basis.T @ _dG_stack(prob, x) @ op.basis).reshape(prob.n, -1)
+        K = (op.basis.T @ at.dG @ op.basis).reshape(prob.n, -1)
         H = H + st * (K @ (op.coeff.ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
     return symmetrize(H)

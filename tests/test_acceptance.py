@@ -18,7 +18,6 @@ from nsdpen import (
     cli,
     driver,
     matfun,
-    model,
     optimality,
     penalty,
     problems,
@@ -346,7 +345,7 @@ def test_criterion_6_optimality_identities(corpus_runs):
             op = matfun.dq_operator(-np.asarray(prob.G(rec.x)))
             for _ in range(20):
                 h = basis @ gen.normal(size=basis.shape[1])
-                Dh = model.dG_apply(prob, rec.x, h)
+                Dh = np.tensordot(h, at.dG, 1)
                 quad_sigma = float(h @ sigma @ h)
                 quad_dq = rec.gamma * float(np.sum(Dh * matfun.dq_apply(op, Dh)))
                 scale = 1 + abs(quad_sigma) + abs(quad_dq)

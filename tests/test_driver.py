@@ -207,14 +207,6 @@ class TestSolveGuards:
         assert report.b_count == entry.b_count_at_solution
         assert all(r.second_order is not None for r in report.iterates)
 
-    def test_sink_receives_all_records(self, corpus_runs):
-        entry = problems.get_problem("scalar-bound")
-        seen = []
-        report = driver.solve(entry.problem, run_config("scalar-bound"),
-                              b_count=1, sink=seen.append)
-        assert len(seen) == len(report.iterates)
-        assert all(a is b for a, b in zip(seen, report.iterates))
-
     def test_larger_projection_problem_with_rank_two_active_block(self):
         # 4x4 projection parametrized by its 10 lower-triangle entries: the
         # target has two negative eigenvalues, so the solution carries a
@@ -297,10 +289,16 @@ def sqrt_problem(sqrt) -> NsdpProblem:
     )
 
 
+def python_pow_sqrt(t):
+    """Python's ** of a negative float returns a complex number."""
+    return float(t) ** 0.5
+
+
 class TestHookFailureAtTrialPoint:
     # trial steps of the penalized problem overshoot into x < -1/2, where
-    # math.sqrt raises and np.sqrt returns nan; both are rejected steps
-    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt], ids=["raises", "non-finite"])
+    # math.sqrt raises, np.sqrt returns nan and ** 0.5 a complex number;
+    # all three are rejected steps
+    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt, python_pow_sqrt], ids=["raises", "non-finite", "complex"])
     def test_solve_reaches_tolerance(self, sqrt):
         with np.errstate(invalid="ignore", divide="ignore"):
             report = driver.solve(sqrt_problem(sqrt), driver.PenaltyConfig(tol_feas=1e-4))
@@ -308,7 +306,7 @@ class TestHookFailureAtTrialPoint:
         assert -2e-4 <= report.final.x[0] < 0.0  # infeasible by about gamma^(-1/3)
         assert report.final.u <= 1e-4
 
-    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt], ids=["raises", "non-finite"])
+    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt, python_pow_sqrt], ids=["raises", "non-finite", "complex"])
     def test_default_tolerance_ends_in_named_status(self, sqrt):
         with np.errstate(invalid="ignore", divide="ignore"):
             report = driver.solve(sqrt_problem(sqrt))
@@ -360,24 +358,39 @@ class TestOneEvaluationPerPoint:
 
     @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
     def test_G_and_eig_sym_only_in_penalty_at(self, case, monkeypatch):
-        # deferred certificates on the ball problem, inline ones on the corpus problem
-        if case == "ball":
-            prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
-        else:
-            entry = problems.get_problem(case)
-            prob, cfg, b_count = entry.problem, run_config(case), entry.b_count_at_solution
-        prob, hooks = counting(prob)
-        calls = dict(penalty_at=0, eig_sym=0)
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(penalty, "penalty_at", counted("penalty_at", penalty.penalty_at))
-        monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
-        report = driver.solve(prob, cfg, b_count=b_count)
-        assert report.final_status == driver.FEAS_OPT_REACHED
-        assert all(rec.second_order is not None for rec in report.iterates)
+        _, report, hooks, calls = counted_solve(case, monkeypatch)
         assert hooks["G"] == calls["eig_sym"] == calls["penalty_at"] > len(report.iterates)
+
+    @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
+    def test_one_dG_stack_per_differentiated_point(self, case, monkeypatch):
+        # the gradient, the Hessian and the certificates of a point share its stack
+        prob, _, hooks, calls = counted_solve(case, monkeypatch)
+        assert hooks["dG"] == prob.n * calls["penalty_grad"] > 0
+
+
+def counted_solve(case, monkeypatch):
+    """A solve whose hooks, ``penalty_at``, ``penalty_grad`` and ``eig_sym`` calls are counted.
+
+    ``b_count`` is estimated on the ball problem and given on the corpus problem.
+    """
+    if case == "ball":
+        prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+    else:
+        entry = problems.get_problem(case)
+        prob, cfg, b_count = entry.problem, run_config(case), entry.b_count_at_solution
+    prob, hooks = counting(prob)
+    calls = dict(penalty_at=0, penalty_grad=0, eig_sym=0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(penalty, "penalty_at", counted("penalty_at", penalty.penalty_at))
+    monkeypatch.setattr(penalty, "penalty_grad", counted("penalty_grad", penalty.penalty_grad))
+    monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
+    report = driver.solve(prob, cfg, b_count=b_count)
+    assert report.final_status == driver.FEAS_OPT_REACHED
+    assert all(rec.second_order is not None for rec in report.iterates)
+    return prob, report, hooks, calls

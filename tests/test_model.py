@@ -26,45 +26,15 @@ def affine_matrix_problem():
     )
 
 
-class TestDGApply:
-    def test_affine_independent_of_point(self):
-        prob = affine_matrix_problem()
-        h = np.array([0.7, -0.4])
-        out1 = model.dG_apply(prob, np.zeros(2), h)
-        out2 = model.dG_apply(prob, np.array([3.0, -2.0]), h)
-        expected = 0.7 * prob.dG(None, 0) - 0.4 * prob.dG(None, 1)
-        assert np.allclose(out1, expected)
-        assert np.allclose(out2, expected)
-
-    def test_zero_direction(self):
-        prob = affine_matrix_problem()
-        assert np.allclose(model.dG_apply(prob, np.zeros(2), np.zeros(2)), 0.0)
-
-    def test_central_difference_oracle(self):
-        entry = problems.get_problem("nearest-psd")
-        prob = entry.problem
-        gen = rng(21)
-        t = 1e-5
-        for _ in range(5):
-            x = gen.normal(size=prob.n)
-            h = gen.normal(size=prob.n)
-            fd = (np.asarray(prob.G(x + t * h)) - np.asarray(prob.G(x - t * h))) / (2 * t)
-            assert np.linalg.norm(model.dG_apply(prob, x, h) - fd) <= 1e-6
-
-    def test_dimension_mismatch(self):
-        prob = affine_matrix_problem()
-        with pytest.raises(InvalidInputError):
-            model.dG_apply(prob, np.zeros(2), np.zeros(3))
-
-
 class TestDGAdjoint:
     def test_zero_multiplier(self):
         prob = affine_matrix_problem()
-        assert np.allclose(model.dG_adjoint(prob, np.zeros(2), np.zeros((2, 2))), 0.0)
+        Gs = model._dG_stack(prob, np.zeros(2))
+        assert np.allclose(model.dG_adjoint(Gs, np.zeros((2, 2))), 0.0)
 
     def test_scalar_identity(self):
         prob = problems.get_problem("scalar-bound").problem
-        out = model.dG_adjoint(prob, np.array([0.3]), np.array([[4.5]]))
+        out = model.dG_adjoint(model._dG_stack(prob, np.array([0.3])), np.array([[4.5]]))
         assert out == pytest.approx(np.array([4.5]))
 
     def test_adjoint_identity(self):
@@ -78,8 +48,9 @@ class TestDGAdjoint:
                 h = gen.normal(size=prob.n)
                 Z = gen.normal(size=(prob.d, prob.d))
                 Z = 0.5 * (Z + Z.T)
-                lhs = float(np.sum(model.dG_apply(prob, x, h) * Z))
-                rhs = float(h @ model.dG_adjoint(prob, x, Z))
+                Gs = model._dG_stack(prob, x)
+                lhs = float(np.sum(np.tensordot(h, Gs, 1) * Z))
+                rhs = float(h @ model.dG_adjoint(Gs, Z))
                 scale = 1 + np.linalg.norm(h) * np.linalg.norm(Z)
                 assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -88,7 +59,12 @@ class TestDGAdjoint:
         bad = model.NsdpProblem(name="bad-dG", n=2, m=0, d=2, start_point=np.zeros(2),
                                 f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=lambda x, i: np.zeros((3, 3)))
         with pytest.raises(InvalidInputError):
-            model.dG_adjoint(bad, np.zeros(2), np.zeros((2, 2)))
+            model.dG_adjoint(model._dG_stack(bad, np.zeros(2)), np.zeros((2, 2)))
+
+    def test_rejects_wrong_Z_shape(self):
+        Gs = model._dG_stack(affine_matrix_problem(), np.zeros(2))
+        with pytest.raises(InvalidInputError, match="Z must have shape"):
+            model.dG_adjoint(Gs, np.zeros((3, 3)))
 
 
 class TestD2GContract:

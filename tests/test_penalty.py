@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, spectrum_matrix
+from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, script_F_point, spectrum_matrix
 
 
 def scalar_quartic_problem():
@@ -157,6 +159,31 @@ class TestPenaltyPoint:
             penalty.penalty_value(at)
             penalty.penalty_grad(at)
             assert (counts["g"], counts["G"], len(eigs)) == (0, 0, 1)
+
+    def test_one_dG_stack_per_point(self):
+        # a value alone makes no dG call; the gradient, the Hessian and the
+        # certificates then share one stack: n dG calls for the point
+        prob, counts = counting(ball_problem(4, m=2))
+        gen = rng(114)
+        at = script_F_point(prob, mixed_ball_point(gen, prob.d), 3.0)
+        Z = spectrum_matrix(gen, [1.0, 0.5, 0.0, 0.0])
+        penalty.penalty_value(at)
+        assert counts["dG"] == 0
+        penalty.penalty_grad(at)
+        penalty.penalty_hess(at)
+        optimality.sigma_term(at, Z)
+        assert optimality.critical_subspace_basis(at, 2).shape[1] > 0
+        assert counts["dG"] == prob.n
+        assert not at.dG.flags.writeable
+
+    @pytest.mark.parametrize("hook,bad", [("f", lambda x: 1j), ("g", lambda x: [None]),
+                                          ("G", lambda x: np.eye(2) * 1j), ("dG", lambda x, i: "0")])
+    def test_non_real_hook_output_names_the_hook(self, hook, bad):
+        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
+        with pytest.raises(InvalidInputError, match=f"^{hook} must return real numbers"):
+            at = script_F_point(prob, prob.start_point)
+            penalty.penalty_value(at)
+            penalty.penalty_grad(at)
 
     def test_owns_a_copy_of_x(self):
         prob = ball_problem(3, m=2)
