@@ -24,18 +24,19 @@ def _vec(x, n: int, name: str = "x") -> np.ndarray:
     return x
 
 
-def _central_diff(fn, x: np.ndarray, step: float, i: int | None = None) -> np.ndarray:
+def _central_diff(hook: str, fn, x: np.ndarray, step: float, i: int | None = None) -> np.ndarray:
     """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) with h = step * (1 + |x|).
 
     For one coordinate i, or stacked over all i along a new leading axis.
-    This is the one finite-difference routine of the package.
+    This is the one finite-difference routine of the package; fn's outputs
+    are read as the output of ``hook``, so complex output raises.
     """
     x = np.asarray(x, dtype=float)
     if i is None:
-        return np.stack([_central_diff(fn, x, step, i) for i in range(x.size)])
+        return np.stack([_central_diff(hook, fn, x, step, i) for i in range(x.size)])
     e = np.zeros(x.size)
     e[i] = step * (1.0 + abs(x[i]))
-    return (np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * e[i])
+    return (_real(hook, fn(x + e)) - _real(hook, fn(x - e))) / (2 * e[i])
 
 
 @dataclass
@@ -84,14 +85,14 @@ class NsdpProblem:
 
     # synthesized second derivatives (central differences of first-derivative hooks)
     def _fd_hess_f(self, x):
-        return symmetrize(_central_diff(self.grad_f, x, FD_STEP_SECOND_ORDER))
+        return symmetrize(_central_diff("grad_f", self.grad_f, x, FD_STEP_SECOND_ORDER))
 
     def _fd_hess_g(self, x, j):
-        return symmetrize(_central_diff(lambda z: self.jac_g(z)[:, j], x, FD_STEP_SECOND_ORDER))
+        return symmetrize(_central_diff("jac_g", lambda z: self.jac_g(z)[:, j], x, FD_STEP_SECOND_ORDER))
 
     def _fd_d2G(self, x, i, j):
-        Dij = _central_diff(lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)
-        Dji = _central_diff(lambda z: self.dG(z, j), x, FD_STEP_SECOND_ORDER, i)
+        Dij = _central_diff("dG", lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)
+        Dji = _central_diff("dG", lambda z: self.dG(z, j), x, FD_STEP_SECOND_ORDER, i)
         return symmetrize(0.5 * (Dij + Dji))
 
 
@@ -160,9 +161,8 @@ class DerivativeAuditReport:
     failures: list
 
 
-def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
-    analytic = np.asarray(analytic, dtype=float)
-    fd = np.asarray(fd, dtype=float)
+def _rel_err(hook: str, analytic, fd: np.ndarray) -> float:
+    analytic = _real(hook, analytic)
     return float(np.linalg.norm((analytic - fd).ravel()) / (1.0 + np.linalg.norm(analytic.ravel())))
 
 
@@ -170,31 +170,32 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     """Check every derivative hook against a central difference of its neighbor.
 
     First derivatives are compared at relative threshold 1e-6, second
-    derivatives at 1e-4.  A hook that raises or returns non-finite values is
-    recorded with error ``inf``; the audit still completes.
+    derivatives at 1e-4.  A hook that raises or returns non-finite or
+    complex values is recorded with error ``inf``; the audit still completes.
     """
     if not step > 0:
         raise InvalidInputError("step must be positive")
     x = _vec(x, prob.n)
     thr1, thr2 = 1e-6, 1e-4
 
-    def fd(fn):
-        return _central_diff(fn, x, step)
+    def fd(hook, fn):
+        return _central_diff(hook, fn, x, step)
 
     # each check lists one relative error per hook call it audits
-    checks = {"grad_f": lambda: [_rel_err(prob.grad_f(x), fd(prob.f))]}
+    checks = {"grad_f": lambda: [_rel_err("grad_f", prob.grad_f(x), fd("f", prob.f))]}
     if prob.hess_f is not None:
-        checks["hess_f"] = lambda: [_rel_err(prob.hess_f(x), symmetrize(fd(prob.grad_f)))]
+        checks["hess_f"] = lambda: [_rel_err("hess_f", prob.hess_f(x), symmetrize(fd("grad_f", prob.grad_f)))]
     if prob.m > 0:
-        checks["jac_g"] = lambda: [_rel_err(prob.jac_g(x), fd(prob.g))]
+        checks["jac_g"] = lambda: [_rel_err("jac_g", prob.jac_g(x), fd("g", prob.g))]
         if prob.hess_g is not None:
-            checks["hess_g"] = lambda: [_rel_err(prob.hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
+            checks["hess_g"] = lambda: [_rel_err("hess_g", prob.hess_g(x, j),
+                                                 symmetrize(fd("jac_g", lambda z: prob.jac_g(z)[:, j])))
                                         for j in range(prob.m)]
     if prob.d > 0:
-        checks["dG"] = lambda: [_rel_err(prob.dG(x, i), D) for i, D in enumerate(fd(prob.G))]
+        checks["dG"] = lambda: [_rel_err("dG", prob.dG(x, i), D) for i, D in enumerate(fd("G", prob.G))]
         if prob.d2G is not None:
-            checks["d2G"] = lambda: [_rel_err(prob.d2G(x, i, j), D)
-                                     for i in range(prob.n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
+            checks["d2G"] = lambda: [_rel_err("d2G", prob.d2G(x, i, j), D)
+                                     for i in range(prob.n) for j, D in enumerate(fd("dG", lambda z: prob.dG(z, i)))]
 
     errors: dict[str, float] = {}
     for label, check in checks.items():

@@ -9,7 +9,6 @@ an eigenvalue bound at termination.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidInputError
 from .matfun import symmetrize
@@ -129,7 +128,7 @@ def _boundary_offset(gbar, wshift, radius, scale):
     def phi(eta):
         return 1.0 / radius - 1.0 / norm_at(eta)
 
-    eta = brentq(phi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    eta = _brent_root(phi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
     # Newton polish: phi is smooth and nearly linear in eta near the root
     for _ in range(3):
         denom = wshift + eta
@@ -145,6 +144,68 @@ def _boundary_offset(gbar, wshift, radius, scale):
             break
         eta += step
     return eta
+
+
+def _brent_root(phi, lo, hi, xtol, rtol, maxiter):
+    """Root of phi in [lo, hi] by Brent's method (Brent 1973).
+
+    A transcription of the ``brentq`` kernel of SciPy's ``optimize`` C
+    sources: the same state (``xpre/xcur/xblk``, ``spre/scur``), the same
+    interpolate / extrapolate / bisect tests and the same floating-point
+    operations in the same order, so it returns the same float as
+    ``scipy.optimize.brentq``.  A NaN value or a bracket whose ends share a
+    sign raises ``ValueError``; ``maxiter`` steps without convergence raise
+    ``RuntimeError``.
+    """
+
+    def value(x):
+        fx = phi(x)
+        if fx != fx:
+            raise ValueError(f"phi({x!r}) is NaN; the root search cannot continue")
+        return fx
+
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("phi(lo) and phi(hi) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # make xcur the end with the smaller value
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, last iterate {xcur!r}")
 
 
 def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = None) -> TrResult:

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,19 @@ class TestAudit:
         report = model.audit_derivatives(prob, rng(25).normal(size=prob.n))
         assert report.errors[hook] == np.inf
         assert not report.passed and hook in report.failures
+
+    @pytest.mark.parametrize("hook", ["G", "dG"])
+    def test_complex_hook_output_fails(self, hook):
+        # complex output records inf instead of being audited on its real part
+        base = problems.get_problem("scalar-bound").problem
+        clean = getattr(base, hook)
+        prob = dataclasses.replace(base, **{hook: lambda *args: clean(*args) + 0.5j})
+        with warnings.catch_warnings():
+            # so that the audit, not a ComplexWarning turned into an error, decides
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            report = model.audit_derivatives(prob, prob.start_point)
+        assert not report.passed
+        assert "dG" in report.failures and report.errors["dG"] == np.inf
 
     def test_bad_step_rejected(self):
         prob = affine_matrix_problem()

@@ -1,5 +1,13 @@
+import math
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from nsdpen import trustregion as tr
 from nsdpen.errors import InvalidInputError
@@ -122,6 +130,67 @@ class TestMsSubproblem:
     def test_bad_radius(self):
         with pytest.raises(InvalidInputError):
             tr.ms_subproblem(np.eye(2), np.ones(2), 0.0)
+
+
+# (|g|, spectrum, pole, radius): the secular equation 1/radius - 1/||g/(w + eta)||
+# of a boundary step, with w[0] = 0 exactly when ``pole`` (an indefinite B)
+secular_equations = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n),
+    st.booleans(),
+    st.floats(1e-6, 1e3),
+))
+
+
+def brentq_positional(phi, lo, hi, xtol, rtol, maxiter):
+    return brentq(phi, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+class TestBrentRoot:
+    """``_brent_root`` against ``scipy.optimize.brentq``, the reference it transcribes."""
+
+    @given(secular_equations)
+    @settings(max_examples=200)
+    def test_matches_scipy_brentq_on_boundary_equations(self, equation):
+        g, w, pole, radius = equation
+        g, w = np.array(g), np.sort(w)
+        wshift = w - w[0] if pole else w
+        if wshift[0] > 0:
+            # a positive definite B reaches the boundary only when its Newton step is too long
+            with np.errstate(divide="ignore", over="ignore"):
+                radius = min(radius, 0.5 * float(np.linalg.norm(g / wshift)))
+        calls = []
+
+        def recording(phi, lo, hi, **tols):
+            calls.append((phi, lo, hi, tols))
+            return brent_root(phi, lo, hi, **tols)
+
+        brent_root = tr._brent_root
+        with mock.patch.object(tr, "_brent_root", recording):
+            tr._boundary_offset(g, wshift, radius, max(1.0, float(w[-1])))
+        assume(calls)
+        for phi, lo, hi, tols in calls:
+            assert brent_root(phi, lo, hi, **tols) == brentq(phi, lo, hi, **tols)
+
+    @pytest.mark.parametrize("root", [tr._brent_root, brentq_positional], ids=["brent_root", "brentq"])
+    @pytest.mark.parametrize("phi, error", [
+        (lambda x: x * x + 1.0, ValueError),  # same-sign bracket
+        (lambda x: x - 0.5 if x == 1.0 else float("nan"), ValueError),  # NaN at an end
+        (lambda x: float("nan") if 0.0 < x < 0.9 else x - 0.5, ValueError),  # NaN at an iterate
+        (lambda x: math.tanh(x - 0.3) ** 3, RuntimeError),  # maxiter runs out
+    ], ids=["same-sign", "nan-at-end", "nan-at-iterate", "maxiter"])
+    def test_failures_raise_like_scipy(self, root, phi, error):
+        with pytest.raises(error):
+            root(phi, -1.0, 1.0, 1e-300, 8.9e-16, 3)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test session has imported scipy itself
+    code = ("import sys, nsdpen, nsdpen.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def quad_hooks(A, b):
