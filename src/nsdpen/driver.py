@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import optimality, penalty, trustregion
-from .errors import InvalidInputError, StartNotFeasibleError
+from .errors import InvalidInputError, StartNotFeasibleError, require_int
 from .matfun import default_zero_tol
 from .model import NsdpProblem, _real
 
@@ -72,8 +72,7 @@ class PenaltyConfig:
             raise InvalidInputError("beta must lie in (0, 1)")
         if self.tol_feas < 0 or self.tol_opt < 0:
             raise InvalidInputError("tolerances must be nonnegative")
-        if self.max_outer < 1:
-            raise InvalidInputError("max_outer must be at least 1")
+        require_int("max_outer", self.max_outer, 1)
         return self
 
 
@@ -154,6 +153,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     in after the loop, from the penalty point the record was taken at.
     """
     cfg = (config or PenaltyConfig()).validate()
+    if b_count is not None:
+        require_int("b_count", b_count, 0, prob.d)
     needed = (("hess_f", True), ("hess_g", prob.m > 0), ("d2G", prob.d > 0))
     missing = [hook for hook, used in needed if used and getattr(prob, hook) is None]
     if missing:

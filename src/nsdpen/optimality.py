@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .matfun import symmetrize
 from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
 from .penalty import PenaltyPoint, penalty_at, penalty_grad, special_params
@@ -144,8 +144,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
     """
     _gamma(at)
     prob = at.prob
-    if b_count < 0 or b_count > prob.d:
-        raise InvalidInputError(f"b_count must lie in [0, {prob.d}]")
+    require_int("b_count", b_count, 0, prob.d)
     rows = []
     if prob.m > 0:
         rows.append(_real("jac_g", prob.jac_g(at.x)).T)

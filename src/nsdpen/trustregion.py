@@ -6,16 +6,21 @@ the hard case, so that the outer loop can certify both a gradient bound and
 an eigenvalue bound at termination.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .matfun import symmetrize
 
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
 RADIUS_COLLAPSE = "RadiusCollapse"
+
+# cap on the Newton steps for a boundary root; from the far-left start the
+# iteration has needed at most a dozen on random secular equations
+_NEWTON_MAX_STEPS = 50
 
 
 @dataclass
@@ -31,8 +36,7 @@ class TrConfig:
     def __post_init__(self):
         if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
             raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
-        if not self.max_iter >= 1:
-            raise InvalidInputError("max_iter must be at least 1")
+        require_int("max_iter", self.max_iter, 1)
         if not (0 < self.eta1 < self.eta2 < 1):
             raise InvalidInputError("need 0 < eta1 < eta2 < 1")
         if not (0 < self.shrink < 1 < self.grow < np.inf):
@@ -53,10 +57,12 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     """Near-exact solution of the trust-region subproblem.
 
     Returns p with (B + lam*I) p = -grad for some lam >= 0 such that
-    B + lam*I is PSD, ||p|| <= radius (to ~1e-8 relative) and
-    lam * (radius - ||p||) = 0.  The hard case (gradient orthogonal to the
-    bottom eigenspace of an indefinite B) is resolved by stepping along the
-    eigenvector of the smallest eigenvalue.
+    B + lam*I is PSD, ||p|| <= radius and lam * (radius - ||p||) = 0; a
+    boundary step has ||p|| = radius to a few ulps.  Its lam comes from
+    Newton's method on the secular equation, which relies on 1/||p(lam)||
+    being concave (Moré & Sorensen 1983).  The hard case (gradient orthogonal
+    to the bottom eigenspace of an indefinite B) is resolved by stepping
+    along the eigenvector of the smallest eigenvalue.
     """
     B = np.asarray(B, dtype=float)
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
@@ -106,106 +112,31 @@ def _boundary_offset(gbar, wshift, radius, scale):
     """Root of ||p(eta)|| = radius in the offset eta = lam - lam_lb > 0.
 
     Working in the offset keeps roots close to the pole at full relative
-    precision; a Newton polish on the reciprocal-norm equation then pushes
-    the boundary mismatch down to evaluation noise.
+    precision.  The root is found by Newton's method on the secular equation
+    1/radius - 1/||p(eta)|| = 0 (Moré & Sorensen 1983): 1/||p(eta)|| is
+    concave and increasing in eta, so Newton started left of the root climbs
+    to it monotonically and stops on the boundary to a few ulps.
     """
-
-    def norm_at(eta):
-        # an exact pole gives inf, which the bracketing logic handles
-        with np.errstate(divide="ignore"):
-            return float(np.linalg.norm(gbar / (wshift + eta)))
-
-    lo = max(1e-16 * scale, 1e-300)
-    while norm_at(lo) <= radius:
+    eta = max(1e-16 * scale, 1e-300)
+    while np.linalg.norm(gbar / (wshift + eta)) <= radius:
         # numerically at/below the boundary already: shrink the offset
-        lo *= 0.01
-        if lo < 1e-280:
-            return lo
-    hi = max(scale, 1.0)
-    while norm_at(hi) >= radius:
-        hi = hi * 2 + 1.0
-
-    def phi(eta):
-        return 1.0 / radius - 1.0 / norm_at(eta)
-
-    eta = _brent_root(phi, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    # Newton polish: phi is smooth and nearly linear in eta near the root
-    for _ in range(3):
+        eta *= 0.01
+        if eta < 1e-280:
+            return eta
+    for _ in range(_NEWTON_MAX_STEPS):
         denom = wshift + eta
         coeff = gbar / denom
-        nrm = float(np.linalg.norm(coeff))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            break
-        s3 = float(np.sum(coeff**2 / denom))
-        if s3 <= 0.0 or not np.isfinite(s3):
-            break
-        step = (nrm - radius) * nrm**2 / (radius * s3)
-        if not np.isfinite(step) or eta + step <= 0.0:
+        # rescale by 2**-e, where max|coeff| = m * 2**e with 0.5 <= m < 1: scaling
+        # by a power of two is exact, so the step rounds as unscaled would, but
+        # no square overflows however far left the start lies
+        unit = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(coeff))))[1])
+        coeff *= unit
+        nrm = float(np.linalg.norm(coeff))  # ||p(eta)|| * unit
+        step = (nrm / unit - radius) * nrm**2 / (radius * float(np.sum(coeff**2 / denom)))
+        if not (np.isfinite(step) and step > 4 * np.finfo(float).eps * eta):
             break
         eta += step
     return eta
-
-
-def _brent_root(phi, lo, hi, xtol, rtol, maxiter):
-    """Root of phi in [lo, hi] by Brent's method (Brent 1973).
-
-    A transcription of the ``brentq`` kernel of SciPy's ``optimize`` C
-    sources: the same state (``xpre/xcur/xblk``, ``spre/scur``), the same
-    interpolate / extrapolate / bisect tests and the same floating-point
-    operations in the same order, so it returns the same float as
-    ``scipy.optimize.brentq``.  A NaN value or a bracket whose ends share a
-    sign raises ``ValueError``; ``maxiter`` steps without convergence raise
-    ``RuntimeError``.
-    """
-
-    def value(x):
-        fx = phi(x)
-        if fx != fx:
-            raise ValueError(f"phi({x!r}) is NaN; the root search cannot continue")
-        return fx
-
-    xpre, xcur = lo, hi
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("phi(lo) and phi(hi) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # make xcur the end with the smaller value
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations, last iterate {xcur!r}")
 
 
 def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = None) -> TrResult:

@@ -56,6 +56,7 @@ class TestConfig:
         dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
         dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
         dict(feas_check_tol=np.nan), dict(gamma_cap=np.inf),
+        dict(max_outer=40.5), dict(max_outer=True),
     ])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(InvalidInputError):
@@ -185,6 +186,13 @@ class TestSolveGuards:
         setattr(prob, hook, None)
         with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
             driver.solve(prob, driver.PenaltyConfig(max_outer=1))
+
+    @pytest.mark.parametrize("b_count", [1.5, 5, -1])  # d = 2 for nearest-psd
+    def test_bad_b_count_rejected_before_any_hook_call(self, b_count):
+        prob, counts = counting(problems.get_problem("nearest-psd").problem)
+        with pytest.raises(InvalidInputError, match="b_count"):
+            driver.solve(prob, driver.PenaltyConfig(), b_count=b_count)
+        assert not any(counts.values())
 
     def test_max_outer_status(self):
         entry = problems.get_problem("scalar-bound")

@@ -365,6 +365,9 @@ class TestCriticalSubspace:
         prob = problems.get_problem("nearest-psd").problem
         with pytest.raises(InvalidInputError):
             optimality.critical_subspace_basis(script_F_point(prob, np.zeros(3)), 3)
+        for bad in (1.5, True):
+            with pytest.raises(InvalidInputError):
+                optimality.critical_subspace_basis(script_F_point(prob, np.zeros(3)), bad)
 
 
 class TestSecondOrderResidual:
