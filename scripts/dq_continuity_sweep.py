@@ -23,15 +23,15 @@ def direction_grid():
 
 def main():
     grid = direction_grid()
-    op_limit = matfun.dq_operator(np.diag([1.0, 0.0, -1.0]))
+    dec_limit = matfun.eig_sym(np.diag([1.0, 0.0, -1.0]))
     print(f"{'k':>10} {'gap (+1/k)':>14} {'gap (-1/k)':>14}")
     for e in range(1, 8):
         k = 10**e
         gaps = []
         for sign in (+1.0, -1.0):
-            op_k = matfun.dq_operator(np.diag([1.0, sign / k, -1.0]))
+            dec_k = matfun.eig_sym(np.diag([1.0, sign / k, -1.0]))
             gaps.append(max(
-                np.linalg.norm(matfun.dq_apply(op_k, H) - matfun.dq_apply(op_limit, H))
+                np.linalg.norm(matfun.dq_apply(dec_k, H) - matfun.dq_apply(dec_limit, H))
                 for H in grid
             ))
         print(f"{k:>10d} {gaps[0]:>14.6e} {gaps[1]:>14.6e}")

@@ -16,16 +16,7 @@ from .driver import (
     solve,
 )
 from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError
-from .matfun import (
-    DQOperator,
-    EigClassification,
-    EigenDecomp,
-    classify_eigs,
-    dq_apply,
-    dq_coeff,
-    dq_operator,
-    eig_sym,
-)
+from .matfun import EigenDecomp, dq_apply, dq_coeff, eig_sym
 from .model import DerivativeAuditReport, NsdpProblem, audit_derivatives, d2G_contract, dG_adjoint
 from .optimality import (
     MultiplierPair,

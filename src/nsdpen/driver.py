@@ -66,13 +66,16 @@ class PenaltyConfig:
             raise InvalidInputError("theta must exceed 1")
         if not self.gamma0 > 0:
             raise InvalidInputError("gamma0 must be positive")
+        if not self.gamma_cap >= self.gamma0:
+            raise InvalidInputError("gamma_cap must be at least gamma0")
         if not (0 < self.delta0 < 1):
             raise InvalidInputError("delta0 must lie in (0, 1)")
         if not (0 < self.beta < 1):
             raise InvalidInputError("beta must lie in (0, 1)")
-        if self.tol_feas < 0 or self.tol_opt < 0:
+        if self.tol_feas < 0 or self.tol_opt < 0 or self.feas_check_tol < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
+        self.tr.validate()
         return self
 
 

@@ -1,8 +1,10 @@
 """Spectral kernel for dense symmetric matrices.
 
-Provides the PSD projection ``[X]+``, the matrix cube ``[X]+^3``, the scalar
-``tr([X]+^4)``, and the derivative operator of ``X -> [X]+^3`` materialized as
-an eigenbasis plus a matrix of divided-difference coefficients.  All
+``eig_sym`` gives the one ``EigenDecomp`` of a matrix X, and every other map
+reads it: the PSD part ``[X]+``, the matrix cube ``[X]+^3``, the scalar
+``tr([X]+^4)`` and the derivative of ``X -> [X]+^3``, which is the eigenbasis
+of the decomposition together with the divided-difference coefficient matrix
+of ``dq_coeff`` and is applied to a direction by ``dq_apply``.  All
 operations are pure functions of their inputs.
 """
 
@@ -52,32 +54,6 @@ class EigenDecomp:
     vectors: np.ndarray
     source_norm: float
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class EigClassification:
-    """Index partition of a descending spectrum into positive / zero / negative sets."""
-
-    pos: np.ndarray
-    zero: np.ndarray
-    neg: np.ndarray
-    tol: float
-
-
-@dataclass(frozen=True)
-class DQOperator:
-    """Derivative of ``X -> [X]+^3`` at a fixed X, stored as (eigenbasis, coefficients).
-
-    Applying the operator to H computes ``P (C o (P^T H P)) P^T`` where ``o``
-    is the Hadamard product.
-    """
-
-    basis: np.ndarray
-    coeff: np.ndarray
-
 
 def eig_sym(X) -> EigenDecomp:
     """Eigendecompose a symmetric matrix, descending order, deterministic signs.
@@ -99,20 +75,6 @@ def default_zero_tol(dec: EigenDecomp) -> float:
     return max(ABS_EIG_TOL, REL_EIG_TOL * dec.source_norm)
 
 
-def classify_eigs(dec: EigenDecomp, tol: float | None = None) -> EigClassification:
-    """Partition eigenvalue indices into {lam > tol}, {|lam| <= tol}, {lam < -tol}."""
-    if tol is None:
-        tol = default_zero_tol(dec)
-    tol = float(tol)
-    if tol < 0:
-        raise InvalidInputError("tol must be nonnegative")
-    w = dec.values
-    pos = np.flatnonzero(w > tol)
-    zero = np.flatnonzero(np.abs(w) <= tol)
-    neg = np.flatnonzero(w < -tol)
-    return EigClassification(pos=pos, zero=zero, neg=neg, tol=tol)
-
-
 def _spectral_map(dec: EigenDecomp, lam: np.ndarray) -> np.ndarray:
     P = dec.vectors
     return symmetrize((P * lam) @ P.T)
@@ -130,10 +92,11 @@ def quartic_trace_from(dec: EigenDecomp) -> float:
     return float(np.sum(np.maximum(dec.values, 0.0) ** 4))
 
 
-def dq_coeff(dec: EigenDecomp, cls: EigClassification) -> DQOperator:
+def dq_coeff(dec: EigenDecomp) -> np.ndarray:
     """Divided-difference coefficient matrix of the derivative of ``[X]+^3``.
 
-    With eigenvalues split into positive (A), zero (B) and negative (C) sets,
+    With eigenvalues split at ``tol = default_zero_tol(dec)`` into positive
+    (A: lam > tol), zero (B: |lam| <= tol) and negative (C: lam < -tol) sets,
     the entries are
 
     ==================  =====================================
@@ -143,39 +106,29 @@ def dq_coeff(dec: EigenDecomp, cls: EigClassification) -> DQOperator:
     otherwise           0
     ==================  =====================================
 
-    The A x C denominator is structurally positive after classification.
+    The eigenvalues are non-increasing, so the sets are the index ranges [0, a), [a, b)
+    and [b, d), each block is a slice, and the A x C denominator is positive.
     """
-    w = dec.values
-    d = w.shape[0]
-    if cls.pos.size + cls.zero.size + cls.neg.size != d:
-        raise InvalidInputError("classification does not partition the spectrum")
+    w, d = dec.values, dec.values.shape[0]
+    tol = default_zero_tol(dec)
+    wa, wn = w[w > tol], w[w < -tol]
+    a, b = wa.size, d - wn.size
     C = np.zeros((d, d))
-    A, B, N = cls.pos, cls.zero, cls.neg
-    if A.size:
-        wa = w[A]
-        C[np.ix_(A, A)] = wa[:, None] ** 2 + np.outer(wa, wa) + wa[None, :] ** 2
-        if B.size:
-            C[np.ix_(A, B)] = (wa**2)[:, None]
-            C[np.ix_(B, A)] = (wa**2)[None, :]
-        if N.size:
-            wn = w[N]
-            block = (wa**3)[:, None] / (wa[:, None] - wn[None, :])
-            C[np.ix_(A, N)] = block
-            C[np.ix_(N, A)] = block.T
-    return DQOperator(basis=dec.vectors, coeff=C)
+    C[:a, :a] = wa[:, None] ** 2 + np.outer(wa, wa) + wa[None, :] ** 2
+    C[:a, a:b] = (wa**2)[:, None]
+    C[a:b, :a] = (wa**2)[None, :]
+    block = (wa**3)[:, None] / (wa[:, None] - wn[None, :])
+    C[:a, b:] = block
+    C[b:, :a] = block.T
+    return C
 
 
-def dq_apply(op: DQOperator, H) -> np.ndarray:
-    """Apply the derivative operator to a symmetric direction H."""
+def dq_apply(dec: EigenDecomp, H) -> np.ndarray:
+    """Apply the derivative of ``[X]+^3`` at the decomposed X to a symmetric H: ``P (C o (P^T H P)) P^T``
+    with ``P = dec.vectors``, ``C = dq_coeff(dec)`` and ``o`` the Hadamard product."""
     H = _as_sym(H, name="H")
-    if H.shape[0] != op.basis.shape[0]:
-        raise InvalidInputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, operator is {op.basis.shape[0]}-dimensional")
-    P = op.basis
+    P = dec.vectors
+    if H.shape[0] != P.shape[0]:
+        raise InvalidInputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, the decomposition is {P.shape[0]}-dimensional")
     K = P.T @ H @ P
-    return symmetrize(P @ (op.coeff * K) @ P.T)
-
-
-def dq_operator(X) -> DQOperator:
-    """Build the derivative operator of ``[X]+^3`` at X with default classification."""
-    dec = eig_sym(X)
-    return dq_coeff(dec, classify_eigs(dec))
+    return symmetrize(P @ (dq_coeff(dec) * K) @ P.T)

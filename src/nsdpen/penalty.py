@@ -131,7 +131,7 @@ def penalty_grad(at: PenaltyPoint) -> np.ndarray:
 def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     """Exact Hessian of the penalty, symmetrized.
 
-    With P, C the eigenbasis and coefficients of ``matfun.dq_coeff`` and
+    With P = dec.vectors, C = ``matfun.dq_coeff(dec)`` and
     K_i = P^T dG(x, i) P, orthogonality of P gives <dG_i, P (C o K_j) P^T> =
     <K_i, C o K_j>, so the matrix block is st * (K (C o K)^T - d2G_contract(x, [.]+^3)).
     """
@@ -148,7 +148,7 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
         J = _real("jac_g", prob.jac_g(x))
         H = H + st * (J @ J.T)
     if dec is not None:
-        op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
-        K = (op.basis.T @ at.dG @ op.basis).reshape(prob.n, -1)
-        H = H + st * (K @ (op.coeff.ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
+        P = dec.vectors
+        K = (P.T @ at.dG @ P).reshape(prob.n, -1)
+        H = H + st * (K @ (matfun.dq_coeff(dec).ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
     return symmetrize(H)

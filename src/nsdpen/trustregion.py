@@ -34,6 +34,9 @@ class TrConfig:
     radius_min: float = 1e-14
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
         if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
             raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
         require_int("max_iter", self.max_iter, 1)
@@ -41,6 +44,20 @@ class TrConfig:
             raise InvalidInputError("need 0 < eta1 < eta2 < 1")
         if not (0 < self.shrink < 1 < self.grow < np.inf):
             raise InvalidInputError("need 0 < shrink < 1 < grow < inf")
+        return self
+
+
+def _pow2_unit(v) -> float:
+    """2**-e, where max|v| = m * 2**e with 0.5 <= m < 1 and e >= -1021 (so 2**-e is finite for
+    subnormal v): scaling by it is exact, so a norm taken after it rounds as the unscaled one
+    would, but no square overflows."""
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(v))))[1], -1021))
+
+
+def _norm(v) -> float:
+    """Euclidean norm of v, finite whenever it is representable."""
+    unit = _pow2_unit(v)
+    return float(np.linalg.norm(v * unit)) / unit
 
 
 @dataclass
@@ -82,7 +99,7 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     # interior Newton step when B is positive definite and the step fits
     if wmin > 0:
         p = Q @ (-gbar / w)
-        if np.linalg.norm(p) <= radius * (1 + 1e-12):
+        if _norm(p) <= radius * (1 + 1e-12):
             return p
 
     lam_lb = max(0.0, -wmin)
@@ -91,14 +108,14 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     wshift = w + lam_lb
     scale = max(1.0, float(np.max(np.abs(w))))
     cluster = w - wmin <= 1e-13 * scale
-    g_cluster = float(np.linalg.norm(gbar[cluster]))
+    g_cluster = _norm(gbar[cluster])
 
-    if g_cluster <= 1e-13 * max(1.0, float(np.linalg.norm(gbar))):
+    if g_cluster <= 1e-13 * max(1.0, _norm(gbar)):
         # gradient (numerically) orthogonal to the bottom eigenspace
         coeff = np.zeros(n)
         free = ~cluster
         coeff[free] = -gbar[free] / wshift[free]
-        norm_tilde = float(np.linalg.norm(coeff))
+        norm_tilde = _norm(coeff)
         if norm_tilde <= radius:
             if lam_lb == 0.0:
                 return Q @ coeff  # interior: B PSD, lam = 0
@@ -118,7 +135,7 @@ def _boundary_offset(gbar, wshift, radius, scale):
     to it monotonically and stops on the boundary to a few ulps.
     """
     eta = max(1e-16 * scale, 1e-300)
-    while np.linalg.norm(gbar / (wshift + eta)) <= radius:
+    while _norm(gbar / (wshift + eta)) <= radius:
         # numerically at/below the boundary already: shrink the offset
         eta *= 0.01
         if eta < 1e-280:
@@ -126,10 +143,8 @@ def _boundary_offset(gbar, wshift, radius, scale):
     for _ in range(_NEWTON_MAX_STEPS):
         denom = wshift + eta
         coeff = gbar / denom
-        # rescale by 2**-e, where max|coeff| = m * 2**e with 0.5 <= m < 1: scaling
-        # by a power of two is exact, so the step rounds as unscaled would, but
-        # no square overflows however far left the start lies
-        unit = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(coeff))))[1])
+        # rescaled, so that no square overflows however far left the start lies
+        unit = _pow2_unit(coeff)
         coeff *= unit
         nrm = float(np.linalg.norm(coeff))  # ||p(eta)|| * unit
         step = (nrm / unit - radius) * nrm**2 / (radius * float(np.sum(coeff**2 / denom)))
@@ -164,7 +179,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     """
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
-    cfg = config or TrConfig()
+    cfg = (config or TrConfig()).validate()
 
     def derivatives(z):
         # gradient, Hessian and smallest Hessian eigenvalue at the start or an accepted point

@@ -51,6 +51,12 @@ def q_cube(X) -> np.ndarray:
     return matfun.q_cube_from(matfun.eig_sym(X))
 
 
+def eig_classes(dec: matfun.EigenDecomp):
+    """Masks of the eigenvalues that ``dq_coeff`` counts as positive, zero and negative."""
+    tol = matfun.default_zero_tol(dec)
+    return dec.values > tol, np.abs(dec.values) <= tol, dec.values < -tol
+
+
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -24,7 +24,7 @@ from nsdpen import (
     trustregion,
 )
 
-from conftest import q_cube, rng, script_F_point
+from conftest import eig_classes, q_cube, rng, script_F_point
 
 
 def criterion(num, label):
@@ -119,7 +119,7 @@ def test_criterion_2_dq_correctness_and_continuity():
             values[1] = values[0]
         X = sym_from_spectrum(gen, values)
         H = random_sym(gen, d)
-        out = matfun.dq_apply(matfun.dq_operator(X), H)
+        out = matfun.dq_apply(matfun.eig_sym(X), H)
         fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
         rel = np.linalg.norm(out - fd) / (1 + np.linalg.norm(out))
         assert rel <= 1e-6, (idx, rel)
@@ -129,7 +129,7 @@ def test_criterion_2_dq_correctness_and_continuity():
         d = int(gen.integers(1, 7))
         X = sym_from_spectrum(gen, gen.uniform(0.5, 3.0, size=d))
         H = random_sym(gen, d)
-        out = matfun.dq_apply(matfun.dq_operator(X), H)
+        out = matfun.dq_apply(matfun.eig_sym(X), H)
         ref = X @ X @ H + X @ H @ X + H @ X @ X
         assert np.linalg.norm(out - ref) <= 1e-10 * (1 + np.linalg.norm(ref))
 
@@ -141,13 +141,13 @@ def test_criterion_2_dq_correctness_and_continuity():
             E[i, j] = E[j, i] = 1.0
             H_grid.append(E / np.linalg.norm(E))
     H_grid.append(np.ones((3, 3)) / 3.0)
-    op_limit = matfun.dq_operator(np.diag([1.0, 0.0, -1.0]))
+    dec_limit = matfun.eig_sym(np.diag([1.0, 0.0, -1.0]))
     for sign in (+1.0, -1.0):
         gaps = []
         for e in range(1, 8):
-            op_k = matfun.dq_operator(np.diag([1.0, sign / 10**e, -1.0]))
+            dec_k = matfun.eig_sym(np.diag([1.0, sign / 10**e, -1.0]))
             gaps.append(max(
-                np.linalg.norm(matfun.dq_apply(op_k, H) - matfun.dq_apply(op_limit, H))
+                np.linalg.norm(matfun.dq_apply(dec_k, H) - matfun.dq_apply(dec_limit, H))
                 for H in H_grid
             ))
         assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
@@ -325,8 +325,7 @@ def test_criterion_6_optimality_identities(corpus_runs):
             continue
         for rec in report.iterates:
             dec = matfun.eig_sym(np.asarray(prob.G(rec.x)))
-            cls = matfun.classify_eigs(dec)
-            for j in cls.pos:
+            for j in np.flatnonzero(eig_classes(dec)[0]):
                 v = dec.vectors[:, j]
                 assert abs(v @ rec.Z @ v) <= 1e-12 * (1 + np.linalg.norm(rec.Z)), name
 
@@ -342,12 +341,12 @@ def test_criterion_6_optimality_identities(corpus_runs):
             if basis.shape[1] == 0:
                 continue
             sigma = optimality.sigma_term(at, rec.Z)
-            op = matfun.dq_operator(-np.asarray(prob.G(rec.x)))
+            dec = matfun.eig_sym(-np.asarray(prob.G(rec.x)))
             for _ in range(20):
                 h = basis @ gen.normal(size=basis.shape[1])
                 Dh = np.tensordot(h, at.dG, 1)
                 quad_sigma = float(h @ sigma @ h)
-                quad_dq = rec.gamma * float(np.sum(Dh * matfun.dq_apply(op, Dh)))
+                quad_dq = rec.gamma * float(np.sum(Dh * matfun.dq_apply(dec, Dh)))
                 scale = 1 + abs(quad_sigma) + abs(quad_dq)
                 assert quad_sigma - quad_dq >= -1e-9 * scale, name
                 checked += 1

@@ -57,10 +57,20 @@ class TestConfig:
         dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
         dict(feas_check_tol=np.nan), dict(gamma_cap=np.inf),
         dict(max_outer=40.5), dict(max_outer=True),
+        dict(feas_check_tol=-1.0), dict(gamma_cap=0.5), dict(gamma0=1e15),
+        dict(tr=dict(max_iter=2.5)), dict(tr=dict(eta1=0.9)), dict(tr=dict(delta0_radius=np.nan)),
     ])
     def test_bad_fields_rejected(self, bad):
+        # a ``tr`` entry names fields set on a built TrConfig, which skips its own check
+        cfg = driver.PenaltyConfig(**{k: v for k, v in bad.items() if k != "tr"})
+        for name, value in bad.get("tr", {}).items():
+            setattr(cfg.tr, name, value)
         with pytest.raises(InvalidInputError):
-            driver.PenaltyConfig(**bad).validate()
+            cfg.validate()
+        prob, counts = counting(problems.get_problem("scalar-bound").problem)
+        with pytest.raises(InvalidInputError):
+            driver.solve(prob, cfg)
+        assert not any(counts.values())
 
 
 class TestSolveScalarBound:

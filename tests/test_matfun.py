@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nsdpen import matfun
 from nsdpen.errors import InvalidInputError
 
-from conftest import q_cube, rng
+from conftest import eig_classes, q_cube, rng
 
 
 def random_sym(gen, d, scale=1.0):
@@ -95,48 +95,6 @@ class TestEigSym:
         assert np.array_equal(a.vectors, b.vectors)
 
 
-class TestClassify:
-    def test_three_way_split(self):
-        dec = matfun.EigenDecomp(np.array([3.0, 1e-15, -2.0]), np.eye(3), 3.6)
-        cls = matfun.classify_eigs(dec, tol=1e-10)
-        assert list(cls.pos) == [0] and list(cls.zero) == [1] and list(cls.neg) == [2]
-
-    def test_all_positive(self):
-        dec = matfun.EigenDecomp(np.array([2.0, 1.0]), np.eye(2), 2.2)
-        cls = matfun.classify_eigs(dec, tol=1e-10)
-        assert cls.zero.size == 0 and cls.neg.size == 0 and cls.pos.size == 2
-
-    def test_all_zero(self):
-        dec = matfun.EigenDecomp(np.zeros(2), np.eye(2), 0.0)
-        cls = matfun.classify_eigs(dec)
-        assert list(cls.zero) == [0, 1]
-
-    def test_default_tol_scaling(self):
-        dec = matfun.EigenDecomp(np.array([1.0]), np.eye(1), 1e4)
-        assert matfun.classify_eigs(dec).tol == pytest.approx(1e-10 * 1e4)
-
-    def test_negative_tol_rejected(self):
-        dec = matfun.EigenDecomp(np.array([1.0]), np.eye(1), 1.0)
-        with pytest.raises(InvalidInputError):
-            matfun.classify_eigs(dec, tol=-1.0)
-
-    @given(st.integers(0, 10**6))
-    def test_partition_prefix_suffix(self, seed):
-        gen = rng(seed)
-        d = int(gen.integers(1, 8))
-        X = random_sym(gen, d)
-        if gen.random() < 0.3:  # force some exact zeros
-            w, Q = np.linalg.eigh(X)
-            w[: int(gen.integers(1, d + 1))] = 0.0
-            X = (Q * w) @ Q.T
-        dec = matfun.eig_sym(X)
-        cls = matfun.classify_eigs(dec)
-        merged = np.concatenate([cls.pos, cls.zero, cls.neg])
-        assert sorted(merged.tolist()) == list(range(d))
-        assert list(cls.pos) == list(range(len(cls.pos)))
-        assert list(cls.neg) == list(range(d - len(cls.neg), d))
-
-
 class TestPsdMaps:
     def test_proj_diag(self):
         assert np.allclose(matfun.psd_part_from(matfun.eig_sym(np.diag([2.0, -3.0]))), np.diag([2.0, 0.0]))
@@ -189,42 +147,108 @@ class TestPsdMaps:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(X))
 
 
+def table_coeff(w, tol):
+    """The table of ``dq_coeff``'s docstring, filled entry by entry."""
+    # numpy's power may round one element differently depending on the
+    # length and the strides of the array it sits in, so the cubes are taken
+    # as dq_coeff takes them: over a copy of the positive eigenvalues
+    sq, cube = w**2, np.zeros_like(w)
+    cube[w > tol] = w[w > tol] ** 3
+    C = np.zeros((w.size, w.size))
+    for i, a in enumerate(w):
+        for j, b in enumerate(w):
+            if a > tol and b > tol:
+                C[i, j] = sq[i] + a * b + sq[j]
+            elif a > tol and abs(b) <= tol:
+                C[i, j] = sq[i]
+            elif abs(a) <= tol and b > tol:
+                C[i, j] = sq[j]
+            elif a > tol and b < -tol:
+                C[i, j] = cube[i] / (a - b)
+            elif a < -tol and b > tol:
+                C[i, j] = cube[j] / (b - a)
+    return C
+
+
+class TestClassify:
+    """The split of the spectrum at ``default_zero_tol`` that ``dq_coeff`` makes."""
+
+    def test_three_way_split(self):
+        # 1e-15 lies below the tolerance 3.6e-10, so it counts as zero
+        dec = matfun.EigenDecomp(np.array([3.0, 1e-15, -2.0]), np.eye(3), 3.6)
+        assert np.array_equal(matfun.dq_coeff(dec), [[27.0, 9.0, 27.0 / 5.0], [9.0, 0.0, 0.0], [27.0 / 5.0, 0.0, 0.0]])
+
+    def test_all_positive(self):
+        dec = matfun.EigenDecomp(np.array([2.0, 1.0]), np.eye(2), 2.2)
+        assert np.array_equal(matfun.dq_coeff(dec), [[12.0, 7.0], [7.0, 3.0]])
+
+    def test_all_zero(self):
+        dec = matfun.EigenDecomp(np.zeros(2), np.eye(2), 0.0)
+        assert np.array_equal(matfun.dq_coeff(dec), np.zeros((2, 2)))
+
+    def test_default_tol_scaling(self):
+        for source_norm, tol in ((0.0, 1e-12), (1e-3, 1e-12), (1.0, 1e-10), (1e4, 1e-6)):
+            dec = matfun.EigenDecomp(np.array([1.0]), np.eye(1), source_norm)
+            assert matfun.default_zero_tol(dec) == pytest.approx(tol, rel=1e-15)
+        # 5e-7 is zero against the tolerance 1e-6 of a matrix of norm 1e4, positive against 1e-10
+        big = matfun.EigenDecomp(np.array([1.0, 5e-7]), np.eye(2), 1e4)
+        assert np.array_equal(matfun.dq_coeff(big), [[3.0, 1.0], [1.0, 0.0]])
+        small = matfun.EigenDecomp(big.values, big.vectors, 1.0)
+        assert np.array_equal(matfun.dq_coeff(small), table_coeff(big.values, 1e-10))
+        assert matfun.dq_coeff(small)[1, 1] > 0
+
+    @given(st.integers(0, 10**6))
+    def test_matches_table(self, seed):
+        # random spectra with exact zeros and eigenvalues at, just inside and
+        # just outside the zero tolerance; the values are a reversed view, and
+        # the coefficients must not depend on that layout
+        gen = rng(seed)
+        d = int(gen.integers(1, 9))
+        w = gen.normal(size=d) * 10.0 ** gen.integers(-3, 4)
+        source_norm = float(np.linalg.norm(w))
+        tol = max(matfun.ABS_EIG_TOL, matfun.REL_EIG_TOL * source_norm)
+        edge = tol * np.array([1.0, 1.0 - 2.0**-20, 1.0 + 2.0**-20])
+        special = np.concatenate([[0.0], edge, -edge])
+        pick = gen.random(d) < 0.5
+        w[pick] = gen.choice(special, size=int(pick.sum()))
+        dec = matfun.EigenDecomp(np.sort(w)[::-1], np.eye(d), source_norm)
+        assert matfun.default_zero_tol(dec) == tol
+        C = matfun.dq_coeff(dec)
+        assert isinstance(C, np.ndarray) and C.shape == (d, d)
+        assert np.array_equal(C, table_coeff(dec.values, tol))
+
+
 class TestDqCoeff:
     def test_mixed_signs(self):
-        op = matfun.dq_operator(np.diag([1.0, -1.0]))
-        assert np.allclose(op.coeff, [[3.0, 0.5], [0.5, 0.0]])
+        assert np.allclose(matfun.dq_coeff(matfun.eig_sym(np.diag([1.0, -1.0]))), [[3.0, 0.5], [0.5, 0.0]])
 
     def test_zero_eigenvalue(self):
-        op = matfun.dq_operator(np.diag([1.0, 0.0]))
-        assert np.allclose(op.coeff, [[3.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(matfun.dq_coeff(matfun.eig_sym(np.diag([1.0, 0.0]))), [[3.0, 1.0], [1.0, 0.0]])
 
     def test_negative_definite_gives_zero(self):
-        op = matfun.dq_operator(-np.eye(3))
-        assert np.allclose(op.coeff, 0.0)
+        assert np.allclose(matfun.dq_coeff(matfun.eig_sym(-np.eye(3))), 0.0)
 
     def test_coeff_symmetric_nonnegative_with_zero_blocks(self):
         gen = rng(7)
         X = sym_from_spectrum(gen, [2.0, 0.5, 0.0, -0.3, -2.0])
         dec = matfun.eig_sym(X)
-        cls = matfun.classify_eigs(dec)
-        op = matfun.dq_coeff(dec, cls)
-        C = op.coeff
+        _, zero, neg = eig_classes(dec)
+        C = matfun.dq_coeff(dec)
         assert np.array_equal(C, C.T)
         assert np.all(C >= 0)
-        assert np.all(C[np.ix_(cls.neg, cls.neg)] == 0)
-        assert np.all(C[np.ix_(cls.zero, cls.zero)] == 0)
+        assert np.all(C[np.ix_(neg, neg)] == 0)
+        assert np.all(C[np.ix_(zero, zero)] == 0)
 
 
 class TestDqApply:
     def test_zero_matrix_derivative_vanishes(self):
-        op = matfun.dq_operator(np.zeros((3, 3)))
         H = random_sym(rng(8), 3)
-        assert np.allclose(matfun.dq_apply(op, H), 0.0)
+        assert np.allclose(matfun.dq_apply(matfun.eig_sym(np.zeros((3, 3))), H), 0.0)
 
     def test_indefinite_example_and_fd(self):
         X = np.diag([1.0, -1.0])
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = matfun.dq_apply(matfun.dq_operator(X), H)
+        out = matfun.dq_apply(matfun.eig_sym(X), H)
         assert np.allclose(out, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
         t = 1e-5
         fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
@@ -237,23 +261,22 @@ class TestDqApply:
         gen = rng(9)
         for _ in range(5):
             H = random_sym(gen, 2)
-            out = matfun.dq_apply(matfun.dq_operator(X), H)
+            out = matfun.dq_apply(matfun.eig_sym(X), H)
             ref = X @ X @ H + X @ H @ X + H @ X @ X
             assert np.linalg.norm(out - ref) <= 1e-10
 
     def test_dimension_mismatch(self):
-        op = matfun.dq_operator(np.eye(2))
         with pytest.raises(InvalidInputError):
-            matfun.dq_apply(op, np.eye(3))
+            matfun.dq_apply(matfun.eig_sym(np.eye(2)), np.eye(3))
 
     @given(st.integers(0, 10**6), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, seed, a, b):
         gen = rng(seed)
         d = int(gen.integers(1, 6))
-        op = matfun.dq_operator(random_sym(gen, d))
+        dec = matfun.eig_sym(random_sym(gen, d))
         H1, H2 = random_sym(gen, d), random_sym(gen, d)
-        lhs = matfun.dq_apply(op, a * H1 + b * H2)
-        rhs = a * matfun.dq_apply(op, H1) + b * matfun.dq_apply(op, H2)
+        lhs = matfun.dq_apply(dec, a * H1 + b * H2)
+        rhs = a * matfun.dq_apply(dec, H1) + b * matfun.dq_apply(dec, H2)
         scale = np.linalg.norm(lhs) + np.linalg.norm(rhs)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + scale)
 
@@ -267,7 +290,7 @@ class TestDqApply:
             values += 0.35 * np.arange(d)[::-1]
             X = sym_from_spectrum(gen, values)
             H = random_sym(gen, d)
-            out = matfun.dq_apply(matfun.dq_operator(X), H)
+            out = matfun.dq_apply(matfun.eig_sym(X), H)
             fd = (q_cube(X + t * H) - q_cube(X - t * H)) / (2 * t)
             scale = 1 + np.linalg.norm(X) ** 3 * np.linalg.norm(H)
             assert np.linalg.norm(out - fd) <= 1e-6 * scale
@@ -284,12 +307,12 @@ class TestDqApply:
         H_grid.append(np.ones((3, 3)) / 3.0)
         H_grid.append(random_sym(rng(12), 3) / np.linalg.norm(random_sym(rng(12), 3)))
 
-        op_limit = matfun.dq_operator(np.diag([1.0, 0.0, -1.0]))
+        dec_limit = matfun.eig_sym(np.diag([1.0, 0.0, -1.0]))
 
         def gap(k, sign):
-            op_k = matfun.dq_operator(np.diag([1.0, sign / k, -1.0]))
+            dec_k = matfun.eig_sym(np.diag([1.0, sign / k, -1.0]))
             return max(
-                np.linalg.norm(matfun.dq_apply(op_k, H) - matfun.dq_apply(op_limit, H))
+                np.linalg.norm(matfun.dq_apply(dec_k, H) - matfun.dq_apply(dec_limit, H))
                 for H in H_grid
             )
 
@@ -310,10 +333,9 @@ class TestDqApply:
         R = np.eye(3)
         R[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         alt = matfun.EigenDecomp(dec.values, dec.vectors @ R, dec.source_norm)
-        cls = matfun.classify_eigs(dec)
         H = random_sym(gen, 3)
-        out1 = matfun.dq_apply(matfun.dq_coeff(dec, cls), H)
-        out2 = matfun.dq_apply(matfun.dq_coeff(alt, cls), H)
+        out1 = matfun.dq_apply(dec, H)
+        out2 = matfun.dq_apply(alt, H)
         assert np.linalg.norm(out1 - out2) <= 1e-10
 
     def test_matches_block_form_oracle(self):
@@ -344,7 +366,7 @@ class TestDqApply:
             if zr.size:
                 cross = PI @ (b[:, None] * KIJ) @ PJ.T
                 ref = ref + cross + cross.T
-            out = matfun.dq_apply(matfun.dq_operator(X), H)
+            out = matfun.dq_apply(matfun.eig_sym(X), H)
             assert np.linalg.norm(out - ref) <= 1e-10 * (1 + np.linalg.norm(ref))
 
     @given(st.integers(0, 10**6))

@@ -8,7 +8,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, script_F_point
+from conftest import BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point
 
 
 def unconstrained_indefinite():
@@ -85,8 +85,7 @@ class TestLoopEquivalence:
         prob = ball_problem(d, m=m, fd_second_order=fd, seed=d + m)
         for seed in (40, 41):
             x, y, Z = mixed_point(prob, seed)
-            cls = matfun.classify_eigs(matfun.eig_sym(prob.G(x)))
-            assert cls.pos.size and cls.zero.size and cls.neg.size
+            assert all(mask.any() for mask in eig_classes(matfun.eig_sym(prob.G(x))))
             for point in (x, rng(seed).normal(size=prob.n)):
                 for new, ref in ((optimality.lagrangian_hess(prob, point, y, Z), loop_lagrangian_hess(prob, point, y, Z)),
                                  (optimality.sigma_term(script_F_point(prob, point), Z), loop_sigma_term(prob, point, Z))):
@@ -203,8 +202,7 @@ class TestRecoverMultipliers:
             scale = 1 + np.linalg.norm(Gx) * np.linalg.norm(Z)
             assert np.linalg.norm(Gx @ Z - Z @ Gx) <= 1e-9 * scale
             dec = matfun.eig_sym(Gx)
-            cls = matfun.classify_eigs(dec)
-            for j in cls.pos:
+            for j in np.flatnonzero(eig_classes(dec)[0]):
                 v = dec.vectors[:, j]
                 assert abs(v @ Z @ v) <= 1e-12 * (1 + np.linalg.norm(Z))
 

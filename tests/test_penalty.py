@@ -9,7 +9,7 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, mixed_ball_point, rng, script_F_point, spectrum_matrix
+from conftest import BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point, spectrum_matrix
 
 
 def scalar_quartic_problem():
@@ -64,9 +64,8 @@ def loop_penalty_hess(prob, x, p):
     Gx = matfun.symmetrize(np.asarray(prob.G(x), dtype=float))
     dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
     cube = matfun.q_cube_from(dec)
-    op = matfun.dq_coeff(dec, matfun.classify_eigs(dec))
     Gi = [matfun.symmetrize(np.asarray(prob.dG(x, i), dtype=float)) for i in range(prob.n)]
-    dq_Gj = [matfun.dq_apply(op, Gj) for Gj in Gi]
+    dq_Gj = [matfun.dq_apply(dec, Gj) for Gj in Gi]
     for i in range(prob.n):
         for j in range(i, prob.n):
             val = -st * float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * cube))
@@ -364,8 +363,7 @@ class TestHessian:
                                   (gen.normal(size=prob.n), p)):
                 if point is x:
                     M = params.M / params.tau if params.M is not None else 0.0
-                    cls = matfun.classify_eigs(matfun.eig_sym(M - prob.G(x)))
-                    assert cls.pos.size and cls.zero.size and cls.neg.size
+                    assert all(mask.any() for mask in eig_classes(matfun.eig_sym(M - prob.G(x))))
                 ref = loop_penalty_hess(prob, point, params)
                 H = penalty.penalty_hess(penalty.penalty_at(prob, point, params))
                 assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -155,13 +155,26 @@ class TestBoundaryOffset:
         assert eta > 0
         assert abs(np.linalg.norm(g / (wshift + eta)) - radius) <= 1e-14 * radius
 
-    @pytest.mark.parametrize("g0", [1e100, 1e140])
-    def test_huge_gradient_step_on_boundary(self, g0):
-        # ||p|| is g0 * 5e15 at the start of the Newton iteration: its cube
-        # overflows, and at 1e140 so does its square in the start's norm check
-        with np.errstate(over="ignore"):
-            p = tr.ms_subproblem(np.diag([-1.0, 2.0]), np.array([g0, 1.0]), 1.0)
+    @pytest.mark.parametrize("g0", [1e100, 1e140, 1e160, 1e200, 1e290])
+    @pytest.mark.parametrize("w0", [-1.0, 1.0, 0.0])  # B indefinite, positive definite, singular
+    def test_huge_gradient_step_on_boundary(self, g0, w0):
+        # ||p|| is about g0 * 1e16 at the start of the Newton iteration, so its
+        # square overflows from g0 = 1e140 on, and ||g||^2 from 1e160 on; every
+        # norm is taken after an exact rescaling, so none of them may warn
+        p = tr.ms_subproblem(np.diag([w0, 2.0]), np.array([g0, 1.0]), 1.0)
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-14
+        assert abs(p[0] + 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("g0", [1e-300, 1e-310, 1e-320])
+    @pytest.mark.parametrize("w0", [-1.0, 1.0, 0.0])  # B indefinite, positive definite, singular
+    def test_tiny_gradient_step(self, g0, w0):
+        # a subnormal gradient must not overflow the power-of-two rescaling of the norms
+        p = tr.ms_subproblem(np.diag([w0, 2.0]), np.array([g0, g0]), 1.0)
+        assert np.all(np.isfinite(p))
+        if w0 < 0:  # hard case: the step runs along the negative curvature to the boundary
+            assert abs(np.linalg.norm(p) - 1.0) <= 1e-14
+        else:  # interior step -g / (w + 0)
+            assert np.array_equal(p, [0.0 if w0 == 0 else -g0 / w0, -g0 / 2.0])
 
 
 def test_import_loads_no_scipy():
@@ -306,9 +319,20 @@ class TestTrMinimize:
                     dict(radius_min=np.nan), dict(radius_min=np.inf), dict(radius_min=-1e-14),
                     dict(shrink=0.0), dict(shrink=-0.5), dict(shrink=np.nan),
                     dict(grow=np.inf), dict(grow=np.nan), dict(grow=1.0),
-                    dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True)):
+                    dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True),
+                    dict(eta1=0.9)):
             with pytest.raises(InvalidInputError):
                 tr.TrConfig(**bad)
+            # the same fields set on a built config are caught before any hook runs
+            cfg = tr.TrConfig()
+            for name, value in bad.items():
+                setattr(cfg, name, value)
+            with pytest.raises(InvalidInputError):
+                cfg.validate()
+            calls = []
+            with pytest.raises(InvalidInputError):
+                tr.tr_minimize(calls.append, calls.append, calls.append, np.zeros(2), delta=1e-8, config=cfg)
+            assert calls == []
         tr.TrConfig(radius_min=0.0, max_iter=1, shrink=1e-3, grow=1e3, delta0_radius=1e-3)
 
 
