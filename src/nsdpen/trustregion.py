@@ -3,7 +3,8 @@
 The subproblem min g^T p + p^T B p / 2 over ||p|| <= radius is solved
 near-exactly in the eigenbasis of B (dimensions here are small), including
 the hard case, so that the outer loop can certify both a gradient bound and
-an eigenvalue bound at termination.
+an eigenvalue bound at termination; the eigenvalue is computed only where the
+gradient bound already holds, since elsewhere it cannot change the decision.
 """
 
 import math
@@ -65,7 +66,6 @@ class TrResult:
     x: np.ndarray
     value: float
     grad_norm: float
-    min_hess_eig: float
     iterations: int
     status: str
 
@@ -119,7 +119,7 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
         if norm_tilde <= radius:
             if lam_lb == 0.0:
                 return Q @ coeff  # interior: B PSD, lam = 0
-            tau = np.sqrt(max(radius**2 - norm_tilde**2, 0.0))
+            tau = math.sqrt(radius - norm_tilde) * math.sqrt(radius + norm_tilde)
             return Q @ coeff + tau * Q[:, 0]
     eta = _boundary_offset(gbar, wshift, radius, scale)
     return Q @ (-gbar / (wshift + eta))
@@ -134,7 +134,8 @@ def _boundary_offset(gbar, wshift, radius, scale):
     concave and increasing in eta, so Newton started left of the root climbs
     to it monotonically and stops on the boundary to a few ulps.
     """
-    eta = max(1e-16 * scale, 1e-300)
+    # the last term bounds |gbar / (wshift + eta)| by 2**1000, so the start check cannot overflow
+    eta = max(1e-16 * scale, 1e-300, math.ldexp(float(np.max(np.abs(gbar))), -1000))
     while _norm(gbar / (wshift + eta)) <= radius:
         # numerically at/below the boundary already: shrink the offset
         eta *= 0.01
@@ -158,8 +159,9 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     """Minimize a twice-differentiable function until both certificates hold.
 
     Terminates with status ``Converged`` at a point x where
-    ``||grad(x)|| <= delta`` and ``lambda_min(hess(x)) >= -delta``.  Accepted
-    iterates decrease the objective monotonically.  ``MaxIter`` and
+    ``||grad(x)|| <= delta`` and ``lambda_min(hess(x)) >= -delta``; lambda_min
+    is computed once per start or accepted point, and only where ||grad|| <= delta.
+    Accepted iterates decrease the objective monotonically.  ``MaxIter`` and
     ``RadiusCollapse`` report failure; the best point found is returned.
     A trial point whose value, gradient or Hessian raises an ArithmeticError or
     ValueError or is not finite is rejected; at the start point these propagate.
@@ -182,26 +184,23 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     cfg = (config or TrConfig()).validate()
 
     def derivatives(z):
-        # gradient, Hessian and smallest Hessian eigenvalue at the start or an accepted point
+        # gradient, its norm, Hessian and both certificates; `and` skips the eigensolve if ||g|| > delta
         g_z = np.atleast_1d(np.asarray(grad(z), dtype=float))
         H_z = symmetrize(np.asarray(hess(z), dtype=float))
         if not (np.all(np.isfinite(g_z)) and np.all(np.isfinite(H_z))):
             raise InvalidInputError("gradient or Hessian has non-finite entries")
-        return g_z, H_z, float(np.linalg.eigvalsh(H_z)[0])
+        gnorm_z = _norm(g_z)
+        return g_z, gnorm_z, H_z, gnorm_z <= delta and np.linalg.eigvalsh(H_z)[0] >= -delta
 
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     radius = cfg.delta0_radius
     f_x = float(fun(x))
-    g_x, H_x, lam_min = derivatives(x)
+    g_x, gnorm, H_x, certified = derivatives(x)
 
     for it in range(cfg.max_iter):
-        gnorm = float(np.linalg.norm(g_x))
-        if gnorm <= delta and lam_min >= -delta:
-            return TrResult(x=x, value=f_x, grad_norm=gnorm, min_hess_eig=lam_min,
-                            iterations=it, status=CONVERGED)
-        if radius < cfg.radius_min:
-            return TrResult(x=x, value=f_x, grad_norm=gnorm, min_hess_eig=lam_min,
-                            iterations=it, status=RADIUS_COLLAPSE)
+        if certified or radius < cfg.radius_min:
+            status = CONVERGED if certified else RADIUS_COLLAPSE
+            break
         p = ms_subproblem(H_x, g_x, radius)
         pred = -(float(g_x @ p) + 0.5 * float(p @ H_x @ p))
         x_new = x + p
@@ -216,7 +215,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
             else:
                 ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
                 accept = ratio >= cfg.eta1
-                grow = ratio >= cfg.eta2 and np.linalg.norm(p) >= 0.99 * radius
+                grow = ratio >= cfg.eta2 and _norm(p) >= 0.99 * radius
             new_derivatives = derivatives(x_new) if accept else None
         except (ArithmeticError, ValueError):  # InvalidInputError and LinAlgError are ValueErrors
             accept = False  # a hook failed at the trial point
@@ -224,10 +223,9 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
             radius *= cfg.shrink
             continue
         x, f_x = x_new, f_new
-        g_x, H_x, lam_min = new_derivatives
+        g_x, gnorm, H_x, certified = new_derivatives
         if grow:
             radius *= cfg.grow
-
-    gnorm = float(np.linalg.norm(g_x))
-    return TrResult(x=x, value=f_x, grad_norm=gnorm, min_hess_eig=lam_min,
-                    iterations=cfg.max_iter, status=MAX_ITER)
+    else:
+        it, status = cfg.max_iter, MAX_ITER
+    return TrResult(x=x, value=f_x, grad_norm=gnorm, iterations=it, status=status)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nsdpen import driver, matfun, optimality, penalty, problems
+from nsdpen import driver, matfun, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
@@ -330,6 +330,75 @@ class TestHookFailureAtTrialPoint:
             report = driver.solve(sqrt_problem(sqrt))
         assert report.final_status == driver.INNER_FAILURE
         assert "exceeds cap" in report.detail
+
+
+def saddle_start_problem(active: bool) -> NsdpProblem:
+    """min (x1^2 - 1)^2 + x2^2 from the saddle x = 0, where the gradient is 0 and the Hessian indefinite.
+
+    G = 2I is never active; G = diag(0.5 - x1, 0.5 + x1) is active at the limit x1 = +-0.5.
+    """
+    if active:
+        G = lambda x: np.diag([0.5 - x[0], 0.5 + x[0]])
+        dG = lambda x, i: np.diag([-1.0, 1.0]) if i == 0 else np.zeros((2, 2))
+    else:
+        G = lambda x: 2.0 * np.eye(2)
+        dG = lambda x, i: np.zeros((2, 2))
+    return NsdpProblem(
+        name="saddle-start", n=2, m=0, d=2, start_point=np.zeros(2),
+        f=lambda x: float((x[0] ** 2 - 1.0) ** 2 + x[1] ** 2),
+        grad_f=lambda x: np.array([4.0 * x[0] * (x[0] ** 2 - 1.0), 2.0 * x[1]]),
+        hess_f=lambda x: np.diag([12.0 * x[0] ** 2 - 4.0, 2.0]),
+        G=G, dG=dG, d2G=lambda x, i, j: np.zeros((2, 2)),
+    )
+
+
+class TestSaddleStart:
+    # at x = 0 only lambda_min of the penalty Hessian tells the inner solver to move
+    @pytest.mark.parametrize("active", [False, True], ids=["inactive", "active"])
+    def test_escapes_to_second_order_point(self, active, monkeypatch):
+        steps = []  # (B indefinite, hard case) of every subproblem
+        ms_subproblem = trustregion.ms_subproblem
+
+        def classifying(B, g, radius):
+            w, Q = np.linalg.eigh(B)
+            # hard case: the gradient is orthogonal to the bottom eigenvector of an indefinite B
+            steps.append((w[0] < 0, w[0] < 0 and abs(Q[:, 0] @ g) <= 1e-13 * max(1.0, np.linalg.norm(g))))
+            return ms_subproblem(B, g, radius)
+
+        monkeypatch.setattr(trustregion, "ms_subproblem", classifying)
+        report = driver.solve(saddle_start_problem(active), driver.PenaltyConfig(tol_feas=1e-4))
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert all(rec.second_order <= rec.epsilon for rec in report.iterates)
+        assert report.final.f_value < 1.0
+        assert any(indefinite for indefinite, _ in steps) and any(hard for _, hard in steps)
+
+    def test_one_eigensolve_per_point_within_gradient_bound(self, monkeypatch):
+        # inside tr_minimize, lambda_min is computed at the start and accepted
+        # points (where the gradient hook runs) whose gradient norm is at most delta
+        within, eigs = [], [0]
+        inside = [False]
+        eigvalsh, tr_minimize = np.linalg.eigvalsh, trustregion.tr_minimize
+
+        def counting_eigvalsh(H):
+            eigs[0] += inside[0]
+            return eigvalsh(H)
+
+        def recording_tr_minimize(fun, grad, hess, x0, delta, config):
+            def grad_spy(z):
+                g = grad(z)
+                within.append(np.linalg.norm(g) <= delta)
+                return g
+            inside[0] = True
+            try:
+                return tr_minimize(fun, grad_spy, hess, x0, delta, config)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(trustregion, "tr_minimize", recording_tr_minimize)
+        report = driver.solve(saddle_start_problem(True), driver.PenaltyConfig(tol_feas=1e-4))
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert eigs[0] == sum(within) < len(within)
 
 
 class TestOneEvaluationPerPoint:
