@@ -197,7 +197,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     if u0 > cfg.feas_check_tol:
         raise StartNotFeasibleError(
             f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
-    f0 = float(_real("f", prob.f(x0)))
+    f0 = float(_real("f", prob.f(x0), ()))
     u_prev = u0
 
     for k in range(cfg.max_outer):
@@ -223,7 +223,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             second_order=None,
             epsilon=delta,
             subspace_dim=None,
-            f_value=float(_real("f", prob.f(x_next))),
+            f_value=float(_real("f", prob.f(x_next), ())),
             script_F_value=res.value,
             script_F_at_start=start_value,
             xhat_branch="",

@@ -24,19 +24,42 @@ def _vec(x, n: int, name: str = "x") -> np.ndarray:
     return x
 
 
-def _central_diff(hook: str, fn, x: np.ndarray, step: float, i: int | None = None) -> np.ndarray:
-    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) with h = step * (1 + |x|).
+def _central_diff(hook: str, fn, x: np.ndarray, step: float, i: int) -> np.ndarray:
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) with h = step * (1 + |x|), for one coordinate i.
 
-    For one coordinate i, or stacked over all i along a new leading axis.
-    This is the one finite-difference routine of the package; fn's outputs
-    are read as the output of ``hook``, so complex output raises.
+    fn's outputs are read as the output of ``hook``, so complex output raises.
     """
     x = np.asarray(x, dtype=float)
-    if i is None:
-        return np.stack([_central_diff(hook, fn, x, step, i) for i in range(x.size)])
     e = np.zeros(x.size)
     e[i] = step * (1.0 + abs(x[i]))
     return (_real(hook, fn(x + e)) - _real(hook, fn(x - e))) / (2 * e[i])
+
+
+def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i.
+
+    Each row equals the ``x + e`` and ``x - e`` of ``_central_diff``, bit for bit.
+    """
+    h = step * (1.0 + np.abs(x))
+    D = np.diag(h)
+    points = np.concatenate([x + D, x - D])
+    points.flags.writeable = False
+    return h, points
+
+
+def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: tuple) -> np.ndarray:
+    """``_central_diff`` for every coordinate i along a new leading axis, at the points of ``_shifts``.
+
+    fn's 2n outputs are gathered as one array of ``hook`` outputs of the given
+    shape and differenced in one operation, with the same IEEE operations
+    per entry as the one-coordinate routine.
+    """
+    h, points = shifts
+    out = _gather(hook, [fn(z) for z in points], shape)
+    n = h.size
+    diff = out[:n] - out[n:]
+    diff /= (2 * h).reshape(n, *(1,) * len(shape))
+    return diff
 
 
 @dataclass
@@ -85,10 +108,12 @@ class NsdpProblem:
 
     # synthesized second derivatives (central differences of first-derivative hooks)
     def _fd_hess_f(self, x):
-        return symmetrize(_central_diff("grad_f", self.grad_f, x, FD_STEP_SECOND_ORDER))
+        shifts = _shifts(_vec(x, self.n), FD_STEP_SECOND_ORDER)
+        return symmetrize(_stacked_diff("grad_f", self.grad_f, shifts, (self.n,)))
 
     def _fd_hess_g(self, x, j):
-        return symmetrize(_central_diff("jac_g", lambda z: self.jac_g(z)[:, j], x, FD_STEP_SECOND_ORDER))
+        shifts = _shifts(_vec(x, self.n), FD_STEP_SECOND_ORDER)
+        return symmetrize(_stacked_diff("jac_g", self.jac_g, shifts, (self.n, self.m))[:, :, j])
 
     def _fd_d2G(self, x, i, j):
         Dij = _central_diff("dG", lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)
@@ -96,28 +121,34 @@ class NsdpProblem:
         return symmetrize(0.5 * (Dij + Dji))
 
 
-def _real(hook: str, value) -> np.ndarray:
-    """A hook's output as a float array; complex, ragged or non-numeric output raises ``InvalidInputError``."""
+def _real(hook: str, value, shape: tuple | None = None) -> np.ndarray:
+    """A hook's output as a float array.
+
+    Complex, ragged or non-numeric output, and output whose shape is not
+    ``shape`` when one is given, raises ``InvalidInputError`` naming the hook.
+    """
     try:
         out = np.asarray(value)
     except ValueError:
         raise InvalidInputError(f"{hook} returned ragged output") from None
     if out.dtype.kind not in "biuf":
         raise InvalidInputError(f"{hook} must return real numbers, got {out.dtype} output")
+    if shape is not None and out.shape != shape:
+        raise InvalidInputError(f"{hook} must return shape {shape}, got {out.shape}")
     return out.astype(float, copy=False)
 
 
-def _gather(hook: str, entries: list, d: int) -> np.ndarray:
-    """Hook outputs as one (k, d, d) float array, built by a single ``np.asarray`` call."""
+def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
+    """Hook outputs of one shape as one (k, *shape) float array, built by a single ``np.asarray`` call."""
     out = _real(hook, entries)
-    if out.shape[1:] != (d, d):
-        raise InvalidInputError(f"{hook} must return {d} x {d} arrays, got {out.shape[1:]}")
+    if out.shape[1:] != shape:
+        raise InvalidInputError(f"{hook} must return shape {shape}, got {out.shape[1:]}")
     return out
 
 
 def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     """The n partial derivatives dG(x, i), symmetrized, as one (n, d, d) array."""
-    Gs = _gather("dG", [prob.dG(x, i) for i in range(prob.n)], prob.d)
+    Gs = _gather("dG", [prob.dG(x, i) for i in range(prob.n)], (prob.d, prob.d))
     return 0.5 * (Gs + Gs.transpose(0, 2, 1))
 
 
@@ -144,7 +175,7 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     n = prob.n
     out = np.zeros((n, n))
     for i in range(n):
-        row = _gather("d2G", [prob.d2G(x, i, j) for j in range(i, n)], prob.d).reshape(n - i, -1) @ W.ravel()
+        row = _gather("d2G", [prob.d2G(x, i, j) for j in range(i, n)], W.shape).reshape(n - i, -1) @ W.ravel()
         out[i, i:] = out[i:, i] = row
     return out
 
@@ -161,41 +192,70 @@ class DerivativeAuditReport:
     failures: list
 
 
-def _rel_err(hook: str, analytic, fd: np.ndarray) -> float:
-    analytic = _real(hook, analytic)
-    return float(np.linalg.norm((analytic - fd).ravel()) / (1.0 + np.linalg.norm(analytic.ravel())))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each entry of a (k, ...) stack.
+
+    Each is the square root of one dot product of the raveled entry with
+    itself, taken by a batched matmul, so it rounds as ``np.linalg.norm`` of
+    that entry does (a reduction along an axis would sum in another order).
+    """
+    rows = v.reshape(len(v), 1, -1)
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel()
+
+
+def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """||a_k - fd_k|| / (1 + ||a_k||) for each entry k of two (k, ...) stacks."""
+    return _norms(analytic - fd) / (1.0 + _norms(analytic))
 
 
 def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAuditReport:
     """Check every derivative hook against a central difference of its neighbor.
 
     First derivatives are compared at relative threshold 1e-6, second
-    derivatives at 1e-4.  A hook that raises or returns non-finite or
-    complex values is recorded with error ``inf``; the audit still completes.
+    derivatives at 1e-4.  A hook that raises, returns non-finite or complex
+    values, or returns another shape than the solver reads (f a scalar,
+    grad_f (n,), hess_f and hess_g (n, n), g (m,), jac_g (n, m), G, dG and
+    d2G (d, d)) is recorded with error ``inf``; the audit still completes.
+
+    Every difference reads the same 2n shifted points x +- h_i e_i, handed
+    to the hooks as read-only rows, so a hook that writes into its argument
+    fails its check.  The hook calls are those of one difference per
+    analytic output: f, g and G 2n times each, grad_f 1 + 2n, jac_g 1 + 2nm,
+    dG n + 2n^2, d2G n^2, and hess_f once and hess_g m times.
     """
     if not step > 0:
         raise InvalidInputError("step must be positive")
     x = _vec(x, prob.n)
+    n, m, d = prob.n, prob.m, prob.d
     thr1, thr2 = 1e-6, 1e-4
+    shifts = _shifts(x, step)
 
-    def fd(hook, fn):
-        return _central_diff(hook, fn, x, step)
+    def fd(hook, fn, shape):
+        return _stacked_diff(hook, fn, shifts, shape)
 
-    # each check lists one relative error per hook call it audits
-    checks = {"grad_f": lambda: [_rel_err("grad_f", prob.grad_f(x), fd("f", prob.f))]}
+    def one(hook, value, shape):  # a single analytic output, as a stack of one
+        return _real(hook, value, shape)[None]
+
+    # each check returns one relative error per analytic hook output it audits
+    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
     if prob.hess_f is not None:
-        checks["hess_f"] = lambda: [_rel_err("hess_f", prob.hess_f(x), symmetrize(fd("grad_f", prob.grad_f)))]
-    if prob.m > 0:
-        checks["jac_g"] = lambda: [_rel_err("jac_g", prob.jac_g(x), fd("g", prob.g))]
+        checks["hess_f"] = lambda: _rel_err(one("hess_f", prob.hess_f(x), (n, n)),
+                                            symmetrize(fd("grad_f", prob.grad_f, (n,)))[None])
+    if m > 0:
+        checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
         if prob.hess_g is not None:
-            checks["hess_g"] = lambda: [_rel_err("hess_g", prob.hess_g(x, j),
-                                                 symmetrize(fd("jac_g", lambda z: prob.jac_g(z)[:, j])))
-                                        for j in range(prob.m)]
-    if prob.d > 0:
-        checks["dG"] = lambda: [_rel_err("dG", prob.dG(x, i), D) for i, D in enumerate(fd("G", prob.G))]
+            checks["hess_g"] = lambda: _rel_err(
+                _gather("hess_g", [prob.hess_g(x, j) for j in range(m)], (n, n)),
+                np.stack([symmetrize(fd("jac_g", prob.jac_g, (n, m))[:, :, j]) for j in range(m)]))
+    if d > 0:
+        checks["dG"] = lambda: _rel_err(_gather("dG", [prob.dG(x, i) for i in range(n)], (d, d)),
+                                        fd("G", prob.G, (d, d)))
         if prob.d2G is not None:
-            checks["d2G"] = lambda: [_rel_err("d2G", prob.d2G(x, i, j), D)
-                                     for i in range(prob.n) for j, D in enumerate(fd("dG", lambda z: prob.dG(z, i)))]
+            # row i: the n outputs d2G(x, i, j) against the difference of dG(., i) over j
+            checks["d2G"] = lambda: np.concatenate([
+                _rel_err(_gather("d2G", [prob.d2G(x, i, j) for j in range(n)], (d, d)),
+                         fd("dG", lambda z: prob.dG(z, i), (d, d)))
+                for i in range(n)])
 
     errors: dict[str, float] = {}
     for label, check in checks.items():

@@ -60,9 +60,9 @@ def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """grad f(x) - jac_g(x) y - adjoint(dG)(x) Z."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    out = _real("grad_f", prob.grad_f(x)).copy()
+    out = _real("grad_f", prob.grad_f(x), (prob.n,)).copy()
     if prob.m > 0:
-        out -= _real("jac_g", prob.jac_g(x)) @ y
+        out -= _real("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ y
     if prob.d > 0:
         out -= dG_adjoint(_dG_stack(prob, x), Z)
     return out
@@ -72,11 +72,11 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """hess f(x) - sum_j y_j hess g_j(x) - [<d2G(x,i,j), Z>]_ij."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    H = symmetrize(_real("hess_f", prob.hess_f(x))).copy()
+    H = symmetrize(_real("hess_f", prob.hess_f(x), (prob.n, prob.n))).copy()
     if prob.m > 0:
         for j in range(prob.m):
             if y[j] != 0.0:
-                H -= y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j)))
+                H -= y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (prob.n, prob.n)))
     if prob.d > 0:
         H -= d2G_contract(prob, x, Z)
     return symmetrize(H)
@@ -147,7 +147,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
     require_int("b_count", b_count, 0, prob.d)
     rows = []
     if prob.m > 0:
-        rows.append(_real("jac_g", prob.jac_g(at.x)).T)
+        rows.append(_real("jac_g", prob.jac_g(at.x), (prob.n, prob.m)).T)
     if b_count > 0:
         U = at.dec.vectors[:, :b_count]  # eig(-G) is descending: its first columns
         comp = U.T @ at.dG @ U

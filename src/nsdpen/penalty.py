@@ -97,9 +97,9 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     if prob.m > 0:
         if p.v is not None and p.v.shape != (prob.m,):
             raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
-        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - _real("g", prob.g(x))
+        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - _real("g", prob.g(x), (prob.m,))
     if prob.d > 0:
-        Gx = symmetrize(_real("G", prob.G(x)))
+        Gx = symmetrize(_real("G", prob.G(x), (prob.d, prob.d)))
         if p.M is not None and p.M.shape != (prob.d, prob.d):
             raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
         dec = matfun.eig_sym(-Gx if p.M is None else symmetrize(p.M / p.tau - Gx))
@@ -109,7 +109,7 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
 def penalty_value(at: PenaltyPoint) -> float:
     prob, p = at.prob, at.p
     st = p.sigma * p.tau
-    val = p.rho * float(_real("f", prob.f(at.x))) if p.rho != 0.0 else 0.0
+    val = p.rho * float(_real("f", prob.f(at.x), ())) if p.rho != 0.0 else 0.0
     if at.r is not None:
         val += 0.5 * st * float(at.r @ at.r)
     if at.dec is not None:
@@ -120,9 +120,9 @@ def penalty_value(at: PenaltyPoint) -> float:
 def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     prob, p, x = at.prob, at.p, at.x
     st = p.sigma * p.tau
-    grad = p.rho * _real("grad_f", prob.grad_f(x)) if p.rho != 0.0 else np.zeros(prob.n)
+    grad = p.rho * _real("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
-        grad = grad - st * (_real("jac_g", prob.jac_g(x)) @ at.r)
+        grad = grad - st * (_real("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ at.r)
     if at.dec is not None:
         grad = grad - st * dG_adjoint(at.dG, matfun.q_cube_from(at.dec))
     return grad
@@ -138,14 +138,14 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     prob, p, x, r, dec = at.prob, at.p, at.x, at.r, at.dec
     st = p.sigma * p.tau
     if p.rho != 0.0:
-        H = p.rho * symmetrize(_real("hess_f", prob.hess_f(x)))
+        H = p.rho * symmetrize(_real("hess_f", prob.hess_f(x), (prob.n, prob.n)))
     else:
         H = np.zeros((prob.n, prob.n))
     if r is not None:
         for j in range(prob.m):
             if r[j] != 0.0:
-                H = H - st * r[j] * symmetrize(_real("hess_g", prob.hess_g(x, j)))
-        J = _real("jac_g", prob.jac_g(x))
+                H = H - st * r[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (prob.n, prob.n)))
+        J = _real("jac_g", prob.jac_g(x), (prob.n, prob.m))
         H = H + st * (J @ J.T)
     if dec is not None:
         P = dec.vectors

@@ -136,6 +136,14 @@ def _boundary_offset(gbar, wshift, radius, scale):
     """
     # the last term bounds |gbar / (wshift + eta)| by 2**1000, so the start check cannot overflow
     eta = max(1e-16 * scale, 1e-300, math.ldexp(float(np.max(np.abs(gbar))), -1000))
+    if radius > 1024.0:
+        # p(eta) scales with gbar, so the root is unchanged when gbar and the radius are taken in
+        # units of the exact power of two that brings the radius below 1; then neither ||p|| nor
+        # radius * sum(coeff**2 / denom) can overflow.  Below 1024 the latter stays under
+        # 1024 * n * 1e300 (eta >= 1e-300), so the scaling, exact only while gbar * unit stays
+        # normal, is skipped there and those iterates keep their rounding
+        unit = _pow2_unit(radius)
+        gbar, radius = gbar * unit, radius * unit
     while _norm(gbar / (wshift + eta)) <= radius:
         # numerically at/below the boundary already: shrink the offset
         eta *= 0.01

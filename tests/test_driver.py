@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,14 @@ class TestSolveGuards:
         with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
             driver.solve(prob, driver.PenaltyConfig(max_outer=1))
 
+    @pytest.mark.parametrize("hess_f", [lambda x: 2.0, lambda x: np.ones(3)], ids=["scalar", "vector"])
+    def test_wrong_shaped_hess_f_names_the_hook(self, hess_f):
+        # the scalar was broadcast into every Hessian entry and the solve reached FeasOptReached;
+        # the (n,) array escaped as numpy's bare "non-broadcastable output operand" ValueError
+        prob = dataclasses.replace(problems.get_problem("nearest-psd").problem, hess_f=hess_f)
+        with pytest.raises(InvalidInputError, match=r"^hess_f must return shape \(3, 3\), got"):
+            driver.solve(prob, run_config("nearest-psd"))
+
     @pytest.mark.parametrize("b_count", [1.5, 5, -1])  # d = 2 for nearest-psd
     def test_bad_b_count_rejected_before_any_hook_call(self, b_count):
         prob, counts = counting(problems.get_problem("nearest-psd").problem)
@@ -312,11 +321,20 @@ def python_pow_sqrt(t):
     return float(t) ** 0.5
 
 
+def wrong_shape_sqrt(t):
+    """A pair of numbers where math.sqrt would raise, so that G and dG return 1 x 1 x 2 arrays."""
+    return math.sqrt(t) if t >= 0 else np.zeros(2)
+
+
+TRIAL_FAILURES = dict(argnames="sqrt", argvalues=[math.sqrt, np.sqrt, python_pow_sqrt, wrong_shape_sqrt],
+                      ids=["raises", "non-finite", "complex", "wrong-shape"])
+
+
 class TestHookFailureAtTrialPoint:
     # trial steps of the penalized problem overshoot into x < -1/2, where
-    # math.sqrt raises, np.sqrt returns nan and ** 0.5 a complex number;
-    # all three are rejected steps
-    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt, python_pow_sqrt], ids=["raises", "non-finite", "complex"])
+    # math.sqrt raises, np.sqrt returns nan, ** 0.5 a complex number and
+    # wrong_shape_sqrt a pair; all four are rejected steps
+    @pytest.mark.parametrize(**TRIAL_FAILURES)
     def test_solve_reaches_tolerance(self, sqrt):
         with np.errstate(invalid="ignore", divide="ignore"):
             report = driver.solve(sqrt_problem(sqrt), driver.PenaltyConfig(tol_feas=1e-4))
@@ -324,7 +342,7 @@ class TestHookFailureAtTrialPoint:
         assert -2e-4 <= report.final.x[0] < 0.0  # infeasible by about gamma^(-1/3)
         assert report.final.u <= 1e-4
 
-    @pytest.mark.parametrize("sqrt", [math.sqrt, np.sqrt, python_pow_sqrt], ids=["raises", "non-finite", "complex"])
+    @pytest.mark.parametrize(**TRIAL_FAILURES)
     def test_default_tolerance_ends_in_named_status(self, sqrt):
         with np.errstate(invalid="ignore", divide="ignore"):
             report = driver.solve(sqrt_problem(sqrt))

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nsdpen import model, problems
+from nsdpen import driver, model, problems
 from nsdpen.errors import InvalidInputError
+from nsdpen.matfun import symmetrize
 
-from conftest import ball_problem, rng
+from conftest import ball_problem, counting, rng, run_config
 
 
 def affine_matrix_problem():
@@ -27,6 +30,37 @@ def affine_matrix_problem():
         dG=lambda x, i: coeffs[i].copy(),
         d2G=lambda x, i, j: np.zeros((2, 2)),
     )
+
+
+def loop_audit_errors(prob, x, step):
+    """Reference audit errors: one central difference per coordinate and two norms per hook output, entry by entry."""
+    n = prob.n
+
+    def fd(fn):
+        rows = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step * (1.0 + abs(x[i]))
+            rows.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * e[i]))
+        return np.stack(rows)
+
+    def err(analytic, approx):
+        analytic = np.asarray(analytic, dtype=float)
+        return np.linalg.norm((analytic - approx).ravel()) / (1.0 + np.linalg.norm(analytic.ravel()))
+
+    errors = {"grad_f": [err(prob.grad_f(x), fd(prob.f))], "hess_f": [err(prob.hess_f(x), symmetrize(fd(prob.grad_f)))]}
+    if prob.m > 0:
+        errors["jac_g"] = [err(prob.jac_g(x), fd(prob.g))]
+        errors["hess_g"] = [err(prob.hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
+                            for j in range(prob.m)]
+    errors["dG"] = [err(prob.dG(x, i), D) for i, D in enumerate(fd(prob.G))]
+    errors["d2G"] = [err(prob.d2G(x, i, j), D) for i in range(n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
+    return {label: float(np.max(errs)) for label, errs in errors.items()}
+
+
+# which checks read each hook's output
+AUDITED_BY = {"f": {"grad_f"}, "grad_f": {"grad_f", "hess_f"}, "hess_f": {"hess_f"}, "g": {"jac_g"},
+              "jac_g": {"jac_g", "hess_g"}, "hess_g": {"hess_g"}, "G": {"dG"}, "dG": {"dG", "d2G"}, "d2G": {"d2G"}}
 
 
 class TestDGAdjoint:
@@ -174,6 +208,62 @@ class TestAudit:
             report = model.audit_derivatives(prob, prob.start_point)
         assert not report.passed
         assert "dG" in report.failures and report.errors["dG"] == np.inf
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-7, 1e-6, 1e-5]))
+    def test_matches_loop_reference(self, d, m, fd_second_order, seed, step):
+        # the stacked differences and norms round as the per-entry loop does
+        prob = ball_problem(d, m=m, fd_second_order=fd_second_order, seed=seed % 7)
+        x = rng(seed).normal(size=prob.n)
+        report = model.audit_derivatives(prob, x, step)
+        assert report.errors == loop_audit_errors(prob, x, step)
+        assert report.passed
+
+    def test_hook_call_counts(self):
+        prob, counts = counting(ball_problem(3, m=2))
+        n, m = prob.n, prob.m
+        model.audit_derivatives(prob, rng(26).normal(size=n))
+        assert counts == {"f": 2 * n, "grad_f": 1 + 2 * n, "hess_f": 1, "g": 2 * n, "jac_g": 1 + 2 * n * m,
+                          "hess_g": m, "G": 2 * n, "dG": n + 2 * n * n, "d2G": n * n}
+
+    @pytest.mark.parametrize("wrong", ["scalar", "column"])
+    @pytest.mark.parametrize("hook", list(AUDITED_BY))
+    def test_wrong_shape_fails(self, hook, wrong):
+        # a broadcastable output of another shape than the solver reads fails the checks that read it;
+        # "scalar" is one number, or a 1-vector for f
+        prob = ball_problem(3, m=2)
+        clean = getattr(prob, hook)
+
+        def bad(*args):
+            out = np.asarray(clean(*args))
+            if wrong == "column":
+                return out.reshape(-1, 1)
+            return out.reshape(1) if out.ndim == 0 else float(out.flat[0])
+
+        setattr(prob, hook, bad)
+        report = model.audit_derivatives(prob, rng(27).normal(size=prob.n))
+        assert set(report.failures) == AUDITED_BY[hook]
+        assert all(report.errors[label] == np.inf for label in AUDITED_BY[hook])
+
+    @pytest.mark.parametrize("d2G", [lambda x, i, j: 0.0, lambda x, i, j: np.zeros(2)], ids=["scalar", "vector"])
+    def test_audit_and_solve_agree_on_d2G_shape(self, d2G):
+        # both outputs broadcast against the 2 x 2 difference, and passed the audit with error 0
+        prob = dataclasses.replace(problems.get_problem("nearest-psd").problem, d2G=d2G)
+        report = model.audit_derivatives(prob, prob.start_point)
+        assert report.failures == ["d2G"] and report.errors["d2G"] == np.inf
+        with pytest.raises(InvalidInputError, match="^d2G must return shape"):
+            driver.solve(prob, run_config("nearest-psd"))
+
+    def test_hook_writing_its_argument_fails(self):
+        # every difference reads the same shifted points, so a hook may not write into them
+        base = problems.get_problem("scalar-bound").problem
+
+        def f(x):
+            x += 0.0
+            return base.f(x)
+
+        report = model.audit_derivatives(dataclasses.replace(base, f=f), base.start_point)
+        assert report.failures == ["grad_f"] and report.errors["grad_f"] == np.inf
 
     def test_bad_step_rejected(self):
         prob = affine_matrix_problem()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,6 +116,17 @@ class TestLagrangian:
         prob = problems.get_problem("scalar-bound").problem
         out = optimality.lagrangian_grad(prob, np.array([0.0]), None, np.array([[2.0]]))
         assert out[0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("hook,bad,lagrangian", [
+        ("grad_f", lambda x: 0.0, optimality.lagrangian_grad),
+        ("jac_g", lambda x: np.zeros((1, 3)), optimality.lagrangian_grad),
+        ("hess_f", lambda x: np.zeros(3), optimality.lagrangian_hess),
+        ("hess_g", lambda x, j: 1.0, optimality.lagrangian_hess),
+    ], ids=["grad_f", "jac_g", "hess_f", "hess_g"])
+    def test_wrong_shape_names_the_hook(self, hook, bad, lagrangian):
+        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
+        with pytest.raises(InvalidInputError, match=f"^{hook} must return shape"):
+            lagrangian(prob, rng(32).normal(size=prob.n), np.ones(1), np.eye(2))
 
     def test_gradient_matches_central_difference(self):
         gen = rng(31)

@@ -172,6 +172,17 @@ class TestBoundaryOffset:
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-14
         assert abs(p[0] + 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("w0", [-1.0, 0.0])  # B indefinite, singular
+    @pytest.mark.parametrize("g0,radius", [(1e295, 1e305), (1e295, 1e308), (1e295, 1.7e308), (1e300, 1.79e308),
+                                           (1e100, 1e200), (1e-10, 1e200)])
+    def test_huge_radius_step_on_boundary(self, g0, radius, w0):
+        # unscaled, the Newton step's radius * sum(coeff**2 / denom) overflows to inf, so at
+        # radius 1e305 the iteration stopped 7% outside the boundary, and at 1e308 the offset's
+        # shrink loop overflowed g / (w + eta); any overflow warning fails this test
+        p = tr.ms_subproblem(np.diag([w0, 2.0]), np.array([g0, 1.0]), radius)
+        assert abs(tr._norm(p) / radius - 1.0) <= 1e-14
+        assert p[0] < 0 and p[1] == pytest.approx(-1.0 / (2.0 - w0), rel=1e-8)
+
     @pytest.mark.parametrize("g0", [1e-300, 1e-310, 1e-320])
     @pytest.mark.parametrize("w0", [-1.0, 1.0, 0.0])  # B indefinite, positive definite, singular
     def test_tiny_gradient_step(self, g0, w0):
