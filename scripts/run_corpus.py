@@ -1,4 +1,5 @@
-"""Run the outer penalty method on every corpus problem and print a summary.
+"""Run the outer penalty method on every corpus problem, under its known-good
+``CorpusEntry.config``, and print a summary.
 
 Usage: python scripts/run_corpus.py [--problem NAME]
 """
@@ -9,19 +10,10 @@ import numpy as np
 
 from nsdpen import driver, problems
 
-# feasibility targets compatible with the gamma cap: the quartic penalty
-# drives infeasibility like gamma^(-1/3)
-CONFIGS = {
-    "scalar-bound": driver.PenaltyConfig(tol_feas=3e-5, tol_opt=1e-6, max_outer=40),
-    "nearest-psd": driver.PenaltyConfig(tol_feas=9e-5, tol_opt=1e-6, max_outer=40),
-    "equality-degenerate": driver.PenaltyConfig(theta=2.0, tol_feas=1e-8, tol_opt=1e-6, max_outer=50),
-    "corr-matrix": driver.PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40),
-}
-
 
 def run_one(name):
     entry = problems.get_problem(name)
-    report = driver.solve(entry.problem, CONFIGS[name], b_count=entry.b_count_at_solution)
+    report = driver.solve(entry.problem, entry.config, b_count=entry.b_count_at_solution)
     final = report.final
     print(f"\n== {name}: {report.final_status} in {len(report.iterates)} outer iterations "
           f"({report.wall_time_sec:.3f}s)")

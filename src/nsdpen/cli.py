@@ -18,20 +18,19 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import driver, model, optimality, problems
+from . import driver, model, optimality, penalty, problems
 from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 # the PenaltyConfig fields that are solve flags and the report's config section
 CONFIG_FLAGS = ("gamma0", "eta", "theta", "delta0", "beta", "tol_feas", "tol_opt", "max_outer")
 _TRACE_ROW = tuple(field.name for field in dataclasses.fields(driver.IterateRecord))
 REPORT_ROW = ("k", "gamma", "delta", "u", "stationarity", "complementarity", "second_order",
-              "epsilon", "subspace_dim", "f_value", "script_F_value", "xhat_branch")
+              "subspace_dim", "f_value", "script_F_value", "xhat_branch")
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILED = 1
@@ -73,9 +72,11 @@ def lower_to_sym(doc: dict) -> np.ndarray:
 
 
 def _atomic_write(path: str, text: str):
-    """Write through a temp file and a rename; an OSError is raised again naming ``path``."""
+    """Write through a temp file, made with the mode ``open`` gives (0o666 less the umask), and a
+    rename; an OSError is raised again naming ``path``."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix=".json")
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.json")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
@@ -189,8 +190,8 @@ def _cmd_check(args) -> int:
     x = _parse_point(args.at, entry)
 
     audit = model.audit_derivatives(entry.problem, x)
-    res, mult = optimality.evaluate_residuals(entry.problem, x, args.gamma,
-                                              entry.b_count_at_solution)
+    at = penalty.penalty_at(entry.problem, x, penalty.special_params("script_F", args.gamma))
+    res, mult = optimality.evaluate_residuals(at, entry.b_count_at_solution)
     print(f"derivative audit at {list(map(float, x))}:")
     for hook, err in sorted(audit.errors.items()):
         flag = "FAIL" if hook in audit.failures else "ok"

@@ -13,15 +13,16 @@ gamma-update rules:
 * delta decays geometrically.
 
 The run stops once infeasibility and delta are below their tolerances, at
-the iteration cap, or on inner-solver failure / gamma blow-up; then every
-iterate's second-order certificates are computed from its kept point.
+the iteration cap, or on inner-solver failure / gamma blow-up; then each
+iterate's record is built from one ``optimality.evaluate_residuals`` call at
+its kept point.
 
 Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
-point (one G, one eigendecomposition, one dG stack) feeds the penalty value,
-gradient and Hessian, and an outer iteration that keeps gamma and starts
-where the previous one ended reuses them.  The start point's infeasibility
-and every iterate's certificates read the same points: ``penalty_at`` is the
-only caller of G and of the eigensolver in a solve.
+point (one G, one eigendecomposition, one dG stack) keeps the penalty value
+and gradient and feeds the Hessian, and an outer iteration that keeps gamma
+and starts where the previous one ended reuses them.  The start point's
+infeasibility and every iterate's certificates read the same points:
+``penalty_at`` is the only caller of G and of the eigensolver in a solve.
 """
 
 import time
@@ -87,9 +88,8 @@ class IterateRecord:
     u: float
     stationarity: float
     complementarity: float
-    second_order: float | None
-    epsilon: float
-    subspace_dim: int | None
+    second_order: float
+    subspace_dim: int
     f_value: float
     script_F_value: float
     script_F_at_start: float
@@ -152,8 +152,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
 
     ``b_count`` is the trusted dimension of the null eigenspace of G at the
     limit, used for the second-order certificates; when omitted it is
-    estimated from the final iterate.  Every record's certificates are filled
-    in after the loop, from the penalty point the record was taken at.
+    estimated from the final iterate.  Every record is built after the loop,
+    from ``optimality.evaluate_residuals`` at the penalty point it was taken at.
     """
     cfg = (config or PenaltyConfig()).validate()
     if b_count is not None:
@@ -165,8 +165,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
                                 "supply it or build the problem with fd_second_order=True")
     t0 = time.perf_counter()
     x0 = np.atleast_1d(np.asarray(prob.start_point, dtype=float))
-    records: list[IterateRecord] = []
-    points: list[penalty.PenaltyPoint] = []  # each record's point, kept for its certificates
+    # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
+    steps = []
     xhat = x0
     gamma = cfg.gamma0
     delta = cfg.delta0
@@ -189,8 +189,6 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         return memo
 
     at = once_per_point(lambda z: penalty.penalty_at(prob, z, penalty.special_params("script_F", gamma)))
-    value = once_per_point(lambda z: penalty.penalty_value(at(z)))
-    grad = once_per_point(lambda z: penalty.penalty_grad(at(z)))
     hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
 
     u0 = optimality.infeasibility_u(at(x0))
@@ -201,40 +199,17 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     u_prev = u0
 
     for k in range(cfg.max_outer):
-        start_value = value(xhat)
-        res = trustregion.tr_minimize(value, grad, hess, xhat, delta, cfg.tr)
-        x_next = res.x
+        start_value = at(xhat).value
+        res = trustregion.tr_minimize(lambda z: at(z).value, lambda z: at(z).grad, hess, xhat, delta, cfg.tr)
         if res.status != trustregion.CONVERGED:
             status = INNER_FAILURE
             detail = f"inner solver returned {res.status} at outer iteration {k}"
             break
 
-        point = at(x_next)  # the point tr_minimize certified last
-        mult = optimality.recover_multipliers(point)
+        point = at(res.x)  # the point tr_minimize certified last
         u_next = optimality.infeasibility_u(point)
-        _, comp = optimality.jordan_complementarity(point, mult.Z)
-        rec = IterateRecord(
-            k=k + 1,
-            gamma=gamma,
-            delta=delta,
-            u=u_next,
-            stationarity=res.grad_norm,
-            complementarity=comp,
-            second_order=None,
-            epsilon=delta,
-            subspace_dim=None,
-            f_value=float(_real("f", prob.f(x_next), ())),
-            script_F_value=res.value,
-            script_F_at_start=start_value,
-            xhat_branch="",
-            inner_iterations=res.iterations,
-            x=x_next.copy(),
-            y=mult.y.copy(),
-            Z=mult.Z.copy(),
-        )
-        xhat, rec.xhat_branch = next_xhat(x_next, res.value, f0, x0)
-        records.append(rec)
-        points.append(point)
+        xhat, branch = next_xhat(res.x, res.value, f0, x0)
+        steps.append((k + 1, gamma, delta, start_value, res, branch, point))
 
         if u_next <= cfg.tol_feas and delta <= cfg.tol_opt:
             status = FEAS_OPT_REACHED
@@ -250,11 +225,15 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         u_prev = u_next
 
     if b_count is None:
-        b_count = estimate_b_count(points[-1], records[-1].u) if records else 0
-    for rec, point in zip(records, points):
-        basis = optimality.critical_subspace_basis(point, b_count)
-        rec.second_order = optimality.second_order_residual(point, rec.y, rec.Z, basis)
-        rec.subspace_dim = int(basis.shape[1])
+        b_count = estimate_b_count(steps[-1][-1], u_next) if steps else 0
+    records = []
+    for k, gamma_k, delta_k, start_value, res, branch, point in steps:
+        cert, mult = optimality.evaluate_residuals(point, b_count)
+        records.append(IterateRecord(
+            k=k, gamma=gamma_k, delta=delta_k, u=cert.feasibility_u, stationarity=cert.stationarity,
+            complementarity=cert.complementarity, second_order=cert.second_order, subspace_dim=cert.subspace_dim,
+            f_value=float(_real("f", prob.f(res.x), ())), script_F_value=res.value, script_F_at_start=start_value,
+            xhat_branch=branch, inner_iterations=res.iterations, x=res.x, y=mult.y, Z=mult.Z))
 
     return SolveReport(
         problem=prob.name,

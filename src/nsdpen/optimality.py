@@ -15,7 +15,7 @@ from . import matfun
 from .errors import InvalidInputError, require_int
 from .matfun import symmetrize
 from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
-from .penalty import PenaltyPoint, penalty_at, penalty_grad, special_params
+from .penalty import PenaltyPoint
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class OptimalityResiduals:
     feasibility_u: float
     complementarity: float
     second_order: float
-    epsilon: float | None
     subspace_dim: int
 
 
@@ -181,20 +180,17 @@ def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
     return max(0.0, -lam_min)
 
 
-def evaluate_residuals(prob: NsdpProblem, x, gamma: float, b_count: int,
-                       epsilon: float | None = None) -> tuple[OptimalityResiduals, MultiplierPair]:
-    """Bundle all residuals at x along ``driver.solve``'s path: one ``script_F`` point at
-    (gamma, x) feeds them, and the stationarity is the norm of its penalty gradient."""
-    at = penalty_at(prob, x, special_params("script_F", gamma))
+def evaluate_residuals(at: PenaltyPoint, b_count: int) -> tuple[OptimalityResiduals, MultiplierPair]:
+    """Every residual at the point ``at`` and the multipliers they use; the stationarity is the norm
+    of the point's penalty gradient ``at.grad``.  ``driver.solve`` certifies each iterate with it."""
     mult = recover_multipliers(at)
     basis = critical_subspace_basis(at, b_count)
     _, comp = jordan_complementarity(at, mult.Z)
     res = OptimalityResiduals(
-        stationarity=float(np.linalg.norm(penalty_grad(at))),
+        stationarity=float(np.linalg.norm(at.grad)),
         feasibility_u=infeasibility_u(at),
         complementarity=comp,
         second_order=second_order_residual(at, mult.y, mult.Z, basis),
-        epsilon=epsilon,
         subspace_dim=int(basis.shape[1]),
     )
     return res, mult

@@ -73,8 +73,10 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 
 @dataclass(frozen=True)
 class PenaltyPoint:
-    """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0), and
-    the read-only (n, d, d) stack ``dG`` of dG(x, i), made on first read and shared by every derivative at x."""
+    """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0).
+
+    The read-only (n, d, d) stack ``dG`` of dG(x, i), the ``value`` and the read-only ``grad`` are made on
+    first read and kept; the n x n Hessian is not, since a solve keeps every iterate's point."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -88,6 +90,16 @@ class PenaltyPoint:
         Gs = _dG_stack(self.prob, self.x)
         Gs.flags.writeable = False
         return Gs
+
+    @cached_property
+    def value(self) -> float:
+        return penalty_value(self)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        g = penalty_grad(self)
+        g.flags.writeable = False
+        return g
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:

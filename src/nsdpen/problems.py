@@ -3,13 +3,16 @@
 Each entry exercises a distinct mechanism: an active scalar PSD bound, a
 matrix-valued projection, an equality-degenerate feasibility set with no KKT
 point, and a mixed equality + SDP model.  The registry is immutable after
-import and is the name contract used by the CLI.
+import and is the name contract used by the CLI.  Each entry's ``config`` is
+known to reach ``FeasOptReached`` under the gamma cap (infeasibility decays like
+gamma^(-1/3), so feasibility tolerances are problem-specific).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .driver import PenaltyConfig
 from .errors import UnknownProblemError
 from .model import NsdpProblem
 from .optimality import MultiplierPair
@@ -22,6 +25,7 @@ class CorpusEntry:
     known_multipliers: MultiplierPair | None
     degeneracy_notes: str
     b_count_at_solution: int
+    config: PenaltyConfig
 
 
 def _scalar_bound() -> CorpusEntry:
@@ -44,6 +48,7 @@ def _scalar_bound() -> CorpusEntry:
         known_multipliers=MultiplierPair(y=np.zeros(0), Z=np.array([[2.0]])),
         degeneracy_notes="bound active at the solution; strictly feasible start",
         b_count_at_solution=1,
+        config=PenaltyConfig(tol_feas=3e-5, tol_opt=1e-6, max_outer=40),
     )
 
 
@@ -87,6 +92,7 @@ def _nearest_psd() -> CorpusEntry:
         known_multipliers=MultiplierPair(y=np.zeros(0), Z=np.array([[0.5, -0.5], [-0.5, 0.5]])),
         degeneracy_notes="solution on the PSD boundary (one zero eigenvalue)",
         b_count_at_solution=1,
+        config=PenaltyConfig(tol_feas=9e-5, tol_opt=1e-6, max_outer=40),
     )
 
 
@@ -116,6 +122,7 @@ def _equality_degenerate() -> CorpusEntry:
             "certificates hold with unbounded y"
         ),
         b_count_at_solution=0,
+        config=PenaltyConfig(theta=2.0, tol_feas=1e-8, tol_opt=1e-6, max_outer=50),
     )
 
 
@@ -153,6 +160,7 @@ def _corr_matrix() -> CorpusEntry:
         ),
         degeneracy_notes="mixed equality + SDP; PSD constraint active at the boundary",
         b_count_at_solution=1,
+        config=PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40),
     )
 
 

@@ -96,9 +96,11 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     gbar = Q.T @ grad
     wmin = float(w[0])
 
-    # interior Newton step when B is positive definite and the step fits
+    # interior Newton step when B is positive definite and the step fits; a step that
+    # overflows has the norm inf or nan, which fails the test, and is left to the boundary path
     if wmin > 0:
-        p = Q @ (-gbar / w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = Q @ (-gbar / w)
         if _norm(p) <= radius * (1 + 1e-12):
             return p
 

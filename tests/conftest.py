@@ -14,29 +14,13 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-# configs under which every corpus problem reaches FeasOptReached while the
-# penalty weight stays under its cap (infeasibility decays like gamma^(-1/3),
-# so the feasibility tolerances are problem-specific)
-RUN_CONFIGS = {
-    "scalar-bound": dict(tol_feas=3e-5, tol_opt=1e-6, max_outer=40),
-    "nearest-psd": dict(tol_feas=9e-5, tol_opt=1e-6, max_outer=40),
-    "equality-degenerate": dict(theta=2.0, tol_feas=1e-8, tol_opt=1e-6, max_outer=50),
-    "corr-matrix": dict(tol_feas=1e-4, tol_opt=1e-6, max_outer=40),
-}
-
-
-def run_config(name: str) -> driver.PenaltyConfig:
-    return driver.PenaltyConfig(**RUN_CONFIGS[name])
-
-
 @pytest.fixture(scope="session")
 def corpus_runs():
     """One full solve per corpus problem, shared by the whole session."""
     runs = {}
     for name in problems.list_problems():
         entry = problems.get_problem(name)
-        report = driver.solve(entry.problem, run_config(name),
-                              b_count=entry.b_count_at_solution)
+        report = driver.solve(entry.problem, entry.config, b_count=entry.b_count_at_solution)
         runs[name] = (entry, report)
     return runs
 

@@ -252,17 +252,17 @@ def test_criterion_4_penalty_method_end_to_end(corpus_runs):
     assert final.complementarity <= 1e-4
     for rec in report.iterates:
         assert rec.stationarity <= rec.delta           # exact identity with the inner certificate
-        assert rec.second_order <= rec.epsilon          # subspace is empty at every iterate
+        assert rec.second_order <= rec.delta           # subspace is empty at every iterate
 
     # nearest-psd: converges to the PSD projection parameters
     entry, report = corpus_runs["nearest-psd"]
     assert report.final_status == driver.FEAS_OPT_REACHED
     assert np.linalg.norm(report.final.x - np.array([0.5, 0.5, 0.5])) <= 1e-3
     tail = report.iterates[-5:]
-    assert all(rec.second_order <= rec.epsilon for rec in tail)
+    assert all(rec.second_order <= rec.delta for rec in tail)
     stable_from = next(
         k for k in range(len(report.iterates))
-        if all(r.second_order <= r.epsilon for r in report.iterates[k:])
+        if all(r.second_order <= r.delta for r in report.iterates[k:])
     )
     assert len(report.iterates) - stable_from >= 5
 
@@ -375,7 +375,7 @@ def test_criterion_7_cli_contract(tmp_path):
     assert _strip_wall_time(reports[0][0]) == _strip_wall_time(reports[1][0])
     assert reports[0][1] == reports[1][1]
     doc = json.loads(reports[0][0])
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["final_status"] == "FeasOptReached"
 
     # documented exit codes

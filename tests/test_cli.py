@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -39,7 +41,7 @@ class TestSolveCommand:
                          "--report", str(report), "--trace", str(trace)])
         assert code == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert doc["final_status"] == "FeasOptReached"
         assert doc["b_count"] == 1
         assert abs(doc["final"]["x"][0]) <= 1e-4
@@ -102,7 +104,7 @@ class TestSolveCommand:
                 row["script_F_value"], abs=1e-12 * (1 + abs(row["script_F_value"])))
             mult = optimality.recover_multipliers(at)
             assert np.allclose(cli.lower_to_sym(row["Z"]), mult.Z, atol=1e-12)
-            res, _ = optimality.evaluate_residuals(prob, x, gamma, doc["b_count"])
+            res, _ = optimality.evaluate_residuals(at, doc["b_count"])
             assert res.second_order == pytest.approx(row["second_order"], abs=1e-12)
             _, comp = optimality.jordan_complementarity(at, mult.Z)
             assert comp == pytest.approx(row["complementarity"], abs=1e-12)
@@ -146,6 +148,22 @@ class TestUnwritableOutput:
         assert code == 74
         assert "Is a directory" in out.err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_mode_666_less_umask(self, umask, mode, tmp_path):
+        # a file renamed into place keeps its temp file's mode, so that file must be made like open() makes one
+        paths = [tmp_path / name for name in ("r.json", "t.jsonl", "c.json")]
+        old = os.umask(umask)
+        try:
+            assert run_main(["solve", "--problem", "scalar-bound", *SOLVE_FLAGS,
+                             "--report", str(paths[0]), "--trace", str(paths[1])]) == 0
+            assert run_main(["check", "--problem", "scalar-bound", "--json", str(paths[2])]) == 0
+        finally:
+            os.umask(old)
+        assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [mode] * 3
+        assert sorted(tmp_path.iterdir()) == sorted(paths)  # no temp file left behind
 
 
 class TestDocumentContract:

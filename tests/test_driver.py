@@ -9,7 +9,7 @@ from nsdpen import driver, matfun, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import ball_problem, counting, run_config, script_F_point
+from conftest import ball_problem, counting, script_F_point
 
 
 class TestGammaRule:
@@ -97,7 +97,7 @@ class TestSolveScalarBound:
     def test_second_order_certificate_every_iterate(self, corpus_runs):
         _, report = corpus_runs["scalar-bound"]
         for rec in report.iterates:
-            assert rec.second_order <= rec.epsilon
+            assert rec.second_order <= rec.delta
             assert rec.subspace_dim == 0  # active compression kills the space
 
     def test_gamma_monotone_delta_decreasing(self, corpus_runs):
@@ -171,7 +171,7 @@ class TestSolveCorpus:
         # check and solve certify along one path, so every recorded number comes back exactly
         for name, (entry, report) in corpus_runs.items():
             for rec in report.iterates:
-                res, mult = optimality.evaluate_residuals(entry.problem, rec.x, rec.gamma, report.b_count)
+                res, mult = optimality.evaluate_residuals(script_F_point(entry.problem, rec.x, rec.gamma), report.b_count)
                 assert (res.stationarity, res.feasibility_u, res.complementarity, res.second_order,
                         res.subspace_dim) == (rec.stationarity, rec.u, rec.complementarity,
                                               rec.second_order, rec.subspace_dim), (name, rec.k)
@@ -204,7 +204,7 @@ class TestSolveGuards:
         # the (n,) array escaped as numpy's bare "non-broadcastable output operand" ValueError
         prob = dataclasses.replace(problems.get_problem("nearest-psd").problem, hess_f=hess_f)
         with pytest.raises(InvalidInputError, match=r"^hess_f must return shape \(3, 3\), got"):
-            driver.solve(prob, run_config("nearest-psd"))
+            driver.solve(prob, problems.get_problem("nearest-psd").config)
 
     @pytest.mark.parametrize("b_count", [1.5, 5, -1])  # d = 2 for nearest-psd
     def test_bad_b_count_rejected_before_any_hook_call(self, b_count):
@@ -230,9 +230,8 @@ class TestSolveGuards:
     def test_estimated_b_count_matches_known(self):
         # omit b_count: the driver estimates it from the final iterate
         entry = problems.get_problem("scalar-bound")
-        report = driver.solve(entry.problem, run_config("scalar-bound"))
+        report = driver.solve(entry.problem, entry.config)
         assert report.b_count == entry.b_count_at_solution
-        assert all(r.second_order is not None for r in report.iterates)
 
     def test_larger_projection_problem_with_rank_two_active_block(self):
         # 4x4 projection parametrized by its 10 lower-triangle entries: the
@@ -277,7 +276,7 @@ class TestSolveGuards:
         assert report.final_status == driver.FEAS_OPT_REACHED
         assert np.linalg.norm(report.final.x - sol) <= 1e-3
         assert all(r.subspace_dim == 7 for r in report.iterates)
-        assert all(r.second_order <= r.epsilon for r in report.iterates[-5:])
+        assert all(r.second_order <= r.delta for r in report.iterates[-5:])
         assert all(r.stationarity <= r.delta for r in report.iterates)
 
     def test_always_feasible_iterates_keep_gamma(self):
@@ -386,7 +385,7 @@ class TestSaddleStart:
         monkeypatch.setattr(trustregion, "ms_subproblem", classifying)
         report = driver.solve(saddle_start_problem(active), driver.PenaltyConfig(tol_feas=1e-4))
         assert report.final_status == driver.FEAS_OPT_REACHED
-        assert all(rec.second_order <= rec.epsilon for rec in report.iterates)
+        assert all(rec.second_order <= rec.delta for rec in report.iterates)
         assert report.final.f_value < 1.0
         assert any(indefinite for indefinite, _ in steps) and any(hard for _, hard in steps)
 
@@ -425,7 +424,8 @@ class TestOneEvaluationPerPoint:
         if case == "ball":
             prob, cfg = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
         else:
-            prob, cfg = problems.get_problem(case).problem, run_config(case)
+            entry = problems.get_problem(case)
+            prob, cfg = entry.problem, entry.config
         seen = {}
         eigs = [0]
         eig_sym = matfun.eig_sym
@@ -482,7 +482,7 @@ def counted_solve(case, monkeypatch):
         prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
     else:
         entry = problems.get_problem(case)
-        prob, cfg, b_count = entry.problem, run_config(case), entry.b_count_at_solution
+        prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
     prob, hooks = counting(prob)
     calls = dict(penalty_at=0, penalty_grad=0, eig_sym=0)
 
@@ -497,5 +497,53 @@ def counted_solve(case, monkeypatch):
     monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
     report = driver.solve(prob, cfg, b_count=b_count)
     assert report.final_status == driver.FEAS_OPT_REACHED
-    assert all(rec.second_order is not None for rec in report.iterates)
     return prob, report, hooks, calls
+
+
+def exit_path(case):
+    """(problem, config, b_count, expected status, detail fragment) of a solve that ends on ``case``."""
+    if case == "estimated-b-count":
+        return ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None, driver.FEAS_OPT_REACHED, ""
+    name, changes, status, detail = {
+        "max-outer": ("nearest-psd", dict(max_outer=3), driver.MAX_OUTER, ""),
+        "gamma-cap": ("scalar-bound", dict(tol_feas=1e-12, gamma_cap=1e6), driver.INNER_FAILURE, "exceeds cap"),
+        "inner-solver": ("corr-matrix", dict(tr=trustregion.TrConfig(max_iter=5)), driver.INNER_FAILURE,
+                         "inner solver returned MaxIter"),
+        "inner-solver-at-start": ("scalar-bound", dict(tr=trustregion.TrConfig(max_iter=1)), driver.INNER_FAILURE,
+                                  "returned MaxIter at outer iteration 0"),
+    }[case]
+    entry = problems.get_problem(name)
+    b_count = None if case == "inner-solver-at-start" else entry.b_count_at_solution
+    return entry.problem, dataclasses.replace(entry.config, **changes), b_count, status, detail
+
+
+class TestRecordsBuiltAfterLoop:
+    @pytest.mark.parametrize("case", ["max-outer", "gamma-cap", "inner-solver", "inner-solver-at-start",
+                                      "estimated-b-count"])
+    def test_every_field_comes_from_the_record_point(self, case):
+        # each record is built after the loop from its kept point, on every way a solve can end
+        prob, cfg, b_count, status, detail = exit_path(case)
+        report = driver.solve(prob, cfg, b_count=b_count)
+        assert report.final_status == status and detail in report.detail
+        assert (len(report.iterates) > 0) == (case != "inner-solver-at-start")
+        if b_count is None:
+            last = report.final
+            expected = driver.estimate_b_count(script_F_point(prob, last.x, last.gamma), last.u) if last else 0
+            assert report.b_count == expected
+        x0 = np.asarray(prob.start_point, dtype=float)
+        start, f0, gamma, delta = x0, prob.f(x0), cfg.gamma0, cfg.delta0
+        u_prev = optimality.infeasibility_u(script_F_point(prob, x0))
+        for k, rec in enumerate(report.iterates, start=1):
+            at = script_F_point(prob, rec.x, rec.gamma)
+            res, mult = optimality.evaluate_residuals(at, report.b_count)
+            assert (rec.u, rec.stationarity, rec.complementarity, rec.second_order, rec.subspace_dim) == (
+                res.feasibility_u, res.stationarity, res.complementarity, res.second_order, res.subspace_dim)
+            assert np.array_equal(rec.y, mult.y) and np.array_equal(rec.Z, mult.Z)
+            assert (rec.k, rec.gamma, rec.delta, rec.f_value, rec.script_F_value) == (
+                k, gamma, delta, prob.f(rec.x), at.value)
+            assert rec.script_F_at_start == script_F_point(prob, start, gamma).value
+            assert rec.stationarity <= rec.delta and rec.inner_iterations >= 0
+            assert rec.xhat_branch == (driver.BRANCH_ACCEPT if rec.script_F_value <= f0 else driver.BRANCH_RESET)
+            start = rec.x if rec.xhat_branch == driver.BRANCH_ACCEPT else x0
+            gamma, u_prev = driver.next_gamma(k - 1, gamma, rec.u, u_prev, cfg.eta, cfg.theta), rec.u
+            delta *= cfg.beta

@@ -10,7 +10,7 @@ from nsdpen import driver, model, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
-from conftest import ball_problem, counting, rng, run_config
+from conftest import ball_problem, counting, rng
 
 
 def affine_matrix_problem():
@@ -252,7 +252,7 @@ class TestAudit:
         report = model.audit_derivatives(prob, prob.start_point)
         assert report.failures == ["d2G"] and report.errors["d2G"] == np.inf
         with pytest.raises(InvalidInputError, match="^d2G must return shape"):
-            driver.solve(prob, run_config("nearest-psd"))
+            driver.solve(prob, problems.get_problem("nearest-psd").config)
 
     def test_hook_writing_its_argument_fails(self):
         # every difference reads the same shifted points, so a hook may not write into them

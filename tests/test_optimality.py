@@ -413,7 +413,7 @@ class TestSecondOrderResidual:
 class TestEvaluateResiduals:
     def test_bundle_consistency(self):
         prob = problems.get_problem("scalar-bound").problem
-        res, mult = optimality.evaluate_residuals(prob, np.array([0.0]), 100.0, 1)
+        res, mult = optimality.evaluate_residuals(script_F_point(prob, np.array([0.0]), 100.0), 1)
         # G(0) = 0 so the recovered multiplier vanishes and stationarity is
         # the raw objective gradient
         assert mult.Z[0, 0] == 0.0
@@ -431,5 +431,5 @@ class TestEvaluateResiduals:
         for _ in range(50):
             x = prob.start_point + gen.normal(size=prob.n)
             gamma = 10.0 ** gen.uniform(0, 12)
-            res, _ = optimality.evaluate_residuals(prob, x, gamma, entry.b_count_at_solution)
+            res, _ = optimality.evaluate_residuals(script_F_point(prob, x, gamma), entry.b_count_at_solution)
             assert res.stationarity == float(np.linalg.norm(penalty.penalty_grad(script_F_point(prob, x, gamma))))

@@ -1,7 +1,11 @@
+import argparse
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nsdpen import model, optimality, problems
+from nsdpen import cli, driver, model, optimality, problems
 from nsdpen.errors import UnknownProblemError
 
 from conftest import script_F_point
@@ -82,3 +86,23 @@ class TestKnownData:
         ]
         assert min(gaps) == pytest.approx(1.0)
         assert entry.known_multipliers is None
+
+
+class TestKnownGoodConfig:
+    def test_each_config_reaches_feas_opt(self, corpus_runs):
+        for name, (entry, report) in corpus_runs.items():
+            assert report.final_status == driver.FEAS_OPT_REACHED, name
+            assert report.final.u <= entry.config.tol_feas, name
+
+    def test_benchmark_flags_name_the_same_configs(self):
+        # the benchmark passes the table as solve flags, in a copy of its own
+        source = (Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text()
+        flags = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CORPUS_FLAGS")
+        assert sorted(flags) == problems.list_problems()
+        parser = argparse.ArgumentParser()
+        cli._add_solve_parser(parser.add_subparsers())
+        for name, argv in flags.items():
+            args = parser.parse_args(["solve", "--problem", name, *argv])
+            config = driver.PenaltyConfig(**{field: getattr(args, field) for field in cli.CONFIG_FLAGS})
+            assert config == problems.get_problem(name).config, name

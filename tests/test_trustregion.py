@@ -183,6 +183,17 @@ class TestBoundaryOffset:
         assert abs(tr._norm(p) / radius - 1.0) <= 1e-14
         assert p[0] < 0 and p[1] == pytest.approx(-1.0 / (2.0 - w0), rel=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w0,g,radius", [(1e-300, [1e295, 1.0], 1e305), (1e-320, [1.0, 1.0], 1.0),
+                                             (1e-320, [1.0, 0.0], 1.0)])
+    def test_overflowing_interior_step_left_to_boundary(self, w0, g, radius):
+        # B is positive definite, but -g / w overflows in its tiny eigenvalue: that Newton step
+        # cannot fit, and deciding so must not warn (this test turns every warning into an error)
+        p = tr.ms_subproblem(np.diag([w0, 2.0]), np.array(g), radius)
+        assert abs(tr._norm(p) / radius - 1.0) <= 1e-14
+        lam = -g[0] / p[0] - w0  # the shift both components of (B + lam I) p = -g share
+        assert lam > 0 and p[1] == pytest.approx(-g[1] / (2.0 + lam), rel=1e-12)
+
     @pytest.mark.parametrize("g0", [1e-300, 1e-310, 1e-320])
     @pytest.mark.parametrize("w0", [-1.0, 1.0, 0.0])  # B indefinite, positive definite, singular
     def test_tiny_gradient_step(self, g0, w0):
