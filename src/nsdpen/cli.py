@@ -126,9 +126,8 @@ def _add_solve_parser(sub):
     p = sub.add_parser("solve", help="run the penalty method on a registered problem")
     p.add_argument("--problem", required=True)
     defaults = driver.PenaltyConfig()
-    for name in CONFIG_FLAGS:
-        default = getattr(defaults, name)
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    for name in CONFIG_FLAGS:  # a flag left out keeps the field of the problem's CorpusEntry.config
+        p.add_argument("--" + name.replace("_", "-"), type=type(getattr(defaults, name)))
     p.add_argument("--trace", default=None, help="JSONL path, one iterate record per line")
     p.add_argument("--report", default=None, help="JSON report path")
 
@@ -144,7 +143,8 @@ def _add_check_parser(sub):
 def _cmd_solve(args) -> int:
     entry = problems.get_problem(args.problem)
     try:
-        cfg = driver.PenaltyConfig(**{name: getattr(args, name) for name in CONFIG_FLAGS}).validate()
+        given = {name: getattr(args, name) for name in CONFIG_FLAGS if getattr(args, name) is not None}
+        cfg = dataclasses.replace(entry.config, **given).validate()
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 

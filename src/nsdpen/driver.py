@@ -18,11 +18,11 @@ iterate's record is built from one ``optimality.evaluate_residuals`` call at
 its kept point.
 
 Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
-point (one G, one eigendecomposition, one dG stack) keeps the penalty value
-and gradient and feeds the Hessian, and an outer iteration that keeps gamma
-and starts where the previous one ended reuses them.  The start point's
-infeasibility and every iterate's certificates read the same points:
-``penalty_at`` is the only caller of G and of the eigensolver in a solve.
+point (one f, g, jac_g and G, one eigendecomposition, one dG stack) keeps the
+penalty value and gradient and feeds the Hessian, and an outer iteration that
+keeps gamma and starts where the previous one ended reuses them.  f(x0), the
+start point's infeasibility and every iterate's f and certificates read the
+same points, so the driver calls no hook itself.
 """
 
 import time
@@ -33,7 +33,7 @@ import numpy as np
 from . import optimality, penalty, trustregion
 from .errors import InvalidInputError, StartNotFeasibleError, require_int
 from .matfun import default_zero_tol
-from .model import NsdpProblem, _real
+from .model import NsdpProblem
 
 FEAS_OPT_REACHED = "FeasOptReached"
 MAX_OUTER = "MaxOuter"
@@ -195,7 +195,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     if u0 > cfg.feas_check_tol:
         raise StartNotFeasibleError(
             f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
-    f0 = float(_real("f", prob.f(x0), ()))
+    f0 = at(x0).f
     u_prev = u0
 
     for k in range(cfg.max_outer):
@@ -232,7 +232,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         records.append(IterateRecord(
             k=k, gamma=gamma_k, delta=delta_k, u=cert.feasibility_u, stationarity=cert.stationarity,
             complementarity=cert.complementarity, second_order=cert.second_order, subspace_dim=cert.subspace_dim,
-            f_value=float(_real("f", prob.f(res.x), ())), script_F_value=res.value, script_F_at_start=start_value,
+            f_value=point.f, script_F_value=res.value, script_F_at_start=start_value,
             xhat_branch=branch, inner_iterations=res.iterations, x=res.x, y=mult.y, Z=mult.Z))
 
     return SolveReport(

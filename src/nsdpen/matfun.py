@@ -4,10 +4,11 @@
 reads it: the PSD part ``[X]+``, the matrix cube ``[X]+^3``, the scalar
 ``tr([X]+^4)`` and the derivative of ``X -> [X]+^3``, which is the eigenbasis
 of the decomposition together with the divided-difference coefficient matrix
-of ``dq_coeff`` and is applied to a direction by ``dq_apply``.  All
-operations are pure functions of their inputs.
+of ``dq_coeff`` and is applied to a direction by ``dq_apply``.  ``_norm`` is the
+one overflow-safe norm; all operations are pure functions of their inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,19 @@ _SIGN_TOL = 1e-12
 def symmetrize(X: np.ndarray) -> np.ndarray:
     """Return (X + X^T)/2."""
     return 0.5 * (X + X.T)
+
+
+def _pow2_unit(v) -> float:
+    """2**-e, where max|v| = m * 2**e with 0.5 <= m < 1 and e >= -1021 (so 2**-e is finite for
+    subnormal v): scaling by it is exact, so a norm taken after it rounds as the unscaled one
+    would, but no square overflows."""
+    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(v))))[1], -1021))
+
+
+def _norm(v) -> float:
+    """Euclidean norm of v, finite whenever it is representable."""
+    unit = _pow2_unit(v)
+    return float(np.linalg.norm(v * unit)) / unit
 
 
 def _as_sym(X, name: str = "X") -> np.ndarray:
@@ -67,7 +81,7 @@ def eig_sym(X) -> EigenDecomp:
     # row of each column's first entry above the tolerance; argmax gives 0 when there is none
     lead = (np.abs(P) > _SIGN_TOL).argmax(axis=0)
     P = np.where(P.T[np.arange(P.shape[1]), lead] < 0, -P, P)
-    return EigenDecomp(values=w[::-1].copy(), vectors=P, source_norm=float(np.linalg.norm(X)))
+    return EigenDecomp(values=w[::-1].copy(), vectors=P, source_norm=_norm(X))
 
 
 def default_zero_tol(dec: EigenDecomp) -> float:

@@ -161,6 +161,17 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
     return Gs.reshape(n, -1) @ Z.ravel()
 
 
+def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
+    """rho * hess f(x) - sum_j y_j hess g_j(x), each output shape-checked and symmetrized; a zero weight
+    calls no hook, and y is read only when m > 0."""
+    n = prob.n
+    H = rho * symmetrize(_real("hess_f", prob.hess_f(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
+    for j in range(prob.m):
+        if y[j] != 0.0:
+            H = H - y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (n, n)))
+    return H
+
+
 def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
 
@@ -193,14 +204,15 @@ class DerivativeAuditReport:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each entry of a (k, ...) stack.
+    """The Euclidean norm of each entry of a (k, ...) stack, as ``matfun._norm`` takes it.
 
-    Each is the square root of one dot product of the raveled entry with
-    itself, taken by a batched matmul, so it rounds as ``np.linalg.norm`` of
-    that entry does (a reduction along an axis would sum in another order).
+    Each entry is scaled by its own ``matfun._pow2_unit``, so no square overflows, and its norm is the square
+    root of one dot product of the raveled entry with itself, taken by a batched matmul, so it rounds as
+    ``np.linalg.norm`` of that scaled entry does (a reduction along an axis would sum in another order).
     """
-    rows = v.reshape(len(v), 1, -1)
-    return np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel()
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(v).reshape(len(v), -1).max(axis=1))[1], -1021))
+    rows = (v.reshape(len(v), -1) * unit[:, None])[:, None]
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).ravel() / unit
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:

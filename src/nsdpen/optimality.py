@@ -13,8 +13,8 @@ import numpy as np
 
 from . import matfun
 from .errors import InvalidInputError, require_int
-from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
+from .matfun import _norm, symmetrize
+from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint, hess_fg
 from .penalty import PenaltyPoint
 
 
@@ -71,14 +71,10 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """hess f(x) - sum_j y_j hess g_j(x) - [<d2G(x,i,j), Z>]_ij."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    H = symmetrize(_real("hess_f", prob.hess_f(x), (prob.n, prob.n))).copy()
-    if prob.m > 0:
-        for j in range(prob.m):
-            if y[j] != 0.0:
-                H -= y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (prob.n, prob.n)))
+    H = hess_fg(prob, x, 1.0, y)
     if prob.d > 0:
         H -= d2G_contract(prob, x, Z)
-    return symmetrize(H)
+    return H
 
 
 def _gamma(at: PenaltyPoint) -> float:
@@ -103,7 +99,7 @@ def jordan_complementarity(at: PenaltyPoint, Z) -> tuple[np.ndarray, float]:
     if at.G is None:
         return np.zeros((0, 0)), 0.0
     prod = 0.5 * (at.G @ Z + Z @ at.G)
-    return prod, float(np.linalg.norm(prod))
+    return prod, _norm(prod)
 
 
 def sigma_term(at: PenaltyPoint, Z) -> np.ndarray:
@@ -127,8 +123,8 @@ def sigma_term(at: PenaltyPoint, Z) -> np.ndarray:
 def infeasibility_u(at: PenaltyPoint) -> float:
     """max(||g(x)||, ||[-G(x)]+||_F): zero exactly on the feasible set."""
     _gamma(at)
-    gnorm = float(np.linalg.norm(at.r)) if at.r is not None else 0.0
-    pnorm = float(np.linalg.norm(matfun.psd_part_from(at.dec))) if at.dec is not None else 0.0
+    gnorm = _norm(at.r) if at.r is not None else 0.0
+    pnorm = _norm(matfun.psd_part_from(at.dec)) if at.dec is not None else 0.0
     return max(gnorm, pnorm)
 
 
@@ -146,7 +142,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
     require_int("b_count", b_count, 0, prob.d)
     rows = []
     if prob.m > 0:
-        rows.append(_real("jac_g", prob.jac_g(at.x), (prob.n, prob.m)).T)
+        rows.append(at.J.T)
     if b_count > 0:
         U = at.dec.vectors[:, :b_count]  # eig(-G) is descending: its first columns
         comp = U.T @ at.dG @ U
@@ -181,13 +177,13 @@ def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
 
 
 def evaluate_residuals(at: PenaltyPoint, b_count: int) -> tuple[OptimalityResiduals, MultiplierPair]:
-    """Every residual at the point ``at`` and the multipliers they use; the stationarity is the norm
-    of the point's penalty gradient ``at.grad``.  ``driver.solve`` certifies each iterate with it."""
+    """Every residual at the point ``at`` and the multipliers they use; the stationarity is the overflow-safe
+    ``matfun._norm`` of the point's penalty gradient ``at.grad``.  ``driver.solve`` certifies each iterate with it."""
     mult = recover_multipliers(at)
     basis = critical_subspace_basis(at, b_count)
     _, comp = jordan_complementarity(at, mult.Z)
     res = OptimalityResiduals(
-        stationarity=float(np.linalg.norm(at.grad)),
+        stationarity=_norm(at.grad),
         feasibility_u=infeasibility_u(at),
         complementarity=comp,
         second_order=second_order_residual(at, mult.y, mult.Z, basis),

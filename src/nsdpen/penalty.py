@@ -8,8 +8,8 @@ For parameters (v, M, rho, sigma, tau) the penalty is
 which is twice continuously differentiable in x.  ``penalty_at`` evaluates
 the two pieces every term is built from, r = v/tau - g(x) and the
 eigendecomposition of M/tau - G(x), once per point; ``penalty_value``,
-``penalty_grad`` and ``penalty_hess`` read them from that ``PenaltyPoint``
-and add the f terms and the derivatives of g and G.
+``penalty_grad`` and ``penalty_hess`` read them, and f, jac_g and dG made once
+on first read, from that ``PenaltyPoint`` and add the derivatives of f, g and G.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint
+from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint, hess_fg
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 class PenaltyPoint:
     """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0).
 
-    The read-only (n, d, d) stack ``dG`` of dG(x, i), the ``value`` and the read-only ``grad`` are made on
-    first read and kept; the n x n Hessian is not, since a solve keeps every iterate's point."""
+    ``f`` = f(x), ``J`` = jac_g(x) (never written into), the read-only stack ``dG`` of dG(x, i), the ``value`` and
+    the read-only ``grad`` are made on first read and kept; the Hessian is not, since a solve keeps every point."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -84,6 +84,14 @@ class PenaltyPoint:
     r: np.ndarray | None
     G: np.ndarray | None
     dec: matfun.EigenDecomp | None
+
+    @cached_property
+    def f(self) -> float:
+        return float(_real("f", self.prob.f(self.x), ()))
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return _real("jac_g", self.prob.jac_g(self.x), (self.prob.n, self.prob.m))
 
     @cached_property
     def dG(self) -> np.ndarray:
@@ -114,14 +122,14 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
         Gx = symmetrize(_real("G", prob.G(x), (prob.d, prob.d)))
         if p.M is not None and p.M.shape != (prob.d, prob.d):
             raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
-        dec = matfun.eig_sym(-Gx if p.M is None else symmetrize(p.M / p.tau - Gx))
+        dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
     return PenaltyPoint(prob, p, x, r, Gx, dec)
 
 
 def penalty_value(at: PenaltyPoint) -> float:
-    prob, p = at.prob, at.p
+    p = at.p
     st = p.sigma * p.tau
-    val = p.rho * float(_real("f", prob.f(at.x), ())) if p.rho != 0.0 else 0.0
+    val = p.rho * at.f if p.rho != 0.0 else 0.0
     if at.r is not None:
         val += 0.5 * st * float(at.r @ at.r)
     if at.dec is not None:
@@ -134,7 +142,7 @@ def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     st = p.sigma * p.tau
     grad = p.rho * _real("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
-        grad = grad - st * (_real("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ at.r)
+        grad = grad - st * (at.J @ at.r)
     if at.dec is not None:
         grad = grad - st * dG_adjoint(at.dG, matfun.q_cube_from(at.dec))
     return grad
@@ -149,16 +157,9 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     """
     prob, p, x, r, dec = at.prob, at.p, at.x, at.r, at.dec
     st = p.sigma * p.tau
-    if p.rho != 0.0:
-        H = p.rho * symmetrize(_real("hess_f", prob.hess_f(x), (prob.n, prob.n)))
-    else:
-        H = np.zeros((prob.n, prob.n))
+    H = hess_fg(prob, x, p.rho, None if r is None else st * r)
     if r is not None:
-        for j in range(prob.m):
-            if r[j] != 0.0:
-                H = H - st * r[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (prob.n, prob.n)))
-        J = _real("jac_g", prob.jac_g(x), (prob.n, prob.m))
-        H = H + st * (J @ J.T)
+        H = H + st * (at.J @ at.J.T)
     if dec is not None:
         P = dec.vectors
         K = (P.T @ at.dG @ P).reshape(prob.n, -1)

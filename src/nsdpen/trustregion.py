@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, require_int
-from .matfun import symmetrize
+from .matfun import _norm, _pow2_unit, symmetrize
 
 CONVERGED = "Converged"
 MAX_ITER = "MaxIter"
@@ -46,19 +46,6 @@ class TrConfig:
         if not (0 < self.shrink < 1 < self.grow < np.inf):
             raise InvalidInputError("need 0 < shrink < 1 < grow < inf")
         return self
-
-
-def _pow2_unit(v) -> float:
-    """2**-e, where max|v| = m * 2**e with 0.5 <= m < 1 and e >= -1021 (so 2**-e is finite for
-    subnormal v): scaling by it is exact, so a norm taken after it rounds as the unscaled one
-    would, but no square overflows."""
-    return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(v))))[1], -1021))
-
-
-def _norm(v) -> float:
-    """Euclidean norm of v, finite whenever it is representable."""
-    unit = _pow2_unit(v)
-    return float(np.linalg.norm(v * unit)) / unit
 
 
 @dataclass

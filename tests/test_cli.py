@@ -74,6 +74,14 @@ class TestSolveCommand:
     def test_missing_required_flag_exit(self):
         assert run_main(["solve"]) == 64
 
+    @pytest.mark.parametrize("name", problems.list_problems())
+    def test_flagless_solve_succeeds(self, name, capsys):
+        # without flags a solve runs the problem's known-good config; scalar-bound, nearest-psd and
+        # corr-matrix used to run PenaltyConfig()'s tol_feas = 1e-8 into the gamma cap and exit 3
+        code, out = run_main(["solve", "--problem", name], capsys)
+        assert code == 0, out.out
+        assert "FeasOptReached" in out.out
+
     def test_infeasible_tolerance_forces_cap_failure(self, tmp_path):
         # feasibility target is unreachable before the weight cap: exit 3
         code = run_main(["solve", "--problem", "scalar-bound", "--tol-feas", "1e-12",
@@ -168,11 +176,14 @@ class TestOutputMode:
 
 class TestDocumentContract:
     def test_default_config_mirrors_penalty_config(self, tmp_path):
+        # a flag left out keeps the field of the problem's CorpusEntry.config, and a given flag sets its field
         report = tmp_path / "r.json"
-        run_main(["solve", "--problem", "scalar-bound", "--report", str(report)])
-        config = json.loads(report.read_text())["config"]
-        defaults = driver.PenaltyConfig()
-        assert config == {name: getattr(defaults, name) for name in cli.CONFIG_FLAGS}
+        config = problems.get_problem("scalar-bound").config
+        assert config != driver.PenaltyConfig()
+        for flags, changes in (([], {}), (["--max-outer", "3", "--eta", "0.25"], dict(max_outer=3, eta=0.25))):
+            run_main(["solve", "--problem", "scalar-bound", *flags, "--report", str(report)])
+            expected = dataclasses.replace(config, **changes)
+            assert json.loads(report.read_text())["config"] == {name: getattr(expected, name) for name in cli.CONFIG_FLAGS}
 
     def test_rows_follow_iterate_record(self, tmp_path):
         report = tmp_path / "r.json"
@@ -251,6 +262,21 @@ class TestCheckCommand:
         code, out = run_main(["check", "--problem", problem, f"--at={point}"], capsys)
         assert code == 64
         assert "non-finite" in out.err
+
+    @pytest.mark.parametrize("problem, point, field, value", [
+        ("scalar-bound", "1e154", "stationarity", 2e154),  # ||grad f||^2 overflows
+        ("equality-degenerate", "1e80", "feasibility_u", 1e160),  # ||g||^2 overflows
+        ("corr-matrix", "1e155,1e155,0", "feasibility_u", 2**0.5 * 1e155),  # so does eig_sym's ||G(x)||_F^2
+    ])
+    def test_huge_point_residuals_finite(self, problem, point, field, value, tmp_path, capsys):
+        # a norm whose square overflows printed inf, or raised under error::RuntimeWarning; the audit's
+        # norms overflowed too, so grad_f failed with rel.err=inf
+        path = tmp_path / "c.json"
+        code, out = run_main(["check", "--problem", problem, "--at", point, "--json", str(path)], capsys)
+        doc = json.loads(path.read_text())
+        assert code == 0 and doc["audit"]["passed"] is True, out.out
+        assert doc["residuals"][field] == pytest.approx(value, rel=1e-15)
+        assert "inf" not in out.out
 
     def test_no_matrix_block_problem(self, tmp_path):
         path = tmp_path / "c.json"

@@ -473,13 +473,28 @@ class TestOneEvaluationPerPoint:
         assert hooks["dG"] == prob.n * calls["penalty_grad"] > 0
 
 
+class TestOneReadPerHook:
+    @pytest.mark.parametrize("case", [*problems.list_problems(), "ball-m2"])
+    def test_each_hook_read_once_per_point(self, case, monkeypatch):
+        # f, g and G once per penalty point (the driver reads f off the points), and jac_g once per
+        # differentiated point, as grad_f; corr-matrix made 96 f and 167 jac_g calls for 72 points
+        prob, _, hooks, calls = counted_solve(case, monkeypatch)
+        per_point = [hooks[h] for h, used in (("f", True), ("g", prob.m > 0), ("G", prob.d > 0)) if used]
+        assert per_point == [calls["penalty_at"]] * len(per_point)
+        assert hooks["grad_f"] == calls["penalty_grad"] > 0
+        assert hooks["jac_g"] == (hooks["grad_f"] if prob.m > 0 else 0)
+
+
 def counted_solve(case, monkeypatch):
     """A solve whose hooks, ``penalty_at``, ``penalty_grad`` and ``eig_sym`` calls are counted.
 
-    ``b_count`` is estimated on the ball problem and given on the corpus problem.
+    ``b_count`` is estimated on the ball problems and given on the corpus problems.  "ball-m2" has two
+    quadratic equalities; its seed-0 instance ends in MaxIter at tol_feas 1e-4 and 1e-3, so it takes seed 1 at 1e-3.
     """
     if case == "ball":
         prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+    elif case == "ball-m2":
+        prob, cfg, b_count = ball_problem(3, m=2, seed=1), driver.PenaltyConfig(tol_feas=1e-3, max_outer=40), None
     else:
         entry = problems.get_problem(case)
         prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsdpen import driver, model, problems
+from nsdpen import driver, matfun, model, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
@@ -132,6 +132,37 @@ class TestD2GContract:
                                 f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=prob.dG, d2G=d2G)
         with pytest.raises(InvalidInputError, match="d2G"):
             model.d2G_contract(bad, np.zeros(2), np.eye(2))
+
+
+class TestHessFg:
+    def test_weighted_sum_and_hook_calls(self):
+        # one hook call per nonzero weight, each output symmetrized
+        prob, counts = counting(ball_problem(3, m=2))
+        x = rng(31).normal(size=prob.n)
+        H = model.hess_fg(prob, x, 2.0, np.array([0.0, -1.5]))
+        assert (counts["hess_f"], counts["hess_g"]) == (1, 1)
+        assert np.array_equal(H, 2.0 * symmetrize(prob.hess_f(x)) + 1.5 * symmetrize(prob.hess_g(x, 1)))
+        assert np.array_equal(H, H.T)
+        counts.update(dict.fromkeys(counts, 0))
+        assert not model.hess_fg(prob, x, 0.0, np.zeros(2)).any()
+        assert not any(counts.values())
+
+    @pytest.mark.parametrize("hook", ["hess_f", "hess_g"])
+    def test_wrong_shape_names_the_hook(self, hook):
+        prob = dataclasses.replace(ball_problem(3, m=2), **{hook: lambda *args: np.ones(6)})
+        with pytest.raises(InvalidInputError, match=rf"^{hook} must return shape \(6, 6\)"):
+            model.hess_fg(prob, np.zeros(6), 1.0, np.ones(2))
+
+
+class TestNorms:
+    def test_rows_scaled_apart(self):
+        # each row has its own power of two: a huge row neither overflows nor flushes a small one
+        v = np.array([[1e200, -1e200, 3e199], [3e-200, 4e-200, 0.0], [0.5, 0.25, 1.0], [0.0, 0.0, 0.0]])
+        assert model._norms(v).tolist() == [matfun._norm(row) for row in v]
+        assert model._norms(v)[1] == pytest.approx(5e-200, rel=1e-15)
+        # without overflow the rounding is that of np.linalg.norm
+        w = rng(32).normal(size=(50, 4, 4)) * 10.0 ** rng(33).integers(-5, 5, size=(50, 1, 1))
+        assert model._norms(w).tolist() == [float(np.linalg.norm(entry)) for entry in w]
 
 
 class TestAudit:

@@ -97,7 +97,8 @@ class TestLoopEquivalence:
         prob, counts = counting(ball_problem(4, m=2))
         x, y, Z = mixed_point(prob, 42)
         n = prob.n
-        optimality.lagrangian_hess(prob, x, y, Z)
+        H = optimality.lagrangian_hess(prob, x, y, Z)
+        assert np.array_equal(H, H.T)  # every part is exactly symmetric, so no final symmetrize is needed
         assert (counts["dG"], counts["d2G"]) == (0, n * (n + 1) // 2)
         at = script_F_point(prob, x)
         counts.update(dict.fromkeys(counts, 0))

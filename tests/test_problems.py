@@ -1,5 +1,5 @@
-import argparse
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -94,15 +94,21 @@ class TestKnownGoodConfig:
             assert report.final_status == driver.FEAS_OPT_REACHED, name
             assert report.final.u <= entry.config.tol_feas, name
 
-    def test_benchmark_flags_name_the_same_configs(self):
-        # the benchmark passes the table as solve flags, in a copy of its own
+    def test_benchmark_flags_name_the_same_configs(self, tmp_path, capsys):
+        # the benchmark passes the table as solve flags, in a copy of its own; a flagless solve runs
+        # CorpusEntry.config, so with the flags the report, trace and output must be the same
         source = (Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text()
         flags = next(ast.literal_eval(node.value) for node in ast.parse(source).body
                      if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CORPUS_FLAGS")
         assert sorted(flags) == problems.list_problems()
-        parser = argparse.ArgumentParser()
-        cli._add_solve_parser(parser.add_subparsers())
         for name, argv in flags.items():
-            args = parser.parse_args(["solve", "--problem", name, *argv])
-            config = driver.PenaltyConfig(**{field: getattr(args, field) for field in cli.CONFIG_FLAGS})
-            assert config == problems.get_problem(name).config, name
+            runs = []
+            for given in (argv, []):
+                report, trace = tmp_path / "r.json", tmp_path / "t.jsonl"
+                code = cli.main(["solve", "--problem", name, *given, "--report", str(report), "--trace", str(trace)])
+                doc = json.loads(report.read_text())
+                doc.pop("wall_time_sec")
+                runs.append((code, doc, trace.read_text(), capsys.readouterr().out))
+            assert runs[0] == runs[1], name
+            config = problems.get_problem(name).config
+            assert runs[0][1]["config"] == {field: getattr(config, field) for field in cli.CONFIG_FLAGS}, name
