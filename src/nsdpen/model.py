@@ -103,6 +103,7 @@ class NsdpProblem:
                 self.hess_f = self._fd_hess_f
             if self.m > 0 and self.hess_g is None:
                 self.hess_g = self._fd_hess_g
+                self._fd_jac_g_diff = (None, None)
             if self.d > 0 and self.d2G is None:
                 self.d2G = self._fd_d2G
 
@@ -112,8 +113,16 @@ class NsdpProblem:
         return symmetrize(_stacked_diff("grad_f", self.grad_f, shifts, (self.n,)))
 
     def _fd_hess_g(self, x, j):
-        shifts = _shifts(_vec(x, self.n), FD_STEP_SECOND_ORDER)
-        return symmetrize(_stacked_diff("jac_g", self.jac_g, shifts, (self.n, self.m))[:, :, j])
+        # one stacked difference of jac_g gives every column j; the last point's is kept, so the m
+        # calls at one x difference jac_g once (2n calls), not m times.  The (x.tobytes(), difference)
+        # pair is read once, so that a concurrent call cannot pair one x with another's difference
+        x = _vec(x, self.n)
+        key, diff = self._fd_jac_g_diff
+        if key != x.tobytes():
+            shifts = _shifts(x, FD_STEP_SECOND_ORDER)
+            key, diff = x.tobytes(), _stacked_diff("jac_g", self.jac_g, shifts, (self.n, self.m))
+            self._fd_jac_g_diff = key, diff
+        return symmetrize(diff[:, :, j])
 
     def _fd_d2G(self, x, i, j):
         Dij = _central_diff("dG", lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)

@@ -1,10 +1,13 @@
 """Trust-region Newton minimizer targeting second-order stationarity.
 
 The subproblem min g^T p + p^T B p / 2 over ||p|| <= radius is solved
-near-exactly in the eigenbasis of B (dimensions here are small), including
-the hard case, so that the outer loop can certify both a gradient bound and
-an eigenvalue bound at termination; the eigenvalue is computed only where the
-gradient bound already holds, since elsewhere it cannot change the decision.
+near-exactly.  Its common case, a positive definite B whose Newton step fits
+the radius, is taken from a Cholesky factorization of B; every other case
+(a boundary step, an indefinite or singular B, the hard case) is solved in
+the eigenbasis of B, so that the outer loop can certify both a gradient
+bound and an eigenvalue bound at termination.  The eigenvalue is computed
+only where the gradient bound already holds, since elsewhere it cannot
+change the decision.
 """
 
 import math
@@ -62,11 +65,16 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
 
     Returns p with (B + lam*I) p = -grad for some lam >= 0 such that
     B + lam*I is PSD, ||p|| <= radius and lam * (radius - ||p||) = 0; a
-    boundary step has ||p|| = radius to a few ulps.  Its lam comes from
+    boundary step has ||p|| = radius to a few ulps.
+
+    Factor first (Moré & Sorensen 1983): when a Cholesky factorization of B
+    succeeds and the Newton step solving B p = -grad is finite and fits the
+    radius, that step is returned with lam = 0, and no eigendecomposition is
+    made.  Otherwise B is eigendecomposed.  A boundary step's lam comes from
     Newton's method on the secular equation, which relies on 1/||p(lam)||
-    being concave (Moré & Sorensen 1983).  The hard case (gradient orthogonal
-    to the bottom eigenspace of an indefinite B) is resolved by stepping
-    along the eigenvector of the smallest eigenvalue.
+    being concave.  The hard case (gradient orthogonal to the bottom
+    eigenspace of an indefinite B) is resolved by stepping along the
+    eigenvector of the smallest eigenvalue.
     """
     B = np.asarray(B, dtype=float)
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
@@ -78,6 +86,17 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     n = grad.shape[0]
     if B.shape != (n, n):
         raise InvalidInputError(f"B must be {n}x{n}, got {B.shape}")
+
+    # factor first: a Cholesky factorization certifies B positive definite.  numpy's linalg reports
+    # a failed factorization or solve as LinAlgError, not as a warning, and a step that overflows
+    # has the norm inf, which fails the fit test; each of these falls through to the eigen path
+    try:
+        np.linalg.cholesky(B)
+        p = np.linalg.solve(B, -grad)
+        if _norm(p) <= radius * (1 + 1e-12):
+            return p
+    except np.linalg.LinAlgError:
+        pass
 
     w, Q = np.linalg.eigh(B)  # ascending
     gbar = Q.T @ grad

@@ -418,6 +418,47 @@ class TestSaddleStart:
         assert eigs[0] == sum(within) < len(within)
 
 
+class TestFactorFirst:
+    @pytest.mark.parametrize("case", ["ball", "saddle-inactive", "saddle-active"])
+    def test_eigensolves_only_off_the_newton_path(self, case, monkeypatch):
+        # ms_subproblem eigendecomposes B for exactly the trial steps that are not interior
+        # Newton steps on a positive definite B; the saddle starts still reach the indefinite
+        # and hard-case branches
+        if case == "ball":
+            prob, cfg = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
+        else:
+            prob, cfg = saddle_start_problem(case == "saddle-active"), driver.PenaltyConfig(tol_feas=1e-4)
+        steps = []  # (B indefinite, hard case, interior Newton step on a positive definite B)
+        eighs, inside = [0], [False]
+        eigh, ms_subproblem = np.linalg.eigh, trustregion.ms_subproblem
+
+        def counting_eigh(B):
+            eighs[0] += inside[0]
+            return eigh(B)
+
+        def classifying(B, g, radius):
+            w, Q = eigh(B)
+            gbar = Q.T @ g
+            hard = w[0] < 0 and abs(gbar[0]) <= 1e-13 * max(1.0, np.linalg.norm(g))
+            newton = w[0] > 0 and np.linalg.norm(gbar / w) <= radius
+            steps.append((w[0] < 0, hard, newton))
+            inside[0] = True
+            try:
+                return ms_subproblem(B, g, radius)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(trustregion, "ms_subproblem", classifying)
+        report = driver.solve(prob, cfg)
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert eighs[0] == sum(not newton for _, _, newton in steps)
+        if case == "ball":
+            assert eighs[0] < len(steps)
+        else:
+            assert any(indefinite for indefinite, _, _ in steps) and any(hard for _, hard, _ in steps)
+
+
 class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
     def test_no_point_evaluated_twice(self, case, monkeypatch):

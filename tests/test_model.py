@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsdpen import driver, matfun, model, problems
+from nsdpen import driver, matfun, model, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
@@ -330,6 +330,29 @@ class TestSynthesizedSecondDerivatives:
         )
         x = np.array([0.7])
         assert fd.hess_g(x, 0)[0, 0] == pytest.approx(2.0, abs=1e-8)
+
+    def test_one_jac_g_difference_per_point(self):
+        # one penalty_hess reads jac_g once for J and differences it once (2n calls) for all m
+        # synthesized hess_g, not once per j
+        prob = ball_problem(3, m=2, fd_second_order=True)
+        n, m = prob.n, prob.m
+        calls, jac_g = [0], prob.jac_g
+
+        def counted(x):
+            calls[0] += 1
+            return jac_g(x)
+
+        prob.jac_g = counted
+        params = penalty.special_params("script_F", 3.0)
+        for x in rng(29).normal(size=(2, n)):
+            calls[0] = 0
+            penalty.penalty_hess(penalty.penalty_at(prob, x, params))
+            assert calls[0] == 1 + 2 * n
+            # the kept difference gives each column bit for bit as its own difference would
+            diff = model._stacked_diff("jac_g", jac_g, model._shifts(x, model.FD_STEP_SECOND_ORDER), (n, m))
+            for j in range(m):
+                assert np.array_equal(prob.hess_g(x, j), symmetrize(diff[:, :, j]))
+            assert calls[0] == 1 + 2 * n
 
     def test_missing_hooks_rejected(self):
         with pytest.raises(InvalidInputError):

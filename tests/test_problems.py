@@ -1,5 +1,8 @@
 import ast
+import dataclasses
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,23 @@ class TestKnownGoodConfig:
         for name, (entry, report) in corpus_runs.items():
             assert report.final_status == driver.FEAS_OPT_REACHED, name
             assert report.final.u <= entry.config.tol_feas, name
+
+    def test_corpus_script_exit_code(self, monkeypatch, capsys):
+        # scripts/run_corpus.py fails when a problem misses FeasOptReached or ends too far from its known solution
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+        spec = importlib.util.spec_from_file_location("run_corpus", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--problem", "scalar-bound"])
+        assert script.main() == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(script, "REFERENCE_TOL", 1e-6)
+            assert script.main() == 1
+        entry = problems.get_problem("scalar-bound")
+        capped = dataclasses.replace(entry, config=dataclasses.replace(entry.config, max_outer=1))
+        monkeypatch.setattr(problems, "get_problem", lambda name: capped)
+        assert script.main() == 1
+        assert capsys.readouterr().out.count("FAILED: scalar-bound") == 2
 
     def test_benchmark_flags_name_the_same_configs(self, tmp_path, capsys):
         # the benchmark passes the table as solve flags, in a copy of its own; a flagless solve runs

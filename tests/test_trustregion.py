@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from nsdpen import trustregion as tr
 from nsdpen.errors import InvalidInputError
 
-from conftest import rng
+from conftest import rng, spectrum_matrix
 
 
 def kkt_residuals(B, g, radius, p):
@@ -204,6 +205,50 @@ class TestBoundaryOffset:
             assert abs(np.linalg.norm(p) - 1.0) <= 1e-14
         else:  # interior step -g / (w + 0)
             assert np.array_equal(p, [0.0 if w0 == 0 else -g0 / w0, -g0 / 2.0])
+
+
+def eigen_path_step(B, g, radius):
+    """ms_subproblem's step with the Cholesky factorization failing, so that it takes the eigen path."""
+    with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
+        return tr.ms_subproblem(B, g, radius)
+
+
+# (seed of the eigenbasis and the gradient, spectrum) of a positive definite B of condition at most 100
+positive_definite = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+))
+
+
+class TestFactorFirst:
+    @given(positive_definite, st.floats(1.0, 1e3))
+    @settings(max_examples=200)
+    def test_newton_step_from_cholesky(self, case, slack):
+        seed, w = case
+        gen = rng(seed)
+        B, g = spectrum_matrix(gen, w), gen.normal(size=len(w))
+        radius = slack * np.linalg.norm(np.linalg.solve(B, g))  # the Newton step fits
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            p = tr.ms_subproblem(B, g, radius)
+        assert eigh.call_count == 0
+        expected = eigen_path_step(B, g, radius)
+        assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(B @ p + g) <= 1e-10 * (np.linalg.norm(B) * np.linalg.norm(p) + np.linalg.norm(g))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("B,g,radius", [
+        (np.diag([-1.0, 2.0]), [1.0, 1.0], 1.0),  # indefinite
+        (np.diag([0.0, 2.0]), [1.0, 1.0], 1.0),  # singular
+        (np.diag([1.0, 2.0]), [10.0, 10.0], 1.0),  # the Newton step does not fit
+        (np.diag([1e-300, 2.0]), [1e295, 1.0], 1e305),  # the Newton step overflows
+    ], ids=["indefinite", "singular", "too-long", "overflow"])
+    def test_falls_through_to_eigen_path(self, B, g, radius):
+        # every warning is an error here, so the factorization, the solve and the fit test warn on none
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            p = tr.ms_subproblem(B, np.array(g), radius)
+        assert eigh.call_count == 1
+        assert np.array_equal(p, eigen_path_step(B, np.array(g), radius))
+        assert abs(tr._norm(p) / radius - 1.0) <= 1e-14
 
 
 def test_import_loads_no_scipy():
