@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import optimality, penalty, trustregion
+from . import model, optimality, penalty, trustregion
 from .errors import InvalidInputError, StartNotFeasibleError, require_int
 from .matfun import default_zero_tol
 from .model import NsdpProblem
@@ -158,8 +158,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     cfg = (config or PenaltyConfig()).validate()
     if b_count is not None:
         require_int("b_count", b_count, 0, prob.d)
-    needed = (("hess_f", True), ("hess_g", prob.m > 0), ("d2G", prob.d > 0))
-    missing = [hook for hook, used in needed if used and getattr(prob, hook) is None]
+    needed = (("hess_f", model._hess_f, True), ("hess_g", model._hess_g, prob.m > 0), ("d2G", model._d2G, prob.d > 0))
+    missing = [hook for hook, resolve, used in needed if used and resolve(prob) is None]
     if missing:
         raise InvalidInputError(f"problem {prob.name!r} has no {', '.join(missing)} hook; "
                                 "supply it or build the problem with fd_second_order=True")

@@ -6,7 +6,7 @@ G (optional, d = 0 when absent), together with the linear operators built on
 the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,22 +24,8 @@ def _vec(x, n: int, name: str = "x") -> np.ndarray:
     return x
 
 
-def _central_diff(hook: str, fn, x: np.ndarray, step: float, i: int) -> np.ndarray:
-    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) with h = step * (1 + |x|), for one coordinate i.
-
-    fn's outputs are read as the output of ``hook``, so complex output raises.
-    """
-    x = np.asarray(x, dtype=float)
-    e = np.zeros(x.size)
-    e[i] = step * (1.0 + abs(x[i]))
-    return (_real(hook, fn(x + e)) - _real(hook, fn(x - e))) / (2 * e[i])
-
-
 def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i.
-
-    Each row equals the ``x + e`` and ``x - e`` of ``_central_diff``, bit for bit.
-    """
+    """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i."""
     h = step * (1.0 + np.abs(x))
     D = np.diag(h)
     points = np.concatenate([x + D, x - D])
@@ -48,11 +34,10 @@ def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: tuple) -> np.ndarray:
-    """``_central_diff`` for every coordinate i along a new leading axis, at the points of ``_shifts``.
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) for every coordinate i along a new leading axis.
 
-    fn's 2n outputs are gathered as one array of ``hook`` outputs of the given
-    shape and differenced in one operation, with the same IEEE operations
-    per entry as the one-coordinate routine.
+    fn's 2n outputs at the points of ``_shifts`` are gathered as one array of
+    ``hook`` outputs of the given shape and differenced in one operation.
     """
     h, points = shifts
     out = _gather(hook, [fn(z) for z in points], shape)
@@ -62,7 +47,7 @@ def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: t
     return diff
 
 
-@dataclass
+@dataclass(frozen=True)
 class NsdpProblem:
     """Problem data: minimize f(x) subject to g(x) = 0 and G(x) PSD.
 
@@ -71,9 +56,10 @@ class NsdpProblem:
     ``d2G(x, i, j)`` the second partial; both return symmetric d x d arrays.
 
     Second-derivative hooks may be omitted by passing
-    ``fd_second_order=True``; they are then synthesized by central
-    differences of the first-derivative hooks with per-coordinate step
-    ``1e-5 * (1 + |x_i|)``.
+    ``fd_second_order=True``; their fields stay None, and each reader takes
+    central differences of this problem's own first-derivative hooks (step
+    ``1e-5 * (1 + |x_i|)``), so a ``dataclasses.replace`` copy differences its
+    own hooks.  Frozen, with a read-only copy of ``start_point``.
     """
 
     name: str
@@ -90,44 +76,56 @@ class NsdpProblem:
     G: Callable[[np.ndarray], np.ndarray] | None = None
     dG: Callable[[np.ndarray, int], np.ndarray] | None = None
     d2G: Callable[[np.ndarray, int, int], np.ndarray] | None = None
-    fd_second_order: bool = field(default=False)
+    fd_second_order: bool = False
 
     def __post_init__(self):
-        self.start_point = _vec(self.start_point, self.n, "start_point")
+        start = _vec(self.start_point, self.n, "start_point").copy()
+        start.flags.writeable = False
+        object.__setattr__(self, "start_point", start)
         if self.m > 0 and (self.g is None or self.jac_g is None):
             raise InvalidInputError(f"problem {self.name!r}: m > 0 requires g and jac_g hooks")
         if self.d > 0 and (self.G is None or self.dG is None):
             raise InvalidInputError(f"problem {self.name!r}: d > 0 requires G and dG hooks")
-        if self.fd_second_order:
-            if self.hess_f is None:
-                self.hess_f = self._fd_hess_f
-            if self.m > 0 and self.hess_g is None:
-                self.hess_g = self._fd_hess_g
-                self._fd_jac_g_diff = (None, None)
-            if self.d > 0 and self.d2G is None:
-                self.d2G = self._fd_d2G
 
-    # synthesized second derivatives (central differences of first-derivative hooks)
-    def _fd_hess_f(self, x):
-        shifts = _shifts(_vec(x, self.n), FD_STEP_SECOND_ORDER)
-        return symmetrize(_stacked_diff("grad_f", self.grad_f, shifts, (self.n,)))
 
-    def _fd_hess_g(self, x, j):
-        # one stacked difference of jac_g gives every column j; the last point's is kept, so the m
-        # calls at one x difference jac_g once (2n calls), not m times.  The (x.tobytes(), difference)
-        # pair is read once, so that a concurrent call cannot pair one x with another's difference
-        x = _vec(x, self.n)
-        key, diff = self._fd_jac_g_diff
-        if key != x.tobytes():
-            shifts = _shifts(x, FD_STEP_SECOND_ORDER)
-            key, diff = x.tobytes(), _stacked_diff("jac_g", self.jac_g, shifts, (self.n, self.m))
-            self._fd_jac_g_diff = key, diff
-        return symmetrize(diff[:, :, j])
+def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The symmetrized differences of grad_f (k = 1) or of each column of jac_g (k = m) at the points of
+    ``_shifts``, as a (k, n, n) stack: the synthesized hess_f and hess_g, and the audit's references for them."""
+    n = prob.n
+    shape = (n,) if hook == "grad_f" else (n, prob.m)
+    D = _stacked_diff(hook, getattr(prob, hook), shifts, shape).reshape(n, n, -1).transpose(2, 0, 1)
+    return 0.5 * (D + D.transpose(0, 2, 1))
 
-    def _fd_d2G(self, x, i, j):
-        Dij = _central_diff("dG", lambda z: self.dG(z, i), x, FD_STEP_SECOND_ORDER, j)
-        Dji = _central_diff("dG", lambda z: self.dG(z, j), x, FD_STEP_SECOND_ORDER, i)
-        return symmetrize(0.5 * (Dij + Dji))
+
+# One resolver per second derivative, the only way to read one: the hook, or under fd_second_order a central
+# difference of this problem's own first-derivative hook, or None when there is neither.
+def _hess_f(prob: NsdpProblem):
+    """hess_f(x)."""
+    if prob.hess_f is not None or not prob.fd_second_order:
+        return prob.hess_f
+    return lambda x: _hessian_diff(prob, "grad_f", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[0]
+
+
+def _hess_g(prob: NsdpProblem):
+    """hess_g(x, js): the (len(js), n, n) stack of hess g_j(x) for the list js, from one hook call per j or
+    from one difference of jac_g for all of them."""
+    if prob.hess_g is not None:
+        return lambda x, js: _gather("hess_g", [prob.hess_g(x, j) for j in js], (prob.n, prob.n))
+    if prob.fd_second_order:
+        return lambda x, js: _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[js]
+    return None
+
+
+def _d2G(prob: NsdpProblem):
+    """d2G(x, i, j); synthesized, the symmetrized mean of the differences of dG(., i) in x_j and dG(., j) in x_i."""
+    if prob.d2G is not None or not prob.fd_second_order:
+        return prob.d2G
+
+    def diff(x, i, j):  # (dG(x + h_j e_j, i) - dG(x - h_j e_j, i)) / (2 h_j), with the h of _shifts
+        e = np.zeros(x.size)
+        e[j] = FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
+        return (_real("dG", prob.dG(x + e, i)) - _real("dG", prob.dG(x - e, i))) / (2 * e[j])
+    return lambda x, i, j: symmetrize(0.5 * (diff(x, i, j) + diff(x, j, i)))
 
 
 def _real(hook: str, value, shape: tuple | None = None) -> np.ndarray:
@@ -172,12 +170,12 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
 
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
     """rho * hess f(x) - sum_j y_j hess g_j(x), each output shape-checked and symmetrized; a zero weight
-    calls no hook, and y is read only when m > 0."""
+    reads no hess g_j (a synthesized hess_g differences jac_g once for all others), and y is read only when m > 0."""
     n = prob.n
-    H = rho * symmetrize(_real("hess_f", prob.hess_f(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
-    for j in range(prob.m):
-        if y[j] != 0.0:
-            H = H - y[j] * symmetrize(_real("hess_g", prob.hess_g(x, j), (n, n)))
+    H = rho * symmetrize(_real("hess_f", _hess_f(prob)(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
+    js = [j for j in range(prob.m) if y[j] != 0.0]
+    for j, Hj in zip(js, _hess_g(prob)(x, js) if js else ()):
+        H = H - y[j] * symmetrize(Hj)
     return H
 
 
@@ -194,8 +192,9 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
         raise InvalidInputError(f"W must have shape ({prob.d}, {prob.d}), got {W.shape}")
     n = prob.n
     out = np.zeros((n, n))
+    d2G = _d2G(prob)
     for i in range(n):
-        row = _gather("d2G", [prob.d2G(x, i, j) for j in range(i, n)], W.shape).reshape(n - i, -1) @ W.ravel()
+        row = _gather("d2G", [d2G(x, i, j) for j in range(i, n)], W.shape).reshape(n - i, -1) @ W.ravel()
         out[i, i:] = out[i:, i] = row
     return out
 
@@ -241,8 +240,9 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     Every difference reads the same 2n shifted points x +- h_i e_i, handed
     to the hooks as read-only rows, so a hook that writes into its argument
     fails its check.  The hook calls are those of one difference per
-    analytic output: f, g and G 2n times each, grad_f 1 + 2n, jac_g 1 + 2nm,
-    dG n + 2n^2, d2G n^2, and hess_f once and hess_g m times.
+    analytic output, and of one for all columns of jac_g: f, g and G 2n times
+    each, grad_f and jac_g 1 + 2n, dG n + 2n^2, d2G n^2, and hess_f once and
+    hess_g m times.  Synthesized second derivatives are audited as read.
     """
     if not step > 0:
         raise InvalidInputError("step must be positive")
@@ -258,23 +258,21 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
         return _real(hook, value, shape)[None]
 
     # each check returns one relative error per analytic hook output it audits
+    hess_f, hess_g, d2G = _hess_f(prob), _hess_g(prob), _d2G(prob)
     checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
-    if prob.hess_f is not None:
-        checks["hess_f"] = lambda: _rel_err(one("hess_f", prob.hess_f(x), (n, n)),
-                                            symmetrize(fd("grad_f", prob.grad_f, (n,)))[None])
+    if hess_f is not None:
+        checks["hess_f"] = lambda: _rel_err(one("hess_f", hess_f(x), (n, n)), _hessian_diff(prob, "grad_f", shifts))
     if m > 0:
         checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
-        if prob.hess_g is not None:
-            checks["hess_g"] = lambda: _rel_err(
-                _gather("hess_g", [prob.hess_g(x, j) for j in range(m)], (n, n)),
-                np.stack([symmetrize(fd("jac_g", prob.jac_g, (n, m))[:, :, j]) for j in range(m)]))
+        if hess_g is not None:
+            checks["hess_g"] = lambda: _rel_err(hess_g(x, list(range(m))), _hessian_diff(prob, "jac_g", shifts))
     if d > 0:
         checks["dG"] = lambda: _rel_err(_gather("dG", [prob.dG(x, i) for i in range(n)], (d, d)),
                                         fd("G", prob.G, (d, d)))
-        if prob.d2G is not None:
+        if d2G is not None:
             # row i: the n outputs d2G(x, i, j) against the difference of dG(., i) over j
             checks["d2G"] = lambda: np.concatenate([
-                _rel_err(_gather("d2G", [prob.d2G(x, i, j) for j in range(n)], (d, d)),
+                _rel_err(_gather("d2G", [d2G(x, i, j) for j in range(n)], (d, d)),
                          fd("dG", lambda z: prob.dG(z, i), (d, d)))
                 for i in range(n)])
 

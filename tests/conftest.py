@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nsdpen import driver, matfun, penalty, problems
+from nsdpen import driver, matfun, model, penalty, problems
 from nsdpen.model import NsdpProblem
 
 settings.register_profile(
@@ -103,6 +103,12 @@ def mixed_ball_point(gen: np.random.Generator, d: int) -> np.ndarray:
 
 
 HOOKS = ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G")
+
+
+def second_derivatives(prob: NsdpProblem):
+    """hess_f(x), hess_g(x, j) and d2G(x, i, j) of ``prob`` as the solver reads them, synthesized or not."""
+    hess_g = model._hess_g(prob)
+    return model._hess_f(prob), lambda x, j: hess_g(x, [j])[0], model._d2G(prob)
 
 
 def counting(prob: NsdpProblem):

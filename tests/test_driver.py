@@ -193,8 +193,7 @@ class TestSolveGuards:
 
     @pytest.mark.parametrize("hook", ["hess_f", "hess_g", "d2G"])
     def test_missing_second_order_hook_rejected(self, hook):
-        prob = ball_problem(2, m=1)
-        setattr(prob, hook, None)
+        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: None})
         with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
             driver.solve(prob, driver.PenaltyConfig(max_outer=1))
 
@@ -226,6 +225,15 @@ class TestSolveGuards:
         report = driver.solve(entry.problem, cfg, b_count=1)
         assert report.final_status == driver.INNER_FAILURE
         assert "cap" in report.detail
+
+    def test_synthesized_second_derivatives_solve_as_analytic(self):
+        # central-difference hess_f, hess_g and d2G take the analytic twin's path to the same point
+        cfg = driver.PenaltyConfig(tol_feas=1e-3, tol_opt=1e-6, max_outer=40)
+        analytic, fd = (driver.solve(ball_problem(2, m=1, seed=0, fd_second_order=fd), cfg) for fd in (False, True))
+        assert fd.final_status == driver.FEAS_OPT_REACHED
+        for report in (analytic, fd):
+            assert (len(report.iterates), sum(rec.inner_iterations for rec in report.iterates)) == (18, 21)
+        assert np.max(np.abs(fd.final.x - analytic.final.x)) <= 1e-12
 
     def test_estimated_b_count_matches_known(self):
         # omit b_count: the driver estimates it from the final iterate

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsdpen import driver, matfun, model, penalty, problems
+from nsdpen import driver, matfun, model, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
-from conftest import ball_problem, counting, rng
+from conftest import ball_problem, counting, rng, second_derivatives
 
 
 def affine_matrix_problem():
@@ -35,6 +35,7 @@ def affine_matrix_problem():
 def loop_audit_errors(prob, x, step):
     """Reference audit errors: one central difference per coordinate and two norms per hook output, entry by entry."""
     n = prob.n
+    hess_f, hess_g, d2G = second_derivatives(prob)
 
     def fd(fn):
         rows = []
@@ -48,13 +49,13 @@ def loop_audit_errors(prob, x, step):
         analytic = np.asarray(analytic, dtype=float)
         return np.linalg.norm((analytic - approx).ravel()) / (1.0 + np.linalg.norm(analytic.ravel()))
 
-    errors = {"grad_f": [err(prob.grad_f(x), fd(prob.f))], "hess_f": [err(prob.hess_f(x), symmetrize(fd(prob.grad_f)))]}
+    errors = {"grad_f": [err(prob.grad_f(x), fd(prob.f))], "hess_f": [err(hess_f(x), symmetrize(fd(prob.grad_f)))]}
     if prob.m > 0:
         errors["jac_g"] = [err(prob.jac_g(x), fd(prob.g))]
-        errors["hess_g"] = [err(prob.hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
+        errors["hess_g"] = [err(hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
                             for j in range(prob.m)]
     errors["dG"] = [err(prob.dG(x, i), D) for i, D in enumerate(fd(prob.G))]
-    errors["d2G"] = [err(prob.d2G(x, i, j), D) for i in range(n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
+    errors["d2G"] = [err(d2G(x, i, j), D) for i in range(n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
     return {label: float(np.max(errs)) for label, errs in errors.items()}
 
 
@@ -222,7 +223,7 @@ class TestAudit:
                 out[0, 0] = np.nan
             return out
 
-        setattr(prob, hook, poisoned)
+        prob = dataclasses.replace(prob, **{hook: poisoned})
         report = model.audit_derivatives(prob, rng(25).normal(size=prob.n))
         assert report.errors[hook] == np.inf
         assert not report.passed and hook in report.failures
@@ -254,7 +255,7 @@ class TestAudit:
         prob, counts = counting(ball_problem(3, m=2))
         n, m = prob.n, prob.m
         model.audit_derivatives(prob, rng(26).normal(size=n))
-        assert counts == {"f": 2 * n, "grad_f": 1 + 2 * n, "hess_f": 1, "g": 2 * n, "jac_g": 1 + 2 * n * m,
+        assert counts == {"f": 2 * n, "grad_f": 1 + 2 * n, "hess_f": 1, "g": 2 * n, "jac_g": 1 + 2 * n,
                           "hess_g": m, "G": 2 * n, "dG": n + 2 * n * n, "d2G": n * n}
 
     @pytest.mark.parametrize("wrong", ["scalar", "column"])
@@ -271,7 +272,7 @@ class TestAudit:
                 return out.reshape(-1, 1)
             return out.reshape(1) if out.ndim == 0 else float(out.flat[0])
 
-        setattr(prob, hook, bad)
+        prob = dataclasses.replace(prob, **{hook: bad})
         report = model.audit_derivatives(prob, rng(27).normal(size=prob.n))
         assert set(report.failures) == AUDITED_BY[hook]
         assert all(report.errors[label] == np.inf for label in AUDITED_BY[hook])
@@ -314,8 +315,8 @@ class TestSynthesizedSecondDerivatives:
             fd_second_order=True,
         )
         x = np.array([0.4, -1.1])
-        assert np.allclose(fd.hess_f(x), analytic.hess_f(x), atol=1e-8)
-        assert np.allclose(fd.d2G(x, 0, 1), 0.0, atol=1e-8)
+        assert np.allclose(model._hess_f(fd)(x), analytic.hess_f(x), atol=1e-8)
+        assert np.allclose(model._d2G(fd)(x, 0, 1), 0.0, atol=1e-8)
         assert model.audit_derivatives(fd, x).passed
 
     def test_fd_equality_hooks(self):
@@ -329,30 +330,42 @@ class TestSynthesizedSecondDerivatives:
             fd_second_order=True,
         )
         x = np.array([0.7])
-        assert fd.hess_g(x, 0)[0, 0] == pytest.approx(2.0, abs=1e-8)
+        assert model._hess_g(fd)(x, [0])[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
 
     def test_one_jac_g_difference_per_point(self):
-        # one penalty_hess reads jac_g once for J and differences it once (2n calls) for all m
-        # synthesized hess_g, not once per j
-        prob = ball_problem(3, m=2, fd_second_order=True)
+        # hess_fg differences jac_g once (2n calls) for every synthesized hess_g it reads, not once per j,
+        # and not at all when every weight is zero
+        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
         n, m = prob.n, prob.m
-        calls, jac_g = [0], prob.jac_g
-
-        def counted(x):
-            calls[0] += 1
-            return jac_g(x)
-
-        prob.jac_g = counted
-        params = penalty.special_params("script_F", 3.0)
         for x in rng(29).normal(size=(2, n)):
-            calls[0] = 0
-            penalty.penalty_hess(penalty.penalty_at(prob, x, params))
-            assert calls[0] == 1 + 2 * n
-            # the kept difference gives each column bit for bit as its own difference would
-            diff = model._stacked_diff("jac_g", jac_g, model._shifts(x, model.FD_STEP_SECOND_ORDER), (n, m))
-            for j in range(m):
-                assert np.array_equal(prob.hess_g(x, j), symmetrize(diff[:, :, j]))
-            assert calls[0] == 1 + 2 * n
+            counts["jac_g"] = 0
+            H = model.hess_fg(prob, x, 0.0, np.array([1.5, -0.5]))
+            assert counts["jac_g"] == 2 * n
+            assert not model.hess_fg(prob, x, 0.0, np.zeros(m)).any()
+            assert counts["jac_g"] == 2 * n
+            # each column bit for bit as its own difference gives it
+            diff = model._stacked_diff("jac_g", prob.jac_g, model._shifts(x, model.FD_STEP_SECOND_ORDER), (n, m))
+            assert np.array_equal(H, -1.5 * symmetrize(diff[:, :, 0]) + 0.5 * symmetrize(diff[:, :, 1]))
+
+    def test_replace_differences_the_new_hooks(self):
+        # a copy with new first derivatives synthesizes its second derivatives from them, not from the
+        # original's; doubling is exact, so every synthesized entry doubles bit for bit
+        base = ball_problem(3, m=2, fd_second_order=True)
+        doubled = dataclasses.replace(base, grad_f=lambda x: 2.0 * base.grad_f(x), jac_g=lambda x: 2.0 * base.jac_g(x),
+                                      dG=lambda x, i: 2.0 * base.dG(x, i))
+        x, W = rng(30).normal(size=base.n), rng(31).normal(size=(base.d, base.d))
+        for rho, y in ((1.0, np.zeros(2)), (0.0, np.array([1.5, -0.5]))):  # hess_f, then hess_g alone
+            assert np.array_equal(model.hess_fg(doubled, x, rho, y), 2.0 * model.hess_fg(base, x, rho, y))
+        assert np.array_equal(model.d2G_contract(doubled, x, W), 2.0 * model.d2G_contract(base, x, W))
+
+    def test_problem_is_immutable(self):
+        # fields cannot be assigned, and the start point is a read-only copy of the caller's array
+        start = np.zeros(6)
+        prob = dataclasses.replace(ball_problem(3), start_point=start)
+        start[0] = 5.0
+        assert prob.start_point.tolist() == [0.0] * 6 and not prob.start_point.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.hess_f = None
 
     def test_missing_hooks_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -10,7 +10,8 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point
+from conftest import (BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point,
+                      second_derivatives)
 
 
 def unconstrained_indefinite():
@@ -53,12 +54,13 @@ def mixed_point(prob, seed):
 
 def loop_lagrangian_hess(prob, x, y, Z):
     """Reference Lagrangian Hessian: one trace inner product per upper-triangle entry."""
-    H = matfun.symmetrize(np.asarray(prob.hess_f(x), dtype=float))
+    hess_f, hess_g, d2G = second_derivatives(prob)
+    H = matfun.symmetrize(np.asarray(hess_f(x), dtype=float))
     for j in range(prob.m):
-        H -= y[j] * matfun.symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
+        H -= y[j] * matfun.symmetrize(np.asarray(hess_g(x, j), dtype=float))
     for i in range(prob.n):
         for j in range(i, prob.n):
-            val = float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * Z))
+            val = float(np.sum(np.asarray(d2G(x, i, j), dtype=float) * Z))
             H[i, j] -= val
             if i != j:
                 H[j, i] -= val

@@ -9,7 +9,8 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point, spectrum_matrix
+from conftest import (BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point,
+                      second_derivatives, spectrum_matrix)
 
 
 def scalar_quartic_problem():
@@ -53,12 +54,13 @@ def loop_penalty_hess(prob, x, p):
     inner product per upper-triangle entry.
     """
     st = p.sigma * p.tau
-    H = p.rho * matfun.symmetrize(np.asarray(prob.hess_f(x), dtype=float))
+    hess_f, hess_g, d2G = second_derivatives(prob)
+    H = p.rho * matfun.symmetrize(np.asarray(hess_f(x), dtype=float))
     if prob.m > 0:
         v = p.v if p.v is not None else np.zeros(prob.m)
         r = v / p.tau - np.asarray(prob.g(x), dtype=float)
         for j in range(prob.m):
-            H = H - st * r[j] * matfun.symmetrize(np.asarray(prob.hess_g(x, j), dtype=float))
+            H = H - st * r[j] * matfun.symmetrize(np.asarray(hess_g(x, j), dtype=float))
         J = np.asarray(prob.jac_g(x), dtype=float)
         H = H + st * (J @ J.T)
     Gx = matfun.symmetrize(np.asarray(prob.G(x), dtype=float))
@@ -68,7 +70,7 @@ def loop_penalty_hess(prob, x, p):
     dq_Gj = [matfun.dq_apply(dec, Gj) for Gj in Gi]
     for i in range(prob.n):
         for j in range(i, prob.n):
-            val = -st * float(np.sum(np.asarray(prob.d2G(x, i, j), dtype=float) * cube))
+            val = -st * float(np.sum(np.asarray(d2G(x, i, j), dtype=float) * cube))
             val += st * float(np.sum(Gi[i] * dq_Gj[j]))
             H[i, j] += val
             if i != j:
@@ -393,3 +395,14 @@ class TestHessian:
         penalty.penalty_hess(at)
         n = prob.n
         assert (counts["G"], counts["g"], counts["dG"], counts["d2G"]) == (0, 0, n, n * (n + 1) // 2)
+
+    def test_hook_counts_synthesized(self):
+        # the synthesized second derivatives read this problem's first-derivative hooks: one grad_f and one
+        # jac_g difference (2n calls each) and four dG calls per d2G entry, besides J and the dG stack
+        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        n = prob.n
+        at = penalty.penalty_at(prob, rng(113).normal(size=n), penalty.special_params("script_F", 3.0))
+        counts.update(dict.fromkeys(counts, 0))
+        penalty.penalty_hess(at)
+        assert counts == {"f": 0, "grad_f": 2 * n, "hess_f": 0, "g": 0, "jac_g": 1 + 2 * n, "hess_g": 0,
+                          "G": 0, "dG": n + 4 * n * (n + 1) // 2, "d2G": 0}
