@@ -25,6 +25,10 @@ def run_one(name) -> bool:
     final = report.final
     print(f"\n== {name}: {report.final_status} in {len(report.iterates)} outer iterations "
           f"({report.wall_time_sec:.3f}s)")
+    if report.detail:
+        print(f"   {report.detail}")
+    if final is None:  # the first inner solve failed, so no iterate was recorded
+        return False
     print(f"   {'k':>3} {'gamma':>10} {'delta':>10} {'u':>10} {'stat':>10} "
           f"{'comp':>10} {'2nd-ord':>9} {'dimS':>4}")
     for rec in report.iterates:

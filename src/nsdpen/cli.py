@@ -54,20 +54,19 @@ def sym_to_lower(Z: np.ndarray) -> dict:
     """Serialize a symmetric matrix as its row-major lower triangle."""
     Z = np.asarray(Z, dtype=float)
     d = Z.shape[0]
-    lower = [float(Z[i, j]) for i in range(d) for j in range(i + 1)]
-    return {"dim": d, "lower": lower}
+    return {"dim": d, "lower": Z[np.tril_indices(d)].tolist()}
 
 
 def lower_to_sym(doc: dict) -> np.ndarray:
-    """Rebuild the symmetric matrix from its serialized lower triangle."""
+    """Rebuild the symmetric matrix from its serialized lower triangle, which must have dim*(dim+1)/2 entries."""
     d = int(doc["dim"])
+    lower = np.asarray(doc["lower"], dtype=float)
+    if d < 0 or lower.shape != (d * (d + 1) // 2,):
+        raise InvalidInputError(f"a lower triangle of dim {d} needs dim*(dim+1)/2 entries, got shape {lower.shape}")
+    rows, cols = np.tril_indices(d)
     Z = np.zeros((d, d))
-    it = iter(doc["lower"])
-    for i in range(d):
-        for j in range(i + 1):
-            v = float(next(it))
-            Z[i, j] = v
-            Z[j, i] = v
+    Z[rows, cols] = lower
+    Z[cols, rows] = lower
     return Z
 
 

@@ -169,13 +169,14 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     steps = []
     xhat = x0
     gamma = cfg.gamma0
+    params = penalty.special_params("script_F", gamma)
     delta = cfg.delta0
     status = MAX_OUTER
     detail = ""
 
     def once_per_point(evaluate):
         # keeps the last (gamma, z) and its result, so a repeated point is not
-        # recomputed; gamma is that of the current outer iteration
+        # recomputed; gamma and its params are those of the current outer iteration
         last = [None, None]
 
         def memo(z):
@@ -188,7 +189,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             return last[1]
         return memo
 
-    at = once_per_point(lambda z: penalty.penalty_at(prob, z, penalty.special_params("script_F", gamma)))
+    at = once_per_point(lambda z: penalty.penalty_at(prob, z, params))
     hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
 
     u0 = optimality.infeasibility_u(at(x0))
@@ -221,6 +222,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             detail = f"penalty weight {gamma_next:.3e} exceeds cap {cfg.gamma_cap:.3e}"
             break
         gamma = gamma_next
+        params = penalty.special_params("script_F", gamma)
         delta = cfg.beta * delta
         u_prev = u_next
 

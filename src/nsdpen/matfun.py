@@ -35,8 +35,25 @@ def _pow2_unit(v) -> float:
     return math.ldexp(1.0, -max(math.frexp(float(np.max(np.abs(v))))[1], -1021))
 
 
+# max|v| strictly between these takes the unscaled norm: no square can overflow, and a square that
+# underflows is below 2**-122 of the sum, too small to change its rounding
+_UNSCALED_MIN, _UNSCALED_MAX = math.ldexp(1.0, -450), math.ldexp(1.0, 450)
+
+
 def _norm(v) -> float:
-    """Euclidean norm of v, finite whenever it is representable."""
+    """Euclidean norm of v, finite whenever it is representable.
+
+    It equals ``np.linalg.norm(v * unit) / unit`` with ``unit = _pow2_unit(v)`` bit for bit: scaling by
+    a power of two is exact, so the scaling is skipped where no square can overflow (Blue 1978).  An input
+    whose largest magnitude is zero, at most 2**-450 or at least 2**450 takes the scaled form; one with an
+    infinite or NaN entry has the norm inf or NaN, which is returned without a sum that could overflow.
+    """
+    top = np.abs(v).max()  # NaN when v has a NaN
+    if _UNSCALED_MIN < top < _UNSCALED_MAX:
+        flat = v.ravel(order="K")
+        return math.sqrt(flat @ flat)
+    if not np.isfinite(top):
+        return float(top)
     unit = _pow2_unit(v)
     return float(np.linalg.norm(v * unit)) / unit
 
@@ -45,7 +62,7 @@ def _as_sym(X, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
         raise InvalidInputError(f"{name} must be a square matrix of dimension >= 1, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return symmetrize(X)
 

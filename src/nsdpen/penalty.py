@@ -43,7 +43,7 @@ class PenaltyParams:
             object.__setattr__(self, "M", symmetrize(np.asarray(self.M, dtype=float)))
         if self.v is not None:
             object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
-        if not all(np.all(np.isfinite(a)) for a in (self.rho, self.sigma, self.tau, self.v, self.M) if a is not None):
+        if not all(np.isfinite(a).all() for a in (self.rho, self.sigma, self.tau, self.v, self.M) if a is not None):
             raise InvalidInputError("rho, sigma, tau, v and M must be finite")
         if not self.sigma > 0:
             raise InvalidInputError("sigma must be positive")

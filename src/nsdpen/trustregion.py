@@ -78,7 +78,7 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     """
     B = np.asarray(B, dtype=float)
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(grad)) and np.isfinite(radius)):
+    if not (np.isfinite(B).all() and np.isfinite(grad).all() and np.isfinite(radius)):
         raise InvalidInputError("ms_subproblem requires finite inputs")
     if not radius > 0:
         raise InvalidInputError("radius must be positive")
@@ -203,7 +203,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         # gradient, its norm, Hessian and both certificates; `and` skips the eigensolve if ||g|| > delta
         g_z = np.atleast_1d(np.asarray(grad(z), dtype=float))
         H_z = symmetrize(np.asarray(hess(z), dtype=float))
-        if not (np.all(np.isfinite(g_z)) and np.all(np.isfinite(H_z))):
+        if not (np.isfinite(g_z).all() and np.isfinite(H_z).all()):
             raise InvalidInputError("gradient or Hessian has non-finite entries")
         gnorm_z = _norm(g_z)
         return g_z, gnorm_z, H_z, gnorm_z <= delta and np.linalg.eigvalsh(H_z)[0] >= -delta

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nsdpen import cli, driver, optimality, penalty, problems
+from nsdpen.errors import InvalidInputError
 
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
 
@@ -31,6 +32,18 @@ class TestLowerTriangle:
         doc = cli.sym_to_lower(np.zeros((0, 0)))
         assert doc == {"dim": 0, "lower": []}
         assert cli.lower_to_sym(doc).shape == (0, 0)
+
+    def test_row_major_order(self):
+        # the order of the documents: row by row, each row up to the diagonal
+        A = np.random.default_rng(4).normal(size=(4, 4))
+        Z = A + A.T
+        assert cli.sym_to_lower(Z)["lower"] == [float(Z[i, j]) for i in range(4) for j in range(i + 1)]
+
+    @pytest.mark.parametrize("lower", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_wrong_length_rejected(self, lower):
+        # too few entries used to raise a bare StopIteration, and extra ones were dropped
+        with pytest.raises(InvalidInputError, match="dim 2 needs dim"):
+            cli.lower_to_sym({"dim": 2, "lower": lower})
 
 
 class TestSolveCommand:

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +522,37 @@ class TestOneEvaluationPerPoint:
         # the gradient, the Hessian and the certificates of a point share its stack
         prob, _, hooks, calls = counted_solve(case, monkeypatch)
         assert hooks["dG"] == prob.n * calls["penalty_grad"] > 0
+
+
+def nearest_psd_d5():
+    """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families.nearest_psd(5, np.random.default_rng(1)).problem, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
+
+
+class TestOneParamsPerGamma:
+    @pytest.mark.parametrize("case", [*problems.list_problems(), "psd-d5"])
+    def test_special_params_built_when_gamma_is_set(self, case, monkeypatch):
+        # the script_F parameters are built at the start and at each gamma update, not at every point
+        if case == "psd-d5":
+            (prob, cfg), b_count = nearest_psd_d5(), None
+        else:
+            entry = problems.get_problem(case)
+            prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
+        calls = [0]
+        special_params = penalty.special_params
+
+        def counting_params(*args):
+            calls[0] += 1
+            return special_params(*args)
+
+        monkeypatch.setattr(penalty, "special_params", counting_params)
+        report = driver.solve(prob, cfg, b_count=b_count)
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert 1 <= calls[0] <= len(report.iterates) + 1
 
 
 class TestOneReadPerHook:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,3 +384,41 @@ class TestDqApply:
         assert np.linalg.norm(matfun.psd_part_from(rotated) - U.T @ matfun.psd_part_from(dec) @ U) <= tol
         assert np.linalg.norm(matfun.q_cube_from(rotated) - U.T @ matfun.q_cube_from(dec) @ U) <= tol
         assert matfun.quartic_trace_from(rotated) == pytest.approx(matfun.quartic_trace_from(dec), abs=tol)
+
+
+# entries on both sides of the unscaled range 2**±450 of _norm, subnormal ones, and the special values
+_NORM_ENTRIES = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.one_of(st.integers(-1074, 1020), st.integers(-460, -440),
+                                                           st.integers(440, 460))),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan]),
+)
+
+
+def scaled_norm(v) -> float:
+    """The norm as taken before the unscaled path: every input scaled by its power of two.  An infinite
+    entry leaves the unit at 1, so a huge finite one next to it overflows its square, harmlessly."""
+    unit = matfun._pow2_unit(v)
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v * unit)) / unit
+
+
+class TestNorm:
+    @given(st.lists(_NORM_ENTRIES, min_size=1, max_size=12), st.sampled_from(["flat", "matrix", "transposed"]))
+    @settings(max_examples=300)
+    def test_equals_scaled_form(self, entries, layout):
+        v = np.array(entries)
+        if layout != "flat":
+            v = v.reshape(max(r for r in (1, 2, 3, 4) if v.size % r == 0), -1)
+            if layout == "transposed":
+                v = v.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert matfun._norm(v).hex() == scaled_norm(v).hex()
+
+    @pytest.mark.parametrize("top", [math.ldexp(1.0, 450), math.ldexp(1.0, -450), 2.0**-1022, 5e-324, 1e308])
+    def test_boundaries(self, top):
+        # at and next to each end of the unscaled range, alone and with an entry that underflows when squared
+        for a in (np.nextafter(top, 0.0), top, np.nextafter(top, np.inf)):
+            for v in (np.array([a]), np.array([a, -a, 2.0**-600, 5e-324]), np.array([[a, 0.5 * a], [0.0, -a]]).T):
+                assert matfun._norm(v).hex() == scaled_norm(v).hex()
+        assert matfun._norm(np.zeros(3)) == 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsdpen import cli, driver, model, optimality, problems
+from nsdpen import cli, driver, model, optimality, problems, trustregion
 from nsdpen.errors import UnknownProblemError
 
 from conftest import script_F_point
@@ -91,6 +91,16 @@ class TestKnownData:
         assert entry.known_multipliers is None
 
 
+def corpus_script(monkeypatch):
+    """scripts/run_corpus.py loaded as a module, with ``sys.argv`` set to solve scalar-bound."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--problem", "scalar-bound"])
+    return script
+
+
 class TestKnownGoodConfig:
     def test_each_config_reaches_feas_opt(self, corpus_runs):
         for name, (entry, report) in corpus_runs.items():
@@ -99,11 +109,7 @@ class TestKnownGoodConfig:
 
     def test_corpus_script_exit_code(self, monkeypatch, capsys):
         # scripts/run_corpus.py fails when a problem misses FeasOptReached or ends too far from its known solution
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
-        spec = importlib.util.spec_from_file_location("run_corpus", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        monkeypatch.setattr(sys, "argv", [str(path), "--problem", "scalar-bound"])
+        script = corpus_script(monkeypatch)
         assert script.main() == 0
         with monkeypatch.context() as patch:
             patch.setattr(script, "REFERENCE_TOL", 1e-6)
@@ -113,6 +119,19 @@ class TestKnownGoodConfig:
         monkeypatch.setattr(problems, "get_problem", lambda name: capped)
         assert script.main() == 1
         assert capsys.readouterr().out.count("FAILED: scalar-bound") == 2
+
+    def test_corpus_script_solve_without_iterates(self, monkeypatch, capsys):
+        # an inner failure at outer iteration 0 records no iterate: the script prints the status and
+        # detail and counts the problem as failed, where it used to read final.x of None
+        script = corpus_script(monkeypatch)
+        entry = problems.get_problem("scalar-bound")
+        config = dataclasses.replace(entry.config, tr=trustregion.TrConfig(max_iter=1))
+        monkeypatch.setattr(problems, "get_problem", lambda name: dataclasses.replace(entry, config=config))
+        assert script.main() == 1
+        out = capsys.readouterr().out
+        assert f"scalar-bound: {driver.INNER_FAILURE} in 0 outer iterations" in out
+        assert "inner solver returned MaxIter at outer iteration 0" in out
+        assert "FAILED: scalar-bound" in out
 
     def test_benchmark_flags_name_the_same_configs(self, tmp_path, capsys):
         # the benchmark passes the table as solve flags, in a copy of its own; a flagless solve runs
