@@ -15,6 +15,7 @@ field.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import driver, model, optimality, penalty, problems
 from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError
+from .matfun import _triangles
 
 SCHEMA_VERSION = "3"
 
@@ -54,7 +56,7 @@ def sym_to_lower(Z: np.ndarray) -> dict:
     """Serialize a symmetric matrix as its row-major lower triangle."""
     Z = np.asarray(Z, dtype=float)
     d = Z.shape[0]
-    return {"dim": d, "lower": Z[np.tril_indices(d)].tolist()}
+    return {"dim": d, "lower": Z[_triangles(d)[1]].tolist()}
 
 
 def lower_to_sym(doc: dict) -> np.ndarray:
@@ -63,7 +65,7 @@ def lower_to_sym(doc: dict) -> np.ndarray:
     lower = np.asarray(doc["lower"], dtype=float)
     if d < 0 or lower.shape != (d * (d + 1) // 2,):
         raise InvalidInputError(f"a lower triangle of dim {d} needs dim*(dim+1)/2 entries, got shape {lower.shape}")
-    rows, cols = np.tril_indices(d)
+    rows, cols = _triangles(d)[1]
     Z = np.zeros((d, d))
     Z[rows, cols] = lower
     Z[cols, rows] = lower
@@ -219,11 +221,18 @@ def _cmd_check(args) -> int:
     return EXIT_OK if audit.passed else EXIT_AUDIT_FAILED
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no state between calls."""
     parser = _Parser(prog="nsdpen", description="penalty-method toolkit for nonlinear SDPs")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_solve_parser(sub)
     _add_check_parser(sub)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "solve":

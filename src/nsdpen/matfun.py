@@ -8,6 +8,7 @@ of ``dq_coeff`` and is applied to a direction by ``dq_apply``.  ``_norm`` is the
 one overflow-safe norm; all operations are pure functions of their inputs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,17 @@ _SIGN_TOL = 1e-12
 def symmetrize(X: np.ndarray) -> np.ndarray:
     """Return (X + X^T)/2."""
     return 0.5 * (X + X.T)
+
+
+@functools.lru_cache(maxsize=64)
+def _triangles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The read-only (rows, cols) index pairs of the upper and of the lower triangle of an n x n matrix, each
+    in row-major order: the upper as ``np.triu_indices(n)`` (i, then j >= i), the lower as ``np.tril_indices(n)``."""
+    pairs = (np.triu_indices(n), np.tril_indices(n))
+    for index in pairs:
+        for a in index:
+            a.flags.writeable = False
+    return pairs
 
 
 def _pow2_unit(v) -> float:

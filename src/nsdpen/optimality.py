@@ -146,7 +146,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
     if b_count > 0:
         U = at.dec.vectors[:, :b_count]  # eig(-G) is descending: its first columns
         comp = U.T @ at.dG @ U
-        p, q = np.triu_indices(b_count)
+        p, q = matfun._triangles(b_count)[0]
         rows.append(comp[:, p, q].T)
     if not rows:
         return np.eye(prob.n)

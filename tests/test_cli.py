@@ -39,6 +39,20 @@ class TestLowerTriangle:
         Z = A + A.T
         assert cli.sym_to_lower(Z)["lower"] == [float(Z[i, j]) for i in range(4) for j in range(i + 1)]
 
+    @pytest.mark.parametrize("d, lower", [
+        (0, []),
+        (1, [0.0]),
+        (2, [0.0, 10.0, 11.0]),
+        (3, [0.0, 10.0, 11.0, 20.0, 21.0, 22.0]),
+        (4, [0.0, 10.0, 11.0, 20.0, 21.0, 22.0, 30.0, 31.0, 32.0, 33.0]),
+    ])
+    def test_explicit_lower_lists(self, d, lower):
+        # entry (i, j) with i >= j holds 10 i + j; the list runs row by row, each row up to the diagonal
+        i, j = np.indices((d, d))
+        Z = 10.0 * np.maximum(i, j) + np.minimum(i, j)
+        assert cli.sym_to_lower(Z) == {"dim": d, "lower": lower}
+        assert np.array_equal(cli.lower_to_sym(cli.sym_to_lower(Z)), Z)
+
     @pytest.mark.parametrize("lower", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
     def test_wrong_length_rejected(self, lower):
         # too few entries used to raise a bare StopIteration, and extra ones were dropped
@@ -211,6 +225,33 @@ class TestDocumentContract:
             assert sorted(row) == sorted(fields)
             assert set(summary) <= set(row)
             assert all(summary[key] == row[key] for key in summary)
+
+
+class TestParserReuse:
+    # main builds its parser once per process, so each call must start from a clean namespace
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_usage_error_after_success(self, tmp_path, capsys):
+        code, _ = run_main(["solve", "--problem", "scalar-bound", *SOLVE_FLAGS, "--report", str(tmp_path / "r.json")],
+                           capsys)
+        assert code == 0
+        for argv in (["solve", "--tol-feas", "1e-4"], ["check", "--problem", "scalar-bound", "--gamma", "x"], []):
+            code, out = run_main(argv, capsys)
+            assert code == 64
+            assert out.err.splitlines()[-1].startswith("usage: nsdpen")
+
+    def test_flagless_solve_after_flagged_one(self, tmp_path):
+        # no flag value of the first call survives into the second
+        entry = problems.get_problem("scalar-bound")
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_main(["solve", "--problem", "scalar-bound", "--max-outer", "3", "--eta", "0.25", "--theta", "3",
+                         "--report", str(first)]) == cli.EXIT_MAX_OUTER
+        assert json.loads(first.read_text())["config"]["max_outer"] == 3
+        assert run_main(["solve", "--problem", "scalar-bound", "--report", str(second)]) == 0
+        assert json.loads(second.read_text())["config"] == {name: getattr(entry.config, name)
+                                                             for name in cli.CONFIG_FLAGS}
 
 
 def _strip_wall_time(text: str) -> str:

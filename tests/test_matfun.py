@@ -422,3 +422,19 @@ class TestNorm:
             for v in (np.array([a]), np.array([a, -a, 2.0**-600, 5e-324]), np.array([[a, 0.5 * a], [0.0, -a]]).T):
                 assert matfun._norm(v).hex() == scaled_norm(v).hex()
         assert matfun._norm(np.zeros(3)) == 0.0
+
+
+class TestTriangles:
+    @pytest.mark.parametrize("n", [0, 1, 4, 7])
+    def test_row_major_pairs(self, n):
+        (ur, uc), (lr, lc) = matfun._triangles(n)
+        assert list(zip(ur.tolist(), uc.tolist())) == [(i, j) for i in range(n) for j in range(i, n)]
+        assert list(zip(lr.tolist(), lc.tolist())) == [(i, j) for i in range(n) for j in range(i + 1)]
+
+    def test_cached_and_read_only(self):
+        pairs = matfun._triangles(5)
+        assert matfun._triangles(5) is pairs
+        for a in (*pairs[0], *pairs[1]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1

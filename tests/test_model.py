@@ -135,6 +135,57 @@ class TestD2GContract:
             model.d2G_contract(bad, np.zeros(2), np.eye(2))
 
 
+class TestD2GContractBlocks:
+    # ball_problem(3): n = 6, so 21 upper-triangle entries; a budget of 4 outputs of 3 x 3 makes blocks
+    # of 4, 4, 4, 4, 4 and a ragged last block of 1
+    STEP = 4
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", self.STEP * 9)
+
+    def test_hook_calls_in_order_and_values(self):
+        gen = rng(31)
+        base = ball_problem(3)
+        x, W = gen.normal(size=base.n), gen.normal(size=(3, 3))
+        calls = []
+
+        def d2G(x, i, j):
+            calls.append((i, j))
+            return base.d2G(x, i, j)
+
+        out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), x, W)
+        pairs = [(i, j) for i in range(base.n) for j in range(i, base.n)]
+        assert len(pairs) % self.STEP != 0
+        assert calls == pairs
+        assert all(type(i) is int and type(j) is int for i, j in calls)
+        assert np.array_equal(out, out.T)
+        # the reference: every output in one stack, contracted in one product
+        vals = np.asarray([base.d2G(x, i, j) for i, j in pairs]).reshape(len(pairs), -1) @ W.ravel()
+        ref = np.zeros((base.n, base.n))
+        for (i, j), v in zip(pairs, vals):
+            ref[i, j] = ref[j, i] = v
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [
+        lambda i, j: np.zeros((3, 4)) if (i, j) == (5, 5) else None,  # wrong shape alone in the ragged last block
+        lambda i, j: np.zeros((3, 4)) if (i, j) == (4, 5) else None,  # one wrong shape in the fifth block
+        lambda i, j: [[0.0] * 3] * 2 + [[0.0] * 2] if (i, j) == (4, 4) else None,  # ragged entry, fifth block
+    ])
+    def test_wrong_output_in_a_later_block(self, bad):
+        base = ball_problem(3)
+        calls = []
+
+        def d2G(x, i, j):
+            calls.append((i, j))
+            out = bad(i, j)
+            return base.d2G(x, i, j) if out is None else out
+
+        with pytest.raises(InvalidInputError, match="d2G"):
+            model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), np.eye(3))
+        assert len(calls) > self.STEP  # the first blocks were gathered and contracted
+
+
 class TestHessFg:
     def test_weighted_sum_and_hook_calls(self):
         # one hook call per nonzero weight, each output symmetrized
