@@ -145,7 +145,7 @@ def _cmd_solve(args) -> int:
     entry = problems.get_problem(args.problem)
     try:
         given = {name: getattr(args, name) for name in CONFIG_FLAGS if getattr(args, name) is not None}
-        cfg = dataclasses.replace(entry.config, **given).validate()
+        cfg = dataclasses.replace(entry.config, **given)
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
 
 def _parse_point(text: str, entry) -> np.ndarray:
     if text.strip() == "start":
-        return np.asarray(entry.problem.start_point, dtype=float)
+        return entry.problem.start_point
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:

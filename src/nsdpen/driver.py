@@ -26,11 +26,11 @@ same points, so the driver calls no hook itself.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model, optimality, penalty, trustregion
+from . import optimality, penalty, trustregion
 from .errors import InvalidInputError, StartNotFeasibleError, require_int
 from .matfun import default_zero_tol
 from .model import NsdpProblem
@@ -43,8 +43,10 @@ BRANCH_ACCEPT = "accept"
 BRANCH_RESET = "reset"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PenaltyConfig:
+    """The outer loop's schedule and its TrConfig, checked when built; frozen: change it by ``dataclasses.replace``."""
+
     eta: float = 0.5
     theta: float = 10.0
     gamma0: float = 1.0
@@ -57,7 +59,7 @@ class PenaltyConfig:
     gamma_cap: float = 1e14
     tr: trustregion.TrConfig = field(default_factory=trustregion.TrConfig)
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("gamma0", "theta", "tol_feas", "tol_opt", "feas_check_tol", "gamma_cap"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
@@ -76,8 +78,8 @@ class PenaltyConfig:
         if self.tol_feas < 0 or self.tol_opt < 0 or self.feas_check_tol < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
-        self.tr.validate()
-        return self
+        if not isinstance(self.tr, trustregion.TrConfig):
+            raise InvalidInputError(f"tr must be a TrConfig, got {type(self.tr).__name__}")
 
 
 @dataclass
@@ -150,21 +152,17 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
           b_count: int | None = None) -> SolveReport:
     """Run the outer penalty method on a problem with a feasible start.
 
-    ``b_count`` is the trusted dimension of the null eigenspace of G at the
-    limit, used for the second-order certificates; when omitted it is
-    estimated from the final iterate.  Every record is built after the loop,
-    from ``optimality.evaluate_residuals`` at the penalty point it was taken at.
+    ``prob`` and ``config`` are checked when built, not here.  ``b_count`` is the
+    trusted dimension of the null eigenspace of G at the limit, used for the
+    second-order certificates; when omitted it is estimated from the final
+    iterate.  Every record is built after the loop, from
+    ``optimality.evaluate_residuals`` at the penalty point it was taken at.
     """
-    cfg = (config or PenaltyConfig()).validate()
+    cfg = config or PenaltyConfig()
     if b_count is not None:
         require_int("b_count", b_count, 0, prob.d)
-    needed = (("hess_f", model._hess_f, True), ("hess_g", model._hess_g, prob.m > 0), ("d2G", model._d2G, prob.d > 0))
-    missing = [hook for hook, resolve, used in needed if used and resolve(prob) is None]
-    if missing:
-        raise InvalidInputError(f"problem {prob.name!r} has no {', '.join(missing)} hook; "
-                                "supply it or build the problem with fd_second_order=True")
     t0 = time.perf_counter()
-    x0 = np.atleast_1d(np.asarray(prob.start_point, dtype=float))
+    x0 = prob.start_point
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
     steps = []
     xhat = x0
@@ -239,7 +237,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
 
     return SolveReport(
         problem=prob.name,
-        config=replace(cfg),
+        config=cfg,
         iterates=records,
         final_status=status,
         b_count=int(b_count),

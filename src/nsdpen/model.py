@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .matfun import _triangles, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
@@ -58,7 +58,9 @@ class NsdpProblem:
     gradient of g_j.  ``dG(x, i)`` is the partial derivative of G in x_i and
     ``d2G(x, i, j)`` the second partial; both return symmetric d x d arrays.
 
-    Second-derivative hooks may be omitted by passing
+    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, and the hooks
+    read are present (f, grad_f, hess_f; g, jac_g, hess_g when m > 0; G, dG,
+    d2G when d > 0).  Second-derivative hooks may be omitted by passing
     ``fd_second_order=True``; their fields stay None, and each reader takes
     central differences of this problem's own first-derivative hooks (step
     ``1e-5 * (1 + |x_i|)``), so a ``dataclasses.replace`` copy differences its
@@ -82,6 +84,8 @@ class NsdpProblem:
     fd_second_order: bool = False
 
     def __post_init__(self):
+        for name, lo in (("n", 1), ("m", 0), ("d", 0)):
+            require_int(name, getattr(self, name), lo)
         start = _vec(self.start_point, self.n, "start_point").copy()
         start.flags.writeable = False
         object.__setattr__(self, "start_point", start)
@@ -89,6 +93,11 @@ class NsdpProblem:
             raise InvalidInputError(f"problem {self.name!r}: m > 0 requires g and jac_g hooks")
         if self.d > 0 and (self.G is None or self.dG is None):
             raise InvalidInputError(f"problem {self.name!r}: d > 0 requires G and dG hooks")
+        needed = (("hess_f", True), ("hess_g", self.m > 0), ("d2G", self.d > 0))
+        missing = [hook for hook, used in needed if used and getattr(self, hook) is None]
+        if missing and not self.fd_second_order:
+            raise InvalidInputError(f"problem {self.name!r} has no {', '.join(missing)} hook; "
+                                    "supply it or build the problem with fd_second_order=True")
 
 
 def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -100,11 +109,11 @@ def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.nda
     return 0.5 * (D + D.transpose(0, 2, 1))
 
 
-# One resolver per second derivative, the only way to read one: the hook, or under fd_second_order a central
-# difference of this problem's own first-derivative hook, or None when there is neither.
+# One resolver per second derivative, the only way to read one: the hook, or else a central difference of this
+# problem's own first-derivative hook (__post_init__ admits no other missing hook than one never read).
 def _hess_f(prob: NsdpProblem):
     """hess_f(x)."""
-    if prob.hess_f is not None or not prob.fd_second_order:
+    if prob.hess_f is not None:
         return prob.hess_f
     return lambda x: _hessian_diff(prob, "grad_f", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[0]
 
@@ -114,14 +123,12 @@ def _hess_g(prob: NsdpProblem):
     from one difference of jac_g for all of them."""
     if prob.hess_g is not None:
         return lambda x, js: _gather("hess_g", [prob.hess_g(x, j) for j in js], (prob.n, prob.n))
-    if prob.fd_second_order:
-        return lambda x, js: _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[js]
-    return None
+    return lambda x, js: _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[js]
 
 
 def _d2G(prob: NsdpProblem):
     """d2G(x, i, j); synthesized, the symmetrized mean of the differences of dG(., i) in x_j and dG(., j) in x_i."""
-    if prob.d2G is not None or not prob.fd_second_order:
+    if prob.d2G is not None:
         return prob.d2G
 
     def diff(x, i, j):  # (dG(x + h_j e_j, i) - dG(x - h_j e_j, i)) / (2 h_j), with the h of _shifts
@@ -270,22 +277,19 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
 
     # each check returns one relative error per analytic hook output it audits
     hess_f, hess_g, d2G = _hess_f(prob), _hess_g(prob), _d2G(prob)
-    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
-    if hess_f is not None:
-        checks["hess_f"] = lambda: _rel_err(one("hess_f", hess_f(x), (n, n)), _hessian_diff(prob, "grad_f", shifts))
+    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None]),
+              "hess_f": lambda: _rel_err(one("hess_f", hess_f(x), (n, n)), _hessian_diff(prob, "grad_f", shifts))}
     if m > 0:
         checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
-        if hess_g is not None:
-            checks["hess_g"] = lambda: _rel_err(hess_g(x, list(range(m))), _hessian_diff(prob, "jac_g", shifts))
+        checks["hess_g"] = lambda: _rel_err(hess_g(x, list(range(m))), _hessian_diff(prob, "jac_g", shifts))
     if d > 0:
         checks["dG"] = lambda: _rel_err(_gather("dG", [prob.dG(x, i) for i in range(n)], (d, d)),
                                         fd("G", prob.G, (d, d)))
-        if d2G is not None:
-            # row i: the n outputs d2G(x, i, j) against the difference of dG(., i) over j
-            checks["d2G"] = lambda: np.concatenate([
-                _rel_err(_gather("d2G", [d2G(x, i, j) for j in range(n)], (d, d)),
-                         fd("dG", lambda z: prob.dG(z, i), (d, d)))
-                for i in range(n)])
+        # row i: the n outputs d2G(x, i, j) against the difference of dG(., i) over j
+        checks["d2G"] = lambda: np.concatenate([
+            _rel_err(_gather("d2G", [d2G(x, i, j) for j in range(n)], (d, d)),
+                     fd("dG", lambda z: prob.dG(z, i), (d, d)))
+            for i in range(n)])
 
     errors: dict[str, float] = {}
     for label, check in checks.items():

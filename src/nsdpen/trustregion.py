@@ -27,8 +27,10 @@ RADIUS_COLLAPSE = "RadiusCollapse"
 _NEWTON_MAX_STEPS = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrConfig:
+    """Radius constants of ``tr_minimize``, checked when built; frozen, so change one with ``dataclasses.replace``."""
+
     delta0_radius: float = 1.0
     max_iter: int = 10000
     eta1: float = 0.1
@@ -38,9 +40,6 @@ class TrConfig:
     radius_min: float = 1e-14
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
             raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
         require_int("max_iter", self.max_iter, 1)
@@ -48,7 +47,6 @@ class TrConfig:
             raise InvalidInputError("need 0 < eta1 < eta2 < 1")
         if not (0 < self.shrink < 1 < self.grow < np.inf):
             raise InvalidInputError("need 0 < shrink < 1 < grow < inf")
-        return self
 
 
 @dataclass
@@ -70,11 +68,12 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     Factor first (Moré & Sorensen 1983): when a Cholesky factorization of B
     succeeds and the Newton step solving B p = -grad is finite and fits the
     radius, that step is returned with lam = 0, and no eigendecomposition is
-    made.  Otherwise B is eigendecomposed.  A boundary step's lam comes from
-    Newton's method on the secular equation, which relies on 1/||p(lam)||
-    being concave.  The hard case (gradient orthogonal to the bottom
-    eigenspace of an indefinite B) is resolved by stepping along the
-    eigenvector of the smallest eigenvalue.
+    made; it is the only interior Newton step.  Otherwise B is
+    eigendecomposed.  A boundary step's lam comes from Newton's method on the
+    secular equation, which relies on 1/||p(lam)|| being concave; a fitting
+    Newton step of a positive definite B that failed to factor gets lam below
+    1e-280 there.  The hard case (gradient orthogonal to the bottom
+    eigenspace) steps along the bottom eigenvector, or is interior.
     """
     B = np.asarray(B, dtype=float)
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
@@ -101,14 +100,6 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     w, Q = np.linalg.eigh(B)  # ascending
     gbar = Q.T @ grad
     wmin = float(w[0])
-
-    # interior Newton step when B is positive definite and the step fits; a step that
-    # overflows has the norm inf or nan, which fails the test, and is left to the boundary path
-    if wmin > 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = Q @ (-gbar / w)
-        if _norm(p) <= radius * (1 + 1e-12):
-            return p
 
     lam_lb = max(0.0, -wmin)
     # shifted spectrum: wshift[0] is exactly 0 when B is indefinite, so the
@@ -197,7 +188,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     """
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
-    cfg = (config or TrConfig()).validate()
+    cfg = config or TrConfig()
 
     def derivatives(z):
         # gradient, its norm, Hessian and both certificates; `and` skips the eigensolve if ||g|| > delta

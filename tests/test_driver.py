@@ -52,7 +52,7 @@ class TestXhatRule:
 
 class TestConfig:
     def test_defaults_valid(self):
-        driver.PenaltyConfig().validate()
+        assert isinstance(driver.PenaltyConfig().tr, trustregion.TrConfig)
 
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
@@ -62,18 +62,20 @@ class TestConfig:
         dict(max_outer=40.5), dict(max_outer=True),
         dict(feas_check_tol=-1.0), dict(gamma_cap=0.5), dict(gamma0=1e15),
         dict(tr=dict(max_iter=2.5)), dict(tr=dict(eta1=0.9)), dict(tr=dict(delta0_radius=np.nan)),
+        dict(tr=None),  # built, and solve then failed with an AttributeError
     ])
     def test_bad_fields_rejected(self, bad):
-        # a ``tr`` entry names fields set on a built TrConfig, which skips its own check
-        cfg = driver.PenaltyConfig(**{k: v for k, v in bad.items() if k != "tr"})
-        for name, value in bad.get("tr", {}).items():
-            setattr(cfg.tr, name, value)
+        # a ``tr`` dict names fields of the nested TrConfig
+        cfg, fields = driver.PenaltyConfig(), bad
+        if isinstance(bad.get("tr"), dict):
+            cfg, fields = cfg.tr, bad["tr"]
         with pytest.raises(InvalidInputError):
-            cfg.validate()
-        prob, counts = counting(problems.get_problem("scalar-bound").problem)
+            type(cfg)(**fields)
         with pytest.raises(InvalidInputError):
-            driver.solve(prob, cfg)
-        assert not any(counts.values())
+            dataclasses.replace(cfg, **fields)  # the CLI's path
+        for name, value in fields.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
 
 
 class TestSolveScalarBound:
@@ -195,9 +197,8 @@ class TestSolveGuards:
 
     @pytest.mark.parametrize("hook", ["hess_f", "hess_g", "d2G"])
     def test_missing_second_order_hook_rejected(self, hook):
-        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: None})
         with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
-            driver.solve(prob, driver.PenaltyConfig(max_outer=1))
+            dataclasses.replace(ball_problem(2, m=1), **{hook: None})
 
     @pytest.mark.parametrize("hess_f", [lambda x: 2.0, lambda x: np.ones(3)], ids=["scalar", "vector"])
     def test_wrong_shaped_hess_f_names_the_hook(self, hess_f):

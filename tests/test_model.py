@@ -64,6 +64,22 @@ AUDITED_BY = {"f": {"grad_f"}, "grad_f": {"grad_f", "hess_f"}, "hess_f": {"hess_
               "jac_g": {"jac_g", "hess_g"}, "hess_g": {"hess_g"}, "G": {"dG"}, "dG": {"dG", "d2G"}, "d2G": {"d2G"}}
 
 
+class TestProblemDimensions:
+    @pytest.mark.parametrize("name, dims", [
+        ("corr-matrix", dict(m=-1)),  # ran its whole solve, then failed in the certificates on y's shape
+        ("scalar-bound", dict(d=-2)),  # failed after its solve with a b_count message
+        ("scalar-bound", dict(d=1.5)),
+        ("scalar-bound", dict(n=1.0)),  # escaped as a TypeError
+        ("scalar-bound", dict(m=True)),
+    ])
+    def test_bad_dimension_rejected_when_built(self, name, dims):
+        prob, counts = counting(problems.get_problem(name).problem)
+        field, = dims
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer"):
+            dataclasses.replace(prob, **dims)
+        assert not any(counts.values())
+
+
 class TestDGAdjoint:
     def test_zero_multiplier(self):
         prob = affine_matrix_problem()
@@ -95,7 +111,8 @@ class TestDGAdjoint:
     def test_rejects_wrong_dG_shape(self):
         prob = affine_matrix_problem()
         bad = model.NsdpProblem(name="bad-dG", n=2, m=0, d=2, start_point=np.zeros(2),
-                                f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=lambda x, i: np.zeros((3, 3)))
+                                f=prob.f, grad_f=prob.grad_f, hess_f=prob.hess_f,
+                                G=prob.G, dG=lambda x, i: np.zeros((3, 3)), d2G=prob.d2G)
         with pytest.raises(InvalidInputError):
             model.dG_adjoint(model._dG_stack(bad, np.zeros(2)), np.zeros((2, 2)))
 
@@ -130,7 +147,7 @@ class TestD2GContract:
     def test_rejects_wrong_d2G_shape(self, d2G):
         prob = affine_matrix_problem()
         bad = model.NsdpProblem(name="bad-d2G", n=2, m=0, d=2, start_point=np.zeros(2),
-                                f=prob.f, grad_f=prob.grad_f, G=prob.G, dG=prob.dG, d2G=d2G)
+                                f=prob.f, grad_f=prob.grad_f, hess_f=prob.hess_f, G=prob.G, dG=prob.dG, d2G=d2G)
         with pytest.raises(InvalidInputError, match="d2G"):
             model.d2G_contract(bad, np.zeros(2), np.eye(2))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from unittest import mock
@@ -427,16 +428,12 @@ class TestTrMinimize:
                     dict(eta1=0.9)):
             with pytest.raises(InvalidInputError):
                 tr.TrConfig(**bad)
-            # the same fields set on a built config are caught before any hook runs
             cfg = tr.TrConfig()
+            with pytest.raises(InvalidInputError):
+                dataclasses.replace(cfg, **bad)  # the CLI's path
             for name, value in bad.items():
-                setattr(cfg, name, value)
-            with pytest.raises(InvalidInputError):
-                cfg.validate()
-            calls = []
-            with pytest.raises(InvalidInputError):
-                tr.tr_minimize(calls.append, calls.append, calls.append, np.zeros(2), delta=1e-8, config=cfg)
-            assert calls == []
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(cfg, name, value)
         tr.TrConfig(radius_min=0.0, max_iter=1, shrink=1e-3, grow=1e3, delta0_radius=1e-3)
 
 
