@@ -22,7 +22,9 @@ point (one f, g, jac_g and G, one eigendecomposition, one dG stack) keeps the
 penalty value and gradient and feeds the Hessian, and an outer iteration that
 keeps gamma and starts where the previous one ended reuses them.  f(x0), the
 start point's infeasibility and every iterate's f and certificates read the
-same points, so the driver calls no hook itself.
+same points, so the driver calls no hook itself.  A kept point whose dG stack
+holds the same bits as the last kept one reads that stack instead of its own,
+so the kept points of an affine G hold one stack between them.
 """
 
 import time
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimality, penalty, trustregion
-from .errors import InvalidInputError, StartNotFeasibleError, require_int
+from .errors import InvalidInputError, StartNotFeasibleError, require_int, require_real_fields
 from .matfun import default_zero_tol
 from .model import NsdpProblem
 
@@ -60,6 +62,7 @@ class PenaltyConfig:
     tr: trustregion.TrConfig = field(default_factory=trustregion.TrConfig)
 
     def __post_init__(self):
+        require_real_fields(self)
         for name in ("gamma0", "theta", "tol_feas", "tol_opt", "feas_check_tol", "gamma_cap"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
@@ -165,6 +168,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     x0 = prob.start_point
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
     steps = []
+    kept_dG = None  # the dG stack of the last kept point
     xhat = x0
     gamma = cfg.gamma0
     params = penalty.special_params("script_F", gamma)
@@ -205,7 +209,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             detail = f"inner solver returned {res.status} at outer iteration {k}"
             break
 
-        point = at(res.x)  # the point tr_minimize certified last
+        point = at(res.x)  # the point tr_minimize certified last, its gradient and dG stack made
+        if prob.d > 0:
+            kept_dG = point.share_dG(kept_dG)
         u_next = optimality.infeasibility_u(point)
         xhat, branch = next_xhat(res.x, res.value, f0, x0)
         steps.append((k + 1, gamma, delta, start_value, res, branch, point))

@@ -1,6 +1,7 @@
-"""Exception types, and the integer-argument check, shared across the toolkit."""
+"""Exception types, and the integer- and real-argument checks, shared across the toolkit."""
 
-from numbers import Integral
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class InvalidInputError(ValueError):
@@ -19,3 +20,11 @@ def require_int(name: str, value, lo: int, hi: float = float("inf")):
     """Reject ``value`` unless it is an integer (not a bool) in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, Integral) or not lo <= value <= hi:
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def require_real_fields(obj):
+    """Reject a dataclass whose ``float`` fields are not all real numbers (a bool is not one); numpy scalars pass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is float and (isinstance(value, bool) or not isinstance(value, Real)):
+            raise InvalidInputError(f"{f.name} must be a real number, got {value!r}")

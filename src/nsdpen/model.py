@@ -58,13 +58,14 @@ class NsdpProblem:
     gradient of g_j.  ``dG(x, i)`` is the partial derivative of G in x_i and
     ``d2G(x, i, j)`` the second partial; both return symmetric d x d arrays.
 
-    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, and the hooks
-    read are present (f, grad_f, hess_f; g, jac_g, hess_g when m > 0; G, dG,
-    d2G when d > 0).  Second-derivative hooks may be omitted by passing
-    ``fd_second_order=True``; their fields stay None, and each reader takes
-    central differences of this problem's own first-derivative hooks (step
-    ``1e-5 * (1 + |x_i|)``), so a ``dataclasses.replace`` copy differences its
-    own hooks.  Frozen, with a read-only copy of ``start_point``.
+    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook
+    given is callable, and the hooks read are present (f, grad_f, hess_f; g,
+    jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks
+    may be omitted by passing ``fd_second_order=True``; their fields stay None,
+    and each reader takes central differences of this problem's own
+    first-derivative hooks (step ``1e-5 * (1 + |x_i|)``), so a
+    ``dataclasses.replace`` copy differences its own hooks.  Frozen, with a
+    read-only copy of ``start_point``.
     """
 
     name: str
@@ -89,6 +90,10 @@ class NsdpProblem:
         start = _vec(self.start_point, self.n, "start_point").copy()
         start.flags.writeable = False
         object.__setattr__(self, "start_point", start)
+        for hook in ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G"):
+            value = getattr(self, hook)
+            if (value is not None or hook in ("f", "grad_f")) and not callable(value):
+                raise InvalidInputError(f"problem {self.name!r}: hook {hook} is not callable, got {value!r}")
         if self.m > 0 and (self.g is None or self.jac_g is None):
             raise InvalidInputError(f"problem {self.name!r}: m > 0 requires g and jac_g hooks")
         if self.d > 0 and (self.G is None or self.dG is None):

@@ -88,7 +88,7 @@ def recover_multipliers(at: PenaltyPoint) -> MultiplierPair:
     """Multipliers y = -gamma*g(x) and Z = gamma*[-G(x)]+^3 (PSD by construction)."""
     gamma = _gamma(at)
     y = gamma * at.r if at.r is not None else np.zeros(0)
-    Z = gamma * matfun.q_cube_from(at.dec) if at.dec is not None else np.zeros((0, 0))
+    Z = gamma * at.q_cube if at.dec is not None else np.zeros((0, 0))
     return MultiplierPair(y=y, Z=Z)
 
 

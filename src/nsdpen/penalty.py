@@ -8,8 +8,9 @@ For parameters (v, M, rho, sigma, tau) the penalty is
 which is twice continuously differentiable in x.  ``penalty_at`` evaluates
 the two pieces every term is built from, r = v/tau - g(x) and the
 eigendecomposition of M/tau - G(x), once per point; ``penalty_value``,
-``penalty_grad`` and ``penalty_hess`` read them, and f, jac_g and dG made once
-on first read, from that ``PenaltyPoint`` and add the derivatives of f, g and G.
+``penalty_grad`` and ``penalty_hess`` read them, and f, jac_g, dG and
+[M/tau - G(x)]+^3 made once on first read, from that ``PenaltyPoint`` and add
+the derivatives of f, g and G.
 """
 
 from dataclasses import dataclass
@@ -75,8 +76,9 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 class PenaltyPoint:
     """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0).
 
-    ``f`` = f(x), ``J`` = jac_g(x) (never written into), the read-only stack ``dG`` of dG(x, i), the ``value`` and
-    the read-only ``grad`` are made on first read and kept; the Hessian is not, since a solve keeps every point."""
+    ``f`` = f(x), ``J`` = jac_g(x) (never written into), the read-only stack ``dG`` of dG(x, i), the read-only
+    ``q_cube`` = [M/tau - G(x)]+^3, the ``value`` and the read-only ``grad`` are made on first read and kept; the
+    Hessian is not, since a solve keeps every point."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -98,6 +100,21 @@ class PenaltyPoint:
         Gs = _dG_stack(self.prob, self.x)
         Gs.flags.writeable = False
         return Gs
+
+    def share_dG(self, stack: np.ndarray | None) -> np.ndarray:
+        """Read ``stack`` as this point's ``dG`` when the two hold the same bits, and return the stack it reads.
+
+        Bits, not values, so 0.0 and -0.0 stay apart; neither stack is copied.  A solve passes the stack of its
+        last kept point, so the kept points of an affine G share one stack."""
+        if stack is not None and np.array_equal(stack.view(np.int64), self.dG.view(np.int64)):
+            self.__dict__["dG"] = stack  # where cached_property keeps its value
+        return self.dG
+
+    @cached_property
+    def q_cube(self) -> np.ndarray:
+        cube = matfun.q_cube_from(self.dec)
+        cube.flags.writeable = False
+        return cube
 
     @cached_property
     def value(self) -> float:
@@ -144,7 +161,7 @@ def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     if at.r is not None:
         grad = grad - st * (at.J @ at.r)
     if at.dec is not None:
-        grad = grad - st * dG_adjoint(at.dG, matfun.q_cube_from(at.dec))
+        grad = grad - st * dG_adjoint(at.dG, at.q_cube)
     return grad
 
 
@@ -163,5 +180,5 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     if dec is not None:
         P = dec.vectors
         K = (P.T @ at.dG @ P).reshape(prob.n, -1)
-        H = H + st * (K @ (matfun.dq_coeff(dec).ravel() * K).T - d2G_contract(prob, x, matfun.q_cube_from(dec)))
+        H = H + st * (K @ (matfun.dq_coeff(dec).ravel() * K).T - d2G_contract(prob, x, at.q_cube))
     return symmetrize(H)

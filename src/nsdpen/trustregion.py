@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_int, require_real_fields
 from .matfun import _norm, _pow2_unit, symmetrize
 
 CONVERGED = "Converged"
@@ -40,6 +40,7 @@ class TrConfig:
     radius_min: float = 1e-14
 
     def __post_init__(self):
+        require_real_fields(self)
         if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
             raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
         require_int("max_iter", self.max_iter, 1)

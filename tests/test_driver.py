@@ -54,6 +54,11 @@ class TestConfig:
     def test_defaults_valid(self):
         assert isinstance(driver.PenaltyConfig().tr, trustregion.TrConfig)
 
+    def test_numpy_numbers_accepted(self):
+        cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7),
+                                   tr=trustregion.TrConfig(delta0_radius=np.float32(0.5), max_iter=np.int32(9)))
+        assert (cfg.eta, cfg.theta, cfg.tr.delta0_radius) == (0.25, 4, 0.5)
+
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
         dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
@@ -63,6 +68,7 @@ class TestConfig:
         dict(feas_check_tol=-1.0), dict(gamma_cap=0.5), dict(gamma0=1e15),
         dict(tr=dict(max_iter=2.5)), dict(tr=dict(eta1=0.9)), dict(tr=dict(delta0_radius=np.nan)),
         dict(tr=None),  # built, and solve then failed with an AttributeError
+        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True), dict(tr=dict(delta0_radius="1")),  # were TypeErrors
     ])
     def test_bad_fields_rejected(self, bad):
         # a ``tr`` dict names fields of the nested TrConfig
@@ -532,6 +538,49 @@ def nearest_psd_d5():
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
     return families.nearest_psd(5, np.random.default_rng(1)).problem, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
+
+
+def float_bits(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+class TestSharedDGStack:
+    @pytest.mark.parametrize("case", ["nearest-psd", "psd-d5", "ball"])
+    def test_kept_points_share_stacks_of_the_same_bits(self, case, monkeypatch):
+        # an affine G keeps one dG stack for every certified point; the ball's stack depends on x, so
+        # consecutive kept points share one exactly when they are at the same x
+        if case == "ball":
+            prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+        elif case == "psd-d5":
+            (prob, cfg), b_count = nearest_psd_d5(), None
+        else:
+            entry = problems.get_problem(case)
+            prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
+        stacks = []
+        evaluate_residuals = optimality.evaluate_residuals
+
+        def recording(at, b_count):
+            stacks.append(at.dG)
+            return evaluate_residuals(at, b_count)
+
+        monkeypatch.setattr(optimality, "evaluate_residuals", recording)
+        report = driver.solve(prob, cfg, b_count=b_count)
+        monkeypatch.undo()
+        assert report.final_status == driver.FEAS_OPT_REACHED and len(stacks) == len(report.iterates) > 1
+        shared = [a is b for a, b in zip(stacks, stacks[1:])]
+        if case == "ball":
+            xs = [rec.x.tobytes() for rec in report.iterates]
+            assert shared == [a == b for a, b in zip(xs, xs[1:])] and not all(shared)
+        else:
+            assert all(shared)
+        # each record is, bit for bit, the certificate of a fresh point at its x and gamma
+        for rec in report.iterates:
+            at = script_F_point(prob, rec.x, rec.gamma)
+            res, mult = optimality.evaluate_residuals(at, report.b_count)
+            assert float_bits(rec.u, rec.stationarity, rec.complementarity, rec.second_order, rec.subspace_dim,
+                              rec.f_value, rec.script_F_value, rec.y, rec.Z) == float_bits(
+                res.feasibility_u, res.stationarity, res.complementarity, res.second_order, res.subspace_dim,
+                at.f, at.value, mult.y, mult.Z)
 
 
 class TestOneParamsPerGamma:

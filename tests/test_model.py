@@ -435,6 +435,12 @@ class TestSynthesizedSecondDerivatives:
         with pytest.raises(dataclasses.FrozenInstanceError):
             prob.hess_f = None
 
+    @pytest.mark.parametrize("hook, value", [("hess_f", 2.0), ("f", None), ("dG", np.eye(1)), ("g", "g")])
+    def test_hook_not_callable_rejected_when_built(self, hook, value):
+        # hess_f=2.0 used to build, and solve then died with "'float' object is not callable"
+        with pytest.raises(InvalidInputError, match=f"hook {hook} is not callable"):
+            dataclasses.replace(problems.get_problem("scalar-bound").problem, **{hook: value})
+
     def test_missing_hooks_rejected(self):
         with pytest.raises(InvalidInputError):
             model.NsdpProblem(

@@ -161,21 +161,39 @@ class TestPenaltyPoint:
             penalty.penalty_grad(at)
             assert (counts["g"], counts["G"], len(eigs)) == (0, 0, 1)
 
-    def test_one_dG_stack_per_point(self):
+    def test_one_dG_stack_per_point(self, monkeypatch):
         # a value alone makes no dG call; the gradient, the Hessian and the
-        # certificates then share one stack: n dG calls for the point
+        # certificates then share one stack: n dG calls for the point, and one [-G]+^3
         prob, counts = counting(ball_problem(4, m=2))
         gen = rng(114)
         at = script_F_point(prob, mixed_ball_point(gen, prob.d), 3.0)
         Z = spectrum_matrix(gen, [1.0, 0.5, 0.0, 0.0])
+        cubes = []
+        q_cube_from = matfun.q_cube_from
+        monkeypatch.setattr(matfun, "q_cube_from", lambda dec: cubes.append(dec) or q_cube_from(dec))
         penalty.penalty_value(at)
         assert counts["dG"] == 0
         penalty.penalty_grad(at)
         penalty.penalty_hess(at)
         optimality.sigma_term(at, Z)
         assert optimality.critical_subspace_basis(at, 2).shape[1] > 0
-        assert counts["dG"] == prob.n
-        assert not at.dG.flags.writeable
+        assert np.array_equal(optimality.recover_multipliers(at).Z, 3.0 * q_cube_from(at.dec))
+        assert counts["dG"] == prob.n and len(cubes) == 1
+        assert not at.dG.flags.writeable and not at.q_cube.flags.writeable
+
+    def test_dG_shared_only_with_the_same_bits(self):
+        # 0.0 * x[0] is -0.0 where x[0] < 0: the stacks at x and -x are equal in value, not in bits
+        prob = dataclasses.replace(ball_problem(2), dG=lambda x, i: np.full((2, 2), 0.0 * x[0]))
+        p = penalty.special_params("script_F", 1.0)
+        x = np.ones(prob.n)
+        first = penalty.penalty_at(prob, x, p)
+        stack = first.share_dG(None)
+        assert stack is first.dG
+        same, negated = penalty.penalty_at(prob, x, p), penalty.penalty_at(prob, -x, p)
+        assert same.share_dG(stack) is stack and same.dG is stack
+        own = negated.dG
+        assert np.array_equal(own, stack) and np.signbit(own).all() and not np.signbit(stack).any()
+        assert negated.share_dG(stack) is own and negated.dG is own
 
     @pytest.mark.parametrize("hook,bad", [("f", lambda x: 1j), ("g", lambda x: [None]),
                                           ("G", lambda x: np.eye(2) * 1j), ("dG", lambda x, i: "0")])

@@ -425,7 +425,7 @@ class TestTrMinimize:
                     dict(shrink=0.0), dict(shrink=-0.5), dict(shrink=np.nan),
                     dict(grow=np.inf), dict(grow=np.nan), dict(grow=1.0),
                     dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True),
-                    dict(eta1=0.9)):
+                    dict(eta1=0.9), dict(delta0_radius="1"), dict(grow="2"), dict(radius_min=None)):
             with pytest.raises(InvalidInputError):
                 tr.TrConfig(**bad)
             cfg = tr.TrConfig()
