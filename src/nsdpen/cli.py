@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import driver, model, optimality, penalty, problems
-from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError
+from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError, real_array
 from .matfun import _triangles
 
 SCHEMA_VERSION = "3"
@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def sym_to_lower(Z: np.ndarray) -> dict:
     """Serialize a symmetric matrix as its row-major lower triangle."""
-    Z = np.asarray(Z, dtype=float)
+    Z = real_array("Z", Z)
     d = Z.shape[0]
     return {"dim": d, "lower": Z[_triangles(d)[1]].tolist()}
 
@@ -62,7 +62,7 @@ def sym_to_lower(Z: np.ndarray) -> dict:
 def lower_to_sym(doc: dict) -> np.ndarray:
     """Rebuild the symmetric matrix from its serialized lower triangle, which must have dim*(dim+1)/2 entries."""
     d = int(doc["dim"])
-    lower = np.asarray(doc["lower"], dtype=float)
+    lower = real_array("lower", doc["lower"])
     if d < 0 or lower.shape != (d * (d + 1) // 2,):
         raise InvalidInputError(f"a lower triangle of dim {d} needs dim*(dim+1)/2 entries, got shape {lower.shape}")
     rows, cols = _triangles(d)[1]
@@ -173,15 +173,15 @@ def _cmd_solve(args) -> int:
 def _parse_point(text: str, entry) -> np.ndarray:
     if text.strip() == "start":
         return entry.problem.start_point
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    try:  # every field is required: an empty one does not parse
+        x = real_array("point", [float(tok) for tok in text.split(",")])
     except ValueError:
         raise _UsageError(f"cannot parse point {text!r}") from None
-    if len(values) != entry.problem.n:
-        raise _UsageError(f"point has {len(values)} entries, problem {entry.problem.name!r} needs {entry.problem.n}")
-    if not all(np.isfinite(values)):
+    if x.size != entry.problem.n:
+        raise _UsageError(f"point has {x.size} entries, problem {entry.problem.name!r} needs {entry.problem.n}")
+    if not np.isfinite(x).all():
         raise _UsageError(f"point {text!r} has non-finite entries")
-    return np.asarray(values, dtype=float)
+    return x
 
 
 def _cmd_check(args) -> int:

@@ -1,7 +1,11 @@
-"""Exception types, and the integer- and real-argument checks, shared across the toolkit."""
+"""Exception types, and every argument check of the toolkit: ``real_array``, the one reader of a value as a float
+array (a caller's argument or a hook's output), and ``require_int`` and ``require_real`` for scalars and config
+fields.  Each raises ``InvalidInputError`` naming the argument or the hook."""
 
 from dataclasses import fields
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -22,9 +26,28 @@ def require_int(name: str, value, lo: int, hi: float = float("inf")):
         raise InvalidInputError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
+def require_real(name: str, value):
+    """Reject ``value`` unless it is a real number (a bool is not one); numpy scalars pass."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def require_real_fields(obj):
-    """Reject a dataclass whose ``float`` fields are not all real numbers (a bool is not one); numpy scalars pass."""
+    """Reject a dataclass whose ``float`` fields are not all real numbers."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type is float and (isinstance(value, bool) or not isinstance(value, Real)):
-            raise InvalidInputError(f"{f.name} must be a real number, got {value!r}")
+        if f.type is float:
+            require_real(f.name, getattr(obj, f.name))
+
+
+def real_array(name: str, value, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float array, read by one ``np.asarray`` call (a float array is returned as it is).  Complex,
+    ragged or non-numeric values, and a shape other than ``shape`` when one is given, raise ``InvalidInputError``."""
+    try:
+        out = np.asarray(value)
+    except ValueError:
+        raise InvalidInputError(f"{name} is ragged") from None
+    if out.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be real numbers, got {out.dtype}")
+    if shape is not None and out.shape != shape:
+        raise InvalidInputError(f"{name} must have shape {shape}, got {out.shape}")
+    return out.astype(float, copy=False)

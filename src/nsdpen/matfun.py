@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, real_array
 
 ABS_EIG_TOL = 1e-12
 REL_EIG_TOL = 1e-10
@@ -25,8 +25,9 @@ _SIGN_TOL = 1e-12
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
-    """Return (X + X^T)/2."""
-    return 0.5 * (X + X.T)
+    """Return (X + X^T)/2, as X/2 + X^T/2: halving first, so no finite entry overflows."""
+    h = 0.5 * X
+    return h + h.T
 
 
 @functools.lru_cache(maxsize=64)
@@ -70,15 +71,6 @@ def _norm(v) -> float:
     return float(np.linalg.norm(v * unit)) / unit
 
 
-def _as_sym(X, name: str = "X") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
-        raise InvalidInputError(f"{name} must be a square matrix of dimension >= 1, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return symmetrize(X)
-
-
 @dataclass(frozen=True)
 class EigenDecomp:
     """Eigendecomposition with eigenvalues sorted descending.
@@ -104,7 +96,12 @@ def eig_sym(X) -> EigenDecomp:
     The sign of each eigenvector is fixed so that its first component of
     magnitude above ``1e-12`` is nonnegative.
     """
-    X = _as_sym(X)
+    X = real_array("X", X)
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] < 1:
+        raise InvalidInputError(f"X must be a square matrix of dimension >= 1, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("X has non-finite entries")
+    X = symmetrize(X)
     w, P = np.linalg.eigh(X)
     P = P[:, ::-1]
     # row of each column's first entry above the tolerance; argmax gives 0 when there is none
@@ -169,9 +166,9 @@ def dq_coeff(dec: EigenDecomp) -> np.ndarray:
 def dq_apply(dec: EigenDecomp, H) -> np.ndarray:
     """Apply the derivative of ``[X]+^3`` at the decomposed X to a symmetric H: ``P (C o (P^T H P)) P^T``
     with ``P = dec.vectors``, ``C = dq_coeff(dec)`` and ``o`` the Hadamard product."""
-    H = _as_sym(H, name="H")
     P = dec.vectors
-    if H.shape[0] != P.shape[0]:
-        raise InvalidInputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, the decomposition is {P.shape[0]}-dimensional")
-    K = P.T @ H @ P
+    H = real_array("H", H, P.shape)
+    if not np.isfinite(H).all():
+        raise InvalidInputError("H has non-finite entries")
+    K = P.T @ symmetrize(H) @ P
     return symmetrize(P @ (dq_coeff(dec) * K) @ P.T)

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, real_array, require_int, require_real
 from .matfun import _triangles, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
@@ -21,7 +21,8 @@ _D2G_BLOCK_FLOATS = 16384
 
 
 def _vec(x, n: int, name: str = "x") -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """x as a float (n,) array; a scalar stands for a one-entry vector."""
+    x = np.atleast_1d(real_array(name, x))
     if x.shape != (n,):
         raise InvalidInputError(f"{name} must have shape ({n},), got {x.shape}")
     return x
@@ -139,32 +140,15 @@ def _d2G(prob: NsdpProblem):
     def diff(x, i, j):  # (dG(x + h_j e_j, i) - dG(x - h_j e_j, i)) / (2 h_j), with the h of _shifts
         e = np.zeros(x.size)
         e[j] = FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
-        return (_real("dG", prob.dG(x + e, i)) - _real("dG", prob.dG(x - e, i))) / (2 * e[j])
+        return (real_array("dG", prob.dG(x + e, i)) - real_array("dG", prob.dG(x - e, i))) / (2 * e[j])
     return lambda x, i, j: symmetrize(0.5 * (diff(x, i, j) + diff(x, j, i)))
 
 
-def _real(hook: str, value, shape: tuple | None = None) -> np.ndarray:
-    """A hook's output as a float array.
-
-    Complex, ragged or non-numeric output, and output whose shape is not
-    ``shape`` when one is given, raises ``InvalidInputError`` naming the hook.
-    """
-    try:
-        out = np.asarray(value)
-    except ValueError:
-        raise InvalidInputError(f"{hook} returned ragged output") from None
-    if out.dtype.kind not in "biuf":
-        raise InvalidInputError(f"{hook} must return real numbers, got {out.dtype} output")
-    if shape is not None and out.shape != shape:
-        raise InvalidInputError(f"{hook} must return shape {shape}, got {out.shape}")
-    return out.astype(float, copy=False)
-
-
 def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
-    """Hook outputs of one shape as one (k, *shape) float array, built by a single ``np.asarray`` call."""
-    out = _real(hook, entries)
+    """Hook outputs of one shape as one (k, *shape) float array, read by one ``real_array`` call."""
+    out = real_array(hook, entries)
     if out.shape[1:] != shape:
-        raise InvalidInputError(f"{hook} must return shape {shape}, got {out.shape[1:]}")
+        raise InvalidInputError(f"{hook} must have shape {shape}, got {out.shape[1:]}")
     return out
 
 
@@ -177,17 +161,14 @@ def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
 def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
     """Adjoint of the directional derivative: component i is <Gs[i], Z> for the (n, d, d) stack Gs of dG(x, i)."""
     n, d = Gs.shape[:2]
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (d, d):
-        raise InvalidInputError(f"Z must have shape ({d}, {d}), got {Z.shape}")
-    return Gs.reshape(n, -1) @ Z.ravel()
+    return Gs.reshape(n, -1) @ real_array("Z", Z, (d, d)).ravel()
 
 
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
     """rho * hess f(x) - sum_j y_j hess g_j(x), each output shape-checked and symmetrized; a zero weight
     reads no hess g_j (a synthesized hess_g differences jac_g once for all others), and y is read only when m > 0."""
     n = prob.n
-    H = rho * symmetrize(_real("hess_f", _hess_f(prob)(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
+    H = rho * symmetrize(real_array("hess_f", _hess_f(prob)(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
     js = [j for j in range(prob.m) if y[j] != 0.0]
     for j, Hj in zip(js, _hess_g(prob)(x, js) if js else ()):
         H = H - y[j] * symmetrize(Hj)
@@ -204,9 +185,7 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     values fill both triangles after the last block.
     """
     x = _vec(x, prob.n)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (prob.d, prob.d):
-        raise InvalidInputError(f"W must have shape ({prob.d}, {prob.d}), got {W.shape}")
+    W = real_array("W", W, (prob.d, prob.d))
     n = prob.n
     rows, cols = _triangles(n)[0]
     step = max(1, _D2G_BLOCK_FLOATS // max(1, W.size))
@@ -267,6 +246,7 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     each, grad_f and jac_g 1 + 2n, dG n + 2n^2, d2G n^2, and hess_f once and
     hess_g m times.  Synthesized second derivatives are audited as read.
     """
+    require_real("step", step)
     if not step > 0:
         raise InvalidInputError("step must be positive")
     x = _vec(x, prob.n)
@@ -278,7 +258,7 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
         return _stacked_diff(hook, fn, shifts, shape)
 
     def one(hook, value, shape):  # a single analytic output, as a stack of one
-        return _real(hook, value, shape)[None]
+        return real_array(hook, value, shape)[None]
 
     # each check returns one relative error per analytic hook output it audits
     hess_f, hess_g, d2G = _hess_f(prob), _hess_g(prob), _d2G(prob)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, real_array, require_int
 from .matfun import _norm, symmetrize
-from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint, hess_fg
+from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint, hess_fg
 from .penalty import PenaltyPoint
 
 
@@ -38,30 +38,20 @@ class OptimalityResiduals:
 
 
 def _check_y(prob: NsdpProblem, y) -> np.ndarray:
-    if prob.m == 0:
-        return np.zeros(0)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (prob.m,):
-        raise InvalidInputError(f"y must have shape ({prob.m},), got {y.shape}")
-    return y
+    return _vec(y, prob.m, "y") if prob.m else np.zeros(0)
 
 
 def _check_Z(prob: NsdpProblem, Z) -> np.ndarray:
-    if prob.d == 0:
-        return np.zeros((0, 0))
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape != (prob.d, prob.d):
-        raise InvalidInputError(f"Z must have shape ({prob.d}, {prob.d}), got {Z.shape}")
-    return symmetrize(Z)
+    return symmetrize(real_array("Z", Z, (prob.d, prob.d))) if prob.d else np.zeros((0, 0))
 
 
 def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """grad f(x) - jac_g(x) y - adjoint(dG)(x) Z."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    out = _real("grad_f", prob.grad_f(x), (prob.n,)).copy()
+    out = real_array("grad_f", prob.grad_f(x), (prob.n,)).copy()
     if prob.m > 0:
-        out -= _real("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ y
+        out -= real_array("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ y
     if prob.d > 0:
         out -= dG_adjoint(_dG_stack(prob, x), Z)
     return out
@@ -165,7 +155,7 @@ def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
     """
     _gamma(at)
     prob = at.prob
-    basis = np.asarray(basis, dtype=float)
+    basis = real_array("basis", basis)
     if basis.ndim != 2 or basis.shape[0] != prob.n:
         raise InvalidInputError(f"basis must be {prob.n} x s")
     if basis.shape[1] == 0:

@@ -19,9 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from . import matfun
-from .errors import InvalidInputError
+from .errors import InvalidInputError, real_array, require_real, require_real_fields
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _real, _vec, d2G_contract, dG_adjoint, hess_fg
+from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint, hess_fg
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ class PenaltyParams:
     tau: float
 
     def __post_init__(self):
+        require_real_fields(self)
         if self.M is not None:
-            object.__setattr__(self, "M", symmetrize(np.asarray(self.M, dtype=float)))
+            object.__setattr__(self, "M", symmetrize(real_array("M", self.M)))
         if self.v is not None:
-            object.__setattr__(self, "v", np.atleast_1d(np.asarray(self.v, dtype=float)))
+            object.__setattr__(self, "v", np.atleast_1d(real_array("v", self.v)))
         if not all(np.isfinite(a).all() for a in (self.rho, self.sigma, self.tau, self.v, self.M) if a is not None):
             raise InvalidInputError("rho, sigma, tau, v and M must be finite")
         if not self.sigma > 0:
@@ -62,7 +63,8 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
     sigma=1, tau=1).
     """
     if kind == "script_F":
-        if gamma is None or not gamma > 0:
+        require_real("gamma", gamma)
+        if not gamma > 0:
             raise InvalidInputError("script_F requires gamma > 0")
         return PenaltyParams(v=None, M=None, rho=1.0, sigma=float(gamma), tau=1.0)
     if kind == "script_P":
@@ -89,11 +91,11 @@ class PenaltyPoint:
 
     @cached_property
     def f(self) -> float:
-        return float(_real("f", self.prob.f(self.x), ()))
+        return float(real_array("f", self.prob.f(self.x), ()))
 
     @cached_property
     def J(self) -> np.ndarray:
-        return _real("jac_g", self.prob.jac_g(self.x), (self.prob.n, self.prob.m))
+        return real_array("jac_g", self.prob.jac_g(self.x), (self.prob.n, self.prob.m))
 
     @cached_property
     def dG(self) -> np.ndarray:
@@ -134,9 +136,9 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     if prob.m > 0:
         if p.v is not None and p.v.shape != (prob.m,):
             raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
-        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - _real("g", prob.g(x), (prob.m,))
+        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - real_array("g", prob.g(x), (prob.m,))
     if prob.d > 0:
-        Gx = symmetrize(_real("G", prob.G(x), (prob.d, prob.d)))
+        Gx = symmetrize(real_array("G", prob.G(x), (prob.d, prob.d)))
         if p.M is not None and p.M.shape != (prob.d, prob.d):
             raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
         dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
@@ -157,7 +159,7 @@ def penalty_value(at: PenaltyPoint) -> float:
 def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     prob, p, x = at.prob, at.p, at.x
     st = p.sigma * p.tau
-    grad = p.rho * _real("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
+    grad = p.rho * real_array("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
         grad = grad - st * (at.J @ at.r)
     if at.dec is not None:

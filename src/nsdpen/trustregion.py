@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int, require_real_fields
+from .errors import InvalidInputError, real_array, require_int, require_real, require_real_fields
 from .matfun import _norm, _pow2_unit, symmetrize
 
 CONVERGED = "Converged"
@@ -76,16 +76,15 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     1e-280 there.  The hard case (gradient orthogonal to the bottom
     eigenspace) steps along the bottom eigenvector, or is interior.
     """
-    B = np.asarray(B, dtype=float)
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
+    grad = np.atleast_1d(real_array("grad", grad))
+    n = grad.shape[0]
+    B = real_array("B", B, (n, n))
+    require_real("radius", radius)
     if not (np.isfinite(B).all() and np.isfinite(grad).all() and np.isfinite(radius)):
         raise InvalidInputError("ms_subproblem requires finite inputs")
     if not radius > 0:
         raise InvalidInputError("radius must be positive")
     B = symmetrize(B)
-    n = grad.shape[0]
-    if B.shape != (n, n):
-        raise InvalidInputError(f"B must be {n}x{n}, got {B.shape}")
 
     # factor first: a Cholesky factorization certifies B positive definite.  numpy's linalg reports
     # a failed factorization or solve as LinAlgError, not as a warning, and a step that overflows
@@ -171,38 +170,40 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     is computed once per start or accepted point, and only where ||grad|| <= delta.
     Accepted iterates decrease the objective monotonically.  ``MaxIter`` and
     ``RadiusCollapse`` report failure; the best point found is returned.
-    A trial point whose value, gradient or Hessian raises an ArithmeticError or
-    ValueError or is not finite is rejected; at the start point these propagate.
+    A trial point whose value, gradient or Hessian raises an ArithmeticError or ValueError, or is not
+    finite, real and of its shape, is rejected; at the start point these propagate.
 
     Parameters
     ----------
     fun, grad, hess : callables
-        Objective value, gradient and (symmetric) Hessian hooks.  Their
-        results are only read, never written into, so a hook may return
-        a cached array.
+        Objective value (a scalar), gradient (n,) and (symmetric) Hessian (n, n)
+        hooks.  Their results are only read, never written into, so a hook may
+        return a cached array.
     x0 : array_like
-        Start point.
+        Start point of n entries (a scalar when n = 1).
     delta : float
         Certificate tolerance, in (0, 1).
     config : TrConfig, optional
         Radius-management constants.
     """
+    require_real("delta", delta)
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
     cfg = config or TrConfig()
+    x = np.atleast_1d(real_array("x0", x0)).copy()
+    n = x.size
 
     def derivatives(z):
         # gradient, its norm, Hessian and both certificates; `and` skips the eigensolve if ||g|| > delta
-        g_z = np.atleast_1d(np.asarray(grad(z), dtype=float))
-        H_z = symmetrize(np.asarray(hess(z), dtype=float))
+        g_z = real_array("grad", grad(z), (n,))
+        H_z = symmetrize(real_array("hess", hess(z), (n, n)))
         if not (np.isfinite(g_z).all() and np.isfinite(H_z).all()):
             raise InvalidInputError("gradient or Hessian has non-finite entries")
         gnorm_z = _norm(g_z)
         return g_z, gnorm_z, H_z, gnorm_z <= delta and np.linalg.eigvalsh(H_z)[0] >= -delta
 
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     radius = cfg.delta0_radius
-    f_x = float(fun(x))
+    f_x = float(real_array("fun", fun(x), ()))
     g_x, gnorm, H_x, certified = derivatives(x)
 
     for it in range(cfg.max_iter):
@@ -214,7 +215,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         x_new = x + p
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(f_x))
         try:
-            f_new = float(fun(x_new))
+            f_new = float(real_array("fun", fun(x_new), ()))
             if pred <= noise:
                 # the model predicts a change below evaluation precision; the
                 # ratio test carries no signal there, so take the (near-Newton)

@@ -294,8 +294,22 @@ class TestCheckCommand:
         assert doc["audit"]["passed"] is True
         assert doc["multipliers"]["Z"] == {"dim": 1, "lower": [0.0]}
 
-    def test_wrong_dimension_exit(self):
-        assert run_main(["check", "--problem", "scalar-bound", "--at", "1,2"]) == 64
+    @pytest.mark.parametrize("problem, at", [("scalar-bound", "1,2"), ("corr-matrix", "0,,0,0"), ("scalar-bound", ",1")])
+    def test_wrong_dimension_exit(self, problem, at, capsys):
+        # blank fields used to be dropped, so "0,,0,0" was read as the 3 entries corr-matrix needs
+        code, out = run_main(["check", "--problem", problem, "--at", at], capsys)
+        assert code == 64
+        assert "point" in out.err
+
+    @pytest.mark.parametrize("problem, at", [("scalar-bound", "9e307"), ("scalar-bound", "1.7e308"),
+                                             ("nearest-psd", "9e307,9e307,0"), ("corr-matrix", "9e307,9e307,9e307")])
+    def test_huge_finite_point_fails_the_audit(self, problem, at):
+        # G(x) is finite, but (X + X^T)/2 overflowed and eig_sym's error escaped main as a traceback;
+        # run as a process, since the hooks' own overflow warnings are errors under pytest
+        proc = subprocess.run([sys.executable, "-m", "nsdpen", "check", "--problem", problem, "--at", at],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_AUDIT_FAILED
+        assert "Traceback" not in proc.stderr and "derivative audit" in proc.stdout
 
     def test_unknown_problem_exit(self):
         assert run_main(["check", "--problem", "nope"]) == 65

@@ -211,7 +211,7 @@ class TestSolveGuards:
         # the scalar was broadcast into every Hessian entry and the solve reached FeasOptReached;
         # the (n,) array escaped as numpy's bare "non-broadcastable output operand" ValueError
         prob = dataclasses.replace(problems.get_problem("nearest-psd").problem, hess_f=hess_f)
-        with pytest.raises(InvalidInputError, match=r"^hess_f must return shape \(3, 3\), got"):
+        with pytest.raises(InvalidInputError, match=r"^hess_f must have shape \(3, 3\), got"):
             driver.solve(prob, problems.get_problem("nearest-psd").config)
 
     @pytest.mark.parametrize("b_count", [1.5, 5, -1])  # d = 2 for nearest-psd

@@ -58,6 +58,12 @@ class TestEigSym:
         with pytest.raises(InvalidInputError):
             matfun.eig_sym(np.zeros((2, 3)))
 
+    def test_huge_finite_entries_accepted(self):
+        # X + X^T overflowed to inf before the halving, and eig_sym rejected this finite matrix
+        X = np.array([[0.0, 1e308], [1e308, 0.0]])
+        assert np.array_equal(matfun.symmetrize(X), X)
+        assert matfun.eig_sym(X).values.tolist() == [1e308, -1e308]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sign_rule_matches_column_loop(self, seed):
         # reference: the column-by-column form of the sign rule

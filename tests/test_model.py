@@ -219,7 +219,7 @@ class TestHessFg:
     @pytest.mark.parametrize("hook", ["hess_f", "hess_g"])
     def test_wrong_shape_names_the_hook(self, hook):
         prob = dataclasses.replace(ball_problem(3, m=2), **{hook: lambda *args: np.ones(6)})
-        with pytest.raises(InvalidInputError, match=rf"^{hook} must return shape \(6, 6\)"):
+        with pytest.raises(InvalidInputError, match=rf"^{hook} must have shape \(6, 6\)"):
             model.hess_fg(prob, np.zeros(6), 1.0, np.ones(2))
 
 
@@ -351,7 +351,7 @@ class TestAudit:
         prob = dataclasses.replace(problems.get_problem("nearest-psd").problem, d2G=d2G)
         report = model.audit_derivatives(prob, prob.start_point)
         assert report.failures == ["d2G"] and report.errors["d2G"] == np.inf
-        with pytest.raises(InvalidInputError, match="^d2G must return shape"):
+        with pytest.raises(InvalidInputError, match="^d2G must have shape"):
             driver.solve(prob, problems.get_problem("nearest-psd").config)
 
     def test_hook_writing_its_argument_fails(self):
@@ -369,6 +369,8 @@ class TestAudit:
         prob = affine_matrix_problem()
         with pytest.raises(InvalidInputError):
             model.audit_derivatives(prob, np.zeros(2), step=0.0)
+        with pytest.raises(InvalidInputError, match="^step must be a real number"):
+            model.audit_derivatives(prob, np.zeros(2), step="1e-6")
 
 
 class TestSynthesizedSecondDerivatives:

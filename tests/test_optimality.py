@@ -128,7 +128,7 @@ class TestLagrangian:
     ], ids=["grad_f", "jac_g", "hess_f", "hess_g"])
     def test_wrong_shape_names_the_hook(self, hook, bad, lagrangian):
         prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
-        with pytest.raises(InvalidInputError, match=f"^{hook} must return shape"):
+        with pytest.raises(InvalidInputError, match=f"^{hook} must have shape"):
             lagrangian(prob, rng(32).normal(size=prob.n), np.ones(1), np.eye(2))
 
     def test_gradient_matches_central_difference(self):

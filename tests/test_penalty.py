@@ -133,6 +133,13 @@ class TestSpecialParams:
                     dict(M=[[np.inf, 0.0], [0.0, 1.0]]), dict(M=[[1.0, np.nan], [0.0, 1.0]])):
             with pytest.raises(InvalidInputError, match="finite"):
                 penalty.PenaltyParams(**{**dict(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0), **bad})
+        # a string raised a bare TypeError, and a bool ran as 1.0
+        for bad in (dict(rho="1"), dict(sigma=True), dict(tau=None)):
+            with pytest.raises(InvalidInputError, match=f"^{next(iter(bad))} must be a real number"):
+                penalty.PenaltyParams(**{**dict(v=None, M=None, rho=1.0, sigma=1.0, tau=1.0), **bad})
+        for gamma in ("10", True):
+            with pytest.raises(InvalidInputError, match="^gamma must be a real number"):
+                penalty.special_params("script_F", gamma)
 
 
 class TestPenaltyPoint:
@@ -199,7 +206,7 @@ class TestPenaltyPoint:
                                           ("G", lambda x: np.eye(2) * 1j), ("dG", lambda x, i: "0")])
     def test_non_real_hook_output_names_the_hook(self, hook, bad):
         prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
-        with pytest.raises(InvalidInputError, match=f"^{hook} must return real numbers"):
+        with pytest.raises(InvalidInputError, match=f"^{hook} must be real numbers"):
             at = script_F_point(prob, prob.start_point)
             penalty.penalty_value(at)
             penalty.penalty_grad(at)
@@ -213,7 +220,7 @@ class TestPenaltyPoint:
         # a scalar Hessian used to be broadcast into every entry, and a transposed
         # Jacobian escaped as numpy's bare shape error
         prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
-        with pytest.raises(InvalidInputError, match=f"^{hook} must return shape"):
+        with pytest.raises(InvalidInputError, match=f"^{hook} must have shape"):
             at = script_F_point(prob, rng(115).normal(size=prob.n), 3.0)
             penalty.penalty_value(at)
             penalty.penalty_grad(at)

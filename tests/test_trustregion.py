@@ -129,6 +129,10 @@ class TestMsSubproblem:
     def test_bad_radius(self):
         with pytest.raises(InvalidInputError):
             tr.ms_subproblem(np.eye(2), np.ones(2), 0.0)
+        # a string raised a bare TypeError, and a bool ran as 1.0
+        for radius in ("1", True):
+            with pytest.raises(InvalidInputError, match="^radius must be a real number"):
+                tr.ms_subproblem(np.eye(2), np.ones(2), radius)
 
     def test_hard_case_huge_radius(self):
         # the step along the bottom eigenvector has length sqrt(radius^2 - ||p_free||^2),
@@ -389,6 +393,16 @@ class TestTrMinimize:
         assert res.status in (tr.RADIUS_COLLAPSE, tr.MAX_ITER)
         assert 1.0 < res.x[0] <= 1.5
 
+    @pytest.mark.parametrize("hook", ["fun", "grad"])
+    def test_complex_trial_output_rejected(self, hook):
+        # float(1j) escaped tr_minimize as a TypeError, and a complex gradient lost its imaginary part
+        x0 = np.array([1.0, -2.0])
+        fun = lambda x: 0.5 * float(x @ x) if hook == "grad" or np.array_equal(x, x0) else 1j
+        grad = lambda x: x if hook == "fun" or np.array_equal(x, x0) else x + 1j
+        res = tr.tr_minimize(fun, grad, lambda x: np.eye(2), x0, delta=1e-8)
+        assert res.status == tr.RADIUS_COLLAPSE
+        assert np.array_equal(res.x, x0) and res.value == 2.5
+
     def test_failing_start_point_raises(self):
         def grad(x):
             raise ValueError("outside the domain")
@@ -402,6 +416,9 @@ class TestTrMinimize:
         fun, grad, hess = saddle_hooks()
         with pytest.raises(InvalidInputError):
             tr.tr_minimize(fun, grad, hess, np.zeros(2), delta=1.5)
+        for delta in ("0.1", True):
+            with pytest.raises(InvalidInputError, match="^delta must be a real number"):
+                tr.tr_minimize(fun, grad, hess, np.zeros(2), delta=delta)
 
     def test_max_iter_status(self):
         fun, grad, hess = saddle_hooks()
