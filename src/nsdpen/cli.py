@@ -5,12 +5,12 @@ problem and writes a JSON report plus an optional JSONL iterate trace;
 ``check`` audits the derivative hooks of a problem at a point and reports
 optimality residuals with recovered multipliers.
 
-Exit codes: 0 success, 1 failed derivative audit (check), 2 iteration cap
-reached, 3 inner-solver failure or infeasible start, 64 bad flags,
-65 unknown problem, 74 an output file could not be written.  Reports are
-written atomically (temp file + rename) and identical flags produce
-byte-identical numeric payloads; wall time lives in a separate non-compared
-field.
+Exit codes: 0 success, 1 failed derivative audit or residuals that could
+not be evaluated (check), 2 iteration cap reached, 3 inner-solver failure
+or infeasible start, 64 bad flags, 65 unknown problem, 74 an output file
+could not be written.  Reports are written atomically (temp file + rename)
+and identical flags produce byte-identical numeric payloads; wall time lives
+in a separate non-compared field.
 """
 
 import argparse
@@ -191,16 +191,24 @@ def _cmd_check(args) -> int:
     x = _parse_point(args.at, entry)
 
     audit = model.audit_derivatives(entry.problem, x)
-    at = penalty.penalty_at(entry.problem, x, penalty.special_params("script_F", args.gamma))
-    res, mult = optimality.evaluate_residuals(at, entry.b_count_at_solution)
+    try:  # as in the audit, a hook that fails at the point (or warns, under an error filter) is reported
+        at = penalty.penalty_at(entry.problem, x, penalty.special_params("script_F", args.gamma))
+        res, mult = optimality.evaluate_residuals(at, entry.b_count_at_solution)
+        failure = None
+    except Exception as exc:
+        res = mult = None
+        failure = f"{type(exc).__name__}: {exc}"
     print(f"derivative audit at {list(map(float, x))}:")
     for hook, err in sorted(audit.errors.items()):
         flag = "FAIL" if hook in audit.failures else "ok"
         print(f"  {hook:8s} rel.err={err:.3e}  [{flag}]")
     print(f"residuals (gamma={args.gamma:g}):")
-    print(f"  stationarity={res.stationarity:.6e} u={res.feasibility_u:.6e} "
-          f"complementarity={res.complementarity:.6e}")
-    print(f"  second_order={res.second_order:.6e} subspace_dim={res.subspace_dim}")
+    if failure is not None:
+        print(f"  not evaluated: {failure}")
+    else:
+        print(f"  stationarity={res.stationarity:.6e} u={res.feasibility_u:.6e} "
+              f"complementarity={res.complementarity:.6e}")
+        print(f"  second_order={res.second_order:.6e} subspace_dim={res.subspace_dim}")
 
     if args.json:
         doc = {
@@ -214,11 +222,11 @@ def _cmd_check(args) -> int:
                 "passed": audit.passed,
                 "failures": sorted(audit.failures),
             },
-            "residuals": _row(res, [field.name for field in dataclasses.fields(res)]),
-            "multipliers": _row(mult, ("y", "Z")),
+            "residuals": None if res is None else _row(res, [field.name for field in dataclasses.fields(res)]),
+            "multipliers": None if mult is None else _row(mult, ("y", "Z")),
         }
         _atomic_write(args.json, _dump_json(doc))
-    return EXIT_OK if audit.passed else EXIT_AUDIT_FAILED
+    return EXIT_OK if audit.passed and failure is None else EXIT_AUDIT_FAILED
 
 
 @functools.cache

@@ -25,9 +25,10 @@ _SIGN_TOL = 1e-12
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
-    """Return (X + X^T)/2, as X/2 + X^T/2: halving first, so no finite entry overflows."""
+    """Return (X + X^T)/2, as X/2 + X^T/2: halving first, so no finite entry overflows.  The transpose swaps
+    the last two axes only, so a (k, d, d) stack is symmetrized entry by entry."""
     h = 0.5 * X
-    return h + h.T
+    return h + h.swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -39,6 +40,14 @@ def _triangles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray,
         for a in index:
             a.flags.writeable = False
     return pairs
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_triangles(n)[0]`` as two tuples of Python ints, whose entries of one value are one shared int object
+    (so each tuple costs the 8 bytes per entry of its index array), for handing indices to a hook as they are."""
+    ints = list(range(n))
+    return tuple(tuple(map(ints.__getitem__, index.tolist())) for index in _triangles(n)[0])
 
 
 def _pow2_unit(v) -> float:

@@ -7,12 +7,13 @@ the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, real_array, require_int, require_real
-from .matfun import _triangles, symmetrize
+from .matfun import _triangles, _upper_ints, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
 # the most floats of d2G output that d2G_contract gathers in one block: 128 KB, glibc's default mmap threshold;
@@ -111,8 +112,7 @@ def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.nda
     ``_shifts``, as a (k, n, n) stack: the synthesized hess_f and hess_g, and the audit's references for them."""
     n = prob.n
     shape = (n,) if hook == "grad_f" else (n, prob.m)
-    D = _stacked_diff(hook, getattr(prob, hook), shifts, shape).reshape(n, n, -1).transpose(2, 0, 1)
-    return 0.5 * (D + D.transpose(0, 2, 1))
+    return symmetrize(_stacked_diff(hook, getattr(prob, hook), shifts, shape).reshape(n, n, -1).transpose(2, 0, 1))
 
 
 # One resolver per second derivative, the only way to read one: the hook, or else a central difference of this
@@ -140,7 +140,8 @@ def _d2G(prob: NsdpProblem):
     def diff(x, i, j):  # (dG(x + h_j e_j, i) - dG(x - h_j e_j, i)) / (2 h_j), with the h of _shifts
         e = np.zeros(x.size)
         e[j] = FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
-        return (real_array("dG", prob.dG(x + e, i)) - real_array("dG", prob.dG(x - e, i))) / (2 * e[j])
+        shape = (prob.d, prob.d)
+        return (real_array("dG", prob.dG(x + e, i), shape) - real_array("dG", prob.dG(x - e, i), shape)) / (2 * e[j])
     return lambda x, i, j: symmetrize(0.5 * (diff(x, i, j) + diff(x, j, i)))
 
 
@@ -154,8 +155,7 @@ def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
 
 def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     """The n partial derivatives dG(x, i), symmetrized, as one (n, d, d) array."""
-    Gs = _gather("dG", [prob.dG(x, i) for i in range(prob.n)], (prob.d, prob.d))
-    return 0.5 * (Gs + Gs.transpose(0, 2, 1))
+    return symmetrize(_gather("dG", list(map(prob.dG, repeat(x), range(prob.n))), (prob.d, prob.d)))
 
 
 def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
@@ -179,23 +179,25 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
 
     One ``d2G`` call per upper-triangle entry, in row-major order (i, then
-    j >= i).  The entries are taken in blocks of as many outputs as fit in
-    ``_D2G_BLOCK_FLOATS`` floats (128 KB), at least one; each block is
-    gathered into one array and contracted with W in one product, and the
-    values fill both triangles after the last block.
+    j >= i), with int indices.  The entries are taken in blocks of as many
+    outputs as fit in ``_D2G_BLOCK_FLOATS`` floats (128 KB), at least one;
+    each block's calls are one ``map`` over slices of the cached index tuples
+    of ``matfun._upper_ints``, its outputs are gathered into one array and
+    contracted with W in one product, and the values fill both triangles
+    after the last block.
     """
     x = _vec(x, prob.n)
     W = real_array("W", W, (prob.d, prob.d))
     n = prob.n
-    rows, cols = _triangles(n)[0]
+    i_ints, j_ints = _upper_ints(n)
     step = max(1, _D2G_BLOCK_FLOATS // max(1, W.size))
     w = W.ravel()
     d2G = _d2G(prob)
-    vals = np.empty(rows.size)
-    for s in range(0, rows.size, step):
-        block = _gather("d2G", [d2G(x, i, j) for i, j in zip(rows[s:s + step].tolist(), cols[s:s + step].tolist())],
-                        W.shape)
+    vals = np.empty(len(i_ints))
+    for s in range(0, len(i_ints), step):
+        block = _gather("d2G", list(map(d2G, repeat(x), i_ints[s:s + step], j_ints[s:s + step])), W.shape)
         vals[s:s + step] = block.reshape(len(block), w.size) @ w
+    rows, cols = _triangles(n)[0]
     out = np.zeros((n, n))
     out[rows, cols] = out[cols, rows] = vals
     return out

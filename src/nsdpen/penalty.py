@@ -42,7 +42,10 @@ class PenaltyParams:
     def __post_init__(self):
         require_real_fields(self)
         if self.M is not None:
-            object.__setattr__(self, "M", symmetrize(real_array("M", self.M)))
+            M = real_array("M", self.M)
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise InvalidInputError(f"M must be a square matrix, got shape {M.shape}")
+            object.__setattr__(self, "M", symmetrize(M))
         if self.v is not None:
             object.__setattr__(self, "v", np.atleast_1d(real_array("v", self.v)))
         if not all(np.isfinite(a).all() for a in (self.rho, self.sigma, self.tau, self.v, self.M) if a is not None):

@@ -5,9 +5,10 @@ near-exactly.  Its common case, a positive definite B whose Newton step fits
 the radius, is taken from a Cholesky factorization of B; every other case
 (a boundary step, an indefinite or singular B, the hard case) is solved in
 the eigenbasis of B, so that the outer loop can certify both a gradient
-bound and an eigenvalue bound at termination.  The eigenvalue is computed
-only where the gradient bound already holds, since elsewhere it cannot
-change the decision.
+bound and an eigenvalue bound at termination.  The eigenvalue bound is
+computed only where the gradient bound already holds, since elsewhere it
+cannot change the decision, and is certified by a Cholesky factorization of
+the shifted Hessian; ``eigvalsh`` decides only where that factorization fails.
 """
 
 import math
@@ -162,12 +163,32 @@ def _boundary_offset(gbar, wshift, radius, scale):
     return eta
 
 
+def _second_order_certified(H: np.ndarray, delta: float) -> bool:
+    """Whether lambda_min(H) >= -delta, for a finite symmetric H.
+
+    A successful ``np.linalg.cholesky(H + delta I)`` certifies it: the
+    factorization is backward stable, so it succeeds only if H + delta I is
+    positive definite up to a perturbation of order n u ||H|| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 10), the
+    order of ``eigvalsh``'s own error.  Where it fails (LAPACK reports a
+    non-positive or NaN pivot as ``LinAlgError``, never as a warning), the
+    smallest eigenvalue from ``eigvalsh`` decides.
+    """
+    try:
+        np.linalg.cholesky(H + delta * np.eye(H.shape[0]))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(H)[0] >= -delta)
+
+
 def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = None) -> TrResult:
     """Minimize a twice-differentiable function until both certificates hold.
 
     Terminates with status ``Converged`` at a point x where
-    ``||grad(x)|| <= delta`` and ``lambda_min(hess(x)) >= -delta``; lambda_min
-    is computed once per start or accepted point, and only where ||grad|| <= delta.
+    ``||grad(x)|| <= delta`` and ``lambda_min(hess(x)) >= -delta``.  The
+    eigenvalue bound is checked once per start or accepted point, and only where
+    ||grad|| <= delta: a successful Cholesky factorization of hess(x) + delta I
+    certifies it, and ``eigvalsh`` decides only where that factorization fails.
     Accepted iterates decrease the objective monotonically.  ``MaxIter`` and
     ``RadiusCollapse`` report failure; the best point found is returned.
     A trial point whose value, gradient or Hessian raises an ArithmeticError or ValueError, or is not
@@ -194,13 +215,13 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     n = x.size
 
     def derivatives(z):
-        # gradient, its norm, Hessian and both certificates; `and` skips the eigensolve if ||g|| > delta
+        # gradient, its norm, Hessian and both certificates; `and` skips the second-order one if ||g|| > delta
         g_z = real_array("grad", grad(z), (n,))
         H_z = symmetrize(real_array("hess", hess(z), (n, n)))
         if not (np.isfinite(g_z).all() and np.isfinite(H_z).all()):
             raise InvalidInputError("gradient or Hessian has non-finite entries")
         gnorm_z = _norm(g_z)
-        return g_z, gnorm_z, H_z, gnorm_z <= delta and np.linalg.eigvalsh(H_z)[0] >= -delta
+        return g_z, gnorm_z, H_z, gnorm_z <= delta and _second_order_certified(H_z, delta)
 
     radius = cfg.delta0_radius
     f_x = float(real_array("fun", fun(x), ()))

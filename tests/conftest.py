@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nsdpen import driver, matfun, model, penalty, problems
+from nsdpen import driver, matfun, model, penalty, problems, trustregion
 from nsdpen.model import NsdpProblem
 
 settings.register_profile(
@@ -123,3 +123,49 @@ def counting(prob: NsdpProblem):
 
     hooks = {h: wrap(h, getattr(prob, h)) for h in HOOKS if getattr(prob, h) is not None}
     return dataclasses.replace(prob, **hooks), counts
+
+
+def record_certificates(monkeypatch) -> list:
+    """Patch numpy's ``cholesky`` and ``eigvalsh`` to log, inside ``trustregion.tr_minimize`` but outside its
+    ``ms_subproblem``, each factorization attempt as ("cholesky", succeeded) and each eigensolve as
+    ("eigvalsh",); returns the log."""
+    events, logging = [], [False]
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def logged_cholesky(A):
+        try:
+            out = cholesky(A)
+        except np.linalg.LinAlgError:
+            if logging[0]:
+                events.append(("cholesky", False))
+            raise
+        if logging[0]:
+            events.append(("cholesky", True))
+        return out
+
+    def logged_eigvalsh(A):
+        if logging[0]:
+            events.append(("eigvalsh",))
+        return eigvalsh(A)
+
+    def switched(fn, on):  # fn, run with logging set to on
+        def call(*args, **kwargs):
+            before, logging[0] = logging[0], on
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                logging[0] = before
+        return call
+
+    monkeypatch.setattr(np.linalg, "cholesky", logged_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
+    monkeypatch.setattr(trustregion, "tr_minimize", switched(trustregion.tr_minimize, True))
+    monkeypatch.setattr(trustregion, "ms_subproblem", switched(trustregion.ms_subproblem, False))
+    return events
+
+
+def eigvalsh_follows_each_failed_factorization(events: list) -> bool:
+    """Whether, in a ``record_certificates`` log, an eigensolve comes right after each failed factorization
+    attempt and nowhere else."""
+    return all((event == ("eigvalsh",)) == (k > 0 and events[k - 1] == ("cholesky", False))
+               for k, event in enumerate(events))

@@ -81,6 +81,33 @@ class TestSolveCommand:
                          "--report", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_huge_point_under_warning_filter_fails_without_traceback(self, tmp_path):
+        # the corpus hooks' own overflow warnings, made errors by the filter, escaped the residuals as a
+        # traceback; the residuals are now reported as not evaluated, and the audit still fails
+        path = tmp_path / "check.json"
+        proc = subprocess.run([sys.executable, "-m", "nsdpen", "check", "--problem", "scalar-bound", "--at", "9e307",
+                               "--json", str(path)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == cli.EXIT_AUDIT_FAILED
+        assert "Traceback" not in proc.stderr
+        assert "[FAIL]" in proc.stdout and "not evaluated: RuntimeWarning: overflow" in proc.stdout
+        doc = json.loads(path.read_text())
+        assert doc["audit"]["failures"] == ["grad_f", "hess_f"]
+        assert doc["residuals"] is None and doc["multipliers"] is None
+
+    def test_failing_hook_at_point_reported(self, monkeypatch, capsys):
+        # a hook that raises at the point fails the audit and leaves the residuals unevaluated, with exit 1
+        entry = problems.get_problem("scalar-bound")
+
+        def broken(x):
+            raise ZeroDivisionError("grad_f is undefined here")
+
+        broken_entry = dataclasses.replace(entry, problem=dataclasses.replace(entry.problem, grad_f=broken))
+        monkeypatch.setattr(problems, "get_problem", lambda name: broken_entry)
+        code, out = run_main(["check", "--problem", "scalar-bound"], capsys)
+        assert code == cli.EXIT_AUDIT_FAILED
+        assert "not evaluated: ZeroDivisionError: grad_f is undefined here" in out.out
+
     def test_unknown_problem_exit(self):
         assert run_main(["solve", "--problem", "nope"]) == 65
 

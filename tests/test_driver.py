@@ -11,7 +11,8 @@ from nsdpen import driver, matfun, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import ball_problem, counting, script_F_point
+from conftest import (ball_problem, counting, eigvalsh_follows_each_failed_factorization, record_certificates,
+                      script_F_point)
 
 
 class TestGammaRule:
@@ -406,33 +407,28 @@ class TestSaddleStart:
         assert report.final.f_value < 1.0
         assert any(indefinite for indefinite, _ in steps) and any(hard for _, hard in steps)
 
-    def test_one_eigensolve_per_point_within_gradient_bound(self, monkeypatch):
-        # inside tr_minimize, lambda_min is computed at the start and accepted
-        # points (where the gradient hook runs) whose gradient norm is at most delta
-        within, eigs = [], [0]
-        inside = [False]
-        eigvalsh, tr_minimize = np.linalg.eigvalsh, trustregion.tr_minimize
-
-        def counting_eigvalsh(H):
-            eigs[0] += inside[0]
-            return eigvalsh(H)
+    def test_one_factorization_per_point_within_gradient_bound(self, monkeypatch):
+        # inside tr_minimize, lambda_min >= -delta is checked at the start and accepted points (where the
+        # gradient hook runs) whose gradient norm is at most delta: one factorization attempt each, and an
+        # eigensolve exactly where that attempt fails
+        events = record_certificates(monkeypatch)
+        within = []
+        tr_minimize = trustregion.tr_minimize
 
         def recording_tr_minimize(fun, grad, hess, x0, delta, config):
             def grad_spy(z):
                 g = grad(z)
                 within.append(np.linalg.norm(g) <= delta)
                 return g
-            inside[0] = True
-            try:
-                return tr_minimize(fun, grad_spy, hess, x0, delta, config)
-            finally:
-                inside[0] = False
+            return tr_minimize(fun, grad_spy, hess, x0, delta, config)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(trustregion, "tr_minimize", recording_tr_minimize)
         report = driver.solve(saddle_start_problem(True), driver.PenaltyConfig(tol_feas=1e-4))
         assert report.final_status == driver.FEAS_OPT_REACHED
-        assert eigs[0] == sum(within) < len(within)
+        attempts = [event[1] for event in events if event[0] == "cholesky"]
+        assert len(attempts) == sum(within) < len(within)
+        assert 0 < attempts.count(False) < len(attempts)
+        assert eigvalsh_follows_each_failed_factorization(events)
 
 
 class TestFactorFirst:

@@ -64,6 +64,12 @@ class TestEigSym:
         assert np.array_equal(matfun.symmetrize(X), X)
         assert matfun.eig_sym(X).values.tolist() == [1e308, -1e308]
 
+    def test_stack_symmetrized_entry_by_entry(self):
+        # the transpose swaps the last two axes only, so each (d, d) entry of a stack is symmetrized in place
+        X = rng(6).normal(size=(4, 3, 3))
+        assert np.array_equal(matfun.symmetrize(X), np.stack([matfun.symmetrize(A) for A in X]))
+        assert np.array_equal(matfun.symmetrize(X), 0.5 * (X + X.transpose(0, 2, 1)))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sign_rule_matches_column_loop(self, seed):
         # reference: the column-by-column form of the sign rule
@@ -444,3 +450,12 @@ class TestTriangles:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_upper_ints_share_one_int_per_value(self, n):
+        # above 256 CPython makes a new int per conversion, so sharing is checked there too
+        rows, cols = matfun._upper_ints(n)
+        assert matfun._upper_ints(n) is matfun._upper_ints(n)
+        assert (list(rows), list(cols)) == (matfun._triangles(n)[0][0].tolist(), matfun._triangles(n)[0][1].tolist())
+        assert all(type(i) is int for i in rows + cols)
+        assert len({id(i) for i in rows + cols}) == n

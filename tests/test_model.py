@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsdpen import driver, matfun, model, problems
+from nsdpen import driver, matfun, model, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
@@ -161,19 +161,38 @@ class TestD2GContractBlocks:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", self.STEP * 9)
 
-    def test_hook_calls_in_order_and_values(self):
+    def test_hook_calls_in_order_and_values(self, monkeypatch):
+        self.check_blocks([4] * 5 + [1], monkeypatch)
+
+    # budgets of one output per block, of all 21 outputs in one block, and of more than 21
+    @pytest.mark.parametrize("step, blocks", [(1, [1] * 21), (21, [21]), (64, [21])],
+                             ids=["one-per-block", "one-block", "over-budget"])
+    def test_block_budget_edges(self, step, blocks, monkeypatch):
+        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", step * 9)
+        self.check_blocks(blocks, monkeypatch)
+
+    @staticmethod
+    def check_blocks(blocks, monkeypatch):
+        """d2G_contract on ball_problem(3) gathers blocks of the given sizes, calls d2G once per upper-triangle
+        entry in row-major order with int indices, and matches the contraction of one stack of every output."""
         gen = rng(31)
         base = ball_problem(3)
         x, W = gen.normal(size=base.n), gen.normal(size=(3, 3))
-        calls = []
+        calls, sizes = [], []
+        gather = model._gather
 
         def d2G(x, i, j):
             calls.append((i, j))
             return base.d2G(x, i, j)
 
+        def sized_gather(hook, entries, shape):
+            sizes.append(len(entries))
+            return gather(hook, entries, shape)
+
+        monkeypatch.setattr(model, "_gather", sized_gather)
         out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), x, W)
         pairs = [(i, j) for i in range(base.n) for j in range(i, base.n)]
-        assert len(pairs) % self.STEP != 0
+        assert sizes == blocks
         assert calls == pairs
         assert all(type(i) is int and type(j) is int for i, j in calls)
         assert np.array_equal(out, out.T)
@@ -201,6 +220,26 @@ class TestD2GContractBlocks:
         with pytest.raises(InvalidInputError, match="d2G"):
             model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), np.eye(3))
         assert len(calls) > self.STEP  # the first blocks were gathered and contracted
+
+
+class TestHugeStacks:
+    # (A + A^T)/2 of a stack overflowed to inf for a finite entry above 2^1023; the stacks are now halved first
+    HUGE = np.array([[0.0, 1e308], [1e308, 0.0]])
+
+    def test_dG_stack_of_huge_entries_is_finite(self):
+        base = problems.get_problem("nearest-psd").problem
+        prob = dataclasses.replace(base, dG=lambda x, i: self.HUGE.tolist())
+        at = penalty.penalty_at(prob, prob.start_point, penalty.special_params("script_F", 1.0))
+        assert np.array_equal(at.dG, np.broadcast_to(self.HUGE, (prob.n, 2, 2)))
+
+    def test_synthesized_hess_f_of_huge_entries_is_finite(self):
+        # grad_f = c (x1, x0) has the Hessian c [[0, 1], [1, 0]], which its central differences recover
+        c = 1e308
+        prob = model.NsdpProblem(name="huge-hess", n=2, m=0, d=0, start_point=np.zeros(2), f=lambda x: c * x[0] * x[1],
+                                 grad_f=lambda x: c * x[::-1], fd_second_order=True)
+        H = model._hess_f(prob)(np.zeros(2))
+        assert np.isfinite(H).all() and np.array_equal(H, H.T)
+        assert H[0, 1] == pytest.approx(c, rel=1e-10) and H[0, 0] == H[1, 1] == 0.0
 
 
 class TestHessFg:
@@ -374,6 +413,13 @@ class TestAudit:
 
 
 class TestSynthesizedSecondDerivatives:
+    @pytest.mark.parametrize("out", [1.0, np.zeros(2), np.zeros((2, 3))])
+    def test_wrong_shaped_dG_named(self, out):
+        # the synthesized d2G reads dG at its shape, before the outputs are symmetrized
+        prob = dataclasses.replace(affine_matrix_problem(), dG=lambda x, i: out, d2G=None, fd_second_order=True)
+        with pytest.raises(InvalidInputError, match=r"dG must have shape \(2, 2\)"):
+            model.d2G_contract(prob, np.zeros(2), np.eye(2))
+
     def test_fd_second_order_matches_analytic(self):
         analytic = affine_matrix_problem()
         fd = model.NsdpProblem(

@@ -245,6 +245,12 @@ class TestPenaltyPoint:
         with pytest.raises(InvalidInputError, match="M must have shape"):
             penalty.penalty_at(prob, x, penalty.PenaltyParams(v=None, M=np.eye(2), rho=1.0, sigma=1.0, tau=1.0))
 
+    @pytest.mark.parametrize("M", [0.5, [0.5, 0.5], np.zeros((2, 3)), np.zeros((2, 2, 2))])
+    def test_non_square_M_rejected(self, M):
+        # symmetrize transposes the last two axes, so M is checked to be a matrix before it is symmetrized
+        with pytest.raises(InvalidInputError, match="M must be a square matrix"):
+            penalty.PenaltyParams(v=None, M=M, rho=1.0, sigma=1.0, tau=1.0)
+
 
 class TestValue:
     def test_feasible_point_gives_objective(self):

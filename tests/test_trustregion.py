@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nsdpen import trustregion as tr
 from nsdpen.errors import InvalidInputError
 
-from conftest import rng, spectrum_matrix
+from conftest import eigvalsh_follows_each_failed_factorization, record_certificates, rng, spectrum_matrix
 
 
 def kkt_residuals(B, g, radius, p):
@@ -280,6 +281,40 @@ def saddle_hooks():
     return fun, grad, hess
 
 
+class TestSecondOrderCertificate:
+    # a successful factorization of H + delta I decides lambda_min(H) >= -delta as eigvalsh does, both at a
+    # relative margin of 1e-3 around -delta and with entries near the largest float, and raises no warning
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("delta", [1e-8, 1e-4, 0.5])
+    @pytest.mark.parametrize("margin", [-1e-3, 1e-3])
+    def test_borderline_decision_matches_eigvalsh(self, n, delta, margin):
+        for seed in range(5):
+            gen = rng(seed)
+            H = spectrum_matrix(gen, np.concatenate([[-delta * (1 + margin)], gen.uniform(0.0, 10.0, n - 1)]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                decision = tr._second_order_certified(H, delta)
+            assert decision == (np.linalg.eigvalsh(H)[0] >= -delta) == (margin < 0)
+
+    @pytest.mark.parametrize("values, certified", [
+        ([1e308], True),
+        ([-1e308], False),
+        ([1e308, 6e307, 3e307], True),
+        ([1e308, -6e307], False),
+        ([1e308, 1e300, 1e299], True),
+        ([1e308, 1e300, -1e300], False),
+        ([1e308, -1e308, 1e308, -1e308], False),
+    ])
+    def test_huge_entries_match_eigvalsh(self, values, certified):
+        for seed in range(5):
+            H = spectrum_matrix(rng(seed), values)
+            assert np.isfinite(H).all() and np.abs(H).max() > 1e307
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                decision = tr._second_order_certified(H, 1e-6)
+            assert decision == (np.linalg.eigvalsh(H)[0] >= -1e-6) == certified
+
+
 class TestTrMinimize:
     def test_convex_quadratic_reaches_minimizer(self):
         gen = rng(43)
@@ -321,27 +356,26 @@ class TestTrMinimize:
         assert lam >= -delta - slack
         assert res.grad_norm == pytest.approx(np.linalg.norm(g))
 
-    def test_eigensolve_only_where_gradient_bound_holds(self, monkeypatch):
-        # from the saddle the gradient is 0, so only lambda_min keeps the loop going;
-        # the gradient hook runs at the start and accepted points only
+    def test_factorization_only_where_gradient_bound_holds(self, monkeypatch):
+        # from the saddle the gradient is 0, so only lambda_min keeps the loop going; the gradient hook runs
+        # at the start and accepted points only, and each of them within the bound gets one factorization
+        # attempt of H + delta I, with an eigensolve exactly where that attempt fails
         fun, grad, hess = saddle_hooks()
         delta = 1e-6
-        gnorms, eigs = [], [0]
-        eigvalsh = np.linalg.eigvalsh
+        gnorms = []
 
         def grad_spy(x):
             g = grad(x)
             gnorms.append(np.linalg.norm(g))
             return g
 
-        def counting(H):
-            eigs[0] += 1
-            return eigvalsh(H)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        events = record_certificates(monkeypatch)
         res = tr.tr_minimize(fun, grad_spy, hess, np.zeros(2), delta=delta)
         assert res.status == tr.CONVERGED
-        assert eigs[0] == sum(g <= delta for g in gnorms) < len(gnorms)
+        attempts = [event[1] for event in events if event[0] == "cholesky"]
+        assert len(attempts) == sum(g <= delta for g in gnorms) < len(gnorms)
+        assert eigvalsh_follows_each_failed_factorization(events)
+        assert not attempts[0] and attempts[-1]  # the saddle fails the factorization, the minimizer passes it
 
     def test_monotone_descent_of_accepted_values(self):
         # the gradient hook is evaluated exactly at the accepted iterates, so
