@@ -13,14 +13,20 @@ gamma-update rules:
 * delta decays geometrically.
 
 The run stops once infeasibility and delta are below their tolerances, at
-the iteration cap, or on inner-solver failure / gamma blow-up; then each
-iterate's record is built from one ``optimality.evaluate_residuals`` call at
-its kept point.
+the iteration cap, or on inner-solver failure / gamma blow-up; then the
+records are built from one ``optimality.evaluate_residuals`` call per
+distinct kept point: an outer iteration that keeps gamma and ends where it
+started repeats the certificate of the record before it, with its own copies
+of y and Z.
 
-Each (gamma, x) of a solve is evaluated once: one ``penalty.penalty_at``
-point (one f, g, jac_g and G, one eigendecomposition, one dG stack) keeps the
-penalty value and gradient and feeds the Hessian, and an outer iteration that
-keeps gamma and starts where the previous one ended reuses them.  f(x0), the
+Each x of a solve is evaluated once (x0 again after a reset): one
+``penalty.penalty_at`` point (one f, g, jac_g and G, one eigendecomposition,
+one dG stack) keeps the penalty value and gradient and feeds the Hessian.  An
+outer iteration that keeps gamma and starts where the previous one ended
+reuses that point; one that starts there under a new gamma reads it through
+``PenaltyPoint.reweighted``, which keeps everything but the value and the
+gradient (script_F's v, M and tau never change), so only the value, the
+gradient and the Hessian are made at each (gamma, x).  f(x0), the
 start point's infeasibility and every iterate's f and certificates read the
 same points, so the driver calls no hook itself.  A kept point whose dG stack
 holds the same bits as the last kept one reads that stack instead of its own,
@@ -159,7 +165,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     trusted dimension of the null eigenspace of G at the limit, used for the
     second-order certificates; when omitted it is estimated from the final
     iterate.  Every record is built after the loop, from
-    ``optimality.evaluate_residuals`` at the penalty point it was taken at.
+    ``optimality.evaluate_residuals`` at the penalty point it was taken at, once per distinct point.
     """
     cfg = config or PenaltyConfig()
     if b_count is not None:
@@ -168,7 +174,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     x0 = prob.start_point
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
     steps = []
-    kept_dG = None  # the dG stack of the last kept point
+    kept = None  # the point of the last converged outer iteration
     xhat = x0
     gamma = cfg.gamma0
     params = penalty.special_params("script_F", gamma)
@@ -191,7 +197,13 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             return last[1]
         return memo
 
-    at = once_per_point(lambda z: penalty.penalty_at(prob, z, params))
+    def point_at(z):
+        # the accept branch starts where the last outer iteration ended: only the weight gamma is new there
+        if kept is not None and z.tobytes() == kept.x.tobytes():
+            return kept.reweighted(params)
+        return penalty.penalty_at(prob, z, params)
+
+    at = once_per_point(point_at)
     hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
 
     u0 = optimality.infeasibility_u(at(x0))
@@ -210,8 +222,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             break
 
         point = at(res.x)  # the point tr_minimize certified last, its gradient and dG stack made
-        if prob.d > 0:
-            kept_dG = point.share_dG(kept_dG)
+        if prob.d > 0 and kept is not None:
+            point.share_dG(kept.dG)
+        kept = point
         u_next = optimality.infeasibility_u(point)
         xhat, branch = next_xhat(res.x, res.value, f0, x0)
         steps.append((k + 1, gamma, delta, start_value, res, branch, point))
@@ -233,13 +246,16 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     if b_count is None:
         b_count = estimate_b_count(steps[-1][-1], u_next) if steps else 0
     records = []
+    certified = None  # the point of the last record; a repeated point repeats its certificate
     for k, gamma_k, delta_k, start_value, res, branch, point in steps:
-        cert, mult = optimality.evaluate_residuals(point, b_count)
+        if point is not certified:
+            certified = point
+            cert, mult = optimality.evaluate_residuals(point, b_count)
         records.append(IterateRecord(
             k=k, gamma=gamma_k, delta=delta_k, u=cert.feasibility_u, stationarity=cert.stationarity,
             complementarity=cert.complementarity, second_order=cert.second_order, subspace_dim=cert.subspace_dim,
             f_value=point.f, script_F_value=res.value, script_F_at_start=start_value,
-            xhat_branch=branch, inner_iterations=res.iterations, x=res.x, y=mult.y, Z=mult.Z))
+            xhat_branch=branch, inner_iterations=res.iterations, x=res.x, y=mult.y.copy(), Z=mult.Z.copy()))
 
     return SolveReport(
         problem=prob.name,

@@ -42,13 +42,17 @@ def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: t
     """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) for every coordinate i along a new leading axis.
 
     fn's 2n outputs at the points of ``_shifts`` are gathered as one array of
-    ``hook`` outputs of the given shape and differenced in one operation.
+    ``hook`` outputs of the given shape and differenced in one operation.  The
+    difference of non-finite or huge outputs (inf - inf) comes out non-finite
+    without a numpy warning: the audit records it as an error of inf and the
+    solver rejects a non-finite Hessian.  The hooks' own warnings surface.
     """
     h, points = shifts
     out = _gather(hook, [fn(z) for z in points], shape)
     n = h.size
-    diff = out[:n] - out[n:]
-    diff /= (2 * h).reshape(n, *(1,) * len(shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = out[:n] - out[n:]
+        diff /= (2 * h).reshape(n, *(1,) * len(shape))
     return diff
 
 
@@ -228,8 +232,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
-    """||a_k - fd_k|| / (1 + ||a_k||) for each entry k of two (k, ...) stacks."""
-    return _norms(analytic - fd) / (1.0 + _norms(analytic))
+    """||a_k - fd_k|| / (1 + ||a_k||) for each entry k of two (k, ...) stacks; non-finite (inf - inf, inf / inf)
+    without a numpy warning where either stack is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norms(analytic - fd) / (1.0 + _norms(analytic))
 
 
 def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAuditReport:

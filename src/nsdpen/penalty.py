@@ -10,7 +10,9 @@ the two pieces every term is built from, r = v/tau - g(x) and the
 eigendecomposition of M/tau - G(x), once per point; ``penalty_value``,
 ``penalty_grad`` and ``penalty_hess`` read them, and f, jac_g, dG and
 [M/tau - G(x)]+^3 made once on first read, from that ``PenaltyPoint`` and add
-the derivatives of f, g and G.
+the derivatives of f, g and G.  Only rho and sigma weigh those pieces, so
+``PenaltyPoint.reweighted`` moves a point to new weights without evaluating
+anything again.
 """
 
 from dataclasses import dataclass
@@ -83,7 +85,8 @@ class PenaltyPoint:
 
     ``f`` = f(x), ``J`` = jac_g(x) (never written into), the read-only stack ``dG`` of dG(x, i), the read-only
     ``q_cube`` = [M/tau - G(x)]+^3, the ``value`` and the read-only ``grad`` are made on first read and kept; the
-    Hessian is not, since a solve keeps every point."""
+    Hessian is not, since a solve keeps every point.  None of these but ``value`` and ``grad`` depends on rho or
+    sigma, so ``reweighted`` carries the others to the same x under a new weight."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -111,7 +114,7 @@ class PenaltyPoint:
 
         Bits, not values, so 0.0 and -0.0 stay apart; neither stack is copied.  A solve passes the stack of its
         last kept point, so the kept points of an affine G share one stack."""
-        if stack is not None and np.array_equal(stack.view(np.int64), self.dG.view(np.int64)):
+        if stack is not None and _same_bits(stack, self.dG):
             self.__dict__["dG"] = stack  # where cached_property keeps its value
         return self.dG
 
@@ -120,6 +123,19 @@ class PenaltyPoint:
         cube = matfun.q_cube_from(self.dec)
         cube.flags.writeable = False
         return cube
+
+    def reweighted(self, p: PenaltyParams) -> "PenaltyPoint":
+        """This point under ``p``, whose v, M and tau must equal this point's (bit for bit), so r, G and dec hold.
+
+        The new point reads this one's r, G, dec and x, and whichever of ``f``, ``J``, ``dG`` and ``q_cube`` this
+        one has made; its ``value`` and ``grad`` are made again on first read."""
+        if not (p.tau == self.p.tau and _same_bits(p.v, self.p.v) and _same_bits(p.M, self.p.M)):
+            raise InvalidInputError("reweighted needs params with this point's v, M and tau")
+        point = PenaltyPoint(self.prob, p, self.x, self.r, self.G, self.dec)
+        for name in ("f", "J", "dG", "q_cube"):
+            if name in self.__dict__:  # where cached_property keeps a made value
+                point.__dict__[name] = self.__dict__[name]
+        return point
 
     @cached_property
     def value(self) -> float:
@@ -130,6 +146,13 @@ class PenaltyPoint:
         g = penalty_grad(self)
         g.flags.writeable = False
         return g
+
+
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether a and b are both None, or arrays of one shape holding the same bits (so 0.0 and -0.0 differ)."""
+    if a is None or b is None or a is b:
+        return a is b
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:

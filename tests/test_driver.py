@@ -480,7 +480,7 @@ class TestOneEvaluationPerPoint:
         else:
             entry = problems.get_problem(case)
             prob, cfg = entry.problem, entry.config
-        seen = {}
+        seen, built = {}, []
         eigs = [0]
         eig_sym = matfun.eig_sym
 
@@ -488,43 +488,76 @@ class TestOneEvaluationPerPoint:
             eigs[0] += 1
             return eig_sym(X)
 
-        def recording(name, fn):
-            # records (sigma, x) and the eig_sym calls made inside each call
+        def recording(owner, name, fn):
+            # records (sigma, x) and the eig_sym calls made inside each call; a point built by penalty_at or
+            # reweighted is also recorded in built, in order
             def evaluate(*args):
                 before = eigs[0]
                 out = fn(*args)
-                at = out if name == "penalty_at" else args[0]
-                seen.setdefault(name, []).append((at.p.sigma, at.x.tobytes(), eigs[0] - before))
+                at = out if name in ("penalty_at", "reweighted") else args[0]
+                call = (at.p.sigma, at.x.tobytes(), eigs[0] - before)
+                seen.setdefault(name, []).append(call)
+                if at is out:
+                    built.append(call[:2])
                 return out
-            monkeypatch.setattr(penalty, name, evaluate)
+            monkeypatch.setattr(owner, name, evaluate)
 
         monkeypatch.setattr(matfun, "eig_sym", counting_eig_sym)
         for name in ("penalty_at", "penalty_value", "penalty_grad", "penalty_hess"):
-            recording(name, getattr(penalty, name))
+            recording(penalty, name, getattr(penalty, name))
+        recording(penalty.PenaltyPoint, "reweighted", penalty.PenaltyPoint.reweighted)
         report = driver.solve(prob, cfg)
         assert report.final_status == driver.FEAS_OPT_REACHED
         for name, calls in seen.items():
             points = [call[:2] for call in calls]
             assert len(points) == len(set(points)), name
-            # one eigendecomposition per point, made where the point is built
+            # one eigendecomposition per x, made where its first point is built
             assert all(call[2] == (name == "penalty_at") for call in calls), name
+        # each x is evaluated once: a new gamma at a kept x reweights the point already there
+        xs = [x for _, x, _ in seen["penalty_at"]]
+        assert len(xs) == len(set(xs)) and seen["reweighted"]
+        assert {x for _, x, _ in seen["reweighted"]} <= set(xs)
         # every value, gradient and Hessian reads a point built for it once
-        assert [call[:2] for call in seen["penalty_at"]] == [call[:2] for call in seen["penalty_value"]]
+        assert built == [call[:2] for call in seen["penalty_value"]]
         for name in ("penalty_grad", "penalty_hess"):
-            assert set(call[:2] for call in seen[name]) <= set(call[:2] for call in seen["penalty_at"])
+            assert set(call[:2] for call in seen[name]) <= set(built)
         # every outer iteration evaluates at its start point at least once
         assert len(seen["penalty_value"]) >= len(report.iterates)
 
     @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
     def test_G_and_eig_sym_only_in_penalty_at(self, case, monkeypatch):
-        _, report, hooks, calls = counted_solve(case, monkeypatch)
+        _, report, hooks, calls, _ = counted_solve(case, monkeypatch)
         assert hooks["G"] == calls["eig_sym"] == calls["penalty_at"] > len(report.iterates)
 
     @pytest.mark.parametrize("case", ["ball", "nearest-psd"])
     def test_one_dG_stack_per_differentiated_point(self, case, monkeypatch):
-        # the gradient, the Hessian and the certificates of a point share its stack
-        prob, _, hooks, calls = counted_solve(case, monkeypatch)
-        assert hooks["dG"] == prob.n * calls["penalty_grad"] > 0
+        # the gradients at every gamma, the Hessians and the certificates at one x share its stack
+        prob, _, hooks, calls, grad_xs = counted_solve(case, monkeypatch)
+        assert hooks["dG"] == prob.n * len(set(grad_xs)) > 0
+        assert len(grad_xs) == calls["penalty_grad"] > len(set(grad_xs))
+
+
+class TestOneContractionPerHessian:
+    def test_d2G_calls_are_whole_hessians(self, monkeypatch):
+        # every d2G call belongs to one n(n+1)/2-entry contraction of a penalty Hessian (one per gamma and x)
+        # or of a certificate's Lagrangian Hessian; the benchmark's tracer counts Hessians by this identity
+        prob, hooks = counting(ball_problem(3))
+        calls = dict(penalty_hess=0, lagrangian_hess=0)
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(penalty, "penalty_hess")
+        counted(optimality, "lagrangian_hess")
+        report = driver.solve(prob, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40))
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert calls["penalty_hess"] > 0 and calls["lagrangian_hess"] > 0
+        assert hooks["d2G"] == prob.n * (prob.n + 1) // 2 * (calls["penalty_hess"] + calls["lagrangian_hess"])
 
 
 def nearest_psd_d5():
@@ -552,31 +585,54 @@ class TestSharedDGStack:
         else:
             entry = problems.get_problem(case)
             prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
-        stacks = []
+        certified = []  # (x, dG stack) of each certified point
         evaluate_residuals = optimality.evaluate_residuals
 
         def recording(at, b_count):
-            stacks.append(at.dG)
+            certified.append((at.x.tobytes(), at.dG))
             return evaluate_residuals(at, b_count)
 
         monkeypatch.setattr(optimality, "evaluate_residuals", recording)
         report = driver.solve(prob, cfg, b_count=b_count)
         monkeypatch.undo()
-        assert report.final_status == driver.FEAS_OPT_REACHED and len(stacks) == len(report.iterates) > 1
-        shared = [a is b for a, b in zip(stacks, stacks[1:])]
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        # one certificate per distinct kept point: a record that keeps gamma and ends where it started repeats one
+        recs = report.iterates
+        repeats = [a.gamma == b.gamma and a.x.tobytes() == b.x.tobytes() for a, b in zip(recs, recs[1:])]
+        assert all(b.inner_iterations == 0 for b, repeat in zip(recs[1:], repeats) if repeat) and any(repeats)
+        assert len(certified) == len(recs) - sum(repeats) > 1
+        shared = [a[1] is b[1] for a, b in zip(certified, certified[1:])]
         if case == "ball":
-            xs = [rec.x.tobytes() for rec in report.iterates]
-            assert shared == [a == b for a, b in zip(xs, xs[1:])] and not all(shared)
+            assert shared == [a[0] == b[0] for a, b in zip(certified, certified[1:])] and not all(shared)
         else:
             assert all(shared)
         # each record is, bit for bit, the certificate of a fresh point at its x and gamma
-        for rec in report.iterates:
+        for rec in recs:
             at = script_F_point(prob, rec.x, rec.gamma)
             res, mult = optimality.evaluate_residuals(at, report.b_count)
             assert float_bits(rec.u, rec.stationarity, rec.complementarity, rec.second_order, rec.subspace_dim,
                               rec.f_value, rec.script_F_value, rec.y, rec.Z) == float_bits(
                 res.feasibility_u, res.stationarity, res.complementarity, res.second_order, res.subspace_dim,
                 at.f, at.value, mult.y, mult.Z)
+
+
+class TestRepeatedPointRecords:
+    def test_records_of_one_point_are_equal_copies(self, corpus_runs):
+        # an outer iteration that keeps gamma and ends where it started repeats the certificate of the record
+        # before it: the same bits, in arrays of its own
+        repeated = 0
+        for _, report in corpus_runs.values():
+            recs = report.iterates
+            for a, b in zip(recs, recs[1:]):
+                if a.gamma == b.gamma and a.x.tobytes() == b.x.tobytes():
+                    repeated += 1
+                    assert b.inner_iterations == 0
+                    assert float_bits(a.u, a.stationarity, a.complementarity, a.second_order, a.subspace_dim,
+                                      a.f_value, a.script_F_value, a.y, a.Z) == float_bits(
+                        b.u, b.stationarity, b.complementarity, b.second_order, b.subspace_dim,
+                        b.f_value, b.script_F_value, b.y, b.Z)
+                    assert not (np.shares_memory(a.y, b.y) or np.shares_memory(a.Z, b.Z))
+        assert repeated > 0
 
 
 class TestOneParamsPerGamma:
@@ -604,17 +660,19 @@ class TestOneParamsPerGamma:
 class TestOneReadPerHook:
     @pytest.mark.parametrize("case", [*problems.list_problems(), "ball-m2"])
     def test_each_hook_read_once_per_point(self, case, monkeypatch):
-        # f, g and G once per penalty point (the driver reads f off the points), and jac_g once per
-        # differentiated point, as grad_f; corr-matrix made 96 f and 167 jac_g calls for 72 points
-        prob, _, hooks, calls = counted_solve(case, monkeypatch)
+        # f, g and G once per x (the driver reads f off the points, and a new gamma at a kept x reads none),
+        # grad_f once per gradient and jac_g once per differentiated x; corr-matrix made 96 f and 167 jac_g
+        # calls for 72 points before f and jac_g were kept on the point
+        prob, _, hooks, calls, grad_xs = counted_solve(case, monkeypatch)
         per_point = [hooks[h] for h, used in (("f", True), ("g", prob.m > 0), ("G", prob.d > 0)) if used]
         assert per_point == [calls["penalty_at"]] * len(per_point)
-        assert hooks["grad_f"] == calls["penalty_grad"] > 0
-        assert hooks["jac_g"] == (hooks["grad_f"] if prob.m > 0 else 0)
+        assert hooks["grad_f"] == calls["penalty_grad"] == len(grad_xs) > 0
+        assert hooks["jac_g"] == (len(set(grad_xs)) if prob.m > 0 else 0)
 
 
 def counted_solve(case, monkeypatch):
-    """A solve whose hooks, ``penalty_at``, ``penalty_grad`` and ``eig_sym`` calls are counted.
+    """A solve whose hooks, ``penalty_at``, ``penalty_grad`` and ``eig_sym`` calls are counted; also returns
+    the x (as bytes) of each ``penalty_grad`` call, in order.
 
     ``b_count`` is estimated on the ball problems and given on the corpus problems.  "ball-m2" has two
     quadratic equalities; its seed-0 instance ends in MaxIter at tol_feas 1e-4 and 1e-3, so it takes seed 1 at 1e-3.
@@ -628,10 +686,13 @@ def counted_solve(case, monkeypatch):
         prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
     prob, hooks = counting(prob)
     calls = dict(penalty_at=0, penalty_grad=0, eig_sym=0)
+    grad_xs = []
 
     def counted(name, fn):
         def call(*args):
             calls[name] += 1
+            if name == "penalty_grad":
+                grad_xs.append(args[0].x.tobytes())
             return fn(*args)
         return call
 
@@ -640,7 +701,7 @@ def counted_solve(case, monkeypatch):
     monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
     report = driver.solve(prob, cfg, b_count=b_count)
     assert report.final_status == driver.FEAS_OPT_REACHED
-    return prob, report, hooks, calls
+    return prob, report, hooks, calls, grad_xs
 
 
 def exit_path(case):

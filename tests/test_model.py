@@ -335,6 +335,20 @@ class TestAudit:
         assert report.errors[hook] == np.inf
         assert not report.passed and hook in report.failures
 
+    def test_non_finite_differences_warn_only_from_the_hooks(self):
+        # inf - inf in the audit's own differences used to escape as model.py's "invalid value" warnings;
+        # a hook that overflows by itself still warns from its own line
+        base = problems.get_problem("nearest-psd").problem
+        cases = {"inf": (lambda x: np.full((2, 2), np.inf), lambda x, i: np.full((2, 2), np.inf)),
+                 "overflowing": (lambda x: np.full((2, 2), 1e308) * (2.0 + x[0]),
+                                 lambda x, i: np.full((2, 2), 1e308) * (2.0 + x[i]))}
+        for label, (G, dG) in cases.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = model.audit_derivatives(dataclasses.replace(base, G=G, dG=dG), base.start_point)
+            assert report.failures == ["dG", "d2G"] and report.errors["dG"] == report.errors["d2G"] == np.inf
+            assert {w.filename for w in caught} == (set() if label == "inf" else {__file__}), label
+
     @pytest.mark.parametrize("hook", ["G", "dG"])
     def test_complex_hook_output_fails(self, hook):
         # complex output records inf instead of being audited on its real part

@@ -252,6 +252,57 @@ class TestPenaltyPoint:
             penalty.PenaltyParams(v=None, M=M, rho=1.0, sigma=1.0, tau=1.0)
 
 
+class TestReweighted:
+    def test_accepts_only_the_same_shifts(self):
+        # r and dec depend on v, M and tau, so only rho and sigma may change; bits decide, so -0.0 is not 0.0
+        prob = ball_problem(4, m=2)
+        x, p = mixed_point(prob, 116)
+        p = dataclasses.replace(p, v=np.array([0.0, 1.5]))
+        at = penalty.penalty_at(prob, x, p)
+        for changes in (dict(v=np.array([-0.0, 1.5])), dict(v=None), dict(M=p.M + np.eye(prob.d)), dict(M=None),
+                        dict(tau=3.0)):
+            with pytest.raises(InvalidInputError, match="v, M and tau"):
+                at.reweighted(dataclasses.replace(p, **changes))
+        same = dataclasses.replace(p, v=p.v.copy(), M=p.M.copy(), rho=0.0, sigma=5.0)
+        assert at.reweighted(same).p is same
+
+    def test_carries_what_the_source_made(self, monkeypatch):
+        # what does not depend on rho and sigma is the source's object: nothing is evaluated again
+        prob, counts = counting(ball_problem(4, m=2))
+        x, p = mixed_point(prob, 117)
+        q = dataclasses.replace(p, rho=0.2, sigma=7.0)
+        at = penalty.penalty_at(prob, x, p)
+        early = at.reweighted(q)  # taken before the source made its caches
+        at.value, at.grad  # makes f, J, dG and q_cube
+        counts.update(dict.fromkeys(counts, 0))
+        monkeypatch.setattr(matfun, "eig_sym", None)  # a reweighted point decomposes nothing
+        new = at.reweighted(q)
+        new.value, new.grad
+        assert all(getattr(new, a) is getattr(at, a) for a in ("x", "r", "G", "dec", "f", "J", "dG", "q_cube"))
+        assert [counts[h] for h in ("f", "g", "jac_g", "G", "dG")] == [0] * 5 and counts["grad_f"] == 1
+        # a cache the source had not made yet is made on the new point's own first read
+        assert early.dG is not at.dG and np.array_equal(early.dG, at.dG) and counts["dG"] == prob.n
+
+    def test_value_and_grad_made_again(self, monkeypatch):
+        prob = ball_problem(4, m=2)
+        x, p = mixed_point(prob, 118)
+        at = penalty.penalty_at(prob, x, p)
+        at.value, at.grad
+        calls = []
+        for name in ("penalty_value", "penalty_grad"):
+            monkeypatch.setattr(penalty, name, lambda point, fn=getattr(penalty, name), name=name:
+                                calls.append(name) or fn(point))
+        same = at.reweighted(p)
+        assert (same.value, same.grad.tobytes()) == (at.value, at.grad.tobytes()) and same.grad is not at.grad
+        assert calls == ["penalty_value", "penalty_grad"]
+        # under a new weight: the value, gradient and Hessian of a fresh point, bit for bit
+        q = dataclasses.replace(p, rho=0.2, sigma=7.0)
+        new, fresh = at.reweighted(q), penalty.penalty_at(prob, x, q)
+        assert new.value == fresh.value != at.value
+        assert new.grad.tobytes() == fresh.grad.tobytes() and not new.grad.flags.writeable
+        assert penalty.penalty_hess(new).tobytes() == penalty.penalty_hess(fresh).tobytes()
+
+
 class TestValue:
     def test_feasible_point_gives_objective(self):
         entry = problems.get_problem("nearest-psd")
