@@ -8,6 +8,7 @@ the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import is_
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,9 @@ class NsdpProblem:
     Jacobian convention: ``jac_g(x)`` is n x m with column j equal to the
     gradient of g_j.  ``dG(x, i)`` is the partial derivative of G in x_i and
     ``d2G(x, i, j)`` the second partial; both return symmetric d x d arrays.
+    Hook outputs are only read, never written, so a hook may return one
+    shared (say read-only) array for many entries, as a ``d2G`` of an affine
+    G returns one zero; ``d2G_contract`` reads a block of such outputs once.
 
     Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook
     given is callable, and the hooks read are present (f, grad_f, hess_f; g,
@@ -186,8 +190,12 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     j >= i), with int indices.  The entries are taken in blocks of as many
     outputs as fit in ``_D2G_BLOCK_FLOATS`` floats (128 KB), at least one;
     each block's calls are one ``map`` over slices of the cached index tuples
-    of ``matfun._upper_ints``, its outputs are gathered into one array and
-    contracted with W in one product, and the values fill both triangles
+    of ``matfun._upper_ints``, and its outputs are read only after its last
+    call, never written.  A block whose outputs are all one object (a hook
+    that returns one shared array, such as the read-only zero of an affine
+    G) is read once, with the same checks, and its one contraction with W
+    fills the block's entries; any other block is gathered into one array
+    and contracted with W in one product.  The values fill both triangles
     after the last block.
     """
     x = _vec(x, prob.n)
@@ -199,7 +207,11 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     d2G = _d2G(prob)
     vals = np.empty(len(i_ints))
     for s in range(0, len(i_ints), step):
-        block = _gather("d2G", list(map(d2G, repeat(x), i_ints[s:s + step], j_ints[s:s + step])), W.shape)
+        outs = list(map(d2G, repeat(x), i_ints[s:s + step], j_ints[s:s + step]))
+        first = outs[0]
+        if outs[-1] is first and all(map(is_, outs, repeat(first))):
+            outs = [first]
+        block = _gather("d2G", outs, W.shape)
         vals[s:s + step] = block.reshape(len(block), w.size) @ w
     rows, cols = _triangles(n)[0]
     out = np.zeros((n, n))

@@ -28,9 +28,17 @@ class CorpusEntry:
     config: PenaltyConfig
 
 
+def _zero(d: int) -> np.ndarray:
+    """One read-only d x d zero: the d2G of an affine G, returned for every entry (the hook's output is only read)."""
+    zero = np.zeros((d, d))
+    zero.flags.writeable = False
+    return zero
+
+
 def _scalar_bound() -> CorpusEntry:
     # minimize (x+1)^2 subject to x >= 0 (as a 1x1 PSD constraint);
     # solution x = 0 with active bound and multiplier 2
+    zero = _zero(1)
     prob = NsdpProblem(
         name="scalar-bound",
         n=1, m=0, d=1,
@@ -40,7 +48,7 @@ def _scalar_bound() -> CorpusEntry:
         hess_f=lambda x: np.array([[2.0]]),
         G=lambda x: np.array([[x[0]]]),
         dG=lambda x, i: np.array([[1.0]]),
-        d2G=lambda x, i, j: np.zeros((1, 1)),
+        d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(
         problem=prob,
@@ -66,6 +74,7 @@ def _nearest_psd() -> CorpusEntry:
     basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),
              np.array([[0.0, 0.0], [0.0, 1.0]]),
              np.array([[0.0, 1.0], [1.0, 0.0]])]
+    zero = _zero(2)
 
     def f(x):
         D = _x_to_mat(x) - C
@@ -84,7 +93,7 @@ def _nearest_psd() -> CorpusEntry:
         hess_f=lambda x: np.diag([1.0, 1.0, 2.0]),
         G=lambda x: _x_to_mat(x),
         dG=lambda x, i: basis[i].copy(),
-        d2G=lambda x, i, j: np.zeros((2, 2)),
+        d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(
         problem=prob,
@@ -137,6 +146,7 @@ def _corr_matrix() -> CorpusEntry:
     basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),
              np.array([[0.0, 0.0], [0.0, 1.0]]),
              np.array([[0.0, 1.0], [1.0, 0.0]])]
+    zero = _zero(2)
     prob = NsdpProblem(
         name="corr-matrix",
         n=3, m=2, d=2,
@@ -149,7 +159,7 @@ def _corr_matrix() -> CorpusEntry:
         hess_g=lambda x, j: np.zeros((3, 3)),
         G=lambda x: np.array([[1.0 + x[0], x[2]], [x[2], 1.0 + x[1]]]),
         dG=lambda x, i: basis[i].copy(),
-        d2G=lambda x, i, j: np.zeros((2, 2)),
+        d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(
         problem=prob,

@@ -560,6 +560,32 @@ class TestOneContractionPerHessian:
         assert hooks["d2G"] == prob.n * (prob.n + 1) // 2 * (calls["penalty_hess"] + calls["lagrangian_hess"])
 
 
+class TestSharedD2GOutput:
+    def test_one_shared_zero_solves_as_fresh_zeros(self, monkeypatch):
+        # a d2G that returns one read-only zero for every entry (read once per block) and one that returns a
+        # fresh zero per call (gathered) give the same records, bit for bit, from the same d2G calls
+        base, cfg = nearest_psd_d5()
+        zero = np.zeros((base.d, base.d))
+        zero.flags.writeable = False
+        calls = dict(penalty_hess=0, lagrangian_hess=0)
+        for module, name in ((penalty, "penalty_hess"), (optimality, "lagrangian_hess")):
+            def call(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, call)
+        runs = []
+        for d2G in (lambda x, i, j: zero, lambda x, i, j: np.zeros((base.d, base.d))):
+            calls.update(penalty_hess=0, lagrangian_hess=0)
+            prob, hooks = counting(dataclasses.replace(base, d2G=d2G))
+            report = driver.solve(prob, cfg)
+            assert report.final_status == driver.FEAS_OPT_REACHED
+            assert hooks["d2G"] == prob.n * (prob.n + 1) // 2 * (calls["penalty_hess"] + calls["lagrangian_hess"])
+            bits = [float_bits(*(getattr(rec, f.name) for f in dataclasses.fields(rec) if f.name != "xhat_branch"))
+                    + rec.xhat_branch.encode() for rec in report.iterates]
+            runs.append((bits, dict(hooks), dict(calls)))
+        assert runs[0] == runs[1]
+
+
 def nearest_psd_d5():
     """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
     path = Path(__file__).resolve().parents[1] / "bench" / "families.py"

@@ -222,6 +222,107 @@ class TestD2GContractBlocks:
         assert len(calls) > self.STEP  # the first blocks were gathered and contracted
 
 
+UPPER_6 = [(i, j) for i in range(6) for j in range(i, 6)]  # the 21 row-major entries of ball_problem(3)
+
+
+class TestD2GContractOneObject:
+    # ball_problem(3) in blocks of 4, 4, 4, 4, 4 and 1 outputs, as in TestD2GContractBlocks; a block whose
+    # outputs are all one object is read once
+    STEP = 4
+    BLOCKS = [UPPER_6[s:s + 4] for s in range(0, len(UPPER_6), 4)]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", self.STEP * 9)
+
+    @staticmethod
+    def contract(d2G, W, monkeypatch):
+        """d2G_contract of ball_problem(3) with the given hook at a random x: the result, the hook's calls and
+        the number of entries of each ``_gather``."""
+        base = ball_problem(3)
+        calls, sizes = [], []
+        gather = model._gather
+
+        def logged(x, i, j):
+            calls.append((i, j))
+            return d2G(i, j)
+
+        def sized_gather(hook, entries, shape):
+            sizes.append(len(entries))
+            return gather(hook, entries, shape)
+
+        monkeypatch.setattr(model, "_gather", sized_gather)
+        out = model.d2G_contract(dataclasses.replace(base, d2G=logged), rng(5).normal(size=base.n), W)
+        return out, calls, sizes
+
+    @staticmethod
+    def fill(vals) -> np.ndarray:
+        out = np.zeros((6, 6))
+        for (i, j), v in zip(UPPER_6, vals):
+            out[i, j] = out[j, i] = v
+        return out
+
+    def test_shared_read_only_zero(self, monkeypatch):
+        zero = np.zeros((3, 3))
+        zero.flags.writeable = False
+        W = rng(6).normal(size=(3, 3))
+        out, calls, sizes = self.contract(lambda i, j: zero, W, monkeypatch)
+        assert calls == UPPER_6
+        assert all(type(i) is int and type(j) is int for i, j in calls)
+        assert sizes == [1] * len(self.BLOCKS)
+        # the reference: every output in one stack, contracted in one product
+        ref = self.fill(np.asarray([zero] * len(UPPER_6)).reshape(len(UPPER_6), -1) @ W.ravel())
+        assert out.tobytes() == ref.tobytes()
+
+    def test_shared_nonzero_output(self, monkeypatch):
+        gen = rng(7)
+        D, W = symmetrize(gen.normal(size=(3, 3))), gen.normal(size=(3, 3))
+        out, _, sizes = self.contract(lambda i, j: D, W, monkeypatch)
+        assert sizes == [1] * len(self.BLOCKS)
+        assert np.array_equal(out, out.T)
+        value = float(np.sum(D * W))
+        assert np.all(np.abs(out - value) <= 1e-15 * abs(value))
+
+    # the one distinct output first, inside and last in the third block (outputs 8 to 11)
+    @pytest.mark.parametrize("odd", [8, 9, 11], ids=["first", "inside", "last"])
+    def test_one_distinct_output_gathers_the_block(self, odd, monkeypatch):
+        gen = rng(8)
+        D, W = symmetrize(gen.normal(size=(3, 3))), gen.normal(size=(3, 3))
+        E = symmetrize(gen.normal(size=(3, 3)))
+        out, calls, sizes = self.contract(lambda i, j: E if (i, j) == UPPER_6[odd] else D, W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [1, 1, self.STEP, 1, 1, 1]
+        ref = self.fill([float(np.sum((E if k == odd else D) * W)) for k in range(len(UPPER_6))])
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 4)),  # wrong shape
+        np.zeros((3, 3), dtype=complex),  # complex
+        [[0.0] * 3] * 2 + [[0.0] * 2],  # ragged
+    ], ids=["shape", "complex", "ragged"])
+    def test_shared_bad_output_raises_the_stacked_message(self, bad, monkeypatch):
+        with pytest.raises(InvalidInputError) as stacked:
+            model._gather("d2G", [bad] * self.STEP, (3, 3))
+        with pytest.raises(InvalidInputError) as shared:
+            self.contract(lambda i, j: bad, np.eye(3), monkeypatch)
+        assert str(shared.value) == str(stacked.value)
+
+    def test_reused_buffer_is_read_after_the_block(self, monkeypatch):
+        # the hook rewrites one buffer and returns it: each block reads the value of its last call, as a stack
+        # of the block's outputs does; small integers keep every contraction exact
+        buf = np.zeros((3, 3))
+
+        def d2G(i, j):
+            buf[...] = i + 2 * j
+            return buf
+
+        W = np.arange(9.0).reshape(3, 3)
+        out, _, sizes = self.contract(d2G, W, monkeypatch)
+        assert sizes == [1] * len(self.BLOCKS)
+        last = [block[-1] for block in self.BLOCKS for _ in block]
+        assert np.array_equal(out, self.fill([(i + 2 * j) * W.sum() for i, j in last]))
+
+
 class TestHugeStacks:
     # (A + A^T)/2 of a stack overflowed to inf for a finite entry above 2^1023; the stacks are now halved first
     HUGE = np.array([[0.0, 1e308], [1e308, 0.0]])
