@@ -19,18 +19,18 @@ distinct kept point: an outer iteration that keeps gamma and ends where it
 started repeats the certificate of the record before it, with its own copies
 of y and Z.
 
-Each x of a solve is evaluated once (x0 again after a reset): one
-``penalty.penalty_at`` point (one f, g, jac_g and G, one eigendecomposition,
-one dG stack) keeps the penalty value and gradient and feeds the Hessian.  An
-outer iteration that keeps gamma and starts where the previous one ended
-reuses that point; one that starts there under a new gamma reads it through
-``PenaltyPoint.reweighted``, which keeps everything but the value and the
-gradient (script_F's v, M and tau never change), so only the value, the
-gradient and the Hessian are made at each (gamma, x).  f(x0), the
-start point's infeasibility and every iterate's f and certificates read the
-same points, so the driver calls no hook itself.  A kept point whose dG stack
-holds the same bits as the last kept one reads that stack instead of its own,
-so the kept points of an affine G hold one stack between them.
+A solve keeps one cache: the last point evaluated and its Hessian, made on
+first request.  The ``script_F`` parameters are built once per value of gamma
+and stand for it: a request at the cached x's bits under the same parameters
+reads the cached point, under a new gamma its ``PenaltyPoint.reweighted`` copy
+(only the value, the gradient and the Hessian are made again), and any other x
+gets a new ``penalty.penalty_at`` point.  ``tr_minimize`` reads a point's
+value, gradient and Hessian in a row and each outer iteration starts where the
+last one ended or at x0, so each x is evaluated once (x0 again after a reset).
+f(x0), the start point's infeasibility and every iterate's f and certificates
+read the same points, so the driver calls no hook itself.  A kept point whose
+dG stack holds the same bits as the last kept one reads that stack instead of
+its own, so the kept points of an affine G hold one stack between them.
 """
 
 import time
@@ -174,37 +174,28 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     x0 = prob.start_point
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
     steps = []
-    kept = None  # the point of the last converged outer iteration
     xhat = x0
     gamma = cfg.gamma0
-    params = penalty.special_params("script_F", gamma)
+    params = penalty.special_params("script_F", gamma)  # stands for gamma: built again only when gamma moves
     delta = cfg.delta0
     status = MAX_OUTER
     detail = ""
+    last = [None, None]  # the last point evaluated and its read-only Hessian, made on first request
 
-    def once_per_point(evaluate):
-        # keeps the last (gamma, z) and its result, so a repeated point is not
-        # recomputed; gamma and its params are those of the current outer iteration
-        last = [None, None]
+    def at(z):
+        point = last[0]
+        if point is None or z.tobytes() != point.x.tobytes():
+            last[:] = penalty.penalty_at(prob, z, params), None
+        elif point.p is not params:  # only gamma moved: script_F's v, M and tau never change
+            last[:] = point.reweighted(params), None
+        return last[0]
 
-        def memo(z):
-            key = gamma, z.tobytes()
-            if key != last[0]:
-                result = evaluate(z)
-                if isinstance(result, np.ndarray):
-                    result.flags.writeable = False  # shared between calls, never copied
-                last[:] = key, result
-            return last[1]
-        return memo
-
-    def point_at(z):
-        # the accept branch starts where the last outer iteration ended: only the weight gamma is new there
-        if kept is not None and z.tobytes() == kept.x.tobytes():
-            return kept.reweighted(params)
-        return penalty.penalty_at(prob, z, params)
-
-    at = once_per_point(point_at)
-    hess = once_per_point(lambda z: penalty.penalty_hess(at(z)))
+    def hess(z):
+        point = at(z)
+        if last[1] is None:
+            last[1] = penalty.penalty_hess(point)
+            last[1].flags.writeable = False  # shared between calls, never copied
+        return last[1]
 
     u0 = optimality.infeasibility_u(at(x0))
     if u0 > cfg.feas_check_tol:
@@ -222,9 +213,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             break
 
         point = at(res.x)  # the point tr_minimize certified last, its gradient and dG stack made
-        if prob.d > 0 and kept is not None:
-            point.share_dG(kept.dG)
-        kept = point
+        if prob.d > 0 and steps:
+            point.share_dG(steps[-1][-1].dG)
         u_next = optimality.infeasibility_u(point)
         xhat, branch = next_xhat(res.x, res.value, f0, x0)
         steps.append((k + 1, gamma, delta, start_value, res, branch, point))
@@ -238,8 +228,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             status = INNER_FAILURE
             detail = f"penalty weight {gamma_next:.3e} exceeds cap {cfg.gamma_cap:.3e}"
             break
-        gamma = gamma_next
-        params = penalty.special_params("script_F", gamma)
+        if gamma_next != gamma:
+            gamma = gamma_next
+            params = penalty.special_params("script_F", gamma)
         delta = cfg.beta * delta
         u_prev = u_next
 

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nsdpen import cli, driver, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_main(argv, capsys=None):
@@ -283,6 +285,24 @@ class TestParserReuse:
 
 def _strip_wall_time(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if '"wall_time_sec"' not in line)
+
+
+class TestModuleEntryPoint:
+    # ``python -m nsdpen`` runs __main__.py, which exits with the code of cli.main
+    @staticmethod
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "nsdpen", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+
+    def test_check_prints_what_main_prints(self, capsys):
+        proc = self.run_module("check", "--problem", "scalar-bound")
+        code, out = run_main(["check", "--problem", "scalar-bound"], capsys)
+        assert code == proc.returncode == 0
+        assert proc.stdout == out.out
+
+    def test_unknown_problem_exit(self):
+        proc = self.run_module("solve", "--problem", "nosuch")
+        assert proc.returncode == cli.EXIT_UNKNOWN_PROBLEM == 65
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -267,18 +268,23 @@ class TestReweighted:
         assert at.reweighted(same).p is same
 
     def test_carries_what_the_source_made(self, monkeypatch):
-        # what does not depend on rho and sigma is the source's object: nothing is evaluated again
+        # what does not depend on rho and sigma is the source's object: nothing is evaluated again; every cache
+        # but value and grad is such, so a new one that reweighted forgets is made again and fails here
+        carried = [name for name, attr in vars(penalty.PenaltyPoint).items()
+                   if isinstance(attr, cached_property) and name not in ("value", "grad")]
+        assert carried
         prob, counts = counting(ball_problem(4, m=2))
         x, p = mixed_point(prob, 117)
         q = dataclasses.replace(p, rho=0.2, sigma=7.0)
         at = penalty.penalty_at(prob, x, p)
         early = at.reweighted(q)  # taken before the source made its caches
-        at.value, at.grad  # makes f, J, dG and q_cube
+        for name in carried:
+            getattr(at, name)
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(matfun, "eig_sym", None)  # a reweighted point decomposes nothing
         new = at.reweighted(q)
         new.value, new.grad
-        assert all(getattr(new, a) is getattr(at, a) for a in ("x", "r", "G", "dec", "f", "J", "dG", "q_cube"))
+        assert all(getattr(new, a) is getattr(at, a) for a in ("x", "r", "G", "dec", *carried))
         assert [counts[h] for h in ("f", "g", "jac_g", "G", "dG")] == [0] * 5 and counts["grad_f"] == 1
         # a cache the source had not made yet is made on the new point's own first read
         assert early.dG is not at.dG and np.array_equal(early.dG, at.dG) and counts["dG"] == prob.n
