@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimality, penalty, trustregion
-from .errors import InvalidInputError, StartNotFeasibleError, require_int, require_real_fields
+from .errors import InvalidInputError, StartNotFeasibleError, read_only, require_int, require_real_fields
 from .matfun import default_zero_tol
 from .model import NsdpProblem
 
@@ -193,8 +193,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     def hess(z):
         point = at(z)
         if last[1] is None:
-            last[1] = penalty.penalty_hess(point)
-            last[1].flags.writeable = False  # shared between calls, never copied
+            last[1] = read_only(penalty.penalty_hess(point))  # shared between calls, never copied
         return last[1]
 
     u0 = optimality.infeasibility_u(at(x0))

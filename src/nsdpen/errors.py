@@ -1,6 +1,6 @@
 """Exception types, and every argument check of the toolkit: ``real_array``, the one reader of a value as a float
 array (a caller's argument or a hook's output), and ``require_int`` and ``require_real`` for scalars and config
-fields.  Each raises ``InvalidInputError`` naming the argument or the hook."""
+fields.  Each raises ``InvalidInputError`` naming the argument or the hook.  ``read_only`` guards a shared array."""
 
 from dataclasses import fields
 from numbers import Integral, Real
@@ -37,6 +37,12 @@ def require_real_fields(obj):
     for f in fields(obj):
         if f.type is float:
             require_real(f.name, getattr(obj, f.name))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: an array that is shared, not copied, so that a write into it raises."""
+    a.flags.writeable = False
+    return a
 
 
 def real_array(name: str, value, shape: tuple | None = None) -> np.ndarray:

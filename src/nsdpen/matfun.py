@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, real_array
+from .errors import InvalidInputError, read_only, real_array
 
 ABS_EIG_TOL = 1e-12
 REL_EIG_TOL = 1e-10
@@ -25,21 +25,23 @@ _SIGN_TOL = 1e-12
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
-    """Return (X + X^T)/2, as X/2 + X^T/2: halving first, so no finite entry overflows.  The transpose swaps
-    the last two axes only, so a (k, d, d) stack is symmetrized entry by entry."""
-    h = 0.5 * X
-    return h + h.swapaxes(-1, -2)
+    """Return (X + X^T)/2, correctly rounded: added, then halved, except that the entries whose sum overflows are
+    halved first, so no finite entry overflows and a symmetric X comes back unchanged.  The transpose swaps the
+    last two axes only, so a (k, d, d) stack is symmetrized entry by entry."""
+    T = X.swapaxes(-1, -2)
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * (X + T)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            return np.where(np.isinf(X + T), 0.5 * X + 0.5 * T, 0.5 * (X + T))
 
 
 @functools.lru_cache(maxsize=64)
 def _triangles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The read-only (rows, cols) index pairs of the upper and of the lower triangle of an n x n matrix, each
     in row-major order: the upper as ``np.triu_indices(n)`` (i, then j >= i), the lower as ``np.tril_indices(n)``."""
-    pairs = (np.triu_indices(n), np.tril_indices(n))
-    for index in pairs:
-        for a in index:
-            a.flags.writeable = False
-    return pairs
+    return tuple(tuple(map(read_only, index)) for index in (np.triu_indices(n), np.tril_indices(n)))
 
 
 @functools.lru_cache(maxsize=64)

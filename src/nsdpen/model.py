@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, real_array, require_int, require_real
+from .errors import InvalidInputError, read_only, real_array, require_int, require_real
 from .matfun import _triangles, _upper_ints, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
@@ -34,9 +34,7 @@ def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i."""
     h = step * (1.0 + np.abs(x))
     D = np.diag(h)
-    points = np.concatenate([x + D, x - D])
-    points.flags.writeable = False
-    return h, points
+    return h, read_only(np.concatenate([x + D, x - D]))
 
 
 def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: tuple) -> np.ndarray:
@@ -62,8 +60,10 @@ class NsdpProblem:
     """Problem data: minimize f(x) subject to g(x) = 0 and G(x) PSD.
 
     Jacobian convention: ``jac_g(x)`` is n x m with column j equal to the
-    gradient of g_j.  ``dG(x, i)`` is the partial derivative of G in x_i and
-    ``d2G(x, i, j)`` the second partial; both return symmetric d x d arrays.
+    gradient of g_j, and ``hess_g(x, y)`` returns the n x n matrix
+    sum_j y_j hess g_j(x) for an (m,) weight y.  ``dG(x, i)`` is the partial
+    derivative of G in x_i and ``d2G(x, i, j)`` the second partial; both
+    return symmetric d x d arrays.
     Hook outputs are only read, never written, so a hook may return one
     shared (say read-only) array for many entries, as a ``d2G`` of an affine
     G returns one zero; ``d2G_contract`` reads a block of such outputs once.
@@ -88,7 +88,7 @@ class NsdpProblem:
     hess_f: Callable[[np.ndarray], np.ndarray] | None = None
     g: Callable[[np.ndarray], np.ndarray] | None = None
     jac_g: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_g: Callable[[np.ndarray, int], np.ndarray] | None = None
+    hess_g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     G: Callable[[np.ndarray], np.ndarray] | None = None
     dG: Callable[[np.ndarray, int], np.ndarray] | None = None
     d2G: Callable[[np.ndarray, int, int], np.ndarray] | None = None
@@ -97,9 +97,7 @@ class NsdpProblem:
     def __post_init__(self):
         for name, lo in (("n", 1), ("m", 0), ("d", 0)):
             require_int(name, getattr(self, name), lo)
-        start = _vec(self.start_point, self.n, "start_point").copy()
-        start.flags.writeable = False
-        object.__setattr__(self, "start_point", start)
+        object.__setattr__(self, "start_point", read_only(_vec(self.start_point, self.n, "start_point").copy()))
         for hook in ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G"):
             value = getattr(self, hook)
             if (value is not None or hook in ("f", "grad_f")) and not callable(value):
@@ -117,7 +115,7 @@ class NsdpProblem:
 
 def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The symmetrized differences of grad_f (k = 1) or of each column of jac_g (k = m) at the points of
-    ``_shifts``, as a (k, n, n) stack: the synthesized hess_f and hess_g, and the audit's references for them."""
+    ``_shifts``, as a (k, n, n) stack: what the synthesized hess_f and hess_g read, and the audit's references."""
     n = prob.n
     shape = (n,) if hook == "grad_f" else (n, prob.m)
     return symmetrize(_stacked_diff(hook, getattr(prob, hook), shifts, shape).reshape(n, n, -1).transpose(2, 0, 1))
@@ -133,11 +131,11 @@ def _hess_f(prob: NsdpProblem):
 
 
 def _hess_g(prob: NsdpProblem):
-    """hess_g(x, js): the (len(js), n, n) stack of hess g_j(x) for the list js, from one hook call per j or
-    from one difference of jac_g for all of them."""
+    """hess_g(x, y) = sum_j y_j hess g_j(x); synthesized, y contracted with one difference of jac_g."""
     if prob.hess_g is not None:
-        return lambda x, js: _gather("hess_g", [prob.hess_g(x, j) for j in js], (prob.n, prob.n))
-    return lambda x, js: _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[js]
+        return prob.hess_g
+    return lambda x, y: np.tensordot(
+        y, _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER)), 1)
 
 
 def _d2G(prob: NsdpProblem):
@@ -173,13 +171,12 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
 
 
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
-    """rho * hess f(x) - sum_j y_j hess g_j(x), each output shape-checked and symmetrized; a zero weight
-    reads no hess g_j (a synthesized hess_g differences jac_g once for all others), and y is read only when m > 0."""
+    """rho * hess f(x) - hess_g(x, y), each output shape-checked and symmetrized; hess_g is read once, and not at
+    all when m = 0 or every weight is zero, and y is read only when m > 0."""
     n = prob.n
     H = rho * symmetrize(real_array("hess_f", _hess_f(prob)(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
-    js = [j for j in range(prob.m) if y[j] != 0.0]
-    for j, Hj in zip(js, _hess_g(prob)(x, js) if js else ()):
-        H = H - y[j] * symmetrize(Hj)
+    if prob.m > 0 and np.any(y):
+        H = H - symmetrize(real_array("hess_g", _hess_g(prob)(x, y), (n, n)))
     return H
 
 
@@ -263,8 +260,9 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     to the hooks as read-only rows, so a hook that writes into its argument
     fails its check.  The hook calls are those of one difference per
     analytic output, and of one for all columns of jac_g: f, g and G 2n times
-    each, grad_f and jac_g 1 + 2n, dG n + 2n^2, d2G n^2, and hess_f once and
-    hess_g m times.  Synthesized second derivatives are audited as read.
+    each, grad_f and jac_g 1 + 2n, dG n + 2n^2, d2G n^2, hess_f once and
+    hess_g m times, once per unit weight e_j, with the weights handed as
+    read-only rows too.  Synthesized second derivatives are audited as read.
     """
     require_real("step", step)
     if not step > 0:
@@ -273,6 +271,7 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     n, m, d = prob.n, prob.m, prob.d
     thr1, thr2 = 1e-6, 1e-4
     shifts = _shifts(x, step)
+    units = read_only(np.eye(m))
 
     def fd(hook, fn, shape):
         return _stacked_diff(hook, fn, shifts, shape)
@@ -286,7 +285,8 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
               "hess_f": lambda: _rel_err(one("hess_f", hess_f(x), (n, n)), _hessian_diff(prob, "grad_f", shifts))}
     if m > 0:
         checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
-        checks["hess_g"] = lambda: _rel_err(hess_g(x, list(range(m))), _hessian_diff(prob, "jac_g", shifts))
+        checks["hess_g"] = lambda: _rel_err(_gather("hess_g", list(map(hess_g, repeat(x), units)), (n, n)),
+                                            _hessian_diff(prob, "jac_g", shifts))
     if d > 0:
         checks["dG"] = lambda: _rel_err(_gather("dG", [prob.dG(x, i) for i in range(n)], (d, d)),
                                         fd("G", prob.G, (d, d)))

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matfun
-from .errors import InvalidInputError, real_array, require_real, require_real_fields
+from .errors import InvalidInputError, read_only, real_array, require_real, require_real_fields
 from .matfun import symmetrize
 from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint, hess_fg
 
@@ -105,9 +105,7 @@ class PenaltyPoint:
 
     @cached_property
     def dG(self) -> np.ndarray:
-        Gs = _dG_stack(self.prob, self.x)
-        Gs.flags.writeable = False
-        return Gs
+        return read_only(_dG_stack(self.prob, self.x))
 
     def share_dG(self, stack: np.ndarray | None) -> np.ndarray:
         """Read ``stack`` as this point's ``dG`` when the two hold the same bits, and return the stack it reads.
@@ -120,9 +118,7 @@ class PenaltyPoint:
 
     @cached_property
     def q_cube(self) -> np.ndarray:
-        cube = matfun.q_cube_from(self.dec)
-        cube.flags.writeable = False
-        return cube
+        return read_only(matfun.q_cube_from(self.dec))
 
     def reweighted(self, p: PenaltyParams) -> "PenaltyPoint":
         """This point under ``p``, whose v, M and tau must equal this point's (bit for bit), so r, G and dec hold.
@@ -143,9 +139,7 @@ class PenaltyPoint:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        g = penalty_grad(self)
-        g.flags.writeable = False
-        return g
+        return read_only(penalty_grad(self))
 
 
 def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:

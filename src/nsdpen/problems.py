@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import PenaltyConfig
-from .errors import UnknownProblemError
+from .errors import UnknownProblemError, read_only
 from .model import NsdpProblem
 from .optimality import MultiplierPair
 
@@ -29,10 +29,8 @@ class CorpusEntry:
 
 
 def _zero(d: int) -> np.ndarray:
-    """One read-only d x d zero: the d2G of an affine G, returned for every entry (the hook's output is only read)."""
-    zero = np.zeros((d, d))
-    zero.flags.writeable = False
-    return zero
+    """One read-only d x d zero for every call (hook outputs are only read): an affine G's d2G, an affine g's hess_g."""
+    return read_only(np.zeros((d, d)))
 
 
 def _scalar_bound() -> CorpusEntry:
@@ -119,7 +117,7 @@ def _equality_degenerate() -> CorpusEntry:
         hess_f=lambda x: np.zeros((1, 1)),
         g=lambda x: np.array([x[0] ** 2]),
         jac_g=lambda x: np.array([[2.0 * x[0]]]),
-        hess_g=lambda x, j: np.array([[2.0]]),
+        hess_g=lambda x, y: np.array([[2.0 * y[0]]]),
     )
     return CorpusEntry(
         problem=prob,
@@ -146,7 +144,7 @@ def _corr_matrix() -> CorpusEntry:
     basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),
              np.array([[0.0, 0.0], [0.0, 1.0]]),
              np.array([[0.0, 1.0], [1.0, 0.0]])]
-    zero = _zero(2)
+    zero, zero_n = _zero(2), _zero(3)
     prob = NsdpProblem(
         name="corr-matrix",
         n=3, m=2, d=2,
@@ -156,7 +154,7 @@ def _corr_matrix() -> CorpusEntry:
         hess_f=lambda x: np.diag([0.0, 0.0, 1.0]),
         g=lambda x: np.array([x[0], x[1]]),
         jac_g=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        hess_g=lambda x, j: np.zeros((3, 3)),
+        hess_g=lambda x, y: zero_n,
         G=lambda x: np.array([[1.0 + x[0], x[2]], [x[2], 1.0 + x[1]]]),
         dG=lambda x, i: basis[i].copy(),
         d2G=lambda x, i, j: zero,

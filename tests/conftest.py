@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,9 +83,18 @@ def ball_problem(d: int, m: int = 0, fd_second_order: bool = False, seed: int = 
         hooks.update(g=lambda x: 0.5 * np.einsum("i,kij,j->k", x, A, x) + b @ x,
                      jac_g=lambda x: (A @ x + b).T)
         if not fd_second_order:
-            hooks["hess_g"] = lambda x, k: A[k]
+            hooks["hess_g"] = lambda x, y: np.tensordot(y, A, 1)
     return NsdpProblem(name=f"ball-test-d{d}", n=n, m=m, d=d, start_point=np.zeros(n),
                        fd_second_order=fd_second_order, **hooks)
+
+
+def nearest_psd_d5():
+    """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families.nearest_psd(5, np.random.default_rng(1)).problem, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
 
 
 def spectrum_matrix(gen: np.random.Generator, values) -> np.ndarray:
@@ -106,9 +117,10 @@ HOOKS = ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G")
 
 
 def second_derivatives(prob: NsdpProblem):
-    """hess_f(x), hess_g(x, j) and d2G(x, i, j) of ``prob`` as the solver reads them, synthesized or not."""
-    hess_g = model._hess_g(prob)
-    return model._hess_f(prob), lambda x, j: hess_g(x, [j])[0], model._d2G(prob)
+    """hess_f(x), hess_g(x, j) and d2G(x, i, j) of ``prob`` as the solver reads them, synthesized or not;
+    hess_g(x, j) = hess g_j(x) is the contracted hook at the unit weight e_j."""
+    hess_g, units = model._hess_g(prob), np.eye(prob.m)
+    return model._hess_f(prob), lambda x, j: hess_g(x, units[j]), model._d2G(prob)
 
 
 def counting(prob: NsdpProblem):

@@ -1,7 +1,5 @@
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +9,8 @@ from nsdpen import driver, matfun, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import (ball_problem, counting, eigvalsh_follows_each_failed_factorization, record_certificates,
-                      script_F_point)
+from conftest import (ball_problem, counting, eigvalsh_follows_each_failed_factorization, nearest_psd_d5,
+                      record_certificates, script_F_point)
 
 
 class TestGammaRule:
@@ -584,15 +582,6 @@ class TestSharedD2GOutput:
                     + rec.xhat_branch.encode() for rec in report.iterates]
             runs.append((bits, dict(hooks), dict(calls)))
         assert runs[0] == runs[1]
-
-
-def nearest_psd_d5():
-    """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return families.nearest_psd(5, np.random.default_rng(1)).problem, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
 
 
 def float_bits(*values) -> bytes:

@@ -64,6 +64,14 @@ class TestEigSym:
         assert np.array_equal(matfun.symmetrize(X), X)
         assert matfun.eig_sym(X).values.tolist() == [1e308, -1e308]
 
+    @pytest.mark.parametrize("X", [[[5e-324, 1.5e-323], [1.5e-323, 0.0]], [[5e-324, 1.5e-323], [1.5e-323, 1e308]]],
+                             ids=["subnormal", "subnormal-and-huge"])
+    def test_symmetric_input_returned_unchanged(self, X):
+        # halving first rounded the odd multiples of 2^-1074 off: the subnormal matrix came back as
+        # [[0, 2e-323], [2e-323, 0]]; an overflowing sum elsewhere is halved first there only
+        X = np.array(X)
+        assert matfun.symmetrize(X).tobytes() == X.tobytes()
+
     def test_stack_symmetrized_entry_by_entry(self):
         # the transpose swaps the last two axes only, so each (d, d) entry of a stack is symmetrized in place
         X = rng(6).normal(size=(4, 3, 3))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestD2GContractOneObject:
 
 
 class TestHugeStacks:
-    # (A + A^T)/2 of a stack overflowed to inf for a finite entry above 2^1023; the stacks are now halved first
+    # (A + A^T)/2 of a stack overflowed to inf for a finite entry above 2^1023; such entries are now halved first
     HUGE = np.array([[0.0, 1e308], [1e308, 0.0]])
 
     def test_dG_stack_of_huge_entries_is_finite(self):
@@ -345,12 +346,12 @@ class TestHugeStacks:
 
 class TestHessFg:
     def test_weighted_sum_and_hook_calls(self):
-        # one hook call per nonzero weight, each output symmetrized
+        # one hess_g call with the whole weight, each output symmetrized
         prob, counts = counting(ball_problem(3, m=2))
-        x = rng(31).normal(size=prob.n)
-        H = model.hess_fg(prob, x, 2.0, np.array([0.0, -1.5]))
+        x, y = rng(31).normal(size=prob.n), np.array([0.0, -1.5])
+        H = model.hess_fg(prob, x, 2.0, y)
         assert (counts["hess_f"], counts["hess_g"]) == (1, 1)
-        assert np.array_equal(H, 2.0 * symmetrize(prob.hess_f(x)) + 1.5 * symmetrize(prob.hess_g(x, 1)))
+        assert np.array_equal(H, 2.0 * symmetrize(prob.hess_f(x)) - symmetrize(prob.hess_g(x, y)))
         assert np.array_equal(H, H.T)
         counts.update(dict.fromkeys(counts, 0))
         assert not model.hess_fg(prob, x, 0.0, np.zeros(2)).any()
@@ -360,6 +361,68 @@ class TestHessFg:
     def test_wrong_shape_names_the_hook(self, hook):
         prob = dataclasses.replace(ball_problem(3, m=2), **{hook: lambda *args: np.ones(6)})
         with pytest.raises(InvalidInputError, match=rf"^{hook} must have shape \(6, 6\)"):
+            model.hess_fg(prob, np.zeros(6), 1.0, np.ones(2))
+
+
+class TestContractedHessG:
+    """hess_g(x, y) is read as one (n, n) matrix, sum_j y_j hess g_j(x)."""
+
+    @staticmethod
+    def recording(prob):
+        """A copy of ``prob`` whose hess_g logs each weight it is handed, and the log."""
+        calls = []
+
+        def hess_g(x, y):
+            calls.append(y)
+            return prob.hess_g(x, y)
+        return dataclasses.replace(prob, hess_g=hess_g), calls
+
+    def test_one_call_per_hess_fg_with_a_nonzero_weight(self):
+        prob, calls = self.recording(ball_problem(3, m=2))
+        x = rng(40).normal(size=prob.n)
+        for k, y in enumerate([[1.5, -0.5], [0.0, 2.0], [0.0, 0.0], [-0.0, 0.0], [3.0, 0.0]]):
+            before = len(calls)
+            model.hess_fg(prob, x, 1.0, np.array(y))
+            assert len(calls) - before == int(any(y)), k
+        assert [y.tolist() for y in calls] == [[1.5, -0.5], [0.0, 2.0], [3.0, 0.0]]
+        # with m = 0 the hook is never read, whatever the weight
+        unconstrained, calls = self.recording(dataclasses.replace(ball_problem(3), hess_g=ball_problem(3, m=1).hess_g))
+        model.hess_fg(unconstrained, x, 1.0, None)
+        assert calls == []
+
+    def test_audit_calls_once_per_read_only_unit_weight(self):
+        prob, calls = self.recording(ball_problem(3, m=2))
+        report = model.audit_derivatives(prob, rng(41).normal(size=prob.n))
+        assert report.passed and len(calls) == prob.m
+        assert [y.tolist() for y in calls] == np.eye(prob.m).tolist()
+        assert not any(y.flags.writeable for y in calls)
+
+    def test_hook_writing_its_weight_fails_the_audit(self):
+        base = ball_problem(3, m=2)
+
+        def hess_g(x, y):
+            y *= 1.0
+            return base.hess_g(x, y)
+
+        report = model.audit_derivatives(dataclasses.replace(base, hess_g=hess_g), rng(42).normal(size=base.n))
+        assert report.failures == ["hess_g"] and report.errors["hess_g"] == np.inf
+
+    def test_synthesized_is_the_contraction_of_one_difference(self):
+        # powers of two as weights make every product exact, so a fused or a separate multiply-add gives these bits
+        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        x, y = rng(43).normal(size=prob.n), np.array([0.5, -2.0])
+        H = model._hess_g(prob)(x, y)
+        assert counts["jac_g"] == 2 * prob.n
+        stack = model._hessian_diff(prob, "jac_g", model._shifts(x, model.FD_STEP_SECOND_ORDER))
+        assert np.array_equal(H, 0.5 * stack[0] - 2.0 * stack[1])
+        assert np.allclose(H, ball_problem(3, m=2).hess_g(x, y), atol=1e-6)
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 6, 6)), np.zeros((6, 6, 1))], ids=["stack", "column"])
+    def test_wrong_shape_raises(self, out):
+        # the (m, n, n) stack is what a hook of the per-constraint form would return for every j at once
+        prob = dataclasses.replace(ball_problem(3, m=2), hess_g=lambda x, y: out)
+        message = rf"^hess_g must have shape \(6, 6\), got {re.escape(str(out.shape))}"
+        with pytest.raises(InvalidInputError, match=message):
             model.hess_fg(prob, np.zeros(6), 1.0, np.ones(2))
 
 
@@ -561,11 +624,11 @@ class TestSynthesizedSecondDerivatives:
             fd_second_order=True,
         )
         x = np.array([0.7])
-        assert model._hess_g(fd)(x, [0])[0, 0, 0] == pytest.approx(2.0, abs=1e-8)
+        assert model._hess_g(fd)(x, np.array([3.0]))[0, 0] == pytest.approx(6.0, abs=1e-8)
 
     def test_one_jac_g_difference_per_point(self):
-        # hess_fg differences jac_g once (2n calls) for every synthesized hess_g it reads, not once per j,
-        # and not at all when every weight is zero
+        # hess_fg differences jac_g once (2n calls) per call with a nonzero weight, and not at all when every
+        # weight is zero
         prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
         n, m = prob.n, prob.m
         for x in rng(29).normal(size=(2, n)):
@@ -574,9 +637,10 @@ class TestSynthesizedSecondDerivatives:
             assert counts["jac_g"] == 2 * n
             assert not model.hess_fg(prob, x, 0.0, np.zeros(m)).any()
             assert counts["jac_g"] == 2 * n
-            # each column bit for bit as its own difference gives it
+            # bit for bit the weights' contraction with the symmetrized difference of every column
             diff = model._stacked_diff("jac_g", prob.jac_g, model._shifts(x, model.FD_STEP_SECOND_ORDER), (n, m))
-            assert np.array_equal(H, -1.5 * symmetrize(diff[:, :, 0]) + 0.5 * symmetrize(diff[:, :, 1]))
+            stack = symmetrize(diff.transpose(2, 0, 1))
+            assert np.array_equal(H, -symmetrize(np.tensordot([1.5, -0.5], stack, 1)))
 
     def test_replace_differences_the_new_hooks(self):
         # a copy with new first derivatives synthesizes its second derivatives from them, not from the

@@ -124,7 +124,7 @@ class TestLagrangian:
         ("grad_f", lambda x: 0.0, optimality.lagrangian_grad),
         ("jac_g", lambda x: np.zeros((1, 3)), optimality.lagrangian_grad),
         ("hess_f", lambda x: np.zeros(3), optimality.lagrangian_hess),
-        ("hess_g", lambda x, j: 1.0, optimality.lagrangian_hess),
+        ("hess_g", lambda x, y: 1.0, optimality.lagrangian_hess),
     ], ids=["grad_f", "jac_g", "hess_f", "hess_g"])
     def test_wrong_shape_names_the_hook(self, hook, bad, lagrangian):
         prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
@@ -329,7 +329,7 @@ class TestInfeasibility:
             hess_f=lambda x: np.zeros((1, 1)),
             g=lambda x: np.array([3.0, -4.0]),
             jac_g=lambda x: np.zeros((1, 2)),
-            hess_g=lambda x, j: np.zeros((1, 1)),
+            hess_g=lambda x, y: np.zeros((1, 1)),
         )
         assert optimality.infeasibility_u(script_F_point(prob, np.zeros(1))) == pytest.approx(5.0)
 
@@ -353,7 +353,7 @@ class TestCriticalSubspace:
             hess_f=lambda x: np.zeros((2, 2)),
             g=lambda x: x.copy(),
             jac_g=lambda x: np.eye(2),
-            hess_g=lambda x, j: np.zeros((2, 2)),
+            hess_g=lambda x, y: np.zeros((2, 2)),
         )
         B = optimality.critical_subspace_basis(script_F_point(prob, np.zeros(2)), 0)
         assert B.shape == (2, 0)

@@ -214,7 +214,7 @@ class TestPenaltyPoint:
 
     @pytest.mark.parametrize("hook,bad", [
         ("f", lambda x: np.zeros(1)), ("grad_f", lambda x: 0.0), ("hess_f", lambda x: np.zeros(3)),
-        ("g", lambda x: np.zeros((1, 1))), ("jac_g", lambda x: np.zeros((1, 3))), ("hess_g", lambda x, j: 1.0),
+        ("g", lambda x: np.zeros((1, 1))), ("jac_g", lambda x: np.zeros((1, 3))), ("hess_g", lambda x, y: 1.0),
         ("G", lambda x: np.zeros((2, 3))),
     ], ids=["f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G"])
     def test_wrong_shape_names_the_hook(self, hook, bad):
