@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import driver, model, optimality, penalty, problems
-from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError, real_array
+from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError, real_array, require_int
 from .matfun import _triangles
 
 SCHEMA_VERSION = "3"
@@ -53,17 +53,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def sym_to_lower(Z: np.ndarray) -> dict:
-    """Serialize a symmetric matrix as its row-major lower triangle."""
+    """Serialize a symmetric (square) matrix as its row-major lower triangle."""
     Z = real_array("Z", Z)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+        raise InvalidInputError(f"Z must be a square matrix, got shape {Z.shape}")
     d = Z.shape[0]
     return {"dim": d, "lower": Z[_triangles(d)[1]].tolist()}
 
 
 def lower_to_sym(doc: dict) -> np.ndarray:
-    """Rebuild the symmetric matrix from its serialized lower triangle, which must have dim*(dim+1)/2 entries."""
-    d = int(doc["dim"])
+    """Rebuild the symmetric matrix from its serialized lower triangle: an integer dim >= 0, dim*(dim+1)/2 entries."""
+    d = doc["dim"]
+    require_int("dim", d, 0)
     lower = real_array("lower", doc["lower"])
-    if d < 0 or lower.shape != (d * (d + 1) // 2,):
+    if lower.shape != (d * (d + 1) // 2,):
         raise InvalidInputError(f"a lower triangle of dim {d} needs dim*(dim+1)/2 entries, got shape {lower.shape}")
     rows, cols = _triangles(d)[1]
     Z = np.zeros((d, d))

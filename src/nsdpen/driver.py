@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimality, penalty, trustregion
-from .errors import InvalidInputError, StartNotFeasibleError, read_only, require_int, require_real_fields
+from .errors import (InvalidInputError, StartNotFeasibleError, read_only, require_instance, require_int,
+                     require_real_fields)
 from .matfun import default_zero_tol
 from .model import NsdpProblem
 
@@ -87,8 +88,7 @@ class PenaltyConfig:
         if self.tol_feas < 0 or self.tol_opt < 0 or self.feas_check_tol < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
-        if not isinstance(self.tr, trustregion.TrConfig):
-            raise InvalidInputError(f"tr must be a TrConfig, got {type(self.tr).__name__}")
+        require_instance("tr", self.tr, trustregion.TrConfig)
 
 
 @dataclass
@@ -161,13 +161,16 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
           b_count: int | None = None) -> SolveReport:
     """Run the outer penalty method on a problem with a feasible start.
 
-    ``prob`` and ``config`` are checked when built, not here.  ``b_count`` is the
-    trusted dimension of the null eigenspace of G at the limit, used for the
-    second-order certificates; when omitted it is estimated from the final
+    ``prob`` and ``config`` are checked when built; here only their types are
+    checked, and only ``config=None`` selects ``PenaltyConfig()``.  ``b_count``
+    is the trusted dimension of the null eigenspace of G at the limit, used for
+    the second-order certificates; when omitted it is estimated from the final
     iterate.  Every record is built after the loop, from
     ``optimality.evaluate_residuals`` at the penalty point it was taken at, once per distinct point.
     """
-    cfg = config or PenaltyConfig()
+    require_instance("prob", prob, NsdpProblem)
+    cfg = PenaltyConfig() if config is None else config
+    require_instance("config", cfg, PenaltyConfig)
     if b_count is not None:
         require_int("b_count", b_count, 0, prob.d)
     t0 = time.perf_counter()

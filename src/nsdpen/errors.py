@@ -1,6 +1,7 @@
 """Exception types, and every argument check of the toolkit: ``real_array``, the one reader of a value as a float
 array (a caller's argument or a hook's output), and ``require_int`` and ``require_real`` for scalars and config
-fields.  Each raises ``InvalidInputError`` naming the argument or the hook.  ``read_only`` guards a shared array."""
+fields, and ``require_instance`` for a problem or config object.  Each raises ``InvalidInputError`` naming the
+argument or the hook.  ``read_only`` guards a shared array."""
 
 from dataclasses import fields
 from numbers import Integral, Real
@@ -30,6 +31,12 @@ def require_real(name: str, value):
     """Reject ``value`` unless it is a real number (a bool is not one); numpy scalars pass."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
+def require_instance(name: str, value, cls: type):
+    """Reject ``value`` unless it is an instance of ``cls`` (the class itself is not one)."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def require_real_fields(obj):

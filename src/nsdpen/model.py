@@ -171,12 +171,12 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
 
 
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
-    """rho * hess f(x) - hess_g(x, y), each output shape-checked and symmetrized; hess_g is read once, and not at
-    all when m = 0 or every weight is zero, and y is read only when m > 0."""
+    """rho * hess f(x) - hess_g(x, y), each output shape-checked and read as given (a caller symmetrizes its finished
+    Hessian once); hess_g is read once, and not at all when m = 0 or every weight is zero, y only when m > 0."""
     n = prob.n
-    H = rho * symmetrize(real_array("hess_f", _hess_f(prob)(x), (n, n))) if rho != 0.0 else np.zeros((n, n))
+    H = rho * real_array("hess_f", _hess_f(prob)(x), (n, n)) if rho != 0.0 else np.zeros((n, n))
     if prob.m > 0 and np.any(y):
-        H = H - symmetrize(real_array("hess_g", _hess_g(prob)(x, y), (n, n)))
+        H = H - real_array("hess_g", _hess_g(prob)(x, y), (n, n))
     return H
 
 

@@ -58,13 +58,13 @@ def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
 
 
 def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
-    """hess f(x) - hess_g(x, y) - [<d2G(x,i,j), Z>]_ij, where hess_g(x, y) = sum_j y_j hess g_j(x)."""
+    """hess f(x) - hess_g(x, y) - [<d2G(x,i,j), Z>]_ij, hook terms read as given and the sum symmetrized once."""
     x = _vec(x, prob.n)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
     H = hess_fg(prob, x, 1.0, y)
     if prob.d > 0:
         H -= d2G_contract(prob, x, Z)
-    return H
+    return symmetrize(H)
 
 
 def _gamma(at: PenaltyPoint) -> float:

@@ -188,7 +188,7 @@ def penalty_grad(at: PenaltyPoint) -> np.ndarray:
 
 
 def penalty_hess(at: PenaltyPoint) -> np.ndarray:
-    """Exact Hessian of the penalty, symmetrized.
+    """Exact Hessian of the penalty, symmetrized once, when complete.
 
     With P = dec.vectors, C = ``matfun.dq_coeff(dec)`` and
     K_i = P^T dG(x, i) P, orthogonality of P gives <dG_i, P (C o K_j) P^T> =

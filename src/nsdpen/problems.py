@@ -28,6 +28,13 @@ class CorpusEntry:
     config: PenaltyConfig
 
 
+# the partial derivatives in x_i of the corpus's X(x) = [[x0]] (key d = 1) or [[x0, x2], [x2, x1]] (key d = 2):
+# read-only, one array per entry returned by every dG call (hook outputs are only read)
+_DX = {1: (read_only(np.ones((1, 1))),),
+       2: tuple(read_only(np.array(a)) for a in ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                                                  [[0.0, 1.0], [1.0, 0.0]]))}
+
+
 def _zero(d: int) -> np.ndarray:
     """One read-only d x d zero for every call (hook outputs are only read): an affine G's d2G, an affine g's hess_g."""
     return read_only(np.zeros((d, d)))
@@ -45,7 +52,7 @@ def _scalar_bound() -> CorpusEntry:
         grad_f=lambda x: np.array([2.0 * (x[0] + 1.0)]),
         hess_f=lambda x: np.array([[2.0]]),
         G=lambda x: np.array([[x[0]]]),
-        dG=lambda x, i: np.array([[1.0]]),
+        dG=lambda x, i: _DX[1][i],
         d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(
@@ -69,9 +76,6 @@ def _nearest_psd() -> CorpusEntry:
     # minimize (1/2)||X(x) - C||_F^2 subject to X(x) PSD, X parametrized by
     # (X11, X22, X12); the solution is the PSD projection of C
     C = _NEAREST_TARGET
-    basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),
-             np.array([[0.0, 0.0], [0.0, 1.0]]),
-             np.array([[0.0, 1.0], [1.0, 0.0]])]
     zero = _zero(2)
 
     def f(x):
@@ -90,7 +94,7 @@ def _nearest_psd() -> CorpusEntry:
         grad_f=grad_f,
         hess_f=lambda x: np.diag([1.0, 1.0, 2.0]),
         G=lambda x: _x_to_mat(x),
-        dG=lambda x, i: basis[i].copy(),
+        dG=lambda x, i: _DX[2][i],
         d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(
@@ -141,9 +145,6 @@ def _corr_matrix() -> CorpusEntry:
     # the diagonal by its deviation keeps the stiff coordinates of the
     # penalized subproblems near zero, where floats are dense.
     target = -1.5
-    basis = [np.array([[1.0, 0.0], [0.0, 0.0]]),
-             np.array([[0.0, 0.0], [0.0, 1.0]]),
-             np.array([[0.0, 1.0], [1.0, 0.0]])]
     zero, zero_n = _zero(2), _zero(3)
     prob = NsdpProblem(
         name="corr-matrix",
@@ -156,7 +157,7 @@ def _corr_matrix() -> CorpusEntry:
         jac_g=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
         hess_g=lambda x, y: zero_n,
         G=lambda x: np.array([[1.0 + x[0], x[2]], [x[2], 1.0 + x[1]]]),
-        dG=lambda x, i: basis[i].copy(),
+        dG=lambda x, i: _DX[2][i],
         d2G=lambda x, i, j: zero,
     )
     return CorpusEntry(

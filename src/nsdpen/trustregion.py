@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, real_array, require_int, require_real, require_real_fields
+from .errors import InvalidInputError, real_array, require_instance, require_int, require_real, require_real_fields
 from .matfun import _norm, _pow2_unit, symmetrize
 
 CONVERGED = "Converged"
@@ -205,12 +205,13 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     delta : float
         Certificate tolerance, in (0, 1).
     config : TrConfig, optional
-        Radius-management constants.
+        Radius-management constants; None (only None) selects ``TrConfig()``.
     """
     require_real("delta", delta)
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
-    cfg = config or TrConfig()
+    cfg = TrConfig() if config is None else config
+    require_instance("config", cfg, TrConfig)
     x = np.atleast_1d(real_array("x0", x0)).copy()
     n = x.size
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsdpen import cli, matfun, model, optimality, penalty, trustregion
+from nsdpen import cli, driver, matfun, model, optimality, penalty, trustregion
 from nsdpen.errors import InvalidInputError, real_array
 
 from conftest import ball_problem, counting, script_F_point
@@ -41,6 +41,7 @@ READERS = {
         lambda z: penalty.penalty_hess(penalty.penalty_at(prob, z, at.p)), bad, 1e-6)),
     "audit_derivatives": ("x", (3,), lambda prob, at, bad: model.audit_derivatives(prob, bad)),
     "lower_to_sym": ("lower", (3,), lambda prob, at, bad: cli.lower_to_sym({"dim": 2, "lower": bad})),
+    "sym_to_lower": ("Z", (2, 2), lambda prob, at, bad: cli.sym_to_lower(bad)),
 }
 
 BAD = {
@@ -71,3 +72,47 @@ def test_real_values_read_as_floats():
     for value in ([1, 2], [True, False], np.arange(2, dtype=np.int32), np.float32([1.5, 2.5])):
         out = real_array("x", value, (2,))
         assert out.dtype == np.float64 and out.tolist() == np.asarray(value).tolist()
+
+
+# (a call that reads a value of the wrong shape or type, the message it must raise)
+WRONG = {
+    # only a square matrix has a lower triangle to write
+    "sym_to_lower (2, 3)": (lambda prob: cli.sym_to_lower(np.zeros((2, 3))),
+                            r"Z must be a square matrix, got shape \(2, 3\)"),
+    "sym_to_lower (2, 2, 2)": (lambda prob: cli.sym_to_lower(np.zeros((2, 2, 2))), "Z must be a square matrix"),
+    "sym_to_lower (3,)": (lambda prob: cli.sym_to_lower(np.zeros(3)), "Z must be a square matrix"),
+    # dim is read as it is, not rounded or parsed: 2.9, "2", True and NaN are no integer dim
+    **{f"lower_to_sym dim={dim!r}": (lambda prob, dim=dim: cli.lower_to_sym({"dim": dim, "lower": [1.0, 2.0, 3.0]}),
+                                     "dim must be an integer in")
+       for dim in (2.9, "2", True, float("nan"), -1)},
+    # a config or problem of another type is named, not read; only None selects the default config
+    "solve config str": (lambda prob: driver.solve(prob, "cfg"), "config must be a PenaltyConfig, got str$"),
+    "solve config class": (lambda prob: driver.solve(prob, driver.PenaltyConfig),
+                           "config must be a PenaltyConfig, got type$"),
+    "solve config falsy": (lambda prob: driver.solve(prob, 0), "config must be a PenaltyConfig, got int$"),
+    "solve config TrConfig": (lambda prob: driver.solve(prob, trustregion.TrConfig()),
+                              "config must be a PenaltyConfig, got TrConfig$"),
+    "solve prob": (lambda prob: driver.solve("prob"), "prob must be a NsdpProblem, got str$"),
+    "tr_minimize config str": (lambda prob: tr_minimize_with(prob, "c"), "config must be a TrConfig, got str$"),
+    "tr_minimize config falsy": (lambda prob: tr_minimize_with(prob, []), "config must be a TrConfig, got list$"),
+    "tr_minimize config PenaltyConfig": (lambda prob: tr_minimize_with(prob, driver.PenaltyConfig()),
+                                         "config must be a TrConfig, got PenaltyConfig$"),
+    "PenaltyConfig tr": (lambda prob: driver.PenaltyConfig(tr=None), "tr must be a TrConfig, got NoneType$"),
+}
+
+
+def tr_minimize_with(prob, config):
+    """tr_minimize on ``prob``'s script_F penalty from its start point, under ``config``."""
+    def at(z):
+        return script_F_point(prob, z)
+    return trustregion.tr_minimize(lambda z: at(z).value, lambda z: at(z).grad,
+                                   lambda z: penalty.penalty_hess(at(z)), prob.start_point, 1e-6, config)
+
+
+@pytest.mark.parametrize("case", WRONG)
+def test_wrong_shape_or_type_named_before_any_hook_call(case):
+    call, message = WRONG[case]
+    prob, counts = counting(ball_problem(2, m=1))
+    with pytest.raises(InvalidInputError, match=f"^{message}"):
+        call(prob)
+    assert not any(counts.values())

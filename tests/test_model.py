@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsdpen import driver, matfun, model, penalty, problems
+from nsdpen import driver, matfun, model, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.matfun import symmetrize
 
@@ -346,13 +346,12 @@ class TestHugeStacks:
 
 class TestHessFg:
     def test_weighted_sum_and_hook_calls(self):
-        # one hess_g call with the whole weight, each output symmetrized
+        # one hess_g call with the whole weight, each output read as given (the caller symmetrizes the sum)
         prob, counts = counting(ball_problem(3, m=2))
         x, y = rng(31).normal(size=prob.n), np.array([0.0, -1.5])
         H = model.hess_fg(prob, x, 2.0, y)
         assert (counts["hess_f"], counts["hess_g"]) == (1, 1)
-        assert np.array_equal(H, 2.0 * symmetrize(prob.hess_f(x)) - symmetrize(prob.hess_g(x, y)))
-        assert np.array_equal(H, H.T)
+        assert np.array_equal(H, 2.0 * prob.hess_f(x) - prob.hess_g(x, y))
         counts.update(dict.fromkeys(counts, 0))
         assert not model.hess_fg(prob, x, 0.0, np.zeros(2)).any()
         assert not any(counts.values())
@@ -362,6 +361,71 @@ class TestHessFg:
         prob = dataclasses.replace(ball_problem(3, m=2), **{hook: lambda *args: np.ones(6)})
         with pytest.raises(InvalidInputError, match=rf"^{hook} must have shape \(6, 6\)"):
             model.hess_fg(prob, np.zeros(6), 1.0, np.ones(2))
+
+
+def asymmetric(prob: model.NsdpProblem, seed: int) -> model.NsdpProblem:
+    """A copy of ``prob`` whose hess_f and hess_g add fixed random non-symmetric matrices to their outputs."""
+    gen = rng(seed)
+    Nf, Ng = gen.normal(size=(prob.n, prob.n)), gen.normal(size=(prob.m, prob.n, prob.n))
+    return dataclasses.replace(prob, hess_f=lambda x: prob.hess_f(x) + Nf,
+                               hess_g=lambda x, y: prob.hess_g(x, y) + np.tensordot(y, Ng, 1))
+
+
+class TestSymmetrizedOnce:
+    """Each Hessian is symmetrized once, when complete: hess_fg reads the hook terms as given."""
+
+    def test_hess_fg_reads_hooks_as_given(self):
+        prob = asymmetric(ball_problem(3, m=2), seed=33)
+        x, y = rng(34).normal(size=prob.n), np.array([0.5, -1.5])
+        H = model.hess_fg(prob, x, 0.7, y)
+        assert not np.array_equal(H, H.T)
+        assert np.array_equal(H, 0.7 * prob.hess_f(x) - prob.hess_g(x, y))
+
+    def test_penalty_hess_symmetrizes_the_raw_sum(self):
+        prob = asymmetric(ball_problem(3, m=2), seed=35)
+        x, p = rng(36).normal(size=prob.n), penalty.PenaltyParams(v=np.ones(2), M=None, rho=0.7, sigma=1.3, tau=2.0)
+        at = penalty.penalty_at(prob, x, p)
+        st = p.sigma * p.tau
+        # the sum in penalty_hess's order, no term symmetrized on its own
+        raw = p.rho * prob.hess_f(x) - prob.hess_g(x, st * at.r) + st * (at.J @ at.J.T)
+        P = at.dec.vectors
+        K = (P.T @ at.dG @ P).reshape(prob.n, -1)
+        raw = raw + st * (K @ (matfun.dq_coeff(at.dec).ravel() * K).T - model.d2G_contract(prob, x, at.q_cube))
+        H = penalty.penalty_hess(at)
+        assert np.array_equal(H, H.T)
+        assert H.tobytes() == symmetrize(raw).tobytes()
+        assert not np.array_equal(raw, raw.T)
+
+    def test_lagrangian_hess_symmetrizes_the_raw_sum(self):
+        prob = asymmetric(ball_problem(3, m=2), seed=37)
+        gen = rng(38)
+        x, y, Z = gen.normal(size=prob.n), gen.normal(size=2), symmetrize(gen.normal(size=(3, 3)))
+        raw = 1.0 * prob.hess_f(x) - prob.hess_g(x, y) - model.d2G_contract(prob, x, Z)
+        H = optimality.lagrangian_hess(prob, x, y, Z)
+        assert np.array_equal(H, H.T)
+        assert H.tobytes() == symmetrize(raw).tobytes()
+        assert not np.array_equal(raw, raw.T)
+
+    def test_one_symmetrize_per_hessian(self, monkeypatch):
+        # the shapes symmetrize is called with: one (n, n) matrix per Hessian, besides lagrangian_hess's
+        # read of its (d, d) argument Z; hess_fg symmetrizes neither hess_f nor hess_g on its own
+        shapes = []
+
+        def recorded(X):
+            shapes.append(np.shape(X))
+            return matfun.symmetrize(X)
+        for module in (model, penalty, optimality):
+            monkeypatch.setattr(module, "symmetrize", recorded)
+        prob = ball_problem(3, m=2)
+        n, gen = prob.n, rng(39)
+        at = penalty.penalty_at(prob, gen.normal(size=n), penalty.special_params("script_F", 3.0))
+        _ = at.J, at.dG, at.q_cube  # read before counting: they are read once per point, not per Hessian
+        shapes.clear()
+        penalty.penalty_hess(at)
+        assert shapes == [(n, n)]
+        shapes.clear()
+        optimality.lagrangian_hess(prob, at.x, gen.normal(size=2), np.eye(3))
+        assert shapes == [(3, 3), (n, n)]
 
 
 class TestContractedHessG:

@@ -29,6 +29,16 @@ class TestRegistry:
         b = problems.get_problem("scalar-bound")
         assert a.problem is not b.problem
 
+    def test_dG_outputs_are_shared_and_read_only(self):
+        # dG(x, i) is one read-only array per i for every x, as d2G's zero is: no copy per call
+        gen = np.random.default_rng(5)
+        for name in problems.list_problems():
+            prob = problems.get_problem(name).problem
+            for i in range(prob.n if prob.d else 0):
+                out = prob.dG(prob.start_point, i)
+                assert out is prob.dG(gen.normal(size=prob.n), i) and not out.flags.writeable, (name, i)
+                assert out.shape == (prob.d, prob.d)
+
 
 class TestKnownData:
     def test_scalar_bound_multiplier(self):
