@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from . import driver, model, optimality, penalty, problems
-from .errors import InvalidInputError, StartNotFeasibleError, UnknownProblemError, real_array, require_int
+from .errors import (InvalidInputError, StartNotFeasibleError, UnknownProblemError, real_array, require_instance,
+                     require_int)
 from .matfun import _triangles
 
 SCHEMA_VERSION = "3"
@@ -62,7 +63,12 @@ def sym_to_lower(Z: np.ndarray) -> dict:
 
 
 def lower_to_sym(doc: dict) -> np.ndarray:
-    """Rebuild the symmetric matrix from its serialized lower triangle: an integer dim >= 0, dim*(dim+1)/2 entries."""
+    """Rebuild the symmetric matrix from its serialized lower triangle: a dict holding an integer dim >= 0 and
+    dim*(dim+1)/2 lower entries."""
+    require_instance("doc", doc, dict)
+    for key in ("dim", "lower"):
+        if key not in doc:
+            raise InvalidInputError(f"doc has no {key!r} entry")
     d = doc["dim"]
     require_int("dim", d, 0)
     lower = real_array("lower", doc["lower"])

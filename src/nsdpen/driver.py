@@ -51,10 +51,15 @@ INNER_FAILURE = "InnerFailure"
 BRANCH_ACCEPT = "accept"
 BRANCH_RESET = "reset"
 
+# the most infeasibility u(x0) a start point may have
+FEAS_CHECK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """The outer loop's schedule and its TrConfig, checked when built; frozen: change it by ``dataclasses.replace``."""
+    """The outer loop's schedule and its TrConfig, checked when built; frozen: change it by ``dataclasses.replace``.
+
+    The start point's infeasibility is checked against the module constant ``FEAS_CHECK_TOL``."""
 
     eta: float = 0.5
     theta: float = 10.0
@@ -64,13 +69,12 @@ class PenaltyConfig:
     tol_feas: float = 1e-8
     tol_opt: float = 1e-6
     max_outer: int = 60
-    feas_check_tol: float = 1e-8
     gamma_cap: float = 1e14
     tr: trustregion.TrConfig = field(default_factory=trustregion.TrConfig)
 
     def __post_init__(self):
         require_real_fields(self)
-        for name in ("gamma0", "theta", "tol_feas", "tol_opt", "feas_check_tol", "gamma_cap"):
+        for name in ("gamma0", "theta", "tol_feas", "tol_opt", "gamma_cap"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
         if not (0 < self.eta < 1):
@@ -85,7 +89,7 @@ class PenaltyConfig:
             raise InvalidInputError("delta0 must lie in (0, 1)")
         if not (0 < self.beta < 1):
             raise InvalidInputError("beta must lie in (0, 1)")
-        if self.tol_feas < 0 or self.tol_opt < 0 or self.feas_check_tol < 0:
+        if self.tol_feas < 0 or self.tol_opt < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
         require_instance("tr", self.tr, trustregion.TrConfig)
@@ -151,6 +155,7 @@ def estimate_b_count(at: penalty.PenaltyPoint, u: float) -> int:
     from the infeasible side leaves eigenvalues of magnitude about u, which
     the plain classification tolerance would miss.
     """
+    require_instance("at", at, penalty.PenaltyPoint)
     if at.dec is None:
         return 0
     cut = max(10.0 * u, default_zero_tol(at.dec))
@@ -200,9 +205,8 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         return last[1]
 
     u0 = optimality.infeasibility_u(at(x0))
-    if u0 > cfg.feas_check_tol:
-        raise StartNotFeasibleError(
-            f"start point of {prob.name!r} has infeasibility {u0:.3e} > {cfg.feas_check_tol:.3e}")
+    if u0 > FEAS_CHECK_TOL:
+        raise StartNotFeasibleError(f"start point of {prob.name!r} has infeasibility {u0:.3e} > {FEAS_CHECK_TOL:.3e}")
     f0 = at(x0).f
     u_prev = u0
 

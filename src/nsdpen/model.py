@@ -13,10 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, read_only, real_array, require_int, require_real
+from .errors import InvalidInputError, read_only, real_array, require_instance, require_int
 from .matfun import _triangles, _upper_ints, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
+# audit_derivatives: the step of its central differences, h_i = FD_STEP_AUDIT * (1 + |x_i|), and the largest
+# relative error each audited hook may have, 1e-6 for a first derivative and 1e-4 for a second
+FD_STEP_AUDIT = 1e-6
+AUDIT_THRESHOLDS = {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6, "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
 # the most floats of d2G output that d2G_contract gathers in one block: 128 KB, glibc's default mmap threshold;
 # 512 KB blocks cost a psd d=12 solve about 27,000 minor page faults and 10% of its time (2-vCPU Xeon VM)
 _D2G_BLOCK_FLOATS = 16384
@@ -113,6 +117,12 @@ class NsdpProblem:
                                     "supply it or build the problem with fd_second_order=True")
 
 
+def _point(prob: NsdpProblem, x) -> np.ndarray:
+    """x as the (n,) point of ``prob``, which must be an NsdpProblem: the first check of each function taking both."""
+    require_instance("prob", prob, NsdpProblem)
+    return _vec(x, prob.n)
+
+
 def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The symmetrized differences of grad_f (k = 1) or of each column of jac_g (k = m) at the points of
     ``_shifts``, as a (k, n, n) stack: what the synthesized hess_f and hess_g read, and the audit's references."""
@@ -166,6 +176,9 @@ def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
 
 def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
     """Adjoint of the directional derivative: component i is <Gs[i], Z> for the (n, d, d) stack Gs of dG(x, i)."""
+    Gs = real_array("Gs", Gs)
+    if Gs.ndim != 3 or Gs.shape[1] != Gs.shape[2]:
+        raise InvalidInputError(f"Gs must be an (n, d, d) stack, got shape {Gs.shape}")
     n, d = Gs.shape[:2]
     return Gs.reshape(n, -1) @ real_array("Z", Z, (d, d)).ravel()
 
@@ -173,6 +186,7 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
     """rho * hess f(x) - hess_g(x, y), each output shape-checked and read as given (a caller symmetrizes its finished
     Hessian once); hess_g is read once, and not at all when m = 0 or every weight is zero, y only when m > 0."""
+    x = _point(prob, x)
     n = prob.n
     H = rho * real_array("hess_f", _hess_f(prob)(x), (n, n)) if rho != 0.0 else np.zeros((n, n))
     if prob.m > 0 and np.any(y):
@@ -193,11 +207,14 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     G) is read once, with the same checks, and its one contraction with W
     fills the block's entries; any other block is gathered into one array
     and contracted with W in one product.  The values fill both triangles
-    after the last block.
+    after the last block.  Without a matrix constraint (d = 0) the matrix is
+    the n x n zero, and no hook is called.
     """
-    x = _vec(x, prob.n)
+    x = _point(prob, x)
     W = real_array("W", W, (prob.d, prob.d))
     n = prob.n
+    if prob.d == 0:
+        return np.zeros((n, n))
     i_ints, j_ints = _upper_ints(n)
     step = max(1, _D2G_BLOCK_FLOATS // max(1, W.size))
     w = W.ravel()
@@ -218,12 +235,11 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
 
 @dataclass
 class DerivativeAuditReport:
-    """Per-hook relative errors of analytic derivatives against central differences."""
+    """Per-hook relative errors of analytic derivatives against central differences of relative step ``step``
+    (``FD_STEP_AUDIT``), and the hooks whose error exceeds their ``AUDIT_THRESHOLDS`` entry."""
 
     errors: dict
     step: float
-    first_order_threshold: float
-    second_order_threshold: float
     passed: bool
     failures: list
 
@@ -247,14 +263,15 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
         return _norms(analytic - fd) / (1.0 + _norms(analytic))
 
 
-def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAuditReport:
+def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     """Check every derivative hook against a central difference of its neighbor.
 
-    First derivatives are compared at relative threshold 1e-6, second
-    derivatives at 1e-4.  A hook that raises, returns non-finite or complex
-    values, or returns another shape than the solver reads (f a scalar,
-    grad_f (n,), hess_f and hess_g (n, n), g (m,), jac_g (n, m), G, dG and
-    d2G (d, d)) is recorded with error ``inf``; the audit still completes.
+    The step is ``FD_STEP_AUDIT * (1 + |x_i|)``; each hook's relative error
+    is compared with its ``AUDIT_THRESHOLDS`` entry, 1e-6 for first
+    derivatives and 1e-4 for second.  A hook that raises, returns non-finite
+    or complex values, or returns another shape than the solver reads (f a
+    scalar, grad_f (n,), hess_f and hess_g (n, n), g (m,), jac_g (n, m), G,
+    dG and d2G (d, d)) is recorded with error ``inf``; the audit still completes.
 
     Every difference reads the same 2n shifted points x +- h_i e_i, handed
     to the hooks as read-only rows, so a hook that writes into its argument
@@ -264,13 +281,9 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
     hess_g m times, once per unit weight e_j, with the weights handed as
     read-only rows too.  Synthesized second derivatives are audited as read.
     """
-    require_real("step", step)
-    if not step > 0:
-        raise InvalidInputError("step must be positive")
-    x = _vec(x, prob.n)
+    x = _point(prob, x)
     n, m, d = prob.n, prob.m, prob.d
-    thr1, thr2 = 1e-6, 1e-4
-    shifts = _shifts(x, step)
+    shifts = _shifts(x, FD_STEP_AUDIT)
     units = read_only(np.eye(m))
 
     def fd(hook, fn, shape):
@@ -304,13 +317,5 @@ def audit_derivatives(prob: NsdpProblem, x, step: float = 1e-6) -> DerivativeAud
             err = float("inf")
         errors[label] = err if np.isfinite(err) else float("inf")
 
-    thresholds = {"grad_f": thr1, "jac_g": thr1, "dG": thr1, "hess_f": thr2, "hess_g": thr2, "d2G": thr2}
-    failures = [k for k, v in errors.items() if v > thresholds[k]]
-    return DerivativeAuditReport(
-        errors=errors,
-        step=step,
-        first_order_threshold=thr1,
-        second_order_threshold=thr2,
-        passed=not failures,
-        failures=failures,
-    )
+    failures = [k for k, v in errors.items() if v > AUDIT_THRESHOLDS[k]]
+    return DerivativeAuditReport(errors=errors, step=FD_STEP_AUDIT, passed=not failures, failures=failures)

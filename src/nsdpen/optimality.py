@@ -14,8 +14,8 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError, real_array, require_int
 from .matfun import _norm, symmetrize
-from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint, hess_fg
-from .penalty import PenaltyPoint
+from .model import NsdpProblem, _dG_stack, _point, _vec, d2G_contract, dG_adjoint, hess_fg
+from .penalty import PenaltyPoint, _sigma_tau
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _check_Z(prob: NsdpProblem, Z) -> np.ndarray:
 
 def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """grad f(x) - jac_g(x) y - adjoint(dG)(x) Z."""
-    x = _vec(x, prob.n)
+    x = _point(prob, x)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
     out = real_array("grad_f", prob.grad_f(x), (prob.n,)).copy()
     if prob.m > 0:
@@ -59,7 +59,7 @@ def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
 
 def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """hess f(x) - hess_g(x, y) - [<d2G(x,i,j), Z>]_ij, hook terms read as given and the sum symmetrized once."""
-    x = _vec(x, prob.n)
+    x = _point(prob, x)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
     H = hess_fg(prob, x, 1.0, y)
     if prob.d > 0:
@@ -68,10 +68,12 @@ def lagrangian_hess(prob: NsdpProblem, x, y, Z) -> np.ndarray:
 
 
 def _gamma(at: PenaltyPoint) -> float:
-    """gamma = sigma*tau of a point without shifts, whose r is -g(x) and dec is eig(-G(x))."""
+    """gamma = sigma*tau of a PenaltyPoint without shifts, whose r is -g(x) and dec is eig(-G(x)); the first check
+    of each function taking a point."""
+    gamma = _sigma_tau(at)
     if at.p.v is not None or at.p.M is not None:
         raise InvalidInputError("certificates need a penalty point built with v = M = None")
-    return at.p.sigma * at.p.tau
+    return gamma
 
 
 def recover_multipliers(at: PenaltyPoint) -> MultiplierPair:

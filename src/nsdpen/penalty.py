@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from . import matfun
-from .errors import InvalidInputError, read_only, real_array, require_real, require_real_fields
+from .errors import InvalidInputError, read_only, real_array, require_instance, require_real, require_real_fields
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _vec, d2G_contract, dG_adjoint, hess_fg
+from .model import NsdpProblem, _dG_stack, _point, d2G_contract, dG_adjoint, hess_fg
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ class PenaltyPoint:
 
         The new point reads this one's r, G, dec and x, and whichever of ``f``, ``J``, ``dG`` and ``q_cube`` this
         one has made; its ``value`` and ``grad`` are made again on first read."""
+        require_instance("p", p, PenaltyParams)
         if not (p.tau == self.p.tau and _same_bits(p.v, self.p.v) and _same_bits(p.M, self.p.M)):
             raise InvalidInputError("reweighted needs params with this point's v, M and tau")
         point = PenaltyPoint(self.prob, p, self.x, self.r, self.G, self.dec)
@@ -151,7 +152,8 @@ def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     """Evaluate g and G once at x and eigendecompose M/tau - G(x) once."""
-    x = _vec(x, prob.n).copy()
+    x = _point(prob, x).copy()
+    require_instance("p", p, PenaltyParams)
     r = Gx = dec = None
     if prob.m > 0:
         if p.v is not None and p.v.shape != (prob.m,):
@@ -165,9 +167,15 @@ def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
     return PenaltyPoint(prob, p, x, r, Gx, dec)
 
 
+def _sigma_tau(at: PenaltyPoint) -> float:
+    """sigma*tau of the point ``at``, which must be a PenaltyPoint: the first check of each function taking one."""
+    require_instance("at", at, PenaltyPoint)
+    return at.p.sigma * at.p.tau
+
+
 def penalty_value(at: PenaltyPoint) -> float:
+    st = _sigma_tau(at)
     p = at.p
-    st = p.sigma * p.tau
     val = p.rho * at.f if p.rho != 0.0 else 0.0
     if at.r is not None:
         val += 0.5 * st * float(at.r @ at.r)
@@ -177,8 +185,8 @@ def penalty_value(at: PenaltyPoint) -> float:
 
 
 def penalty_grad(at: PenaltyPoint) -> np.ndarray:
+    st = _sigma_tau(at)
     prob, p, x = at.prob, at.p, at.x
-    st = p.sigma * p.tau
     grad = p.rho * real_array("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
         grad = grad - st * (at.J @ at.r)
@@ -194,8 +202,8 @@ def penalty_hess(at: PenaltyPoint) -> np.ndarray:
     K_i = P^T dG(x, i) P, orthogonality of P gives <dG_i, P (C o K_j) P^T> =
     <K_i, C o K_j>, so the matrix block is st * (K (C o K)^T - d2G_contract(x, [.]+^3)).
     """
+    st = _sigma_tau(at)
     prob, p, x, r, dec = at.prob, at.p, at.x, at.r, at.dec
-    st = p.sigma * p.tau
     H = hess_fg(prob, x, p.rho, None if r is None else st * r)
     if r is not None:
         H = H + st * (at.J @ at.J.T)

@@ -12,7 +12,7 @@ the shifted Hessian; ``eigvalsh`` decides only where that factorization fails.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +26,30 @@ RADIUS_COLLAPSE = "RadiusCollapse"
 # cap on the Newton steps for a boundary root; from the far-left start the
 # iteration has needed at most a dozen on random secular equations
 _NEWTON_MAX_STEPS = 50
+# the step rule of tr_minimize: the start radius; a trial is accepted when its ratio of actual to predicted
+# decrease reaches ETA1, and a boundary step grows the radius by GROW when the ratio reaches ETA2; a rejected
+# trial shrinks it by SHRINK
+DELTA0_RADIUS = 1.0
+ETA1 = 0.1
+ETA2 = 0.75
+SHRINK = 0.25
+GROW = 2.0
 
 
 @dataclass(frozen=True)
 class TrConfig:
-    """Radius constants of ``tr_minimize``, checked when built; frozen, so change one with ``dataclasses.replace``."""
+    """The stopping limits of ``tr_minimize``: its iteration cap and the radius below which it reports
+    ``RadiusCollapse``.  Its step rule is fixed by the module constants ``DELTA0_RADIUS``, ``ETA1``, ``ETA2``,
+    ``SHRINK`` and ``GROW``.  Checked when built; frozen, so change a field with ``dataclasses.replace``."""
 
-    delta0_radius: float = 1.0
     max_iter: int = 10000
-    eta1: float = 0.1
-    eta2: float = 0.75
-    shrink: float = 0.25
-    grow: float = 2.0
     radius_min: float = 1e-14
 
     def __post_init__(self):
         require_real_fields(self)
-        if not (0 < self.delta0_radius < np.inf and 0 <= self.radius_min < np.inf):
-            raise InvalidInputError("need finite delta0_radius > 0 and radius_min >= 0")
+        if not 0 <= self.radius_min < np.inf:
+            raise InvalidInputError("need finite radius_min >= 0")
         require_int("max_iter", self.max_iter, 1)
-        if not (0 < self.eta1 < self.eta2 < 1):
-            raise InvalidInputError("need 0 < eta1 < eta2 < 1")
-        if not (0 < self.shrink < 1 < self.grow < np.inf):
-            raise InvalidInputError("need 0 < shrink < 1 < grow < inf")
 
 
 @dataclass
@@ -78,6 +79,8 @@ def ms_subproblem(B, grad, radius: float) -> np.ndarray:
     eigenspace) steps along the bottom eigenvector, or is interior.
     """
     grad = np.atleast_1d(real_array("grad", grad))
+    if grad.ndim != 1 or grad.size == 0:
+        raise InvalidInputError(f"grad must be a vector of at least one entry, got shape {grad.shape}")
     n = grad.shape[0]
     B = real_array("B", B, (n, n))
     require_real("radius", radius)
@@ -205,7 +208,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     delta : float
         Certificate tolerance, in (0, 1).
     config : TrConfig, optional
-        Radius-management constants; None (only None) selects ``TrConfig()``.
+        Iteration cap and radius floor; None (only None) selects ``TrConfig()``.
     """
     require_real("delta", delta)
     if not (0 < delta < 1):
@@ -213,6 +216,8 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     cfg = TrConfig() if config is None else config
     require_instance("config", cfg, TrConfig)
     x = np.atleast_1d(real_array("x0", x0)).copy()
+    if x.ndim != 1 or x.size == 0:
+        raise InvalidInputError(f"x0 must be a vector of at least one entry, got shape {x.shape}")
     n = x.size
 
     def derivatives(z):
@@ -224,7 +229,7 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         gnorm_z = _norm(g_z)
         return g_z, gnorm_z, H_z, gnorm_z <= delta and _second_order_certified(H_z, delta)
 
-    radius = cfg.delta0_radius
+    radius = DELTA0_RADIUS
     f_x = float(real_array("fun", fun(x), ()))
     g_x, gnorm, H_x, certified = derivatives(x)
 
@@ -245,18 +250,18 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
                 accept, grow = np.isfinite(f_new) and f_new <= f_x + noise, False
             else:
                 ratio = (f_x - f_new) / pred if np.isfinite(f_new) else -np.inf
-                accept = ratio >= cfg.eta1
-                grow = ratio >= cfg.eta2 and _norm(p) >= 0.99 * radius
+                accept = ratio >= ETA1
+                grow = ratio >= ETA2 and _norm(p) >= 0.99 * radius
             new_derivatives = derivatives(x_new) if accept else None
         except (ArithmeticError, ValueError):  # InvalidInputError and LinAlgError are ValueErrors
             accept = False  # a hook failed at the trial point
         if not accept:
-            radius *= cfg.shrink
+            radius *= SHRINK
             continue
         x, f_x = x_new, f_new
         g_x, gnorm, H_x, certified = new_derivatives
         if grow:
-            radius *= cfg.grow
+            radius *= GROW
     else:
         it, status = cfg.max_iter, MAX_ITER
     return TrResult(x=x, value=f_x, grad_norm=gnorm, iterations=it, status=status)

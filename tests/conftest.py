@@ -103,6 +103,69 @@ def spectrum_matrix(gen: np.random.Generator, values) -> np.ndarray:
     return (Q * np.asarray(values, dtype=float)) @ Q.T
 
 
+def random_sym(gen: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+    A = gen.normal(size=(d, d)) * scale
+    return 0.5 * (A + A.T)
+
+
+def random_orthogonal(gen: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-random orthogonal d x d matrix: Q of a Gaussian QR, its columns signed by diag(R)."""
+    Q, R = np.linalg.qr(gen.normal(size=(d, d)))
+    return Q * np.sign(np.diag(R))
+
+
+def sym_from_spectrum(gen: np.random.Generator, values) -> np.ndarray:
+    """A symmetric matrix with the given eigenvalues and a ``random_orthogonal`` eigenbasis."""
+    values = np.asarray(values, dtype=float)
+    Q = random_orthogonal(gen, values.size)
+    return (Q * values) @ Q.T
+
+
+def fd_grad(fun, x, n):
+    """Central differences of a scalar function, step 1e-5 * (1 + |x_i|), one coordinate at a time."""
+    h = 1e-5 * (1.0 + np.abs(x))
+    out = np.zeros(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h[i]
+        out[i] = (fun(x + e) - fun(x - e)) / (2 * h[i])
+    return out
+
+
+def fd_jac(vec_fun, x, n):
+    """Central differences of a vector function as the columns of its Jacobian, with the step of ``fd_grad``."""
+    h = 1e-5 * (1.0 + np.abs(x))
+    cols = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h[i]
+        cols.append((vec_fun(x + e) - vec_fun(x - e)) / (2 * h[i]))
+    return np.column_stack(cols)
+
+
+def kkt_residuals(B, g, radius, p):
+    """Residuals of the subproblem optimality system, recovered from p."""
+    B = np.asarray(B, dtype=float)
+    g = np.asarray(g, dtype=float)
+    nrm = np.linalg.norm(p)
+    if nrm > 0:
+        lam = float(-(B @ p + g) @ p / (p @ p))
+    else:
+        lam = 0.0
+    lam = max(lam, 0.0)
+    stat = np.linalg.norm((B + lam * np.eye(len(g))) @ p + g)
+    comp = abs(lam * (radius - nrm))
+    overrun = max(0.0, nrm - radius)
+    wmin = np.linalg.eigvalsh(B)[0]
+    shifted = max(0.0, -(wmin + lam))
+    return stat, comp, overrun, shifted, lam
+
+
+def strip_wall_time(text: str) -> str:
+    """A JSON report's text without its ``wall_time_sec`` line, the one entry that differs between runs."""
+    return "\n".join(line for line in text.splitlines() if '"wall_time_sec"' not in line)
+
+
 # (d, m, fd_second_order) of the ball problems the loop-assembly references cover
 BALL_CASES = [(4, 0, False), (4, 0, True), (3, 2, False), (3, 2, True)]
 

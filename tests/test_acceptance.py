@@ -24,7 +24,8 @@ from nsdpen import (
     trustregion,
 )
 
-from conftest import eig_classes, q_cube, rng, script_F_point
+from conftest import (eig_classes, fd_grad, fd_jac, kkt_residuals, q_cube, random_sym, rng, script_F_point,
+                      strip_wall_time, sym_from_spectrum)
 
 
 def criterion(num, label):
@@ -39,42 +40,6 @@ def criterion(num, label):
             print(f"ACCEPTANCE CRITERION {num}: PASS - {label}")
         return wrapper
     return decorate
-
-
-def random_sym(gen, d, scale=1.0):
-    A = gen.normal(size=(d, d)) * scale
-    return 0.5 * (A + A.T)
-
-
-def random_orthogonal(gen, d):
-    Q, R = np.linalg.qr(gen.normal(size=(d, d)))
-    return Q * np.sign(np.diag(R))
-
-
-def sym_from_spectrum(gen, values):
-    values = np.asarray(values, dtype=float)
-    Q = random_orthogonal(gen, values.size)
-    return (Q * values) @ Q.T
-
-
-def fd_grad(fun, x, n):
-    h = 1e-5 * (1.0 + np.abs(x))
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        out[i] = (fun(x + e) - fun(x - e)) / (2 * h[i])
-    return out
-
-
-def fd_jac(vec_fun, x, n):
-    h = 1e-5 * (1.0 + np.abs(x))
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        cols.append((vec_fun(x + e) - vec_fun(x - e)) / (2 * h[i]))
-    return np.column_stack(cols)
 
 
 @criterion(1, "penalty gradient/Hessian match finite differences on 4 problems x 20 points x 3 parameter sets")
@@ -154,16 +119,6 @@ def test_criterion_2_dq_correctness_and_continuity():
         assert gaps[-1] < 1e-6, gaps
 
 
-def _kkt_residuals(B, g, radius, p):
-    nrm = np.linalg.norm(p)
-    lam = max(0.0, float(-(B @ p + g) @ p / (p @ p))) if nrm > 0 else 0.0
-    stat = np.linalg.norm((B + lam * np.eye(len(g))) @ p + g)
-    comp = abs(lam * (radius - nrm))
-    overrun = max(0.0, nrm - radius)
-    shifted = max(0.0, -(np.linalg.eigvalsh(B)[0] + lam))
-    return stat, comp, overrun, shifted
-
-
 def _q(B, g, p):
     return float(g @ p + 0.5 * p @ B @ p)
 
@@ -213,7 +168,7 @@ def test_criterion_3_trust_region_certificates():
         radius = float(gen.uniform(0.1, 3.0))
         p = trustregion.ms_subproblem(B, g, radius)
         scale = 1 + np.linalg.norm(B) * radius + np.linalg.norm(g)
-        stat, comp, overrun, shifted = _kkt_residuals(B, g, radius, p)
+        stat, comp, overrun, shifted, _ = kkt_residuals(B, g, radius, p)
         assert max(stat, comp, shifted) <= 1e-8 * scale, trial
         assert overrun <= 1e-8 * radius
 
@@ -356,10 +311,6 @@ def test_criterion_6_optimality_identities(corpus_runs):
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
 
 
-def _strip_wall_time(text):
-    return "\n".join(line for line in text.splitlines() if '"wall_time_sec"' not in line)
-
-
 @criterion(7, "byte-identical reports across runs; exit codes 0/2/64/65 verified")
 def test_criterion_7_cli_contract(tmp_path):
     # two consecutive identical invocations: byte-identical numeric payloads
@@ -372,7 +323,7 @@ def test_criterion_7_cli_contract(tmp_path):
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         reports.append((rpath.read_text(), tpath.read_bytes()))
-    assert _strip_wall_time(reports[0][0]) == _strip_wall_time(reports[1][0])
+    assert strip_wall_time(reports[0][0]) == strip_wall_time(reports[1][0])
     assert reports[0][1] == reports[1][1]
     doc = json.loads(reports[0][0])
     assert doc["schema_version"] == "3"

@@ -12,6 +12,8 @@ import pytest
 from nsdpen import cli, driver, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 
+from conftest import strip_wall_time
+
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -283,10 +285,6 @@ class TestParserReuse:
                                                              for name in cli.CONFIG_FLAGS}
 
 
-def _strip_wall_time(text: str) -> str:
-    return "\n".join(line for line in text.splitlines() if '"wall_time_sec"' not in line)
-
-
 class TestModuleEntryPoint:
     # ``python -m nsdpen`` runs __main__.py, which exits with the code of cli.main
     @staticmethod
@@ -317,7 +315,7 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append((report.read_bytes(), trace.read_bytes()))
         (r1, t1), (r2, t2) = outs
-        assert _strip_wall_time(r1.decode()) == _strip_wall_time(r2.decode())
+        assert strip_wall_time(r1.decode()) == strip_wall_time(r2.decode())
         assert r1 != r2 or json.loads(r1)["wall_time_sec"] == json.loads(r2)["wall_time_sec"]
         assert t1 == t2  # traces carry no timing at all
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nsdpen import driver, matfun, optimality, penalty, problems, trustregion
+from nsdpen import driver, matfun, model, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
@@ -53,21 +53,33 @@ class TestConfig:
     def test_defaults_valid(self):
         assert isinstance(driver.PenaltyConfig().tr, trustregion.TrConfig)
 
+    def test_fixed_settings_are_constants(self):
+        # the trust-region step rule, the start point's check and the audit's step and thresholds are fixed:
+        # module constants, not config fields, parameters or report fields
+        assert [f.name for f in dataclasses.fields(trustregion.TrConfig)] == ["max_iter", "radius_min"]
+        assert "feas_check_tol" not in {f.name for f in dataclasses.fields(driver.PenaltyConfig)}
+        assert [f.name for f in dataclasses.fields(model.DerivativeAuditReport)] == ["errors", "step", "passed",
+                                                                                      "failures"]
+        assert (trustregion.DELTA0_RADIUS, trustregion.ETA1, trustregion.ETA2, trustregion.SHRINK,
+                trustregion.GROW, driver.FEAS_CHECK_TOL, model.FD_STEP_AUDIT) == (1.0, 0.1, 0.75, 0.25, 2.0, 1e-8, 1e-6)
+        assert model.AUDIT_THRESHOLDS == {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6,
+                                          "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
+
     def test_numpy_numbers_accepted(self):
         cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7),
-                                   tr=trustregion.TrConfig(delta0_radius=np.float32(0.5), max_iter=np.int32(9)))
-        assert (cfg.eta, cfg.theta, cfg.tr.delta0_radius) == (0.25, 4, 0.5)
+                                   tr=trustregion.TrConfig(radius_min=np.float32(0.5), max_iter=np.int32(9)))
+        assert (cfg.eta, cfg.theta, cfg.tr.radius_min) == (0.25, 4, 0.5)
 
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
         dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
         dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
-        dict(feas_check_tol=np.nan), dict(gamma_cap=np.inf),
+        dict(gamma_cap=np.inf),
         dict(max_outer=40.5), dict(max_outer=True),
-        dict(feas_check_tol=-1.0), dict(gamma_cap=0.5), dict(gamma0=1e15),
-        dict(tr=dict(max_iter=2.5)), dict(tr=dict(eta1=0.9)), dict(tr=dict(delta0_radius=np.nan)),
+        dict(gamma_cap=0.5), dict(gamma0=1e15),
+        dict(tr=dict(max_iter=2.5)), dict(tr=dict(radius_min=np.nan)),
         dict(tr=None),  # built, and solve then failed with an AttributeError
-        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True), dict(tr=dict(delta0_radius="1")),  # were TypeErrors
+        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True), dict(tr=dict(radius_min="1")),  # were TypeErrors
     ])
     def test_bad_fields_rejected(self, bad):
         # a ``tr`` dict names fields of the nested TrConfig

@@ -1,6 +1,7 @@
 """Every array a caller passes, and every hook output, is read by ``errors.real_array``."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ READERS = {
     "penalty_at": ("x", (3,), lambda prob, at, bad: penalty.penalty_at(prob, bad, at.p)),
     "PenaltyParams.v": ("v", (1,), lambda prob, at, bad: penalty.PenaltyParams(v=bad, M=None, **PARAMS)),
     "PenaltyParams.M": ("M", (2, 2), lambda prob, at, bad: penalty.PenaltyParams(v=None, M=bad, **PARAMS)),
+    "dG_adjoint.Gs": ("Gs", (3, 2, 2), lambda prob, at, bad: model.dG_adjoint(bad, Z)),
     "dG_adjoint.Z": ("Z", (2, 2), lambda prob, at, bad: model.dG_adjoint(np.zeros((3, 2, 2)), bad)),
     "d2G_contract.x": ("x", (3,), lambda prob, at, bad: model.d2G_contract(prob, bad, Z)),
     "d2G_contract.W": ("W", (2, 2), lambda prob, at, bad: model.d2G_contract(prob, X, bad)),
@@ -98,6 +100,51 @@ WRONG = {
     "tr_minimize config PenaltyConfig": (lambda prob: tr_minimize_with(prob, driver.PenaltyConfig()),
                                          "config must be a TrConfig, got PenaltyConfig$"),
     "PenaltyConfig tr": (lambda prob: driver.PenaltyConfig(tr=None), "tr must be a TrConfig, got NoneType$"),
+    # each function taking a problem or a penalty point names one of another type, as solve does
+    **{f"{name} prob": (lambda prob, call=call: call("prob"), "prob must be a NsdpProblem, got str$")
+       for name, call in {
+           "penalty_at": lambda prob: penalty.penalty_at(prob, X, penalty.special_params("script_P")),
+           "audit_derivatives": lambda prob: model.audit_derivatives(prob, X),
+           "d2G_contract": lambda prob: model.d2G_contract(prob, X, Z),
+           "hess_fg": lambda prob: model.hess_fg(prob, X, 1.0, Y),
+           "lagrangian_grad": lambda prob: optimality.lagrangian_grad(prob, X, Y, Z),
+           "lagrangian_hess": lambda prob: optimality.lagrangian_hess(prob, X, Y, Z),
+       }.items()},
+    **{f"{name} at": (lambda prob, call=call: call("at"), "at must be a PenaltyPoint, got str$")
+       for name, call in {
+           "penalty_value": penalty.penalty_value,
+           "penalty_grad": penalty.penalty_grad,
+           "penalty_hess": penalty.penalty_hess,
+           "recover_multipliers": optimality.recover_multipliers,
+           "jordan_complementarity": lambda at: optimality.jordan_complementarity(at, Z),
+           "sigma_term": lambda at: optimality.sigma_term(at, Z),
+           "infeasibility_u": optimality.infeasibility_u,
+           "critical_subspace_basis": lambda at: optimality.critical_subspace_basis(at, 0),
+           "second_order_residual": lambda at: optimality.second_order_residual(at, Y, Z, np.zeros((3, 1))),
+           "evaluate_residuals": lambda at: optimality.evaluate_residuals(at, 0),
+           "estimate_b_count": lambda at: driver.estimate_b_count(at, 0.0),
+       }.items()},
+    "penalty_at params": (lambda prob: penalty.penalty_at(prob, X, "p"), "p must be a PenaltyParams, got str$"),
+    # the point is made from another problem, whose hook calls are not counted
+    "reweighted params": (lambda prob: script_F_point(ball_problem(2, m=1), X).reweighted("p"),
+                          "p must be a PenaltyParams, got str$"),
+    # degenerate inputs: no unknowns or a matrix of them, a stack of another rank, a document that is no dict
+    # or misses an entry
+    **{f"ms_subproblem grad {shape}": (
+        lambda prob, shape=shape: trustregion.ms_subproblem(np.eye(2), np.zeros(shape), 1.0),
+        f"grad must be a vector of at least one entry, got shape {re.escape(str(shape))}$")
+       for shape in ((0,), (2, 2))},
+    **{f"tr_minimize x0 {shape}": (
+        lambda prob, shape=shape: trustregion.tr_minimize(prob.f, prob.grad_f, prob.hess_f, np.zeros(shape), 1e-6),
+        f"x0 must be a vector of at least one entry, got shape {re.escape(str(shape))}$")
+       for shape in ((0,), (2, 2))},
+    "dG_adjoint (3, 4)": (lambda prob: model.dG_adjoint(np.zeros((3, 4)), Z),
+                          r"Gs must be an \(n, d, d\) stack, got shape \(3, 4\)$"),
+    "dG_adjoint (3, 2, 3)": (lambda prob: model.dG_adjoint(np.zeros((3, 2, 3)), Z),
+                             r"Gs must be an \(n, d, d\) stack, got shape \(3, 2, 3\)$"),
+    "lower_to_sym list": (lambda prob: cli.lower_to_sym([2, [1.0, 2.0, 3.0]]), "doc must be a dict, got list$"),
+    "lower_to_sym no lower": (lambda prob: cli.lower_to_sym({"dim": 2}), "doc has no 'lower' entry$"),
+    "lower_to_sym no dim": (lambda prob: cli.lower_to_sym({"lower": [1.0]}), "doc has no 'dim' entry$"),
 }
 
 

@@ -9,23 +9,7 @@ from hypothesis import strategies as st
 from nsdpen import matfun
 from nsdpen.errors import InvalidInputError
 
-from conftest import eig_classes, q_cube, rng
-
-
-def random_sym(gen, d, scale=1.0):
-    A = gen.normal(size=(d, d)) * scale
-    return 0.5 * (A + A.T)
-
-
-def random_orthogonal(gen, d):
-    Q, R = np.linalg.qr(gen.normal(size=(d, d)))
-    return Q * np.sign(np.diag(R))
-
-
-def sym_from_spectrum(gen, values):
-    values = np.asarray(values, dtype=float)
-    Q = random_orthogonal(gen, values.size)
-    return (Q * values) @ Q.T
+from conftest import eig_classes, q_cube, random_orthogonal, random_sym, rng, sym_from_spectrum
 
 
 class TestEigSym:

@@ -33,7 +33,7 @@ def affine_matrix_problem():
     )
 
 
-def loop_audit_errors(prob, x, step):
+def loop_audit_errors(prob, x):
     """Reference audit errors: one central difference per coordinate and two norms per hook output, entry by entry."""
     n = prob.n
     hess_f, hess_g, d2G = second_derivatives(prob)
@@ -42,7 +42,7 @@ def loop_audit_errors(prob, x, step):
         rows = []
         for i in range(n):
             e = np.zeros(n)
-            e[i] = step * (1.0 + abs(x[i]))
+            e[i] = model.FD_STEP_AUDIT * (1.0 + abs(x[i]))
             rows.append((np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * e[i]))
         return np.stack(rows)
 
@@ -139,6 +139,13 @@ class TestD2GContract:
         prob = ball_problem(3)
         with pytest.raises(InvalidInputError):
             model.d2G_contract(prob, np.zeros(prob.n), np.eye(2))
+
+    def test_no_matrix_constraint_gives_zero(self):
+        # with d = 0 there is no d2G hook; the contraction called None
+        prob, counts = counting(dataclasses.replace(ball_problem(2), d=0, G=None, dG=None, d2G=None))
+        out = model.d2G_contract(prob, np.ones(prob.n), np.zeros((0, 0)))
+        assert out.shape == (3, 3) and not out.any()
+        assert not any(counts.values())
 
     @pytest.mark.parametrize("d2G", [
         lambda x, i, j: np.zeros((3, 3)),  # wrong shape throughout
@@ -590,15 +597,14 @@ class TestAudit:
         assert not report.passed
         assert "dG" in report.failures and report.errors["dG"] == np.inf
 
-    @given(st.integers(2, 4), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1),
-           st.sampled_from([1e-7, 1e-6, 1e-5]))
-    def test_matches_loop_reference(self, d, m, fd_second_order, seed, step):
+    @given(st.integers(2, 4), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_loop_reference(self, d, m, fd_second_order, seed):
         # the stacked differences and norms round as the per-entry loop does
         prob = ball_problem(d, m=m, fd_second_order=fd_second_order, seed=seed % 7)
         x = rng(seed).normal(size=prob.n)
-        report = model.audit_derivatives(prob, x, step)
-        assert report.errors == loop_audit_errors(prob, x, step)
-        assert report.passed
+        report = model.audit_derivatives(prob, x)
+        assert report.errors == loop_audit_errors(prob, x)
+        assert report.passed and report.step == model.FD_STEP_AUDIT
 
     def test_hook_call_counts(self):
         prob, counts = counting(ball_problem(3, m=2))
@@ -645,13 +651,6 @@ class TestAudit:
 
         report = model.audit_derivatives(dataclasses.replace(base, f=f), base.start_point)
         assert report.failures == ["grad_f"] and report.errors["grad_f"] == np.inf
-
-    def test_bad_step_rejected(self):
-        prob = affine_matrix_problem()
-        with pytest.raises(InvalidInputError):
-            model.audit_derivatives(prob, np.zeros(2), step=0.0)
-        with pytest.raises(InvalidInputError, match="^step must be a real number"):
-            model.audit_derivatives(prob, np.zeros(2), step="1e-6")
 
 
 class TestSynthesizedSecondDerivatives:

@@ -10,8 +10,8 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import (BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point,
-                      second_derivatives, spectrum_matrix)
+from conftest import (BALL_CASES, ball_problem, counting, eig_classes, fd_grad, fd_jac, mixed_ball_point, rng,
+                      script_F_point, second_derivatives, spectrum_matrix)
 
 
 def scalar_quartic_problem():
@@ -77,26 +77,6 @@ def loop_penalty_hess(prob, x, p):
             if i != j:
                 H[j, i] += val
     return matfun.symmetrize(H)
-
-
-def fd_grad(fun, x, n):
-    h = 1e-5 * (1.0 + np.abs(x))
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        out[i] = (fun(x + e) - fun(x - e)) / (2 * h[i])
-    return out
-
-
-def fd_jac(vec_fun, x, n):
-    h = 1e-5 * (1.0 + np.abs(x))
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        cols.append((vec_fun(x + e) - vec_fun(x - e)) / (2 * h[i]))
-    return np.column_stack(cols)
 
 
 class TestSpecialParams:

@@ -12,25 +12,8 @@ from hypothesis import strategies as st
 from nsdpen import trustregion as tr
 from nsdpen.errors import InvalidInputError
 
-from conftest import eigvalsh_follows_each_failed_factorization, record_certificates, rng, spectrum_matrix
-
-
-def kkt_residuals(B, g, radius, p):
-    """Residuals of the subproblem optimality system, recovered from p."""
-    B = np.asarray(B, dtype=float)
-    g = np.asarray(g, dtype=float)
-    nrm = np.linalg.norm(p)
-    if nrm > 0:
-        lam = float(-(B @ p + g) @ p / (p @ p))
-    else:
-        lam = 0.0
-    lam = max(lam, 0.0)
-    stat = np.linalg.norm((B + lam * np.eye(len(g))) @ p + g)
-    comp = abs(lam * (radius - nrm))
-    overrun = max(0.0, nrm - radius)
-    wmin = np.linalg.eigvalsh(B)[0]
-    shifted = max(0.0, -(wmin + lam))
-    return stat, comp, overrun, shifted, lam
+from conftest import (eigvalsh_follows_each_failed_factorization, kkt_residuals, record_certificates, rng,
+                      spectrum_matrix)
 
 
 def subproblem_objective(B, g, p):
@@ -470,13 +453,9 @@ class TestTrMinimize:
         assert res.grad_norm == 1e160 and res.x[0] < 0
 
     def test_config_validation(self):
-        for bad in (dict(eta1=0.9, eta2=0.5),
-                    dict(delta0_radius=np.nan), dict(delta0_radius=np.inf), dict(delta0_radius=0.0),
-                    dict(radius_min=np.nan), dict(radius_min=np.inf), dict(radius_min=-1e-14),
-                    dict(shrink=0.0), dict(shrink=-0.5), dict(shrink=np.nan),
-                    dict(grow=np.inf), dict(grow=np.nan), dict(grow=1.0),
+        for bad in (dict(radius_min=np.nan), dict(radius_min=np.inf), dict(radius_min=-1e-14),
                     dict(max_iter=0), dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True),
-                    dict(eta1=0.9), dict(delta0_radius="1"), dict(grow="2"), dict(radius_min=None)):
+                    dict(radius_min="1e-14"), dict(radius_min=None)):
             with pytest.raises(InvalidInputError):
                 tr.TrConfig(**bad)
             cfg = tr.TrConfig()
@@ -485,7 +464,7 @@ class TestTrMinimize:
             for name, value in bad.items():
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(cfg, name, value)
-        tr.TrConfig(radius_min=0.0, max_iter=1, shrink=1e-3, grow=1e3, delta0_radius=1e-3)
+        tr.TrConfig(radius_min=0.0, max_iter=1)
 
 
 class TestBelowNoiseBranch:
@@ -526,5 +505,5 @@ class TestBelowNoiseBranch:
         assert res.status == tr.RADIUS_COLLAPSE
         assert np.array_equal(res.x, x0) and res.value == self.F0
         assert counts["hess"] == 1
-        assert radii == [cfg.delta0_radius * cfg.shrink**k for k in range(len(radii))]
-        assert radii[-1] >= cfg.radius_min > radii[-1] * cfg.shrink
+        assert radii == [tr.DELTA0_RADIUS * tr.SHRINK**k for k in range(len(radii))]
+        assert radii[-1] >= cfg.radius_min > radii[-1] * tr.SHRINK
