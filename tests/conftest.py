@@ -88,13 +88,19 @@ def ball_problem(d: int, m: int = 0, fd_second_order: bool = False, seed: int = 
                        fd_second_order=fd_second_order, **hooks)
 
 
-def nearest_psd_d5():
-    """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
+def bench_families():
+    """The benchmark's generated problem families, ``bench/families.py``, loaded without changing ``sys.path``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
     spec = importlib.util.spec_from_file_location("bench_families", path)
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
-    return families.nearest_psd(5, np.random.default_rng(1)).problem, driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
+    return families
+
+
+def nearest_psd_d5():
+    """The benchmark's nearest-PSD instance at d = 5 (n = 15), seed 1, under its family config."""
+    return (bench_families().nearest_psd(5, np.random.default_rng(1)).problem,
+            driver.PenaltyConfig(tol_feas=1e-4, max_outer=40))
 
 
 def spectrum_matrix(gen: np.random.Generator, values) -> np.ndarray:

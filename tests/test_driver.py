@@ -572,8 +572,8 @@ class TestOneContractionPerHessian:
 
 class TestSharedD2GOutput:
     def test_one_shared_zero_solves_as_fresh_zeros(self, monkeypatch):
-        # a d2G that returns one read-only zero for every entry (read once per block) and one that returns a
-        # fresh zero per call (gathered) give the same records, bit for bit, from the same d2G calls
+        # a d2G that returns one read-only zero for every entry (read once per contraction) and one that returns
+        # a fresh zero per call (gathered per block) give the same records, bit for bit, from the same d2G calls
         base, cfg = nearest_psd_d5()
         zero = np.zeros((base.d, base.d))
         zero.flags.writeable = False

@@ -4,14 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsdpen import driver, matfun, model, optimality, penalty, problems
-from nsdpen.errors import InvalidInputError
+from nsdpen.errors import InvalidInputError, read_only
 from nsdpen.matfun import symmetrize
 
-from conftest import ball_problem, counting, rng, second_derivatives
+from conftest import ball_problem, bench_families, counting, rng, second_derivatives
 
 
 def affine_matrix_problem():
@@ -233,9 +233,16 @@ class TestD2GContractBlocks:
 UPPER_6 = [(i, j) for i in range(6) for j in range(i, 6)]  # the 21 row-major entries of ball_problem(3)
 
 
+def small_ints(gen, *shape) -> np.ndarray:
+    """A frozen (read-only, data-owning) symmetric 3 x 3 array, or stack of them, of small integers: every
+    contraction of such arrays with a W of small integers is exact, whatever the order of its sums."""
+    a = gen.integers(-4, 5, size=(*shape, 3, 3)).astype(float)
+    return read_only(a + a.swapaxes(-1, -2))
+
+
 class TestD2GContractOneObject:
     # ball_problem(3) in blocks of 4, 4, 4, 4, 4 and 1 outputs, as in TestD2GContractBlocks; a block whose
-    # outputs are all one object is read once
+    # outputs are all one object is read once, and once per contraction when that object is frozen
     STEP = 4
     BLOCKS = [UPPER_6[s:s + 4] for s in range(0, len(UPPER_6), 4)]
 
@@ -270,6 +277,11 @@ class TestD2GContractOneObject:
             out[i, j] = out[j, i] = v
         return out
 
+    @classmethod
+    def stacked(cls, outs, W) -> np.ndarray:
+        """The reference: the 21 outputs in one stack, contracted with W in one product."""
+        return cls.fill(np.array(outs).reshape(len(UPPER_6), -1) @ W.ravel())
+
     def test_shared_read_only_zero(self, monkeypatch):
         zero = np.zeros((3, 3))
         zero.flags.writeable = False
@@ -277,7 +289,7 @@ class TestD2GContractOneObject:
         out, calls, sizes = self.contract(lambda i, j: zero, W, monkeypatch)
         assert calls == UPPER_6
         assert all(type(i) is int and type(j) is int for i, j in calls)
-        assert sizes == [1] * len(self.BLOCKS)
+        assert sizes == [1]  # a frozen output is read once per contraction
         # the reference: every output in one stack, contracted in one product
         ref = self.fill(np.asarray([zero] * len(UPPER_6)).reshape(len(UPPER_6), -1) @ W.ravel())
         assert out.tobytes() == ref.tobytes()
@@ -329,6 +341,107 @@ class TestD2GContractOneObject:
         assert sizes == [1] * len(self.BLOCKS)
         last = [block[-1] for block in self.BLOCKS for _ in block]
         assert np.array_equal(out, self.fill([(i + 2 * j) * W.sum() for i, j in last]))
+
+    def test_read_only_view_is_read_once_per_block(self, monkeypatch):
+        # a read-only view has a base, whose data may change through another reference: read after each block
+        gen = rng(9)
+        view, W = small_ints(gen, 2)[1], small_ints(gen)
+        assert not view.flags.writeable and view.base is not None
+        out, calls, sizes = self.contract(lambda i, j: view, W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [1] * len(self.BLOCKS)
+        assert out.tobytes() == self.stacked([view] * len(UPPER_6), W).tobytes()
+
+    def test_frozen_output_around_a_gathered_block(self, monkeypatch):
+        # one frozen output in every block but the third, whose outputs are distinct: the frozen one is read
+        # once, before the third block, and the third block is gathered
+        gen = rng(10)
+        D, W = small_ints(gen), small_ints(gen)
+        distinct = dict(zip(self.BLOCKS[2], small_ints(gen, self.STEP)))
+        out, calls, sizes = self.contract(lambda i, j: distinct.get((i, j), D), W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [1, self.STEP]
+        assert out.tobytes() == self.stacked([distinct.get(pair, D) for pair in UPPER_6], W).tobytes()
+
+    def test_alternating_frozen_outputs_are_read_on_each_switch(self, monkeypatch):
+        # only the last frozen output is kept: two that take turns block by block are read in every block
+        gen = rng(11)
+        A, B, W = small_ints(gen), small_ints(gen), small_ints(gen)
+        pick = {pair: (A, B)[k % 2] for k, block in enumerate(self.BLOCKS) for pair in block}
+        out, calls, sizes = self.contract(lambda i, j: pick[i, j], W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [1] * len(self.BLOCKS)
+        assert out.tobytes() == self.stacked([pick[pair] for pair in UPPER_6], W).tobytes()
+
+    def test_shared_none_raises_the_stacked_message(self, monkeypatch):
+        # no output is kept before the first read, so a hook that returns None throughout is read and rejected
+        with pytest.raises(InvalidInputError) as stacked_error:
+            model._gather("d2G", [None] * self.STEP, (3, 3))
+        with pytest.raises(InvalidInputError) as shared:
+            self.contract(lambda i, j: None, np.eye(3), monkeypatch)
+        assert str(shared.value) == str(stacked_error.value)
+
+
+OUTPUT_KINDS = ("frozen", "other-frozen", "frozen-view", "writable-shared", "fresh")
+
+
+# per-entry output kinds and block budgets drawn at random; 40 examples of 21 d2G calls each, and always one
+# writable buffer rewritten in every one-output block, which a kept writable output would misread
+@settings(max_examples=40)
+@given(kinds=st.lists(st.sampled_from(OUTPUT_KINDS), min_size=len(UPPER_6), max_size=len(UPPER_6)),
+       step=st.integers(1, len(UPPER_6) + 3))
+@example(kinds=["writable-shared"] * len(UPPER_6), step=1)
+def test_d2G_contract_matches_the_block_stacks(kinds, step):
+    """d2G_contract calls d2G in row-major order and gives, bit for bit, the one-product contraction of every
+    block's outputs stacked after the block's last call, whichever outputs it keeps or reads once."""
+    gen = rng(12)
+    frozen, W = small_ints(gen, 2), small_ints(gen)
+    view = small_ints(gen, 2)[0]
+    buf = np.zeros((3, 3))
+    kind = dict(zip(UPPER_6, kinds))
+    calls = []
+
+    def d2G(x, i, j):
+        calls.append((i, j))
+        k = kind[i, j]
+        if k == "writable-shared":
+            buf[...] = i + 2 * j
+            return buf
+        if k == "fresh":
+            return np.full((3, 3), float(i - 3 * j))
+        return {"frozen": frozen[0], "other-frozen": frozen[1], "frozen-view": view}[k]
+
+    outs = []
+    for s in range(0, len(UPPER_6), step):
+        outs.extend(np.array([d2G(None, i, j) for i, j in UPPER_6[s:s + step]]))
+    ref = TestD2GContractOneObject.stacked(outs, W)
+    calls.clear()
+    base = ball_problem(3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_D2G_BLOCK_FLOATS", step * 9)
+        out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), W)
+    assert calls == UPPER_6
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_psd_d12_reads_its_d2G_zero_once():
+    # the benchmark's nearest-PSD instance at d = 12 (n = 78) under the default budget: 3,081 d2G calls in 28
+    # blocks of up to 113 outputs, all of one read-only zero, which is gathered once, not once per block
+    prob, counts = counting(bench_families().nearest_psd(12, rng(7)).problem)
+    sizes = []
+    gather = model._gather
+
+    def sized_gather(hook, entries, shape):
+        sizes.append(len(entries))
+        return gather(hook, entries, shape)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_gather", sized_gather)
+        out = model.d2G_contract(prob, prob.start_point, np.eye(12))
+    assert counts["d2G"] == 78 * 79 // 2 == 3081
+    assert len(model._upper_int_blocks(78, model._D2G_BLOCK_FLOATS // 144)) == 28
+    assert sizes == [1]
+    assert out.shape == (78, 78) and not out.any()
 
 
 class TestHugeStacks:
