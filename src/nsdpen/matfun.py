@@ -52,14 +52,6 @@ def _upper_ints(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(tuple(map(ints.__getitem__, index.tolist())) for index in _triangles(n)[0])
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_int_blocks(n: int, step: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """``_upper_ints(n)`` cut into consecutive blocks of ``step`` entries, the last one possibly shorter, as
-    (rows, cols) pairs of tuples that share its int objects: 16 bytes per entry beside ``_upper_ints``'s own."""
-    rows, cols = _upper_ints(n)
-    return tuple((rows[s:s + step], cols[s:s + step]) for s in range(0, len(rows), step))
-
-
 def _pow2_unit(v) -> float:
     """2**-e, where max|v| = m * 2**e with 0.5 <= m < 1 and e >= -1021 (so 2**-e is finite for
     subnormal v): scaling by it is exact, so a norm taken after it rounds as the unscaled one

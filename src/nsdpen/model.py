@@ -7,24 +7,20 @@ the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
 """
 
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from operator import is_
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, read_only, real_array, require_instance, require_int
-from .matfun import _triangles, _upper_int_blocks, symmetrize
+from .matfun import _triangles, _upper_ints, symmetrize
 
 FD_STEP_SECOND_ORDER = 1e-5
 # audit_derivatives: the step of its central differences, h_i = FD_STEP_AUDIT * (1 + |x_i|), and the largest
 # relative error each audited hook may have, 1e-6 for a first derivative and 1e-4 for a second
 FD_STEP_AUDIT = 1e-6
 AUDIT_THRESHOLDS = {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6, "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
-# the most floats of d2G output that d2G_contract takes in one block: 128 KB, glibc's default mmap threshold.  It
-# bounds the gathered blocks, those of distinct outputs; 512 KB blocks cost a psd d=12 solve about 27,000 minor page
-# faults and 10% of its time (2-vCPU Xeon VM) when its blocks of one shared zero were still gathered
-_D2G_BLOCK_FLOATS = 16384
 
 
 def _vec(x, n: int, name: str = "x") -> np.ndarray:
@@ -71,10 +67,8 @@ class NsdpProblem:
     return symmetric d x d arrays.
     Hook outputs are only read, never written, so a hook may return one
     shared (say read-only) array for many entries, as a ``d2G`` of an affine
-    G returns one zero; ``d2G_contract`` reads a block of such outputs once,
-    and a frozen one (a read-only ``np.ndarray`` that owns its data) once
-    per contraction.  A hook must therefore not make a frozen output
-    writable and rewrite it during one contraction.
+    G returns one zero.  A contraction reads its outputs only after its last
+    call, and an output shared by every call once.
 
     Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook
     given is callable, and the hooks read are present (f, grad_f, hess_f; g,
@@ -202,46 +196,26 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
 
     One ``d2G`` call per upper-triangle entry, in row-major order (i, then
-    j >= i), with int indices.  The entries are taken in blocks of as many
-    outputs as fit in ``_D2G_BLOCK_FLOATS`` floats (128 KB), at least one;
-    each block's calls are one ``map`` over its cached index tuples
-    (``matfun._upper_int_blocks``), and its outputs are read only after its
-    last call, never written.  A block whose outputs are all one object (a
-    hook that returns one shared array, such as the read-only zero of an
-    affine G) is read once, with the same checks, and its one contraction
-    with W fills the block's entries; any other block is gathered into one
-    array and contracted with W in one product.  The last such one object
-    that is frozen, a plain ``np.ndarray`` that is read-only and owns its
-    data (``base is None``), is kept with its contraction: a later block of
-    it alone is filled with that value and not read again, so a hook must
-    not make a frozen output writable and rewrite it during one contraction.
-    A writable shared buffer, or a read-only view of other data, is read
-    after each of its blocks.  The values fill both triangles after the last
-    block.  Without a matrix constraint (d = 0) the matrix is the n x n
-    zero, and no hook is called.
+    j >= i), with int indices: one ``map`` over ``matfun._upper_ints``.  The
+    outputs are read only after the last call, never written.  When every
+    call returned one object (a hook that returns one shared array, such as
+    the read-only zero of an affine G), it is read once, with the same
+    checks, and its one contraction with W fills the matrix; otherwise all
+    n(n+1)/2 outputs are gathered into one array, contracted with W in one
+    product, and fill both triangles.  Without a matrix constraint (d = 0)
+    the matrix is the n x n zero, and no hook is called.
     """
     x = _point(prob, x)
     W = real_array("W", W, (prob.d, prob.d))
     n = prob.n
     if prob.d == 0:
         return np.zeros((n, n))
-    step = max(1, _D2G_BLOCK_FLOATS // max(1, W.size))
     w = W.ravel()
-    d2G = _d2G(prob)
-    vals = np.empty(n * (n + 1) // 2)
-    kept = kept_val = None  # the last frozen one-object block's output and its contraction with W
-    for s, (i_block, j_block) in zip(count(0, step), _upper_int_blocks(n, step)):
-        outs = list(map(d2G, repeat(x), i_block, j_block))
-        first = outs[0]
-        if outs[-1] is first and all(map(is_, outs, repeat(first))):
-            if kept is not None and first is kept:
-                vals[s:s + step] = kept_val
-                continue
-            outs = [first]
-        block = _gather("d2G", outs, W.shape)
-        vals[s:s + step] = block.reshape(len(block), w.size) @ w
-        if len(outs) == 1 and type(first) is np.ndarray and not first.flags.writeable and first.base is None:
-            kept, kept_val = first, vals[s]
+    outs = list(map(_d2G(prob), repeat(x), *_upper_ints(n)))
+    first = outs[0]
+    if outs[-1] is first and all(map(is_, outs, repeat(first))):
+        return np.full((n, n), (_gather("d2G", [first], W.shape).reshape(1, w.size) @ w)[0])
+    vals = _gather("d2G", outs, W.shape).reshape(len(outs), w.size) @ w
     rows, cols = _triangles(n)[0]
     out = np.zeros((n, n))
     out[rows, cols] = out[cols, rows] = vals

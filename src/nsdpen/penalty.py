@@ -151,18 +151,19 @@ def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
-    """Evaluate g and G once at x and eigendecompose M/tau - G(x) once."""
+    """Evaluate g and G once at x and eigendecompose M/tau - G(x) once.  A v given must have shape (m,) and an M
+    (d, d), also where m = 0 or d = 0; both are checked before any hook call."""
     x = _point(prob, x).copy()
     require_instance("p", p, PenaltyParams)
+    if p.v is not None and p.v.shape != (prob.m,):
+        raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
+    if p.M is not None and p.M.shape != (prob.d, prob.d):
+        raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
     r = Gx = dec = None
     if prob.m > 0:
-        if p.v is not None and p.v.shape != (prob.m,):
-            raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
         r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - real_array("g", prob.g(x), (prob.m,))
     if prob.d > 0:
         Gx = symmetrize(real_array("G", prob.G(x), (prob.d, prob.d)))
-        if p.M is not None and p.M.shape != (prob.d, prob.d):
-            raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
         dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
     return PenaltyPoint(prob, p, x, r, Gx, dec)
 

@@ -125,6 +125,16 @@ WRONG = {
            "estimate_b_count": lambda at: driver.estimate_b_count(at, 0.0),
        }.items()},
     "penalty_at params": (lambda prob: penalty.penalty_at(prob, X, "p"), "p must be a PenaltyParams, got str$"),
+    # a shift of another shape than (m,) or (d, d) is named before g or G is called, also where m = 0 or d = 0
+    **{f"penalty_at {name}": (lambda prob, shrink=shrink, shift=shift: penalty.penalty_at(
+        dataclasses.replace(prob, **shrink), X, penalty.PenaltyParams(**shift, **PARAMS)), message)
+       for name, shrink, shift, message in (
+           ("v (4,)", {}, dict(v=np.zeros(4), M=None), r"v must have shape \(1,\), got \(4,\)$"),
+           ("M (3, 3)", {}, dict(v=None, M=np.zeros((3, 3))), r"M must have shape \(2, 2\), got \(3, 3\)$"),
+           ("v (4,) m=0", dict(m=0, g=None, jac_g=None, hess_g=None), dict(v=np.zeros(4), M=None),
+            r"v must have shape \(0,\), got \(4,\)$"),
+           ("M (3, 3) d=0", dict(d=0, G=None, dG=None, d2G=None), dict(v=None, M=np.zeros((3, 3))),
+            r"M must have shape \(0, 0\), got \(3, 3\)$"))},
     # the point is made from another problem, whose hook calls are not counted
     "reweighted params": (lambda prob: script_F_point(ball_problem(2, m=1), X).reweighted("p"),
                           "p must be a PenaltyParams, got str$"),

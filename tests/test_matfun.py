@@ -1,5 +1,4 @@
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -452,14 +451,3 @@ class TestTriangles:
         assert (list(rows), list(cols)) == (matfun._triangles(n)[0][0].tolist(), matfun._triangles(n)[0][1].tolist())
         assert all(type(i) is int for i in rows + cols)
         assert len({id(i) for i in rows + cols}) == n
-
-    @pytest.mark.parametrize("n, step, sizes", [(0, 3, []), (1, 3, [1]), (7, 28, [28]), (7, 5, [5] * 5 + [3]),
-                                                (300, 113, [113] * 399 + [63])])
-    def test_upper_int_blocks_cut_the_upper_ints(self, n, step, sizes):
-        blocks = matfun._upper_int_blocks(n, step)
-        assert matfun._upper_int_blocks(n, step) is blocks
-        assert [len(rows) for rows, _ in blocks] == [len(cols) for _, cols in blocks] == sizes
-        rows, cols = matfun._upper_ints(n)
-        flat = [k for block, _ in blocks for k in block], [k for _, block in blocks for k in block]
-        assert all(map(operator.is_, flat[0], rows)) and all(map(operator.is_, flat[1], cols))
-        assert (len(flat[0]), len(flat[1])) == (len(rows), len(cols))

@@ -160,76 +160,6 @@ class TestD2GContract:
             model.d2G_contract(bad, np.zeros(2), np.eye(2))
 
 
-class TestD2GContractBlocks:
-    # ball_problem(3): n = 6, so 21 upper-triangle entries; a budget of 4 outputs of 3 x 3 makes blocks
-    # of 4, 4, 4, 4, 4 and a ragged last block of 1
-    STEP = 4
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", self.STEP * 9)
-
-    def test_hook_calls_in_order_and_values(self, monkeypatch):
-        self.check_blocks([4] * 5 + [1], monkeypatch)
-
-    # budgets of one output per block, of all 21 outputs in one block, and of more than 21
-    @pytest.mark.parametrize("step, blocks", [(1, [1] * 21), (21, [21]), (64, [21])],
-                             ids=["one-per-block", "one-block", "over-budget"])
-    def test_block_budget_edges(self, step, blocks, monkeypatch):
-        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", step * 9)
-        self.check_blocks(blocks, monkeypatch)
-
-    @staticmethod
-    def check_blocks(blocks, monkeypatch):
-        """d2G_contract on ball_problem(3) gathers blocks of the given sizes, calls d2G once per upper-triangle
-        entry in row-major order with int indices, and matches the contraction of one stack of every output."""
-        gen = rng(31)
-        base = ball_problem(3)
-        x, W = gen.normal(size=base.n), gen.normal(size=(3, 3))
-        calls, sizes = [], []
-        gather = model._gather
-
-        def d2G(x, i, j):
-            calls.append((i, j))
-            return base.d2G(x, i, j)
-
-        def sized_gather(hook, entries, shape):
-            sizes.append(len(entries))
-            return gather(hook, entries, shape)
-
-        monkeypatch.setattr(model, "_gather", sized_gather)
-        out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), x, W)
-        pairs = [(i, j) for i in range(base.n) for j in range(i, base.n)]
-        assert sizes == blocks
-        assert calls == pairs
-        assert all(type(i) is int and type(j) is int for i, j in calls)
-        assert np.array_equal(out, out.T)
-        # the reference: every output in one stack, contracted in one product
-        vals = np.asarray([base.d2G(x, i, j) for i, j in pairs]).reshape(len(pairs), -1) @ W.ravel()
-        ref = np.zeros((base.n, base.n))
-        for (i, j), v in zip(pairs, vals):
-            ref[i, j] = ref[j, i] = v
-        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("bad", [
-        lambda i, j: np.zeros((3, 4)) if (i, j) == (5, 5) else None,  # wrong shape alone in the ragged last block
-        lambda i, j: np.zeros((3, 4)) if (i, j) == (4, 5) else None,  # one wrong shape in the fifth block
-        lambda i, j: [[0.0] * 3] * 2 + [[0.0] * 2] if (i, j) == (4, 4) else None,  # ragged entry, fifth block
-    ])
-    def test_wrong_output_in_a_later_block(self, bad):
-        base = ball_problem(3)
-        calls = []
-
-        def d2G(x, i, j):
-            calls.append((i, j))
-            out = bad(i, j)
-            return base.d2G(x, i, j) if out is None else out
-
-        with pytest.raises(InvalidInputError, match="d2G"):
-            model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), np.eye(3))
-        assert len(calls) > self.STEP  # the first blocks were gathered and contracted
-
-
 UPPER_6 = [(i, j) for i in range(6) for j in range(i, 6)]  # the 21 row-major entries of ball_problem(3)
 
 
@@ -240,34 +170,36 @@ def small_ints(gen, *shape) -> np.ndarray:
     return read_only(a + a.swapaxes(-1, -2))
 
 
-class TestD2GContractOneObject:
-    # ball_problem(3) in blocks of 4, 4, 4, 4, 4 and 1 outputs, as in TestD2GContractBlocks; a block whose
-    # outputs are all one object is read once, and once per contraction when that object is frozen
-    STEP = 4
-    BLOCKS = [UPPER_6[s:s + 4] for s in range(0, len(UPPER_6), 4)]
+def sized_contract(prob, x, W, monkeypatch):
+    """d2G_contract(prob, x, W) and the number of entries of each ``_gather`` it makes."""
+    sizes = []
+    gather = model._gather
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(model, "_D2G_BLOCK_FLOATS", self.STEP * 9)
+    def sized_gather(hook, entries, shape):
+        sizes.append(len(entries))
+        return gather(hook, entries, shape)
+
+    monkeypatch.setattr(model, "_gather", sized_gather)
+    return model.d2G_contract(prob, x, W), sizes
+
+
+class TestD2GContractOnePass:
+    # ball_problem(3): n = 6, so 21 upper-triangle entries, all called before any output is read; outputs that
+    # are all one object are read once, any others are gathered in one stack of 21
 
     @staticmethod
     def contract(d2G, W, monkeypatch):
         """d2G_contract of ball_problem(3) with the given hook at a random x: the result, the hook's calls and
         the number of entries of each ``_gather``."""
         base = ball_problem(3)
-        calls, sizes = [], []
-        gather = model._gather
+        calls = []
 
         def logged(x, i, j):
             calls.append((i, j))
             return d2G(i, j)
 
-        def sized_gather(hook, entries, shape):
-            sizes.append(len(entries))
-            return gather(hook, entries, shape)
-
-        monkeypatch.setattr(model, "_gather", sized_gather)
-        out = model.d2G_contract(dataclasses.replace(base, d2G=logged), rng(5).normal(size=base.n), W)
+        out, sizes = sized_contract(dataclasses.replace(base, d2G=logged), rng(5).normal(size=base.n), W,
+                                    monkeypatch)
         return out, calls, sizes
 
     @staticmethod
@@ -282,6 +214,36 @@ class TestD2GContractOneObject:
         """The reference: the 21 outputs in one stack, contracted with W in one product."""
         return cls.fill(np.array(outs).reshape(len(UPPER_6), -1) @ W.ravel())
 
+    def test_hook_calls_in_order_and_values(self, monkeypatch):
+        gen = rng(31)
+        base = ball_problem(3)
+        x, W = gen.normal(size=base.n), gen.normal(size=(3, 3))
+        out, calls, sizes = self.contract(lambda i, j: base.d2G(x, i, j), W, monkeypatch)
+        assert sizes == [len(UPPER_6)]
+        assert calls == UPPER_6
+        assert all(type(i) is int and type(j) is int for i, j in calls)
+        assert np.array_equal(out, out.T)
+        ref = self.stacked([base.d2G(x, i, j) for i, j in UPPER_6], W)
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [
+        lambda i, j: np.zeros((3, 4)) if (i, j) == (5, 5) else None,  # wrong shape in the last call
+        lambda i, j: np.zeros((3, 4)) if (i, j) == (4, 5) else None,  # wrong shape in the next to last call
+        lambda i, j: [[0.0] * 3] * 2 + [[0.0] * 2] if (i, j) == (4, 4) else None,  # ragged entry
+    ])
+    def test_wrong_output_raises_after_every_call(self, bad):
+        base = ball_problem(3)
+        calls = []
+
+        def d2G(x, i, j):
+            calls.append((i, j))
+            out = bad(i, j)
+            return base.d2G(x, i, j) if out is None else out
+
+        with pytest.raises(InvalidInputError, match="d2G"):
+            model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), np.eye(3))
+        assert calls == UPPER_6  # every output is read after the last call
+
     def test_shared_read_only_zero(self, monkeypatch):
         zero = np.zeros((3, 3))
         zero.flags.writeable = False
@@ -289,29 +251,29 @@ class TestD2GContractOneObject:
         out, calls, sizes = self.contract(lambda i, j: zero, W, monkeypatch)
         assert calls == UPPER_6
         assert all(type(i) is int and type(j) is int for i, j in calls)
-        assert sizes == [1]  # a frozen output is read once per contraction
+        assert sizes == [1]
         # the reference: every output in one stack, contracted in one product
-        ref = self.fill(np.asarray([zero] * len(UPPER_6)).reshape(len(UPPER_6), -1) @ W.ravel())
+        ref = self.stacked([zero] * len(UPPER_6), W)
         assert out.tobytes() == ref.tobytes()
 
     def test_shared_nonzero_output(self, monkeypatch):
         gen = rng(7)
         D, W = symmetrize(gen.normal(size=(3, 3))), gen.normal(size=(3, 3))
         out, _, sizes = self.contract(lambda i, j: D, W, monkeypatch)
-        assert sizes == [1] * len(self.BLOCKS)
+        assert sizes == [1]
         assert np.array_equal(out, out.T)
         value = float(np.sum(D * W))
         assert np.all(np.abs(out - value) <= 1e-15 * abs(value))
 
-    # the one distinct output first, inside and last in the third block (outputs 8 to 11)
-    @pytest.mark.parametrize("odd", [8, 9, 11], ids=["first", "inside", "last"])
-    def test_one_distinct_output_gathers_the_block(self, odd, monkeypatch):
+    # the one distinct output first, inside and last among the 21
+    @pytest.mark.parametrize("odd", [0, 9, 20], ids=["first", "inside", "last"])
+    def test_one_distinct_output_gathers_every_output(self, odd, monkeypatch):
         gen = rng(8)
         D, W = symmetrize(gen.normal(size=(3, 3))), gen.normal(size=(3, 3))
         E = symmetrize(gen.normal(size=(3, 3)))
         out, calls, sizes = self.contract(lambda i, j: E if (i, j) == UPPER_6[odd] else D, W, monkeypatch)
         assert calls == UPPER_6
-        assert sizes == [1, 1, self.STEP, 1, 1, 1]
+        assert sizes == [len(UPPER_6)]
         ref = self.fill([float(np.sum((E if k == odd else D) * W)) for k in range(len(UPPER_6))])
         assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -322,61 +284,32 @@ class TestD2GContractOneObject:
     ], ids=["shape", "complex", "ragged"])
     def test_shared_bad_output_raises_the_stacked_message(self, bad, monkeypatch):
         with pytest.raises(InvalidInputError) as stacked:
-            model._gather("d2G", [bad] * self.STEP, (3, 3))
+            model._gather("d2G", [bad] * len(UPPER_6), (3, 3))
         with pytest.raises(InvalidInputError) as shared:
             self.contract(lambda i, j: bad, np.eye(3), monkeypatch)
         assert str(shared.value) == str(stacked.value)
 
-    def test_reused_buffer_is_read_after_the_block(self, monkeypatch):
-        # the hook rewrites one buffer and returns it: each block reads the value of its last call, as a stack
-        # of the block's outputs does; small integers keep every contraction exact
-        buf = np.zeros((3, 3))
+    # ball_problem(3) and ball_problem(11): 21 outputs of 3 x 3 and 2,211 of 11 x 11, 2 MB when stacked
+    @pytest.mark.parametrize("d", [3, 11])
+    def test_reused_buffer_is_read_after_the_last_call(self, d, monkeypatch):
+        # the hook rewrites one buffer and returns it: every entry is the contraction of the buffer's last
+        # value, as a stack of all outputs made after the last call is; small integers keep it exact
+        base = ball_problem(d)
+        buf = np.zeros((d, d))
 
-        def d2G(i, j):
+        def d2G(x, i, j):
             buf[...] = i + 2 * j
             return buf
 
-        W = np.arange(9.0).reshape(3, 3)
-        out, _, sizes = self.contract(d2G, W, monkeypatch)
-        assert sizes == [1] * len(self.BLOCKS)
-        last = [block[-1] for block in self.BLOCKS for _ in block]
-        assert np.array_equal(out, self.fill([(i + 2 * j) * W.sum() for i, j in last]))
-
-    def test_read_only_view_is_read_once_per_block(self, monkeypatch):
-        # a read-only view has a base, whose data may change through another reference: read after each block
-        gen = rng(9)
-        view, W = small_ints(gen, 2)[1], small_ints(gen)
-        assert not view.flags.writeable and view.base is not None
-        out, calls, sizes = self.contract(lambda i, j: view, W, monkeypatch)
-        assert calls == UPPER_6
-        assert sizes == [1] * len(self.BLOCKS)
-        assert out.tobytes() == self.stacked([view] * len(UPPER_6), W).tobytes()
-
-    def test_frozen_output_around_a_gathered_block(self, monkeypatch):
-        # one frozen output in every block but the third, whose outputs are distinct: the frozen one is read
-        # once, before the third block, and the third block is gathered
-        gen = rng(10)
-        D, W = small_ints(gen), small_ints(gen)
-        distinct = dict(zip(self.BLOCKS[2], small_ints(gen, self.STEP)))
-        out, calls, sizes = self.contract(lambda i, j: distinct.get((i, j), D), W, monkeypatch)
-        assert calls == UPPER_6
-        assert sizes == [1, self.STEP]
-        assert out.tobytes() == self.stacked([distinct.get(pair, D) for pair in UPPER_6], W).tobytes()
-
-    def test_alternating_frozen_outputs_are_read_on_each_switch(self, monkeypatch):
-        # only the last frozen output is kept: two that take turns block by block are read in every block
-        gen = rng(11)
-        A, B, W = small_ints(gen), small_ints(gen), small_ints(gen)
-        pick = {pair: (A, B)[k % 2] for k, block in enumerate(self.BLOCKS) for pair in block}
-        out, calls, sizes = self.contract(lambda i, j: pick[i, j], W, monkeypatch)
-        assert calls == UPPER_6
-        assert sizes == [1] * len(self.BLOCKS)
-        assert out.tobytes() == self.stacked([pick[pair] for pair in UPPER_6], W).tobytes()
+        W = np.arange(d * d, dtype=float).reshape(d, d)
+        out, sizes = sized_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), W, monkeypatch)
+        assert sizes == [1]
+        assert np.array_equal(out, np.full((base.n, base.n), 3 * (base.n - 1) * W.sum()))
 
     def test_shared_none_raises_the_stacked_message(self, monkeypatch):
-        # no output is kept before the first read, so a hook that returns None throughout is read and rejected
+        # a hook that returns None throughout is read once and rejected as a stack of its outputs is
         with pytest.raises(InvalidInputError) as stacked_error:
-            model._gather("d2G", [None] * self.STEP, (3, 3))
+            model._gather("d2G", [None] * len(UPPER_6), (3, 3))
         with pytest.raises(InvalidInputError) as shared:
             self.contract(lambda i, j: None, np.eye(3), monkeypatch)
         assert str(shared.value) == str(stacked_error.value)
@@ -385,15 +318,14 @@ class TestD2GContractOneObject:
 OUTPUT_KINDS = ("frozen", "other-frozen", "frozen-view", "writable-shared", "fresh")
 
 
-# per-entry output kinds and block budgets drawn at random; 40 examples of 21 d2G calls each, and always one
-# writable buffer rewritten in every one-output block, which a kept writable output would misread
+# per-entry output kinds drawn at random; 40 examples of 21 d2G calls each, and always one writable buffer
+# rewritten in every call, which a contraction reading it before the last call would misread
 @settings(max_examples=40)
-@given(kinds=st.lists(st.sampled_from(OUTPUT_KINDS), min_size=len(UPPER_6), max_size=len(UPPER_6)),
-       step=st.integers(1, len(UPPER_6) + 3))
-@example(kinds=["writable-shared"] * len(UPPER_6), step=1)
-def test_d2G_contract_matches_the_block_stacks(kinds, step):
+@given(kinds=st.lists(st.sampled_from(OUTPUT_KINDS), min_size=len(UPPER_6), max_size=len(UPPER_6)))
+@example(kinds=["writable-shared"] * len(UPPER_6))
+def test_d2G_contract_matches_one_stack(kinds):
     """d2G_contract calls d2G in row-major order and gives, bit for bit, the one-product contraction of every
-    block's outputs stacked after the block's last call, whichever outputs it keeps or reads once."""
+    output stacked after the last call, whichever outputs it reads once."""
     gen = rng(12)
     frozen, W = small_ints(gen, 2), small_ints(gen)
     view = small_ints(gen, 2)[0]
@@ -411,35 +343,20 @@ def test_d2G_contract_matches_the_block_stacks(kinds, step):
             return np.full((3, 3), float(i - 3 * j))
         return {"frozen": frozen[0], "other-frozen": frozen[1], "frozen-view": view}[k]
 
-    outs = []
-    for s in range(0, len(UPPER_6), step):
-        outs.extend(np.array([d2G(None, i, j) for i, j in UPPER_6[s:s + step]]))
-    ref = TestD2GContractOneObject.stacked(outs, W)
+    ref = TestD2GContractOnePass.stacked([d2G(None, i, j) for i, j in UPPER_6], W)
     calls.clear()
     base = ball_problem(3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_D2G_BLOCK_FLOATS", step * 9)
-        out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), W)
+    out = model.d2G_contract(dataclasses.replace(base, d2G=d2G), np.zeros(base.n), W)
     assert calls == UPPER_6
     assert out.tobytes() == ref.tobytes()
 
 
-def test_psd_d12_reads_its_d2G_zero_once():
-    # the benchmark's nearest-PSD instance at d = 12 (n = 78) under the default budget: 3,081 d2G calls in 28
-    # blocks of up to 113 outputs, all of one read-only zero, which is gathered once, not once per block
+def test_psd_d12_reads_its_d2G_zero_once(monkeypatch):
+    # the benchmark's nearest-PSD instance at d = 12 (n = 78): 3,081 d2G calls, all of one read-only zero,
+    # which is read once
     prob, counts = counting(bench_families().nearest_psd(12, rng(7)).problem)
-    sizes = []
-    gather = model._gather
-
-    def sized_gather(hook, entries, shape):
-        sizes.append(len(entries))
-        return gather(hook, entries, shape)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_gather", sized_gather)
-        out = model.d2G_contract(prob, prob.start_point, np.eye(12))
+    out, sizes = sized_contract(prob, prob.start_point, np.eye(12), monkeypatch)
     assert counts["d2G"] == 78 * 79 // 2 == 3081
-    assert len(model._upper_int_blocks(78, model._D2G_BLOCK_FLOATS // 144)) == 28
     assert sizes == [1]
     assert out.shape == (78, 78) and not out.any()
 
