@@ -314,8 +314,65 @@ class TestD2GContractOnePass:
             self.contract(lambda i, j: None, np.eye(3), monkeypatch)
         assert str(shared.value) == str(stacked_error.value)
 
+    def test_read_only_view_shared_by_every_call_is_read_once(self, monkeypatch):
+        # a read-only view of other data is read once, after the last call, like any output shared by every call
+        gen = rng(9)
+        view, W = small_ints(gen, 2)[1], small_ints(gen)
+        assert not view.flags.writeable and view.base is not None
+        out, calls, sizes = self.contract(lambda i, j: view, W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [1]
+        assert out.tobytes() == self.stacked([view] * len(UPPER_6), W).tobytes()
 
-OUTPUT_KINDS = ("frozen", "other-frozen", "frozen-view", "writable-shared", "fresh")
+    def test_frozen_output_around_distinct_outputs_is_gathered_once(self, monkeypatch):
+        # one frozen output everywhere but outputs 8 to 11, which are distinct: all 21 go into one gather
+        gen = rng(10)
+        D, W = small_ints(gen), small_ints(gen)
+        distinct = dict(zip(UPPER_6[8:12], small_ints(gen, 4)))
+        out, calls, sizes = self.contract(lambda i, j: distinct.get((i, j), D), W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [len(UPPER_6)]
+        assert out.tobytes() == self.stacked([distinct.get(pair, D) for pair in UPPER_6], W).tobytes()
+
+    def test_alternating_frozen_outputs_are_gathered_once(self, monkeypatch):
+        # two frozen outputs that take turns every four calls are not one object: all 21 go into one gather
+        gen = rng(11)
+        A, B, W = small_ints(gen), small_ints(gen), small_ints(gen)
+        pick = {pair: (A, B)[k // 4 % 2] for k, pair in enumerate(UPPER_6)}
+        out, calls, sizes = self.contract(lambda i, j: pick[i, j], W, monkeypatch)
+        assert calls == UPPER_6
+        assert sizes == [len(UPPER_6)]
+        assert out.tobytes() == self.stacked([pick[pair] for pair in UPPER_6], W).tobytes()
+
+
+# ball_problem(d) has n = d(d+1)/2: 1, 6 and 666 outputs; at d = 8 they take 340 KB, more than one gather
+# took when contractions were cut into blocks of 128 KB
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_d2G_contract_gathers_every_output_once_whatever_the_size(d, monkeypatch):
+    gen = rng(32)
+    base = ball_problem(d)
+    x, W = gen.normal(size=base.n), gen.normal(size=(d, d))
+    calls = []
+
+    def d2G(x, i, j):
+        calls.append((i, j))
+        return base.d2G(x, i, j)
+
+    out, sizes = sized_contract(dataclasses.replace(base, d2G=d2G), x, W, monkeypatch)
+    pairs = [(i, j) for i in range(base.n) for j in range(i, base.n)]
+    assert calls == pairs
+    assert all(type(i) is int and type(j) is int for i, j in calls)
+    assert sizes == [1 if len(pairs) == 1 else len(pairs)]  # one output alone is one object
+    assert np.array_equal(out, out.T)
+    # the reference: every output in one stack, contracted in one product
+    vals = np.asarray([base.d2G(x, i, j) for i, j in pairs]).reshape(len(pairs), -1) @ W.ravel()
+    ref = np.zeros((base.n, base.n))
+    for (i, j), v in zip(pairs, vals):
+        ref[i, j] = ref[j, i] = v
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+OUTPUT_KINDS =("frozen", "other-frozen", "frozen-view", "writable-shared", "fresh")
 
 
 # per-entry output kinds drawn at random; 40 examples of 21 d2G calls each, and always one writable buffer
