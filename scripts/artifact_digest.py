@@ -7,7 +7,9 @@ document.  For the benchmark's generated families (``bench/families.py``,
 imported read-only) at psd d = 5, 12 and ball d = 4, 8, seeds 1, 2 and 7,
 under the benchmark's family config: the final status, detail and b_count
 of ``nsdpen.solve`` and every field of every iterate record, floats and
-arrays by their bits.
+arrays by their bits.  The same records of psd d = 5 and ball d = 4, seeds
+1, 2 and 7, with both second-derivative hooks left out (``hess_f=None,
+d2G=None, fd_second_order=True``), cover the synthesized second derivatives.
 
 Run it on two checkouts and diff the outputs:
 
@@ -33,6 +35,7 @@ import families
 # bench/run.py's FAMILY_CONFIG
 FAMILY_CONFIG = PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40)
 FAMILY_CASES = [("psd", 5), ("psd", 12), ("ball", 4), ("ball", 8)]
+SYNTHESIZED_CASES = [("psd", 5), ("ball", 4)]
 SEEDS = (1, 2, 7)
 
 
@@ -69,8 +72,11 @@ def value_bytes(value) -> bytes:
     return repr(value).encode()
 
 
-def family_records(kind: str, d: int, seed: int) -> bytes:
-    report = solve(families.FAMILIES[kind](d, np.random.default_rng(seed)).problem, FAMILY_CONFIG)
+def family_records(kind: str, d: int, seed: int, synthesized: bool = False) -> bytes:
+    prob = families.FAMILIES[kind](d, np.random.default_rng(seed)).problem
+    if synthesized:
+        prob = dataclasses.replace(prob, hess_f=None, d2G=None, fd_second_order=True)
+    report = solve(prob, FAMILY_CONFIG)
     parts = [value_bytes(v) for v in (report.final_status, report.detail, report.b_count)]
     for rec in report.iterates:
         parts += [field.name.encode() + b"=" + value_bytes(getattr(rec, field.name))
@@ -86,6 +92,10 @@ def main() -> int:
     for kind, d in FAMILY_CASES:
         for seed in SEEDS:
             print(digest(family_records(kind, d, seed)), f"family/{kind}-d{d}/seed-{seed}")
+    for kind, d in SYNTHESIZED_CASES:
+        for seed in SEEDS:
+            records = family_records(kind, d, seed, synthesized=True)
+            print(digest(records), f"family/{kind}-d{d}-synthesized/seed-{seed}")
     return 0
 
 

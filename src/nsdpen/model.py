@@ -7,6 +7,7 @@ the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import is_
 from typing import Callable
@@ -74,10 +75,10 @@ class NsdpProblem:
     given is callable, and the hooks read are present (f, grad_f, hess_f; g,
     jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks
     may be omitted by passing ``fd_second_order=True``; their fields stay None,
-    and each reader takes central differences of this problem's own
-    first-derivative hooks (step ``1e-5 * (1 + |x_i|)``), so a
-    ``dataclasses.replace`` copy differences its own hooks.  Frozen, with a
-    read-only copy of ``start_point``.
+    and their readers contract one central difference of this problem's own
+    grad_f, jac_g or dG stack (``_synthesized``), so a ``dataclasses.replace``
+    copy differences its own hooks.  Frozen, with a read-only copy of
+    ``start_point``.
     """
 
     name: str
@@ -122,41 +123,21 @@ def _point(prob: NsdpProblem, x) -> np.ndarray:
 
 
 def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The symmetrized differences of grad_f (k = 1) or of each column of jac_g (k = m) at the points of
-    ``_shifts``, as a (k, n, n) stack: what the synthesized hess_f and hess_g read, and the audit's references."""
+    """The symmetrized differences at the points of ``_shifts`` of grad_f (k = 1), of each column of jac_g (k = m)
+    or of each entry (a, b) of the ``_dG_outputs`` stack (k = d*d, (i, j) the mean of the differences of dG(., i)[a, b]
+    in x_j and of dG(., j)[a, b] in x_i), as a (k, n, n) stack: what ``_synthesized`` contracts, and the audit's
+    references for hess_f and hess_g."""
     n = prob.n
-    shape = (n,) if hook == "grad_f" else (n, prob.m)
-    return symmetrize(_stacked_diff(hook, getattr(prob, hook), shifts, shape).reshape(n, n, -1).transpose(2, 0, 1))
+    fn = partial(_dG_outputs, prob) if hook == "dG" else getattr(prob, hook)
+    shape = {"grad_f": (n,), "jac_g": (n, prob.m), "dG": (n, prob.d, prob.d)}[hook]
+    return symmetrize(_stacked_diff(hook, fn, shifts, shape).reshape(n, n, -1).transpose(2, 0, 1))
 
 
-# One resolver per second derivative, the only way to read one: the hook, or else a central difference of this
-# problem's own first-derivative hook (__post_init__ admits no other missing hook than one never read).
-def _hess_f(prob: NsdpProblem):
-    """hess_f(x)."""
-    if prob.hess_f is not None:
-        return prob.hess_f
-    return lambda x: _hessian_diff(prob, "grad_f", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER))[0]
-
-
-def _hess_g(prob: NsdpProblem):
-    """hess_g(x, y) = sum_j y_j hess g_j(x); synthesized, y contracted with one difference of jac_g."""
-    if prob.hess_g is not None:
-        return prob.hess_g
-    return lambda x, y: np.tensordot(
-        y, _hessian_diff(prob, "jac_g", _shifts(_vec(x, prob.n), FD_STEP_SECOND_ORDER)), 1)
-
-
-def _d2G(prob: NsdpProblem):
-    """d2G(x, i, j); synthesized, the symmetrized mean of the differences of dG(., i) in x_j and dG(., j) in x_i."""
-    if prob.d2G is not None:
-        return prob.d2G
-
-    def diff(x, i, j):  # (dG(x + h_j e_j, i) - dG(x - h_j e_j, i)) / (2 h_j), with the h of _shifts
-        e = np.zeros(x.size)
-        e[j] = FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
-        shape = (prob.d, prob.d)
-        return (real_array("dG", prob.dG(x + e, i), shape) - real_array("dG", prob.dG(x - e, i), shape)) / (2 * e[j])
-    return lambda x, i, j: symmetrize(0.5 * (diff(x, i, j) + diff(x, j, i)))
+def _synthesized(prob: NsdpProblem, hook: str, x: np.ndarray, weights) -> np.ndarray:
+    """The weights contracted with the stack of ``_hessian_diff(prob, hook)`` at x (step FD_STEP_SECOND_ORDER): every
+    second derivative left to fd_second_order, hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
+    [<d2G(x, i, j), W>]_ij (dG, W raveled), so 2n grad_f or jac_g calls, or 2n^2 dG calls."""
+    return np.tensordot(weights, _hessian_diff(prob, hook, _shifts(x, FD_STEP_SECOND_ORDER)), 1)
 
 
 def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
@@ -167,9 +148,14 @@ def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
     return out
 
 
+def _dG_outputs(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
+    """The n outputs dG(x, i) as one (n, d, d) array, as the hook returned them: the one reader of the dG hook."""
+    return _gather("dG", list(map(prob.dG, repeat(x), range(prob.n))), (prob.d, prob.d))
+
+
 def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     """The n partial derivatives dG(x, i), symmetrized, as one (n, d, d) array."""
-    return symmetrize(_gather("dG", list(map(prob.dG, repeat(x), range(prob.n))), (prob.d, prob.d)))
+    return symmetrize(_dG_outputs(prob, x))
 
 
 def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
@@ -182,13 +168,19 @@ def dG_adjoint(Gs: np.ndarray, Z) -> np.ndarray:
 
 
 def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
-    """rho * hess f(x) - hess_g(x, y), each output shape-checked and read as given (a caller symmetrizes its finished
-    Hessian once); hess_g is read once, and not at all when m = 0 or every weight is zero, y only when m > 0."""
+    """rho * hess f(x) - hess_g(x, y), each hook output shape-checked and read as given, a left-out hook synthesized
+    (the caller symmetrizes the sum once); y is read only when m > 0, and hess_g once, never when every weight is 0."""
     x = _point(prob, x)
     n = prob.n
-    H = rho * real_array("hess_f", _hess_f(prob)(x), (n, n)) if rho != 0.0 else np.zeros((n, n))
+    if rho == 0.0:
+        H = np.zeros((n, n))
+    elif prob.hess_f is None:
+        H = rho * _synthesized(prob, "grad_f", x, np.ones(1))
+    else:
+        H = rho * real_array("hess_f", prob.hess_f(x), (n, n))
     if prob.m > 0 and np.any(y):
-        H = H - real_array("hess_g", _hess_g(prob)(x, y), (n, n))
+        H = H - real_array("hess_g", _synthesized(prob, "jac_g", x, y) if prob.hess_g is None else prob.hess_g(x, y),
+                           (n, n))
     return H
 
 
@@ -202,8 +194,9 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     the read-only zero of an affine G), it is read once, with the same
     checks, and its one contraction with W fills the matrix; otherwise all
     n(n+1)/2 outputs are gathered into one array, contracted with W in one
-    product, and fill both triangles.  Without a matrix constraint (d = 0)
-    the matrix is the n x n zero, and no hook is called.
+    product, and fill both triangles.  Without a d2G hook it is
+    ``_synthesized``; without a matrix constraint (d = 0) it is the n x n
+    zero, and no hook is called.
     """
     x = _point(prob, x)
     W = real_array("W", W, (prob.d, prob.d))
@@ -211,7 +204,9 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     if prob.d == 0:
         return np.zeros((n, n))
     w = W.ravel()
-    outs = list(map(_d2G(prob), repeat(x), *_upper_ints(n)))
+    if prob.d2G is None:
+        return _synthesized(prob, "dG", x, w)
+    outs = list(map(prob.d2G, repeat(x), *_upper_ints(n)))
     first = outs[0]
     if outs[-1] is first and all(map(is_, outs, repeat(first))):
         return np.full((n, n), (_gather("d2G", [first], W.shape).reshape(1, w.size) @ w)[0])
@@ -253,7 +248,7 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 
 
 def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
-    """Check every derivative hook against a central difference of its neighbor.
+    """Check every derivative hook the problem supplies against a central difference of its neighbor.
 
     The step is ``FD_STEP_AUDIT * (1 + |x_i|)``; each hook's relative error
     is compared with its ``AUDIT_THRESHOLDS`` entry, 1e-6 for first
@@ -266,9 +261,10 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     to the hooks as read-only rows, so a hook that writes into its argument
     fails its check.  The hook calls are those of one difference per
     analytic output, and of one for all columns of jac_g: f, g and G 2n times
-    each, grad_f and jac_g 1 + 2n, dG n + 2n^2, d2G n^2, hess_f once and
-    hess_g m times, once per unit weight e_j, with the weights handed as
-    read-only rows too.  Synthesized second derivatives are audited as read.
+    each, grad_f and jac_g 1 + 2n, dG n + 2n^2 (a difference of the dG stack
+    per coordinate), d2G n^2, hess_f once and hess_g m times, once per unit
+    weight e_j, with the weights handed as read-only rows too.  Second
+    derivatives left to ``fd_second_order`` are differences: not audited.
     """
     x = _point(prob, x)
     n, m, d = prob.n, prob.m, prob.d
@@ -282,21 +278,24 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
         return real_array(hook, value, shape)[None]
 
     # each check returns one relative error per analytic hook output it audits
-    hess_f, hess_g, d2G = _hess_f(prob), _hess_g(prob), _d2G(prob)
-    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None]),
-              "hess_f": lambda: _rel_err(one("hess_f", hess_f(x), (n, n)), _hessian_diff(prob, "grad_f", shifts))}
+    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
+    if prob.hess_f is not None:
+        checks["hess_f"] = lambda: _rel_err(one("hess_f", prob.hess_f(x), (n, n)),
+                                            _hessian_diff(prob, "grad_f", shifts))
     if m > 0:
         checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
-        checks["hess_g"] = lambda: _rel_err(_gather("hess_g", list(map(hess_g, repeat(x), units)), (n, n)),
+    if m > 0 and prob.hess_g is not None:
+        checks["hess_g"] = lambda: _rel_err(_gather("hess_g", list(map(prob.hess_g, repeat(x), units)), (n, n)),
                                             _hessian_diff(prob, "jac_g", shifts))
     if d > 0:
-        checks["dG"] = lambda: _rel_err(_gather("dG", [prob.dG(x, i) for i in range(n)], (d, d)),
-                                        fd("G", prob.G, (d, d)))
-        # row i: the n outputs d2G(x, i, j) against the difference of dG(., i) over j
+        checks["dG"] = lambda: _rel_err(_dG_outputs(prob, x), fd("G", prob.G, (d, d)))
+    if d > 0 and prob.d2G is not None:
+        # coordinate j: d2G(x, i, j) over i against one difference of the dG stack in x_j, two stacks held at a time
+        h, points = shifts
         checks["d2G"] = lambda: np.concatenate([
-            _rel_err(_gather("d2G", [d2G(x, i, j) for j in range(n)], (d, d)),
-                     fd("dG", lambda z: prob.dG(z, i), (d, d)))
-            for i in range(n)])
+            _rel_err(_gather("d2G", [prob.d2G(x, i, j) for i in range(n)], (d, d)),
+                     _stacked_diff("dG", partial(_dG_outputs, prob), (h[j:j + 1], points[j::n]), (n, d, d))[0])
+            for j in range(n)])
 
     errors: dict[str, float] = {}
     for label, check in checks.items():

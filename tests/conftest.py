@@ -88,6 +88,58 @@ def ball_problem(d: int, m: int = 0, fd_second_order: bool = False, seed: int = 
                        fd_second_order=fd_second_order, **hooks)
 
 
+def cap_target(d: int, seed: int) -> np.ndarray:
+    """The target C of ``cap_problem(d, seed)``: eigenvalues on both sides of 1, at least one above."""
+    gen = rng(seed)
+    above = max(1, d // 2)
+    values = np.concatenate([1.0 + gen.uniform(0.3, 1.5, above), gen.uniform(-1.5, 0.7, d - above)])
+    return sym_from_spectrum(gen, values)
+
+
+def cap_problem(d: int, seed: int = 0, fd_second_order: bool = False) -> NsdpProblem:
+    """The nearest symmetric d x d matrix X(x) to a target C with X <= I, as G(x) = I - X(x)^3 (n = d(d+1)/2).
+
+    G is cubic, so dG and d2G both depend on x.  f = (1/2)||X(x) - C||^2 and
+    X(x) has the basis of ``ball_problem``; C is ``cap_target(d, seed)``, and
+    the answer clips its eigenvalues at 1 (``cap_reference``).
+    With ``fd_second_order`` the second-derivative hooks are left out.
+    """
+    iu = np.triu_indices(d)
+    n = iu[0].size
+    B = np.zeros((n, d, d))
+    B[np.arange(n), iu[0], iu[1]] = 1.0
+    B[np.arange(n), iu[1], iu[0]] = 1.0
+    C = cap_target(d, seed)
+
+    def X(x):
+        return np.tensordot(x, B, 1)
+
+    def dG(x, i):
+        Y = X(x)
+        return -(B[i] @ Y @ Y + Y @ B[i] @ Y + Y @ Y @ B[i])
+
+    def d2G(x, i, j):
+        Y = X(x)
+        return -(B[i] @ B[j] @ Y + B[i] @ Y @ B[j] + Y @ B[i] @ B[j]
+                 + B[j] @ B[i] @ Y + B[j] @ Y @ B[i] + Y @ B[j] @ B[i])
+
+    hooks = dict(f=lambda x: 0.5 * float(np.sum((X(x) - C) ** 2)),
+                 grad_f=lambda x: np.einsum("kab,ab->k", B, X(x) - C),
+                 G=lambda x: np.eye(d) - X(x) @ X(x) @ X(x), dG=dG)
+    if not fd_second_order:
+        hooks.update(hess_f=lambda x: np.einsum("iab,jab->ij", B, B), d2G=d2G)
+    return NsdpProblem(name=f"cap-test-d{d}", n=n, m=0, d=d, start_point=np.zeros(n),
+                       fd_second_order=fd_second_order, **hooks)
+
+
+def cap_reference(d: int, seed: int) -> np.ndarray:
+    """The solution x of ``cap_problem(d, seed)``: the upper triangle of its target with the eigenvalues above 1
+    set to 1."""
+    values, vectors = np.linalg.eigh(cap_target(d, seed))
+    X = (vectors * np.minimum(values, 1.0)) @ vectors.T
+    return X[np.triu_indices(d)]
+
+
 def bench_families():
     """The benchmark's generated problem families, ``bench/families.py``, loaded without changing ``sys.path``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "families.py"
@@ -186,10 +238,27 @@ HOOKS = ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G")
 
 
 def second_derivatives(prob: NsdpProblem):
-    """hess_f(x), hess_g(x, j) and d2G(x, i, j) of ``prob`` as the solver reads them, synthesized or not;
-    hess_g(x, j) = hess g_j(x) is the contracted hook at the unit weight e_j."""
-    hess_g, units = model._hess_g(prob), np.eye(prob.m)
-    return model._hess_f(prob), lambda x, j: hess_g(x, units[j]), model._d2G(prob)
+    """hess_f(x), hess_g(x, j) = hess g_j(x) and d2G(x, i, j) of ``prob``, entry by entry: each hook the problem
+    supplies (hess_g at the unit weight e_j), and for each it leaves to ``fd_second_order`` the loop references' own
+    central differences of its first derivative, one coordinate at a time with the model's step, symmetrized."""
+    n, units = prob.n, np.eye(prob.m)
+
+    def diff(fn, x, j):  # (fn(x + h_j e_j) - fn(x - h_j e_j)) / (2 h_j), h_j = FD_STEP_SECOND_ORDER * (1 + |x_j|)
+        e = np.zeros(n)
+        e[j] = model.FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
+        return (np.asarray(fn(x + e), dtype=float) - np.asarray(fn(x - e), dtype=float)) / (2 * e[j])
+
+    def hess_f(x):
+        return matfun.symmetrize(np.stack([diff(prob.grad_f, x, j) for j in range(n)]))
+
+    def hess_g(x, k):
+        return matfun.symmetrize(np.stack([diff(lambda z: prob.jac_g(z)[:, k], x, j) for j in range(n)]))
+
+    def d2G(x, i, j):  # the mean of the differences of dG(., i) in x_j and of dG(., j) in x_i
+        return matfun.symmetrize(0.5 * (diff(lambda z: prob.dG(z, i), x, j) + diff(lambda z: prob.dG(z, j), x, i)))
+
+    return (prob.hess_f or hess_f, hess_g if prob.hess_g is None else lambda x, j: prob.hess_g(x, units[j]),
+            prob.d2G or d2G)
 
 
 def counting(prob: NsdpProblem):

@@ -140,6 +140,20 @@ class TestSolveCommand:
         assert code == 0, out.out
         assert "FeasOptReached" in out.out
 
+    def test_infeasible_start_exits_3_without_traceback(self, monkeypatch, capsys):
+        # scalar-bound from x0 = -1, where G = [[x0]] is not PSD: the solve refuses to start, as exit 3 with one line
+        get_problem = problems.get_problem
+
+        def infeasible(name):
+            entry = get_problem(name)
+            return dataclasses.replace(entry, problem=dataclasses.replace(entry.problem, start_point=[-1.0]))
+
+        monkeypatch.setattr(problems, "get_problem", infeasible)
+        code, out = run_main(["solve", "--problem", "scalar-bound"], capsys)
+        assert code == 3 and out.out == ""
+        assert out.err.startswith("error: start point of 'scalar-bound' has infeasibility ")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
     def test_infeasible_tolerance_forces_cap_failure(self, tmp_path):
         # feasibility target is unreachable before the weight cap: exit 3
         code = run_main(["solve", "--problem", "scalar-bound", "--tol-feas", "1e-12",

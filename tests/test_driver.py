@@ -9,8 +9,8 @@ from nsdpen import driver, matfun, model, optimality, penalty, problems, trustre
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import (ball_problem, counting, eigvalsh_follows_each_failed_factorization, nearest_psd_d5,
-                      record_certificates, script_F_point)
+from conftest import (ball_problem, cap_problem, cap_reference, counting, eigvalsh_follows_each_failed_factorization,
+                      nearest_psd_d5, record_certificates, script_F_point)
 
 
 class TestGammaRule:
@@ -93,6 +93,12 @@ class TestConfig:
         for name, value in fields.items():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, name, value)
+
+
+    @pytest.mark.parametrize("field", ["tol_feas", "tol_opt"])
+    def test_negative_tolerance_rejected(self, field):
+        with pytest.raises(InvalidInputError, match="^tolerances must be nonnegative$"):
+            driver.PenaltyConfig(**{field: -1})
 
 
 class TestSolveScalarBound:
@@ -254,6 +260,13 @@ class TestSolveGuards:
         for report in (analytic, fd):
             assert (len(report.iterates), sum(rec.inner_iterations for rec in report.iterates)) == (18, 21)
         assert np.max(np.abs(fd.final.x - analytic.final.x)) <= 1e-12
+
+    def test_x_dependent_curvature_solves_to_the_clipped_reference(self):
+        # G = I - X^3 (X <= I), whose d2G moves with x: the solve ends at the target with its eigenvalues clipped at 1
+        cfg = driver.PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40)
+        report = driver.solve(cap_problem(3, seed=7), cfg)
+        assert report.final_status == driver.FEAS_OPT_REACHED
+        assert np.max(np.abs(report.final.x - cap_reference(3, 7))) <= 1e-4
 
     def test_estimated_b_count_matches_known(self):
         # omit b_count: the driver estimates it from the final iterate

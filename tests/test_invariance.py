@@ -16,7 +16,7 @@ import pytest
 
 from nsdpen import driver, problems
 
-from conftest import ball_problem, nearest_psd_d5, rng
+from conftest import ball_problem, cap_problem, nearest_psd_d5, rng
 
 
 def relabelled(prob, perm: np.ndarray, Q: np.ndarray):
@@ -47,6 +47,7 @@ def corr_matrix():
 
 
 CASES = {"ball-d3": lambda: (ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)),
+         "cap-d3": lambda: (cap_problem(3, seed=7), driver.PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40)),
          "psd-d5": nearest_psd_d5,
          "corr-matrix": corr_matrix}
 

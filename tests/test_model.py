@@ -11,7 +11,7 @@ from nsdpen import driver, matfun, model, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError, read_only
 from nsdpen.matfun import symmetrize
 
-from conftest import ball_problem, bench_families, counting, rng, second_derivatives
+from conftest import ball_problem, bench_families, cap_problem, counting, rng
 
 
 def affine_matrix_problem():
@@ -34,9 +34,9 @@ def affine_matrix_problem():
 
 
 def loop_audit_errors(prob, x):
-    """Reference audit errors: one central difference per coordinate and two norms per hook output, entry by entry."""
+    """Reference audit errors: one central difference per coordinate and two norms per hook output, entry by entry,
+    for each hook the problem supplies."""
     n = prob.n
-    hess_f, hess_g, d2G = second_derivatives(prob)
 
     def fd(fn):
         rows = []
@@ -50,13 +50,17 @@ def loop_audit_errors(prob, x):
         analytic = np.asarray(analytic, dtype=float)
         return np.linalg.norm((analytic - approx).ravel()) / (1.0 + np.linalg.norm(analytic.ravel()))
 
-    errors = {"grad_f": [err(prob.grad_f(x), fd(prob.f))], "hess_f": [err(hess_f(x), symmetrize(fd(prob.grad_f)))]}
+    errors = {"grad_f": [err(prob.grad_f(x), fd(prob.f))]}
+    if prob.hess_f is not None:
+        errors["hess_f"] = [err(prob.hess_f(x), symmetrize(fd(prob.grad_f)))]
     if prob.m > 0:
         errors["jac_g"] = [err(prob.jac_g(x), fd(prob.g))]
-        errors["hess_g"] = [err(hess_g(x, j), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
+    if prob.m > 0 and prob.hess_g is not None:
+        errors["hess_g"] = [err(prob.hess_g(x, np.eye(prob.m)[j]), symmetrize(fd(lambda z: prob.jac_g(z)[:, j])))
                             for j in range(prob.m)]
     errors["dG"] = [err(prob.dG(x, i), D) for i, D in enumerate(fd(prob.G))]
-    errors["d2G"] = [err(d2G(x, i, j), D) for i in range(n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
+    if prob.d2G is not None:
+        errors["d2G"] = [err(prob.d2G(x, i, j), D) for i in range(n) for j, D in enumerate(fd(lambda z: prob.dG(z, i)))]
     return {label: float(np.max(errs)) for label, errs in errors.items()}
 
 
@@ -433,7 +437,7 @@ class TestHugeStacks:
         c = 1e308
         prob = model.NsdpProblem(name="huge-hess", n=2, m=0, d=0, start_point=np.zeros(2), f=lambda x: c * x[0] * x[1],
                                  grad_f=lambda x: c * x[::-1], fd_second_order=True)
-        H = model._hess_f(prob)(np.zeros(2))
+        H = model.hess_fg(prob, np.zeros(2), 1.0, None)
         assert np.isfinite(H).all() and np.array_equal(H, H.T)
         assert H[0, 1] == pytest.approx(c, rel=1e-10) and H[0, 0] == H[1, 1] == 0.0
 
@@ -569,7 +573,7 @@ class TestContractedHessG:
         # powers of two as weights make every product exact, so a fused or a separate multiply-add gives these bits
         prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
         x, y = rng(43).normal(size=prob.n), np.array([0.5, -2.0])
-        H = model._hess_g(prob)(x, y)
+        H = -model.hess_fg(prob, x, 0.0, y)
         assert counts["jac_g"] == 2 * prob.n
         stack = model._hessian_diff(prob, "jac_g", model._shifts(x, model.FD_STEP_SECOND_ORDER))
         assert np.array_equal(H, 0.5 * stack[0] - 2.0 * stack[1])
@@ -693,6 +697,30 @@ class TestAudit:
         assert report.errors == loop_audit_errors(prob, x)
         assert report.passed and report.step == model.FD_STEP_AUDIT
 
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
+    def test_x_dependent_curvature_matches_loop_reference(self, fd):
+        prob = cap_problem(3, seed=6, fd_second_order=fd)
+        x = rng(44).normal(size=prob.n)
+        report = model.audit_derivatives(prob, x)
+        assert report.errors == loop_audit_errors(prob, x) and report.passed
+        assert ("d2G" in report.errors) is not fd
+
+    def test_x_dependent_curvature_read_at_another_point_fails(self):
+        # G = I - X^3 has d2G(x) != d2G(x0): a hook that reads it at the start point fails its check alone
+        prob = cap_problem(3, seed=6)
+        frozen = dataclasses.replace(prob, d2G=lambda x, i, j: prob.d2G(prob.start_point, i, j))
+        report = model.audit_derivatives(frozen, rng(45).normal(size=prob.n))
+        assert report.failures == ["d2G"] and report.errors["d2G"] > 0.1
+
+    def test_hook_call_counts_synthesized(self):
+        # a second derivative left to fd_second_order is not audited, so neither it nor its difference is read
+        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        n = prob.n
+        report = model.audit_derivatives(prob, rng(26).normal(size=n))
+        assert list(report.errors) == ["grad_f", "jac_g", "dG"]
+        assert counts == {"f": 2 * n, "grad_f": 1, "hess_f": 0, "g": 2 * n, "jac_g": 1, "hess_g": 0, "G": 2 * n,
+                          "dG": n, "d2G": 0}
+
     def test_hook_call_counts(self):
         prob, counts = counting(ball_problem(3, m=2))
         n, m = prob.n, prob.m
@@ -759,9 +787,11 @@ class TestSynthesizedSecondDerivatives:
             fd_second_order=True,
         )
         x = np.array([0.4, -1.1])
-        assert np.allclose(model._hess_f(fd)(x), analytic.hess_f(x), atol=1e-8)
-        assert np.allclose(model._d2G(fd)(x, 0, 1), 0.0, atol=1e-8)
-        assert model.audit_derivatives(fd, x).passed
+        assert np.allclose(model.hess_fg(fd, x, 1.0, None), analytic.hess_f(x), atol=1e-8)
+        assert np.allclose(model.d2G_contract(fd, x, rng(28).normal(size=(2, 2))), 0.0, atol=1e-8)
+        # the audit checks the hooks the problem supplies; a synthesized second derivative is itself a difference
+        report = model.audit_derivatives(fd, x)
+        assert report.passed and list(report.errors) == ["grad_f", "dG"]
 
     def test_fd_equality_hooks(self):
         base = problems.get_problem("equality-degenerate").problem
@@ -774,7 +804,21 @@ class TestSynthesizedSecondDerivatives:
             fd_second_order=True,
         )
         x = np.array([0.7])
-        assert model._hess_g(fd)(x, np.array([3.0]))[0, 0] == pytest.approx(6.0, abs=1e-8)
+        assert -model.hess_fg(fd, x, 0.0, np.array([3.0]))[0, 0] == pytest.approx(6.0, abs=1e-8)
+        report = model.audit_derivatives(fd, x)
+        assert report.passed and list(report.errors) == ["grad_f", "jac_g"]
+
+    def test_d2G_contraction_is_one_difference_of_the_dG_stack(self):
+        # 2n^2 dG calls (n at each of 2n points) and no d2G call; the weights contract the symmetrized difference,
+        # and a cubic G's d2G(x) is recovered at x itself
+        prob, counts = counting(cap_problem(3, seed=8, fd_second_order=True))
+        n, x, W = prob.n, rng(46).normal(size=prob.n), rng(47).normal(size=(3, 3))
+        out = model.d2G_contract(prob, x, W)
+        assert (counts["dG"], counts["d2G"]) == (2 * n * n, 0)
+        stack = model._hessian_diff(prob, "dG", model._shifts(x, model.FD_STEP_SECOND_ORDER))
+        assert stack.shape == (9, n, n) and np.array_equal(out, np.tensordot(W.ravel(), stack, 1))
+        exact = model.d2G_contract(cap_problem(3, seed=8), x, W)
+        assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
 
     def test_one_jac_g_difference_per_point(self):
         # hess_fg differences jac_g once (2n calls) per call with a nonzero weight, and not at all when every

@@ -10,8 +10,8 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import (BALL_CASES, ball_problem, counting, eig_classes, mixed_ball_point, rng, script_F_point,
-                      second_derivatives)
+from conftest import (BALL_CASES, ball_problem, cap_problem, counting, eig_classes, fd_jac, mixed_ball_point, rng,
+                      script_F_point, second_derivatives)
 
 
 def unconstrained_indefinite():
@@ -86,7 +86,15 @@ def loop_sigma_term(prob, x, Z):
 class TestLoopEquivalence:
     @pytest.mark.parametrize("d,m,fd", BALL_CASES)
     def test_matches_loop_assembly(self, d, m, fd):
-        prob = ball_problem(d, m=m, fd_second_order=fd, seed=d + m)
+        self.check_loop_assembly(ball_problem(d, m=m, fd_second_order=fd, seed=d + m))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
+    def test_x_dependent_curvature_matches_loop_assembly(self, fd):
+        # G = I - X^3: d2G moves with x, so a contraction or a difference taken at another point shows
+        self.check_loop_assembly(cap_problem(3, seed=3, fd_second_order=fd))
+
+    @staticmethod
+    def check_loop_assembly(prob):
         for seed in (40, 41):
             x, y, Z = mixed_point(prob, seed)
             assert all(mask.any() for mask in eig_classes(matfun.eig_sym(prob.G(x))))
@@ -153,6 +161,16 @@ class TestLagrangian:
                 fd[i] = (L(x + e) - L(x - e)) / (2 * h[i])
             ana = optimality.lagrangian_grad(prob, x, y, Z)
             assert np.linalg.norm(ana - fd) <= 1e-6 * (1 + np.linalg.norm(ana))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
+    def test_x_dependent_curvature_hessian_matches_difference_of_gradient(self, fd):
+        # G = I - X^3 at an infeasible point (X has the eigenvalue 2 > 1): the d2G term is read at x
+        prob = cap_problem(3, seed=5, fd_second_order=fd)
+        x, _, Z = mixed_point(prob, 38)
+        assert np.linalg.eigvalsh(prob.G(x))[0] < -1.0
+        ana = optimality.lagrangian_hess(prob, x, None, Z)
+        fd_H = fd_jac(lambda z: optimality.lagrangian_grad(prob, z, None, Z), x, prob.n)
+        assert np.linalg.norm(ana - 0.5 * (fd_H + fd_H.T)) <= 1e-6 * (1 + np.linalg.norm(ana))
 
     def test_hessian_matches_central_difference_of_gradient(self):
         gen = rng(37)
@@ -375,6 +393,15 @@ class TestCriticalSubspace:
             D = sum(col[i] * np.asarray(prob.dG(x, i)) for i in range(3))
             assert abs(u @ D @ u) <= 1e-10
 
+    def test_all_zero_rows_give_the_identity(self, monkeypatch):
+        # dG = 0, so the compressed rows vanish; the SVD of a zero matrix may return any orthonormal basis (here a
+        # reversed, negated one), and the basis is the identity whatever it returns
+        prob = dataclasses.replace(ball_problem(2), dG=lambda x, i: np.zeros((2, 2)))
+        at = script_F_point(prob, np.zeros(prob.n))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda A: (lambda u, s, vt: (u, s, -vt[::-1]))(*svd(A)))
+        assert np.array_equal(optimality.critical_subspace_basis(at, 2), np.eye(prob.n))
+
     def test_b_count_bounds(self):
         prob = problems.get_problem("nearest-psd").problem
         with pytest.raises(InvalidInputError):
@@ -398,6 +425,12 @@ class TestSecondOrderResidual:
     def test_empty_basis_vacuous(self):
         prob = unconstrained_indefinite()
         assert optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, np.zeros((2, 0))) == 0.0
+
+    @pytest.mark.parametrize("basis", [np.eye(3), np.ones(2), np.zeros((1, 2, 0))], ids=["rows", "vector", "stack"])
+    def test_wrongly_shaped_basis_rejected(self, basis):
+        prob = unconstrained_indefinite()
+        with pytest.raises(InvalidInputError, match=r"^basis must be 2 x s$"):
+            optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, basis)
 
     def test_rotation_invariance(self):
         gen = rng(36)

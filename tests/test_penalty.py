@@ -10,8 +10,8 @@ from nsdpen import matfun, optimality, penalty, problems
 from nsdpen.errors import InvalidInputError
 from nsdpen.model import NsdpProblem
 
-from conftest import (BALL_CASES, ball_problem, counting, eig_classes, fd_grad, fd_jac, mixed_ball_point, rng,
-                      script_F_point, second_derivatives, spectrum_matrix)
+from conftest import (BALL_CASES, ball_problem, cap_problem, counting, eig_classes, fd_grad, fd_jac, mixed_ball_point,
+                      rng, script_F_point, second_derivatives, spectrum_matrix)
 
 
 def scalar_quartic_problem():
@@ -440,7 +440,26 @@ class TestHessian:
 
     @pytest.mark.parametrize("d,m,fd", BALL_CASES)
     def test_matches_loop_assembly(self, d, m, fd):
-        prob = ball_problem(d, m=m, fd_second_order=fd, seed=d + m)
+        self.check_loop_assembly(ball_problem(d, m=m, fd_second_order=fd, seed=d + m))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
+    def test_x_dependent_curvature_matches_loop_assembly(self, fd):
+        # G = I - X^3: d2G moves with x, so a contraction or a difference taken at another point shows
+        self.check_loop_assembly(cap_problem(3, seed=3, fd_second_order=fd))
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
+    def test_x_dependent_curvature_matches_difference_of_gradient(self, fd):
+        # at an infeasible point (X has the eigenvalue 2 > 1), where d2G(x) is far from its value at the start
+        prob = cap_problem(3, seed=4, fd_second_order=fd)
+        x, p = mixed_point(prob, 114)
+        assert np.linalg.eigvalsh(prob.G(x))[0] < -1.0
+        for params in (p, penalty.special_params("script_F", 3.0)):
+            ana = penalty.penalty_hess(penalty.penalty_at(prob, x, params))
+            fd_H = fd_jac(lambda z: penalty.penalty_grad(penalty.penalty_at(prob, z, params)), x, prob.n)
+            assert np.linalg.norm(ana - 0.5 * (fd_H + fd_H.T)) <= 1e-6 * (1 + np.linalg.norm(ana))
+
+    @staticmethod
+    def check_loop_assembly(prob):
         for seed in (110, 111):
             x, p = mixed_point(prob, seed)
             gen = rng(seed)
@@ -465,12 +484,12 @@ class TestHessian:
         assert (counts["G"], counts["g"], counts["dG"], counts["d2G"]) == (0, 0, n, n * (n + 1) // 2)
 
     def test_hook_counts_synthesized(self):
-        # the synthesized second derivatives read this problem's first-derivative hooks: one grad_f and one
-        # jac_g difference (2n calls each) and four dG calls per d2G entry, besides J and the dG stack
+        # the synthesized second derivatives read this problem's first-derivative hooks: one grad_f, one jac_g
+        # and one dG-stack difference (2n calls each, the last of n dG calls), besides J and the dG stack
         prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
         n = prob.n
         at = penalty.penalty_at(prob, rng(113).normal(size=n), penalty.special_params("script_F", 3.0))
         counts.update(dict.fromkeys(counts, 0))
         penalty.penalty_hess(at)
         assert counts == {"f": 0, "grad_f": 2 * n, "hess_f": 0, "g": 0, "jac_g": 1 + 2 * n, "hess_g": 0,
-                          "G": 0, "dG": n + 4 * n * (n + 1) // 2, "d2G": 0}
+                          "G": 0, "dG": n + 2 * n * n, "d2G": 0}
