@@ -8,8 +8,9 @@ imported read-only) at psd d = 5, 12 and ball d = 4, 8, seeds 1, 2 and 7,
 under the benchmark's family config: the final status, detail and b_count
 of ``nsdpen.solve`` and every field of every iterate record, floats and
 arrays by their bits.  The same records of psd d = 5 and ball d = 4, seeds
-1, 2 and 7, with both second-derivative hooks left out (``hess_f=None,
-d2G=None, fd_second_order=True``), cover the synthesized second derivatives.
+1, 2 and 7, and of psd d = 12, seed 7, with both second-derivative hooks left
+out (``hess_f=None, d2G=None, fd_second_order=True``), cover the synthesized
+second derivatives.
 
 Run it on two checkouts and diff the outputs:
 
@@ -35,8 +36,8 @@ import families
 # bench/run.py's FAMILY_CONFIG
 FAMILY_CONFIG = PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40)
 FAMILY_CASES = [("psd", 5), ("psd", 12), ("ball", 4), ("ball", 8)]
-SYNTHESIZED_CASES = [("psd", 5), ("ball", 4)]
 SEEDS = (1, 2, 7)
+SYNTHESIZED_CASES = [("psd", 5, SEEDS), ("ball", 4, SEEDS), ("psd", 12, (7,))]
 
 
 def digest(data: bytes) -> str:
@@ -92,8 +93,8 @@ def main() -> int:
     for kind, d in FAMILY_CASES:
         for seed in SEEDS:
             print(digest(family_records(kind, d, seed)), f"family/{kind}-d{d}/seed-{seed}")
-    for kind, d in SYNTHESIZED_CASES:
-        for seed in SEEDS:
+    for kind, d, seeds in SYNTHESIZED_CASES:
+        for seed in seeds:
             records = family_records(kind, d, seed, synthesized=True)
             print(digest(records), f"family/{kind}-d{d}-synthesized/seed-{seed}")
     return 0

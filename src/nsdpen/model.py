@@ -39,21 +39,16 @@ def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     return h, read_only(np.concatenate([x + D, x - D]))
 
 
-def _stacked_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], shape: tuple) -> np.ndarray:
-    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) for every coordinate i along a new leading axis.
-
-    fn's 2n outputs at the points of ``_shifts`` are gathered as one array of
-    ``hook`` outputs of the given shape and differenced in one operation.  The
-    difference of non-finite or huge outputs (inf - inf) comes out non-finite
-    without a numpy warning: the audit records it as an error of inf and the
-    solver rejects a non-finite Hessian.  The hooks' own warnings surface.
-    """
+def _central_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], j: int, shape: tuple) -> np.ndarray:
+    """(fn(x + h_j e_j) - fn(x - h_j e_j)) / (2 h_j) at the points of ``_shifts``, fn called at x + h_j e_j, then
+    at x - h_j e_j, and its two outputs read by one ``_gather`` as ``hook`` outputs of the given shape.  Non-finite or
+    huge outputs (inf - inf) give a non-finite difference without a numpy warning, which the audit records as an
+    error of inf and the solver rejects in a Hessian; the hooks' own warnings surface."""
     h, points = shifts
-    out = _gather(hook, [fn(z) for z in points], shape)
-    n = h.size
+    out = _gather(hook, [fn(points[j]), fn(points[h.size + j])], shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = out[:n] - out[n:]
-        diff /= (2 * h).reshape(n, *(1,) * len(shape))
+        diff = out[0] - out[1]
+        diff /= 2 * h[j]
     return diff
 
 
@@ -75,8 +70,9 @@ class NsdpProblem:
     given is callable, and the hooks read are present (f, grad_f, hess_f; g,
     jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks
     may be omitted by passing ``fd_second_order=True``; their fields stay None,
-    and their readers contract one central difference of this problem's own
-    grad_f, jac_g or dG stack (``_synthesized``), so a ``dataclasses.replace``
+    and their readers difference this problem's own grad_f, jac_g or dG stack
+    at x + h_j e_j, then x - h_j e_j, for j = 0, ..., n - 1, contracting each
+    difference as it is made (``_synthesized``), so a ``dataclasses.replace``
     copy differences its own hooks.  Frozen, with a read-only copy of
     ``start_point``.
     """
@@ -122,22 +118,22 @@ def _point(prob: NsdpProblem, x) -> np.ndarray:
     return _vec(x, prob.n)
 
 
-def _hessian_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The symmetrized differences at the points of ``_shifts`` of grad_f (k = 1), of each column of jac_g (k = m)
-    or of each entry (a, b) of the ``_dG_outputs`` stack (k = d*d, (i, j) the mean of the differences of dG(., i)[a, b]
-    in x_j and of dG(., j)[a, b] in x_i), as a (k, n, n) stack: what ``_synthesized`` contracts, and the audit's
-    references for hess_f and hess_g."""
+def _synthesized(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray], weights) -> np.ndarray:
+    """The weights contracted with the central differences at ``shifts`` of grad_f (k = 1), of the columns of jac_g
+    (k = m) or of the entries of the ``_dG_outputs`` stack (k = d*d): (k,) weights give an (n, n) matrix, (k, K) a
+    (K, n, n) stack.  Each coordinate's ``_central_diff`` is contracted as soon as it is made, so two hook outputs
+    are held at a time, and the result is symmetrized once.  At the step FD_STEP_SECOND_ORDER it is every second
+    derivative left to fd_second_order: hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
+    [<d2G(x, i, j), W>]_ij (dG, W raveled), from 2n grad_f or jac_g calls, or 2n^2 dG calls."""
     n = prob.n
     fn = partial(_dG_outputs, prob) if hook == "dG" else getattr(prob, hook)
     shape = {"grad_f": (n,), "jac_g": (n, prob.m), "dG": (n, prob.d, prob.d)}[hook]
-    return symmetrize(_stacked_diff(hook, fn, shifts, shape).reshape(n, n, -1).transpose(2, 0, 1))
-
-
-def _synthesized(prob: NsdpProblem, hook: str, x: np.ndarray, weights) -> np.ndarray:
-    """The weights contracted with the stack of ``_hessian_diff(prob, hook)`` at x (step FD_STEP_SECOND_ORDER): every
-    second derivative left to fd_second_order, hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
-    [<d2G(x, i, j), W>]_ij (dG, W raveled), so 2n grad_f or jac_g calls, or 2n^2 dG calls."""
-    return np.tensordot(weights, _hessian_diff(prob, hook, _shifts(x, FD_STEP_SECOND_ORDER)), 1)
+    out = np.empty((*np.shape(weights)[1:], n, n))
+    for j in range(n):
+        diff = _central_diff(hook, fn, shifts, j, shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[..., j, :] = (diff.reshape(n, -1) @ weights).T
+    return symmetrize(out)
 
 
 def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
@@ -175,12 +171,13 @@ def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
     if rho == 0.0:
         H = np.zeros((n, n))
     elif prob.hess_f is None:
-        H = rho * _synthesized(prob, "grad_f", x, np.ones(1))
+        H = rho * _synthesized(prob, "grad_f", _shifts(x, FD_STEP_SECOND_ORDER), np.ones(1))
     else:
         H = rho * real_array("hess_f", prob.hess_f(x), (n, n))
     if prob.m > 0 and np.any(y):
-        H = H - real_array("hess_g", _synthesized(prob, "jac_g", x, y) if prob.hess_g is None else prob.hess_g(x, y),
-                           (n, n))
+        hess_g = _synthesized(prob, "jac_g", _shifts(x, FD_STEP_SECOND_ORDER), y) if prob.hess_g is None else \
+            prob.hess_g(x, y)
+        H = H - real_array("hess_g", hess_g, (n, n))
     return H
 
 
@@ -205,7 +202,7 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
         return np.zeros((n, n))
     w = W.ravel()
     if prob.d2G is None:
-        return _synthesized(prob, "dG", x, w)
+        return _synthesized(prob, "dG", _shifts(x, FD_STEP_SECOND_ORDER), w)
     outs = list(map(prob.d2G, repeat(x), *_upper_ints(n)))
     first = outs[0]
     if outs[-1] is first and all(map(is_, outs, repeat(first))):
@@ -250,29 +247,27 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
 def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     """Check every derivative hook the problem supplies against a central difference of its neighbor.
 
-    The step is ``FD_STEP_AUDIT * (1 + |x_i|)``; each hook's relative error
-    is compared with its ``AUDIT_THRESHOLDS`` entry, 1e-6 for first
-    derivatives and 1e-4 for second.  A hook that raises, returns non-finite
-    or complex values, or returns another shape than the solver reads (f a
-    scalar, grad_f (n,), hess_f and hess_g (n, n), g (m,), jac_g (n, m), G,
-    dG and d2G (d, d)) is recorded with error ``inf``; the audit still completes.
+    The step is ``FD_STEP_AUDIT * (1 + |x_i|)``; each hook's relative error is compared with its
+    ``AUDIT_THRESHOLDS`` entry, 1e-6 for first derivatives and 1e-4 for second.  A hook that raises, returns
+    non-finite or complex values, or returns another shape than the solver reads (f a scalar, grad_f (n,), hess_f
+    and hess_g (n, n), g (m,), jac_g (n, m), G, dG and d2G (d, d)) is recorded with error ``inf``; the audit still
+    completes.
 
-    Every difference reads the same 2n shifted points x +- h_i e_i, handed
-    to the hooks as read-only rows, so a hook that writes into its argument
-    fails its check.  The hook calls are those of one difference per
-    analytic output, and of one for all columns of jac_g: f, g and G 2n times
-    each, grad_f and jac_g 1 + 2n, dG n + 2n^2 (a difference of the dG stack
-    per coordinate), d2G n^2, hess_f once and hess_g m times, once per unit
-    weight e_j, with the weights handed as read-only rows too.  Second
-    derivatives left to ``fd_second_order`` are differences: not audited.
+    Every difference is a ``_central_diff`` at the same 2n shifted points, x + h_j e_j then x - h_j e_j for
+    j = 0, ..., n - 1, handed to the hooks as read-only rows, so a hook that writes into its argument fails its
+    check; hess_f and hess_g are checked against ``_synthesized`` with unit weights.  The hook calls are those of
+    one difference per analytic output, and of one for all columns of jac_g: f, g and G 2n times each, grad_f and
+    jac_g 1 + 2n, dG n + 2n^2 (a difference of the dG stack per coordinate), d2G n^2, hess_f once and hess_g m
+    times, once per unit weight e_j, with the weights handed as read-only rows too.  Second derivatives left to
+    ``fd_second_order`` are differences: not audited.
     """
     x = _point(prob, x)
     n, m, d = prob.n, prob.m, prob.d
     shifts = _shifts(x, FD_STEP_AUDIT)
     units = read_only(np.eye(m))
 
-    def fd(hook, fn, shape):
-        return _stacked_diff(hook, fn, shifts, shape)
+    def fd(hook, fn, shape):  # the first derivative in every coordinate, along a new leading axis
+        return np.stack([_central_diff(hook, fn, shifts, j, shape) for j in range(n)])
 
     def one(hook, value, shape):  # a single analytic output, as a stack of one
         return real_array(hook, value, shape)[None]
@@ -281,20 +276,19 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
     if prob.hess_f is not None:
         checks["hess_f"] = lambda: _rel_err(one("hess_f", prob.hess_f(x), (n, n)),
-                                            _hessian_diff(prob, "grad_f", shifts))
+                                            _synthesized(prob, "grad_f", shifts, np.ones((1, 1))))
     if m > 0:
         checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
     if m > 0 and prob.hess_g is not None:
         checks["hess_g"] = lambda: _rel_err(_gather("hess_g", list(map(prob.hess_g, repeat(x), units)), (n, n)),
-                                            _hessian_diff(prob, "jac_g", shifts))
+                                            _synthesized(prob, "jac_g", shifts, units))
     if d > 0:
         checks["dG"] = lambda: _rel_err(_dG_outputs(prob, x), fd("G", prob.G, (d, d)))
     if d > 0 and prob.d2G is not None:
         # coordinate j: d2G(x, i, j) over i against one difference of the dG stack in x_j, two stacks held at a time
-        h, points = shifts
         checks["d2G"] = lambda: np.concatenate([
             _rel_err(_gather("d2G", [prob.d2G(x, i, j) for i in range(n)], (d, d)),
-                     _stacked_diff("dG", partial(_dG_outputs, prob), (h[j:j + 1], points[j::n]), (n, d, d))[0])
+                     _central_diff("dG", partial(_dG_outputs, prob), shifts, j, (n, d, d)))
             for j in range(n)])
 
     errors: dict[str, float] = {}

@@ -144,7 +144,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
         return np.eye(prob.n)
     A = np.vstack(rows)
     _, s, vt = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.eye(prob.n)
     rank = int(np.sum(s > 1e-10 * s[0]))
     return vt[rank:].T.copy()

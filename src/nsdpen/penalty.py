@@ -8,7 +8,7 @@ For parameters (v, M, rho, sigma, tau) the penalty is
 which is twice continuously differentiable in x.  ``penalty_at`` evaluates
 the two pieces every term is built from, r = v/tau - g(x) and the
 eigendecomposition of M/tau - G(x), once per point; ``penalty_value``,
-``penalty_grad`` and ``penalty_hess`` read them, and f, jac_g, dG and
+``penalty_grad`` and ``penalty_hess`` read them, and f, grad_f, jac_g, dG and
 [M/tau - G(x)]+^3 made once on first read, from that ``PenaltyPoint`` and add
 the derivatives of f, g and G.  Only rho and sigma weigh those pieces, so
 ``PenaltyPoint.reweighted`` moves a point to new weights without evaluating
@@ -83,10 +83,10 @@ def special_params(kind: str, gamma: float | None = None) -> PenaltyParams:
 class PenaltyPoint:
     """At a copy of x: r = v/tau - g(x) (None if m = 0), G(x) and dec = eig(M/tau - G(x)) (None if d = 0).
 
-    ``f`` = f(x), ``J`` = jac_g(x) (never written into), the read-only stack ``dG`` of dG(x, i), the read-only
-    ``q_cube`` = [M/tau - G(x)]+^3, the ``value`` and the read-only ``grad`` are made on first read and kept; the
-    Hessian is not, since a solve keeps every point.  None of these but ``value`` and ``grad`` depends on rho or
-    sigma, so ``reweighted`` carries the others to the same x under a new weight."""
+    ``f`` = f(x), ``grad_f`` = grad_f(x) and ``J`` = jac_g(x) (neither written into), the read-only stack ``dG`` of
+    dG(x, i), the read-only ``q_cube`` = [M/tau - G(x)]+^3, the ``value`` and the read-only ``grad`` are made on
+    first read and kept; the Hessian is not, since a solve keeps every point.  None of these but ``value`` and
+    ``grad`` depends on rho or sigma, so ``reweighted`` carries the others to the same x under a new weight."""
 
     prob: NsdpProblem
     p: PenaltyParams
@@ -98,6 +98,10 @@ class PenaltyPoint:
     @cached_property
     def f(self) -> float:
         return float(real_array("f", self.prob.f(self.x), ()))
+
+    @cached_property
+    def grad_f(self) -> np.ndarray:
+        return real_array("grad_f", self.prob.grad_f(self.x), (self.prob.n,))
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -123,13 +127,13 @@ class PenaltyPoint:
     def reweighted(self, p: PenaltyParams) -> "PenaltyPoint":
         """This point under ``p``, whose v, M and tau must equal this point's (bit for bit), so r, G and dec hold.
 
-        The new point reads this one's r, G, dec and x, and whichever of ``f``, ``J``, ``dG`` and ``q_cube`` this
-        one has made; its ``value`` and ``grad`` are made again on first read."""
+        The new point reads this one's r, G, dec and x, and whichever of ``f``, ``grad_f``, ``J``, ``dG`` and
+        ``q_cube`` this one has made; its ``value`` and ``grad`` are made again on first read."""
         require_instance("p", p, PenaltyParams)
         if not (p.tau == self.p.tau and _same_bits(p.v, self.p.v) and _same_bits(p.M, self.p.M)):
             raise InvalidInputError("reweighted needs params with this point's v, M and tau")
         point = PenaltyPoint(self.prob, p, self.x, self.r, self.G, self.dec)
-        for name in ("f", "J", "dG", "q_cube"):
+        for name in ("f", "grad_f", "J", "dG", "q_cube"):
             if name in self.__dict__:  # where cached_property keeps a made value
                 point.__dict__[name] = self.__dict__[name]
         return point
@@ -187,8 +191,8 @@ def penalty_value(at: PenaltyPoint) -> float:
 
 def penalty_grad(at: PenaltyPoint) -> np.ndarray:
     st = _sigma_tau(at)
-    prob, p, x = at.prob, at.p, at.x
-    grad = p.rho * real_array("grad_f", prob.grad_f(x), (prob.n,)) if p.rho != 0.0 else np.zeros(prob.n)
+    prob, p = at.prob, at.p
+    grad = p.rho * at.grad_f if p.rho != 0.0 else np.zeros(prob.n)
     if at.r is not None:
         grad = grad - st * (at.J @ at.r)
     if at.dec is not None:

@@ -703,12 +703,12 @@ class TestOneReadPerHook:
     @pytest.mark.parametrize("case", [*problems.list_problems(), "ball-m2"])
     def test_each_hook_read_once_per_point(self, case, monkeypatch):
         # f, g and G once per x (the driver reads f off the points, and a new gamma at a kept x reads none),
-        # grad_f once per gradient and jac_g once per differentiated x; corr-matrix made 96 f and 167 jac_g
-        # calls for 72 points before f and jac_g were kept on the point
+        # grad_f and jac_g once per differentiated x; corr-matrix made 96 f and 167 jac_g calls for 72 points
+        # before f and jac_g were kept on the point, and 72 grad_f calls for 60 differentiated x before grad_f was
         prob, _, hooks, calls, grad_xs = counted_solve(case, monkeypatch)
         per_point = [hooks[h] for h, used in (("f", True), ("g", prob.m > 0), ("G", prob.d > 0)) if used]
         assert per_point == [calls["penalty_at"]] * len(per_point)
-        assert hooks["grad_f"] == calls["penalty_grad"] == len(grad_xs) > 0
+        assert calls["penalty_grad"] == len(grad_xs) > hooks["grad_f"] == len(set(grad_xs))
         assert hooks["jac_g"] == (len(set(grad_xs)) if prob.m > 0 else 0)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,21 @@ def affine_matrix_problem():
         dG=lambda x, i: coeffs[i].copy(),
         d2G=lambda x, i, j: np.zeros((2, 2)),
     )
+
+
+def contracted_difference(fn, x, weights):
+    """The synthesizer's reference: for each coordinate j, (fn(x + h_j e_j) - fn(x - h_j e_j)) / (2 h_j) at the
+    second-order step, raveled to (n, k) and contracted with the (k,) weights as soon as it is made (row j), then
+    one symmetrize.  The outputs are read C-contiguous, as the model gathers them: the product's rounding depends
+    on the layout (a transposed jac_g output takes another BLAS path)."""
+    n, rows = x.size, []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = model.FD_STEP_SECOND_ORDER * (1.0 + abs(x[j]))
+        plus, minus = (np.ascontiguousarray(fn(z), dtype=float) for z in (x + e, x - e))
+        diff = (plus - minus) / (2 * e[j])
+        rows.append(diff.reshape(n, -1) @ weights)
+    return symmetrize(np.stack(rows))
 
 
 def loop_audit_errors(prob, x):
@@ -575,8 +591,7 @@ class TestContractedHessG:
         x, y = rng(43).normal(size=prob.n), np.array([0.5, -2.0])
         H = -model.hess_fg(prob, x, 0.0, y)
         assert counts["jac_g"] == 2 * prob.n
-        stack = model._hessian_diff(prob, "jac_g", model._shifts(x, model.FD_STEP_SECOND_ORDER))
-        assert np.array_equal(H, 0.5 * stack[0] - 2.0 * stack[1])
+        assert np.array_equal(H, contracted_difference(prob.jac_g, x, y))
         assert np.allclose(H, ball_problem(3, m=2).hess_g(x, y), atol=1e-6)
 
     @pytest.mark.parametrize("out", [np.zeros((2, 6, 6)), np.zeros((6, 6, 1))], ids=["stack", "column"])
@@ -809,16 +824,29 @@ class TestSynthesizedSecondDerivatives:
         assert report.passed and list(report.errors) == ["grad_f", "jac_g"]
 
     def test_d2G_contraction_is_one_difference_of_the_dG_stack(self):
-        # 2n^2 dG calls (n at each of 2n points) and no d2G call; the weights contract the symmetrized difference,
-        # and a cubic G's d2G(x) is recovered at x itself
+        # 2n^2 dG calls (n at each of 2n points) and no d2G call; the weights contract each coordinate's difference
+        # of the dG stack, symmetrized once, and a cubic G's d2G(x) is recovered at x itself
         prob, counts = counting(cap_problem(3, seed=8, fd_second_order=True))
         n, x, W = prob.n, rng(46).normal(size=prob.n), rng(47).normal(size=(3, 3))
         out = model.d2G_contract(prob, x, W)
         assert (counts["dG"], counts["d2G"]) == (2 * n * n, 0)
-        stack = model._hessian_diff(prob, "dG", model._shifts(x, model.FD_STEP_SECOND_ORDER))
-        assert stack.shape == (9, n, n) and np.array_equal(out, np.tensordot(W.ravel(), stack, 1))
+        assert np.array_equal(out, contracted_difference(lambda z: np.stack([prob.dG(z, i) for i in range(n)]), x,
+                                                         W.ravel()))
         exact = model.d2G_contract(cap_problem(3, seed=8), x, W)
         assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_d2G_contraction_holds_a_few_dG_stacks(self):
+        # each coordinate's difference is contracted as soon as it is made, so about 7 dG stacks (n d^2 floats) are
+        # held at once here, not the 2n shifted stacks
+        prob = bench_families().nearest_psd(8, np.random.default_rng(7)).problem
+        prob = dataclasses.replace(prob, hess_f=None, d2G=None, fd_second_order=True)
+        tracemalloc.start()
+        try:
+            model.d2G_contract(prob, prob.start_point + 0.1, np.eye(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (prob.n * 8 * 8 * 8)
 
     def test_one_jac_g_difference_per_point(self):
         # hess_fg differences jac_g once (2n calls) per call with a nonzero weight, and not at all when every
@@ -831,10 +859,8 @@ class TestSynthesizedSecondDerivatives:
             assert counts["jac_g"] == 2 * n
             assert not model.hess_fg(prob, x, 0.0, np.zeros(m)).any()
             assert counts["jac_g"] == 2 * n
-            # bit for bit the weights' contraction with the symmetrized difference of every column
-            diff = model._stacked_diff("jac_g", prob.jac_g, model._shifts(x, model.FD_STEP_SECOND_ORDER), (n, m))
-            stack = symmetrize(diff.transpose(2, 0, 1))
-            assert np.array_equal(H, -symmetrize(np.tensordot([1.5, -0.5], stack, 1)))
+            # bit for bit each coordinate's difference of jac_g contracted with the weights, symmetrized once
+            assert np.array_equal(H, -contracted_difference(prob.jac_g, x, np.array([1.5, -0.5])))
 
     def test_replace_differences_the_new_hooks(self):
         # a copy with new first derivatives synthesizes its second derivatives from them, not from the
