@@ -205,7 +205,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         return last[1]
 
     u0 = optimality.infeasibility_u(at(x0))
-    if u0 > FEAS_CHECK_TOL:
+    if not u0 <= FEAS_CHECK_TOL:  # a NaN infeasibility is not feasible either
         raise StartNotFeasibleError(f"start point of {prob.name!r} has infeasibility {u0:.3e} > {FEAS_CHECK_TOL:.3e}")
     f0 = at(x0).f
     u_prev = u0

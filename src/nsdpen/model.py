@@ -4,6 +4,8 @@ A problem bundles twice-differentiable hooks for the objective f, equality
 constraints g (optional, m = 0 when absent) and a symmetric-matrix constraint
 G (optional, d = 0 when absent), together with the linear operators built on
 the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
+This module makes every hook call, and reads every output in the shape
+``HOOK_SHAPES`` gives it: ``_read`` one output, ``_gather`` many of one hook.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,9 @@ FD_STEP_SECOND_ORDER = 1e-5
 # relative error each audited hook may have, 1e-6 for a first derivative and 1e-4 for a second
 FD_STEP_AUDIT = 1e-6
 AUDIT_THRESHOLDS = {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6, "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
+# the shape of each hook's output in the problem's dimensions (README, Hooks), the one statement of it
+HOOK_SHAPES = {"f": (), "grad_f": ("n",), "hess_f": ("n", "n"), "g": ("m",), "jac_g": ("n", "m"),
+               "hess_g": ("n", "n"), "G": ("d", "d"), "dG": ("d", "d"), "d2G": ("d", "d")}
 
 
 def _vec(x, n: int, name: str = "x") -> np.ndarray:
@@ -32,49 +37,22 @@ def _vec(x, n: int, name: str = "x") -> np.ndarray:
     return x
 
 
-def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i."""
-    h = step * (1.0 + np.abs(x))
-    D = np.diag(h)
-    return h, read_only(np.concatenate([x + D, x - D]))
-
-
-def _central_diff(hook: str, fn, shifts: tuple[np.ndarray, np.ndarray], j: int, shape: tuple) -> np.ndarray:
-    """(fn(x + h_j e_j) - fn(x - h_j e_j)) / (2 h_j) at the points of ``_shifts``, fn called at x + h_j e_j, then
-    at x - h_j e_j, and its two outputs read by one ``_gather`` as ``hook`` outputs of the given shape.  Non-finite or
-    huge outputs (inf - inf) give a non-finite difference without a numpy warning, which the audit records as an
-    error of inf and the solver rejects in a Hessian; the hooks' own warnings surface."""
-    h, points = shifts
-    out = _gather(hook, [fn(points[j]), fn(points[h.size + j])], shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = out[0] - out[1]
-        diff /= 2 * h[j]
-    return diff
-
-
 @dataclass(frozen=True)
 class NsdpProblem:
     """Problem data: minimize f(x) subject to g(x) = 0 and G(x) PSD.
 
-    Jacobian convention: ``jac_g(x)`` is n x m with column j equal to the
-    gradient of g_j, and ``hess_g(x, y)`` returns the n x n matrix
-    sum_j y_j hess g_j(x) for an (m,) weight y.  ``dG(x, i)`` is the partial
-    derivative of G in x_i and ``d2G(x, i, j)`` the second partial; both
-    return symmetric d x d arrays.
-    Hook outputs are only read, never written, so a hook may return one
-    shared (say read-only) array for many entries, as a ``d2G`` of an affine
-    G returns one zero.  A contraction reads its outputs only after its last
-    call, and an output shared by every call once.
+    Each hook returns an output of the shape ``HOOK_SHAPES`` gives it: ``jac_g(x)`` has column j the gradient of
+    g_j, ``hess_g(x, y)`` is sum_j y_j hess g_j(x) for an (m,) weight y, and ``dG(x, i)`` and ``d2G(x, i, j)`` are
+    the symmetric first and second partials of G in x_i (and x_j).  Hook outputs are only read, never written, so a
+    hook may return one shared (say read-only) array for many entries, as a ``d2G`` of an affine G returns one zero.
+    A contraction reads its outputs only after its last call, and an output shared by every call once.
 
-    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook
-    given is callable, and the hooks read are present (f, grad_f, hess_f; g,
-    jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks
-    may be omitted by passing ``fd_second_order=True``; their fields stay None,
-    and their readers difference this problem's own grad_f, jac_g or dG stack
-    at x + h_j e_j, then x - h_j e_j, for j = 0, ..., n - 1, contracting each
-    difference as it is made (``_synthesized``), so a ``dataclasses.replace``
-    copy differences its own hooks.  Frozen, with a read-only copy of
-    ``start_point``.
+    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook given is callable, and the hooks read are
+    present (f, grad_f, hess_f; g, jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks may be
+    omitted by passing ``fd_second_order=True``; their fields stay None, and their readers difference this problem's
+    own grad_f, jac_g or dG stack at x + h_j e_j, then x - h_j e_j, for j = 0, ..., n - 1, contracting each
+    difference as it is made (``_synthesized``), so a ``dataclasses.replace`` copy differences its own hooks.
+    Frozen, with a read-only copy of ``start_point``.
     """
 
     name: str
@@ -97,7 +75,7 @@ class NsdpProblem:
         for name, lo in (("n", 1), ("m", 0), ("d", 0)):
             require_int(name, getattr(self, name), lo)
         object.__setattr__(self, "start_point", read_only(_vec(self.start_point, self.n, "start_point").copy()))
-        for hook in ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G"):
+        for hook in HOOK_SHAPES:
             value = getattr(self, hook)
             if (value is not None or hook in ("f", "grad_f")) and not callable(value):
                 raise InvalidInputError(f"problem {self.name!r}: hook {hook} is not callable, got {value!r}")
@@ -118,6 +96,38 @@ def _point(prob: NsdpProblem, x) -> np.ndarray:
     return _vec(x, prob.n)
 
 
+def _shape(prob: NsdpProblem, hook: str) -> tuple:
+    """The shape ``HOOK_SHAPES`` gives the output of ``prob``'s hook."""
+    return tuple(getattr(prob, dim) for dim in HOOK_SHAPES[hook])
+
+
+def _read(prob: NsdpProblem, hook: str, x: np.ndarray, *args) -> np.ndarray:
+    """``prob``'s hook called once at x (and ``args``), its output read by ``real_array`` in the table's shape."""
+    return real_array(hook, getattr(prob, hook)(x, *args), _shape(prob, hook))
+
+
+def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """h = step * (1 + |x|) and the read-only (2n, n) array of the points x + h_i e_i (rows :n), then x - h_i e_i."""
+    h = step * (1.0 + np.abs(x))
+    D = np.diag(h)
+    return h, read_only(np.concatenate([x + D, x - D]))
+
+
+def _central_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
+    """(hook(x + h_j e_j) - hook(x - h_j e_j)) / (2 h_j) at the points of ``_shifts`` (for dG, of the
+    ``_dG_outputs`` stack), the two outputs read by one ``_gather``.  Non-finite or huge outputs (inf - inf) give a
+    non-finite difference without a numpy warning, which the audit records as an error of inf and the solver
+    rejects in a Hessian; the hooks' own warnings surface."""
+    h, points = shifts
+    fn, shape = (partial(_dG_outputs, prob), (prob.n, *_shape(prob, "dG"))) if hook == "dG" else \
+        (getattr(prob, hook), _shape(prob, hook))
+    out = _gather(hook, [fn(points[j]), fn(points[h.size + j])], shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = out[0] - out[1]
+        diff /= 2 * h[j]
+    return diff
+
+
 def _synthesized(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray], weights) -> np.ndarray:
     """The weights contracted with the central differences at ``shifts`` of grad_f (k = 1), of the columns of jac_g
     (k = m) or of the entries of the ``_dG_outputs`` stack (k = d*d): (k,) weights give an (n, n) matrix, (k, K) a
@@ -126,11 +136,9 @@ def _synthesized(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndar
     derivative left to fd_second_order: hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
     [<d2G(x, i, j), W>]_ij (dG, W raveled), from 2n grad_f or jac_g calls, or 2n^2 dG calls."""
     n = prob.n
-    fn = partial(_dG_outputs, prob) if hook == "dG" else getattr(prob, hook)
-    shape = {"grad_f": (n,), "jac_g": (n, prob.m), "dG": (n, prob.d, prob.d)}[hook]
     out = np.empty((*np.shape(weights)[1:], n, n))
     for j in range(n):
-        diff = _central_diff(hook, fn, shifts, j, shape)
+        diff = _central_diff(prob, hook, shifts, j)
         with np.errstate(over="ignore", invalid="ignore"):
             out[..., j, :] = (diff.reshape(n, -1) @ weights).T
     return symmetrize(out)
@@ -146,7 +154,7 @@ def _gather(hook: str, entries: list, shape: tuple) -> np.ndarray:
 
 def _dG_outputs(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
     """The n outputs dG(x, i) as one (n, d, d) array, as the hook returned them: the one reader of the dG hook."""
-    return _gather("dG", list(map(prob.dG, repeat(x), range(prob.n))), (prob.d, prob.d))
+    return _gather("dG", list(map(prob.dG, repeat(x), range(prob.n))), _shape(prob, "dG"))
 
 
 def _dG_stack(prob: NsdpProblem, x: np.ndarray) -> np.ndarray:
@@ -167,33 +175,27 @@ def hess_fg(prob: NsdpProblem, x: np.ndarray, rho: float, y) -> np.ndarray:
     """rho * hess f(x) - hess_g(x, y), each hook output shape-checked and read as given, a left-out hook synthesized
     (the caller symmetrizes the sum once); y is read only when m > 0, and hess_g once, never when every weight is 0."""
     x = _point(prob, x)
-    n = prob.n
     if rho == 0.0:
-        H = np.zeros((n, n))
+        H = np.zeros((prob.n, prob.n))
     elif prob.hess_f is None:
         H = rho * _synthesized(prob, "grad_f", _shifts(x, FD_STEP_SECOND_ORDER), np.ones(1))
     else:
-        H = rho * real_array("hess_f", prob.hess_f(x), (n, n))
+        H = rho * _read(prob, "hess_f", x)
     if prob.m > 0 and np.any(y):
-        hess_g = _synthesized(prob, "jac_g", _shifts(x, FD_STEP_SECOND_ORDER), y) if prob.hess_g is None else \
-            prob.hess_g(x, y)
-        H = H - real_array("hess_g", hess_g, (n, n))
+        H = H - (_synthesized(prob, "jac_g", _shifts(x, FD_STEP_SECOND_ORDER), y) if prob.hess_g is None else
+                 _read(prob, "hess_g", x, y))
     return H
 
 
 def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     """The symmetric n x n matrix [<d2G(x, i, j), W>]_ij.
 
-    One ``d2G`` call per upper-triangle entry, in row-major order (i, then
-    j >= i), with int indices: one ``map`` over ``matfun._upper_ints``.  The
-    outputs are read only after the last call, never written.  When every
-    call returned one object (a hook that returns one shared array, such as
-    the read-only zero of an affine G), it is read once, with the same
-    checks, and its one contraction with W fills the matrix; otherwise all
-    n(n+1)/2 outputs are gathered into one array, contracted with W in one
-    product, and fill both triangles.  Without a d2G hook it is
-    ``_synthesized``; without a matrix constraint (d = 0) it is the n x n
-    zero, and no hook is called.
+    One ``d2G`` call per upper-triangle entry, in row-major order (i, then j >= i), with int indices: one ``map``
+    over ``matfun._upper_ints``.  The outputs are read only after the last call, never written.  When every call
+    returned one object (a hook that returns one shared array, such as the read-only zero of an affine G), it is
+    read once, with the same checks, and its one contraction with W fills the matrix; otherwise all n(n+1)/2
+    outputs are gathered into one array, contracted with W in one product, and fill both triangles.  Without a d2G
+    hook it is ``_synthesized``; without a matrix constraint (d = 0) it is the n x n zero, and no hook is called.
     """
     x = _point(prob, x)
     W = real_array("W", W, (prob.d, prob.d))
@@ -206,8 +208,8 @@ def d2G_contract(prob: NsdpProblem, x, W) -> np.ndarray:
     outs = list(map(prob.d2G, repeat(x), *_upper_ints(n)))
     first = outs[0]
     if outs[-1] is first and all(map(is_, outs, repeat(first))):
-        return np.full((n, n), (_gather("d2G", [first], W.shape).reshape(1, w.size) @ w)[0])
-    vals = _gather("d2G", outs, W.shape).reshape(len(outs), w.size) @ w
+        return np.full((n, n), (_gather("d2G", [first], _shape(prob, "d2G")).reshape(1, w.size) @ w)[0])
+    vals = _gather("d2G", outs, _shape(prob, "d2G")).reshape(len(outs), w.size) @ w
     rows, cols = _triangles(n)[0]
     out = np.zeros((n, n))
     out[rows, cols] = out[cols, rows] = vals
@@ -249,9 +251,8 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
 
     The step is ``FD_STEP_AUDIT * (1 + |x_i|)``; each hook's relative error is compared with its
     ``AUDIT_THRESHOLDS`` entry, 1e-6 for first derivatives and 1e-4 for second.  A hook that raises, returns
-    non-finite or complex values, or returns another shape than the solver reads (f a scalar, grad_f (n,), hess_f
-    and hess_g (n, n), g (m,), jac_g (n, m), G, dG and d2G (d, d)) is recorded with error ``inf``; the audit still
-    completes.
+    non-finite or complex values, or returns another shape than ``HOOK_SHAPES`` gives it (the shape the solver
+    reads) is recorded with error ``inf``; the audit still completes.
 
     Every difference is a ``_central_diff`` at the same 2n shifted points, x + h_j e_j then x - h_j e_j for
     j = 0, ..., n - 1, handed to the hooks as read-only rows, so a hook that writes into its argument fails its
@@ -266,29 +267,27 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     shifts = _shifts(x, FD_STEP_AUDIT)
     units = read_only(np.eye(m))
 
-    def fd(hook, fn, shape):  # the first derivative in every coordinate, along a new leading axis
-        return np.stack([_central_diff(hook, fn, shifts, j, shape) for j in range(n)])
+    def fd(hook):  # the first derivative in every coordinate, along a new leading axis
+        return np.stack([_central_diff(prob, hook, shifts, j) for j in range(n)])
 
-    def one(hook, value, shape):  # a single analytic output, as a stack of one
-        return real_array(hook, value, shape)[None]
-
-    # each check returns one relative error per analytic hook output it audits
-    checks = {"grad_f": lambda: _rel_err(one("grad_f", prob.grad_f(x), (n,)), fd("f", prob.f, ())[None])}
+    # each check returns one relative error per analytic hook output it audits (a single output as a stack of one)
+    checks = {"grad_f": lambda: _rel_err(_read(prob, "grad_f", x)[None], fd("f")[None])}
     if prob.hess_f is not None:
-        checks["hess_f"] = lambda: _rel_err(one("hess_f", prob.hess_f(x), (n, n)),
+        checks["hess_f"] = lambda: _rel_err(_read(prob, "hess_f", x)[None],
                                             _synthesized(prob, "grad_f", shifts, np.ones((1, 1))))
     if m > 0:
-        checks["jac_g"] = lambda: _rel_err(one("jac_g", prob.jac_g(x), (n, m)), fd("g", prob.g, (m,))[None])
+        checks["jac_g"] = lambda: _rel_err(_read(prob, "jac_g", x)[None], fd("g")[None])
     if m > 0 and prob.hess_g is not None:
-        checks["hess_g"] = lambda: _rel_err(_gather("hess_g", list(map(prob.hess_g, repeat(x), units)), (n, n)),
-                                            _synthesized(prob, "jac_g", shifts, units))
+        checks["hess_g"] = lambda: _rel_err(
+            _gather("hess_g", list(map(prob.hess_g, repeat(x), units)), _shape(prob, "hess_g")),
+            _synthesized(prob, "jac_g", shifts, units))
     if d > 0:
-        checks["dG"] = lambda: _rel_err(_dG_outputs(prob, x), fd("G", prob.G, (d, d)))
+        checks["dG"] = lambda: _rel_err(_dG_outputs(prob, x), fd("G"))
     if d > 0 and prob.d2G is not None:
         # coordinate j: d2G(x, i, j) over i against one difference of the dG stack in x_j, two stacks held at a time
         checks["d2G"] = lambda: np.concatenate([
-            _rel_err(_gather("d2G", [prob.d2G(x, i, j) for i in range(n)], (d, d)),
-                     _central_diff("dG", partial(_dG_outputs, prob), shifts, j, (n, d, d)))
+            _rel_err(_gather("d2G", [prob.d2G(x, i, j) for i in range(n)], _shape(prob, "d2G")),
+                     _central_diff(prob, "dG", shifts, j))
             for j in range(n)])
 
     errors: dict[str, float] = {}

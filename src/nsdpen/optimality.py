@@ -14,7 +14,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError, real_array, require_int
 from .matfun import _norm, symmetrize
-from .model import NsdpProblem, _dG_stack, _point, _vec, d2G_contract, dG_adjoint, hess_fg
+from .model import NsdpProblem, _dG_stack, _point, _read, _vec, d2G_contract, dG_adjoint, hess_fg
 from .penalty import PenaltyPoint, _sigma_tau
 
 
@@ -49,9 +49,9 @@ def lagrangian_grad(prob: NsdpProblem, x, y, Z) -> np.ndarray:
     """grad f(x) - jac_g(x) y - adjoint(dG)(x) Z."""
     x = _point(prob, x)
     y, Z = _check_y(prob, y), _check_Z(prob, Z)
-    out = real_array("grad_f", prob.grad_f(x), (prob.n,)).copy()
+    out = _read(prob, "grad_f", x).copy()
     if prob.m > 0:
-        out -= real_array("jac_g", prob.jac_g(x), (prob.n, prob.m)) @ y
+        out -= _read(prob, "jac_g", x) @ y
     if prob.d > 0:
         out -= dG_adjoint(_dG_stack(prob, x), Z)
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from . import matfun
 from .errors import InvalidInputError, read_only, real_array, require_instance, require_real, require_real_fields
 from .matfun import symmetrize
-from .model import NsdpProblem, _dG_stack, _point, d2G_contract, dG_adjoint, hess_fg
+from .model import NsdpProblem, _dG_stack, _point, _read, _shape, d2G_contract, dG_adjoint, hess_fg
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class PenaltyPoint:
 
     @cached_property
     def f(self) -> float:
-        return float(real_array("f", self.prob.f(self.x), ()))
+        return float(_read(self.prob, "f", self.x))
 
     @cached_property
     def grad_f(self) -> np.ndarray:
-        return real_array("grad_f", self.prob.grad_f(self.x), (self.prob.n,))
+        return _read(self.prob, "grad_f", self.x)
 
     @cached_property
     def J(self) -> np.ndarray:
-        return real_array("jac_g", self.prob.jac_g(self.x), (self.prob.n, self.prob.m))
+        return _read(self.prob, "jac_g", self.x)
 
     @cached_property
     def dG(self) -> np.ndarray:
@@ -155,19 +155,18 @@ def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 def penalty_at(prob: NsdpProblem, x, p: PenaltyParams) -> PenaltyPoint:
-    """Evaluate g and G once at x and eigendecompose M/tau - G(x) once.  A v given must have shape (m,) and an M
-    (d, d), also where m = 0 or d = 0; both are checked before any hook call."""
+    """Evaluate g and G once at x and eigendecompose M/tau - G(x) once.  A v given must have the shape of g's output
+    and an M that of G's, also where m = 0 or d = 0; both are checked before any hook call."""
     x = _point(prob, x).copy()
     require_instance("p", p, PenaltyParams)
-    if p.v is not None and p.v.shape != (prob.m,):
-        raise InvalidInputError(f"v must have shape ({prob.m},), got {p.v.shape}")
-    if p.M is not None and p.M.shape != (prob.d, prob.d):
-        raise InvalidInputError(f"M must have shape ({prob.d}, {prob.d}), got {p.M.shape}")
+    for name, shift, hook in (("v", p.v, "g"), ("M", p.M, "G")):
+        if shift is not None and shift.shape != _shape(prob, hook):
+            raise InvalidInputError(f"{name} must have shape {_shape(prob, hook)}, got {shift.shape}")
     r = Gx = dec = None
     if prob.m > 0:
-        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - real_array("g", prob.g(x), (prob.m,))
+        r = (np.zeros(prob.m) if p.v is None else p.v) / p.tau - _read(prob, "g", x)
     if prob.d > 0:
-        Gx = symmetrize(real_array("G", prob.G(x), (prob.d, prob.d)))
+        Gx = symmetrize(_read(prob, "G", x))
         dec = matfun.eig_sym(-Gx if p.M is None else p.M / p.tau - Gx)
     return PenaltyPoint(prob, p, x, r, Gx, dec)
 

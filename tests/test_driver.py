@@ -49,6 +49,12 @@ class TestXhatRule:
         assert branch == driver.BRANCH_ACCEPT
 
 
+class TestEstimateBCount:
+    def test_no_matrix_constraint_counts_zero(self):
+        prob = problems.get_problem("equality-degenerate").problem  # d = 0: the point has no eigendecomposition
+        assert driver.estimate_b_count(script_F_point(prob, prob.start_point), 1.0) == 0
+
+
 class TestConfig:
     def test_defaults_valid(self):
         assert isinstance(driver.PenaltyConfig().tr, trustregion.TrConfig)
@@ -217,6 +223,17 @@ class TestSolveGuards:
         )
         with pytest.raises(StartNotFeasibleError):
             driver.solve(bad, driver.PenaltyConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_infeasibility_rejected(self, bad):
+        # a NaN g at x0 passed the start check and the solve failed later inside tr_minimize with
+        # "gradient or Hessian has non-finite entries"; an inf g was rejected here all along
+        entry = problems.get_problem("equality-degenerate")
+        base = entry.problem
+        prob = dataclasses.replace(base, g=lambda x: np.full(base.m, bad) if np.array_equal(x, base.start_point)
+                                   else base.g(x))
+        with pytest.raises(StartNotFeasibleError, match=f"has infeasibility {bad:.3e} > "):
+            driver.solve(prob, entry.config)
 
     @pytest.mark.parametrize("hook", ["hess_f", "hess_g", "d2G"])
     def test_missing_second_order_hook_rejected(self, hook):

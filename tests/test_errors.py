@@ -9,7 +9,7 @@ import pytest
 from nsdpen import cli, driver, matfun, model, optimality, penalty, trustregion
 from nsdpen.errors import InvalidInputError, real_array
 
-from conftest import ball_problem, counting, script_F_point
+from conftest import ball_problem, counting, rng, script_F_point
 
 # ball_problem(2, m=1): n = 3, m = 1, d = 2
 X, Y, Z = np.zeros(3), np.zeros(1), np.eye(2)
@@ -173,3 +173,38 @@ def test_wrong_shape_or_type_named_before_any_hook_call(case):
     with pytest.raises(InvalidInputError, match=f"^{message}"):
         call(prob)
     assert not any(counts.values())
+
+
+# each public reader of a hook's output, with the hooks it reads at an infeasible point of ball_problem(2, m=1)
+# (rho = 1 and r != 0, so penalty_hess and lagrangian_hess read hess_f and hess_g); a penalty point is built anew
+HOOK_READERS = {
+    "penalty_at": ({"g", "G"}, lambda prob, x: script_F_point(prob, x, 3.0)),
+    "penalty_value": ({"g", "G", "f"}, lambda prob, x: penalty.penalty_value(script_F_point(prob, x, 3.0))),
+    "penalty_grad": ({"g", "G", "grad_f", "jac_g", "dG"},
+                     lambda prob, x: penalty.penalty_grad(script_F_point(prob, x, 3.0))),
+    "penalty_hess": ({"g", "G", "hess_f", "hess_g", "jac_g", "dG", "d2G"},
+                     lambda prob, x: penalty.penalty_hess(script_F_point(prob, x, 3.0))),
+    "lagrangian_grad": ({"grad_f", "jac_g", "dG"}, lambda prob, x: optimality.lagrangian_grad(prob, x, np.ones(1), Z)),
+    "lagrangian_hess": ({"hess_f", "hess_g", "d2G"},
+                        lambda prob, x: optimality.lagrangian_hess(prob, x, np.ones(1), Z)),
+    "d2G_contract": ({"d2G"}, lambda prob, x: model.d2G_contract(prob, x, Z)),
+}
+
+
+@pytest.mark.parametrize("hook", model.HOOK_SHAPES)
+def test_wrong_hook_shape_named_alike_by_every_reader(hook):
+    # every output of the hook gains a trailing axis; each public function that reads it raises one message, the
+    # others do not read it, and the audit records inf for the derivative it checks with it
+    base = ball_problem(2, m=1)
+    prob = dataclasses.replace(base, **{hook: lambda *args: np.asarray(getattr(base, hook)(*args))[..., None]})
+    shape = model._shape(base, hook)
+    message = re.escape(f"{hook} must have shape {shape}, got {(*shape, 1)}")
+    x = rng(115).normal(size=base.n)
+    for reads, call in HOOK_READERS.values():
+        if hook in reads:
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                call(prob, x)
+        else:
+            call(prob, x)
+    audited = {"f": "grad_f", "g": "jac_g", "G": "dG"}.get(hook, hook)
+    assert model.audit_derivatives(prob, x).errors[audited] == np.inf

@@ -276,6 +276,11 @@ class TestDqApply:
         with pytest.raises(InvalidInputError):
             matfun.dq_apply(matfun.eig_sym(np.eye(2)), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_H_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="^H has non-finite entries$"):
+            matfun.dq_apply(matfun.eig_sym(np.eye(2)), np.array([[1.0, bad], [bad, 0.0]]))
+
     @given(st.integers(0, 10**6), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, seed, a, b):
         gen = rng(seed)

@@ -895,3 +895,8 @@ class TestSynthesizedSecondDerivatives:
                 start_point=np.zeros(1),
                 f=lambda x: 0.0, grad_f=lambda x: np.zeros(1),
             )
+
+    @pytest.mark.parametrize("hook", ["G", "dG"])
+    def test_matrix_constraint_without_G_or_dG_rejected(self, hook):
+        with pytest.raises(InvalidInputError, match="^problem 'scalar-bound': d > 0 requires G and dG hooks$"):
+            dataclasses.replace(problems.get_problem("scalar-bound").problem, **{hook: None})

@@ -108,6 +108,9 @@ class TestSpecialParams:
             penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=0.0, tau=1.0)
         with pytest.raises(InvalidInputError):
             penalty.PenaltyParams(v=None, M=None, rho=-1.0, sigma=1.0, tau=1.0)
+        for tau in (0.0, -1.0):
+            with pytest.raises(InvalidInputError, match="^tau must be positive$"):
+                penalty.PenaltyParams(v=None, M=None, rho=1.0, sigma=1.0, tau=tau)
         for bad in (dict(rho=np.nan), dict(rho=np.inf), dict(sigma=np.inf), dict(sigma=np.nan),
                     dict(tau=np.inf), dict(tau=np.nan),
                     dict(v=[np.nan, 0.0]), dict(v=[0.0, np.inf]),
