@@ -226,7 +226,7 @@ def _cmd_check(args) -> int:
             "at": [float(v) for v in x],
             "gamma": args.gamma,
             "audit": {
-                "errors": {k: v for k, v in sorted(audit.errors.items())},
+                "errors": audit.errors,
                 "step": audit.step,
                 "passed": audit.passed,
                 "failures": sorted(audit.failures),

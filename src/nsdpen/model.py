@@ -9,7 +9,6 @@ This module makes every hook call, and reads every output in the shape
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from operator import is_
 from typing import Callable
@@ -114,16 +113,16 @@ def _shifts(x: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _central_diff(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
-    """(hook(x + h_j e_j) - hook(x - h_j e_j)) / (2 h_j) at the points of ``_shifts`` (for dG, of the
-    ``_dG_outputs`` stack), the two outputs read by one ``_gather``.  Non-finite or huge outputs (inf - inf) give a
-    non-finite difference without a numpy warning, which the audit records as an error of inf and the solver
-    rejects in a Hessian; the hooks' own warnings surface."""
+    """(hook(x + h_j e_j) - hook(x - h_j e_j)) / (2 h_j) at the points of ``_shifts``: for dG, of the two
+    ``_dG_outputs`` stacks as they are read; for any other hook, of its two outputs read by one ``_gather``.
+    Non-finite or huge outputs (inf - inf) give a non-finite difference without a numpy warning, which the audit
+    records as an error of inf and the solver rejects in a Hessian; the hooks' own warnings surface."""
     h, points = shifts
-    fn, shape = (partial(_dG_outputs, prob), (prob.n, *_shape(prob, "dG"))) if hook == "dG" else \
-        (getattr(prob, hook), _shape(prob, hook))
-    out = _gather(hook, [fn(points[j]), fn(points[h.size + j])], shape)
+    pair = points[j], points[h.size + j]
+    plus, minus = [_dG_outputs(prob, p) for p in pair] if hook == "dG" else \
+        _gather(hook, [getattr(prob, hook)(p) for p in pair], _shape(prob, hook))
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = out[0] - out[1]
+        diff = plus - minus
         diff /= 2 * h[j]
     return diff
 

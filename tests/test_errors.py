@@ -191,14 +191,22 @@ HOOK_READERS = {
 }
 
 
-@pytest.mark.parametrize("hook", model.HOOK_SHAPES)
-def test_wrong_hook_shape_named_alike_by_every_reader(hook):
-    # every output of the hook gains a trailing axis; each public function that reads it raises one message, the
-    # others do not read it, and the audit records inf for the derivative it checks with it
+# the shapes of wrong outputs other than a trailing axis: a scalar Hessian used to be broadcast into every entry, and
+# a transposed Jacobian escaped as numpy's bare shape error; a scalar g (m = 1) or partial of G would broadcast alike
+WRONG_OUTPUTS = {"grad_f": (), "hess_f": (3,), "g": (), "jac_g": (1, 3), "hess_g": (), "G": (2, 3), "dG": (),
+                 "d2G": ()}
+
+
+@pytest.mark.parametrize("hook,got", [
+    *[pytest.param(hook, (*model._shape(ball_problem(2, m=1), hook), 1), id=hook) for hook in model.HOOK_SHAPES],
+    *[pytest.param(hook, got, id=f"{hook}-{got}") for hook, got in WRONG_OUTPUTS.items()],
+])
+def test_wrong_hook_shape_named_alike_by_every_reader(hook, got):
+    # every output of the hook is a zero array of shape got; each public function that reads it raises one message,
+    # the others do not read it, and the audit records inf for the derivative it checks with it
     base = ball_problem(2, m=1)
-    prob = dataclasses.replace(base, **{hook: lambda *args: np.asarray(getattr(base, hook)(*args))[..., None]})
-    shape = model._shape(base, hook)
-    message = re.escape(f"{hook} must have shape {shape}, got {(*shape, 1)}")
+    prob = dataclasses.replace(base, **{hook: lambda *args: np.zeros(got)})
+    message = re.escape(f"{hook} must have shape {model._shape(base, hook)}, got {got}")
     x = rng(115).normal(size=base.n)
     for reads, call in HOOK_READERS.values():
         if hook in reads:

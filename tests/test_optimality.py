@@ -128,17 +128,6 @@ class TestLagrangian:
         out = optimality.lagrangian_grad(prob, np.array([0.0]), None, np.array([[2.0]]))
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("hook,bad,lagrangian", [
-        ("grad_f", lambda x: 0.0, optimality.lagrangian_grad),
-        ("jac_g", lambda x: np.zeros((1, 3)), optimality.lagrangian_grad),
-        ("hess_f", lambda x: np.zeros(3), optimality.lagrangian_hess),
-        ("hess_g", lambda x, y: 1.0, optimality.lagrangian_hess),
-    ], ids=["grad_f", "jac_g", "hess_f", "hess_g"])
-    def test_wrong_shape_names_the_hook(self, hook, bad, lagrangian):
-        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
-        with pytest.raises(InvalidInputError, match=f"^{hook} must have shape"):
-            lagrangian(prob, rng(32).normal(size=prob.n), np.ones(1), np.eye(2))
-
     def test_gradient_matches_central_difference(self):
         gen = rng(31)
         prob = problems.get_problem("corr-matrix").problem
@@ -315,23 +304,35 @@ class TestSigmaTerm:
             Sa = optimality.sigma_term(script_F_point(prob, x), a * Z)
             assert np.allclose(Sa, a * S, rtol=1e-12, atol=1e-12)
 
-    def test_entrywise_trace_oracle(self):
+    @staticmethod
+    def assert_matches_trace_oracle(prob, x, Z):
         # brute-force entries 2 tr(Z dG_i pinv(G) dG_j) with the library
         # pseudo-inverse as the independent path
+        pinv = np.linalg.pinv(np.asarray(prob.G(x)), rcond=1e-10)
+        ref = np.zeros((3, 3))
+        for i in range(3):
+            for j in range(3):
+                ref[i, j] = 2.0 * np.trace(Z @ prob.dG(x, i) @ pinv @ prob.dG(x, j))
+        ref = 0.5 * (ref + ref.T)
+        S = optimality.sigma_term(script_F_point(prob, x), Z)
+        assert np.linalg.norm(S - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
+
+    def test_entrywise_trace_oracle(self):
         gen = rng(38)
         prob = problems.get_problem("nearest-psd").problem
         for _ in range(5):
             x = gen.normal(size=3) + np.array([1.0, 1.0, 0.0])
             Z = gen.normal(size=(2, 2))
             Z = 0.5 * (Z + Z.T)
-            pinv = np.linalg.pinv(np.asarray(prob.G(x)), rcond=1e-10)
-            ref = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    ref[i, j] = 2.0 * np.trace(Z @ prob.dG(x, i) @ pinv @ prob.dG(x, j))
-            ref = 0.5 * (ref + ref.T)
-            S = optimality.sigma_term(script_F_point(prob, x), Z)
-            assert np.linalg.norm(S - ref) <= 1e-9 * (1 + np.linalg.norm(ref))
+            self.assert_matches_trace_oracle(prob, x, Z)
+
+    @pytest.mark.parametrize("s", [1.5e-10, 0.6e-10])
+    def test_pseudo_inverse_cut_at_default_zero_tol(self, s):
+        # G = diag(1, s) has ||G||_F = ||G||_2 = 1, so pinv's cut 1e-10 ||G||_2 is default_zero_tol: s = 1.5e-10 is
+        # inverted and 0.6e-10 zeroed, and a cut scaled by d = 2 either way gets one of them wrong by about 1e10
+        prob = problems.get_problem("nearest-psd").problem
+        Z = np.array([[0.3, -1.2], [-1.2, 0.7]])
+        self.assert_matches_trace_oracle(prob, np.array([1.0, s, 0.0]), Z)
 
 
 class TestInfeasibility:

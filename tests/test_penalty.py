@@ -195,21 +195,6 @@ class TestPenaltyPoint:
             penalty.penalty_value(at)
             penalty.penalty_grad(at)
 
-    @pytest.mark.parametrize("hook,bad", [
-        ("f", lambda x: np.zeros(1)), ("grad_f", lambda x: 0.0), ("hess_f", lambda x: np.zeros(3)),
-        ("g", lambda x: np.zeros((1, 1))), ("jac_g", lambda x: np.zeros((1, 3))), ("hess_g", lambda x, y: 1.0),
-        ("G", lambda x: np.zeros((2, 3))),
-    ], ids=["f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G"])
-    def test_wrong_shape_names_the_hook(self, hook, bad):
-        # a scalar Hessian used to be broadcast into every entry, and a transposed
-        # Jacobian escaped as numpy's bare shape error
-        prob = dataclasses.replace(ball_problem(2, m=1), **{hook: bad})
-        with pytest.raises(InvalidInputError, match=f"^{hook} must have shape"):
-            at = script_F_point(prob, rng(115).normal(size=prob.n), 3.0)
-            penalty.penalty_value(at)
-            penalty.penalty_grad(at)
-            penalty.penalty_hess(at)
-
     def test_owns_a_copy_of_x(self):
         prob = ball_problem(3, m=2)
         x = prob.start_point.copy()
