@@ -29,8 +29,8 @@ from .matfun import _triangles
 
 SCHEMA_VERSION = "3"
 
-# the PenaltyConfig fields that are solve flags and the report's config section
-CONFIG_FLAGS = ("gamma0", "eta", "theta", "delta0", "beta", "tol_feas", "tol_opt", "max_outer")
+# the solve flags: every PenaltyConfig field, as the report's config section holds them
+CONFIG_FLAGS = tuple(field.name for field in dataclasses.fields(driver.PenaltyConfig))
 _TRACE_ROW = tuple(field.name for field in dataclasses.fields(driver.IterateRecord))
 REPORT_ROW = ("k", "gamma", "delta", "u", "stationarity", "complementarity", "second_order",
               "subspace_dim", "f_value", "script_F_value", "xhat_branch")
@@ -122,7 +122,7 @@ def _report_document(report: driver.SolveReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": report.problem,
-        "config": {name: getattr(report.config, name) for name in CONFIG_FLAGS},
+        "config": dataclasses.asdict(report.config),
         "iterations": [_row(rec, REPORT_ROW) for rec in report.iterates],
         "final_status": report.final_status,
         "detail": report.detail,
@@ -135,9 +135,8 @@ def _report_document(report: driver.SolveReport) -> dict:
 def _add_solve_parser(sub):
     p = sub.add_parser("solve", help="run the penalty method on a registered problem")
     p.add_argument("--problem", required=True)
-    defaults = driver.PenaltyConfig()
-    for name in CONFIG_FLAGS:  # a flag left out keeps the field of the problem's CorpusEntry.config
-        p.add_argument("--" + name.replace("_", "-"), type=type(getattr(defaults, name)))
+    for field in dataclasses.fields(driver.PenaltyConfig):  # a flag left out keeps the CorpusEntry.config field
+        p.add_argument("--" + field.name.replace("_", "-"), type=field.type)
     p.add_argument("--trace", default=None, help="JSONL path, one iterate record per line")
     p.add_argument("--report", default=None, help="JSON report path")
 

@@ -13,7 +13,8 @@ gamma-update rules:
 * delta decays geometrically.
 
 The run stops once infeasibility and delta are below their tolerances, at
-the iteration cap, or on inner-solver failure / gamma blow-up; then the
+the iteration cap, or on inner-solver failure / gamma passing ``GAMMA_CAP``;
+each inner solve runs under ``TrConfig()``'s limits.  Then the
 records are built from one ``optimality.evaluate_residuals`` call per
 distinct kept point: an outer iteration that keeps gamma and ends where it
 started repeats the certificate of the record before it, with its own copies
@@ -34,7 +35,7 @@ its own, so the kept points of an affine G hold one stack between them.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +54,16 @@ BRANCH_RESET = "reset"
 
 # the most infeasibility u(x0) a start point may have
 FEAS_CHECK_TOL = 1e-8
+# the largest penalty weight gamma a solve may start at or move to
+GAMMA_CAP = 1e14
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """The outer loop's schedule and its TrConfig, checked when built; frozen: change it by ``dataclasses.replace``.
+    """The outer loop's schedule, checked when built; frozen: change it by ``dataclasses.replace``.
 
-    The start point's infeasibility is checked against the module constant ``FEAS_CHECK_TOL``."""
+    Its fields are exactly the ``solve`` flags.  The start point's infeasibility and gamma are checked against
+    the module constants ``FEAS_CHECK_TOL`` and ``GAMMA_CAP``."""
 
     eta: float = 0.5
     theta: float = 10.0
@@ -69,22 +73,18 @@ class PenaltyConfig:
     tol_feas: float = 1e-8
     tol_opt: float = 1e-6
     max_outer: int = 60
-    gamma_cap: float = 1e14
-    tr: trustregion.TrConfig = field(default_factory=trustregion.TrConfig)
 
     def __post_init__(self):
         require_real_fields(self)
-        for name in ("gamma0", "theta", "tol_feas", "tol_opt", "gamma_cap"):
+        for name in ("gamma0", "theta", "tol_feas", "tol_opt"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
         if not (0 < self.eta < 1):
             raise InvalidInputError("eta must lie in (0, 1)")
         if not self.theta > 1:
             raise InvalidInputError("theta must exceed 1")
-        if not self.gamma0 > 0:
-            raise InvalidInputError("gamma0 must be positive")
-        if not self.gamma_cap >= self.gamma0:
-            raise InvalidInputError("gamma_cap must be at least gamma0")
+        if not 0 < self.gamma0 <= GAMMA_CAP:
+            raise InvalidInputError(f"gamma0 must lie in (0, GAMMA_CAP] = (0, {GAMMA_CAP:g}]")
         if not (0 < self.delta0 < 1):
             raise InvalidInputError("delta0 must lie in (0, 1)")
         if not (0 < self.beta < 1):
@@ -92,7 +92,6 @@ class PenaltyConfig:
         if self.tol_feas < 0 or self.tol_opt < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
-        require_instance("tr", self.tr, trustregion.TrConfig)
 
 
 @dataclass
@@ -212,7 +211,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
 
     for k in range(cfg.max_outer):
         start_value = at(xhat).value
-        res = trustregion.tr_minimize(lambda z: at(z).value, lambda z: at(z).grad, hess, xhat, delta, cfg.tr)
+        res = trustregion.tr_minimize(lambda z: at(z).value, lambda z: at(z).grad, hess, xhat, delta)
         if res.status != trustregion.CONVERGED:
             status = INNER_FAILURE
             detail = f"inner solver returned {res.status} at outer iteration {k}"
@@ -230,9 +229,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             break
 
         gamma_next = next_gamma(k, gamma, u_next, u_prev, cfg.eta, cfg.theta)
-        if gamma_next > cfg.gamma_cap:
+        if gamma_next > GAMMA_CAP:
             status = INNER_FAILURE
-            detail = f"penalty weight {gamma_next:.3e} exceeds cap {cfg.gamma_cap:.3e}"
+            detail = f"penalty weight {gamma_next:.3e} exceeds cap {GAMMA_CAP:.3e}"
             break
         if gamma_next != gamma:
             gamma = gamma_next

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -273,6 +274,13 @@ def counting(prob: NsdpProblem):
 
     hooks = {h: wrap(h, getattr(prob, h)) for h in HOOKS if getattr(prob, h) is not None}
     return dataclasses.replace(prob, **hooks), counts
+
+
+def cap_inner_iterations(monkeypatch, max_iter: int):
+    """Run every later ``trustregion.tr_minimize`` call, a solve's inner solves among them, under
+    ``TrConfig(max_iter=max_iter)``."""
+    monkeypatch.setattr(trustregion, "tr_minimize", functools.partial(trustregion.tr_minimize,
+                                                                        config=trustregion.TrConfig(max_iter=max_iter)))
 
 
 def record_certificates(monkeypatch) -> list:

@@ -15,7 +15,6 @@ import pytest
 from scipy.optimize import brentq
 
 from nsdpen import (
-    cli,
     driver,
     matfun,
     optimality,
@@ -311,7 +310,7 @@ def test_criterion_6_optimality_identities(corpus_runs):
 SOLVE_FLAGS = ["--tol-feas", "3e-5", "--tol-opt", "1e-6", "--max-outer", "40"]
 
 
-@criterion(7, "byte-identical reports across runs; exit codes 0/2/64/65 verified")
+@criterion(7, "byte-identical reports across runs, each exiting 0; tests/test_cli.py checks exit codes 2/64/65")
 def test_criterion_7_cli_contract(tmp_path):
     # two consecutive identical invocations: byte-identical numeric payloads
     reports = []
@@ -328,10 +327,3 @@ def test_criterion_7_cli_contract(tmp_path):
     doc = json.loads(reports[0][0])
     assert doc["schema_version"] == "3"
     assert doc["final_status"] == "FeasOptReached"
-
-    # documented exit codes
-    assert cli.main(["solve", "--problem", "scalar-bound", *SOLVE_FLAGS,
-                     "--report", str(tmp_path / "ok.json")]) == 0
-    assert cli.main(["solve", "--problem", "scalar-bound", "--max-outer", "1"]) == 2
-    assert cli.main(["solve", "--problem", "nope"]) == 65
-    assert cli.main(["solve", "--problem", "scalar-bound", "--eta", "1.5"]) == 64

@@ -116,7 +116,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--eta", "1.5", "eta must lie in (0, 1)"), ("--eta", "2", "eta must lie in (0, 1)"),
         ("--max-outer", "0", "max_outer must be an integer in [1, inf], got 0"),
-        ("--gamma0", "1e15", "gamma_cap must be at least gamma0"),
+        ("--gamma0", "1e15", "gamma0 must lie in (0, GAMMA_CAP] = (0, 1e+14]"),
     ], ids=["eta-1.5", "eta-2", "max-outer-0", "gamma0-1e15"])
     def test_invalid_config_exit(self, flag, value, message, capsys):
         # a flag that makes an invalid config is rejected when the config is built, before any solve
@@ -252,11 +252,18 @@ class TestOutputMode:
 
 class TestDocumentContract:
     def test_default_config_mirrors_penalty_config(self, tmp_path):
-        # a flag left out keeps the field of the problem's CorpusEntry.config, and a given flag sets its field
+        # a flag left out keeps the field of the problem's CorpusEntry.config, and a given flag sets its field;
+        # every PenaltyConfig field is a flag, here set away from both the entry's value and the default
         report = tmp_path / "r.json"
         config = problems.get_problem("scalar-bound").config
         assert config != driver.PenaltyConfig()
-        for flags, changes in (([], {}), (["--max-outer", "3", "--eta", "0.25"], dict(max_outer=3, eta=0.25))):
+        every = dict(eta=0.25, theta=4.0, gamma0=2.0, delta0=0.2, beta=0.4, tol_feas=1e-3, tol_opt=1e-3, max_outer=2)
+        assert sorted(every) == sorted(field.name for field in dataclasses.fields(driver.PenaltyConfig))
+        assert all(value not in (getattr(config, name), getattr(driver.PenaltyConfig(), name))
+                   for name, value in every.items())
+        every_flags = [arg for name, value in every.items() for arg in ("--" + name.replace("_", "-"), str(value))]
+        for flags, changes in (([], {}), (["--max-outer", "3", "--eta", "0.25"], dict(max_outer=3, eta=0.25)),
+                               (every_flags, every)):
             run_main(["solve", "--problem", "scalar-bound", *flags, "--report", str(report)])
             expected = dataclasses.replace(config, **changes)
             assert json.loads(report.read_text())["config"] == {name: getattr(expected, name) for name in cli.CONFIG_FLAGS}

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nsdpen import driver, matfun, model, optimality, penalty, problems, trustregion
+from nsdpen import cli, driver, matfun, model, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, StartNotFeasibleError
 from nsdpen.model import NsdpProblem
 
-from conftest import (ball_problem, cap_problem, cap_reference, counting, eigvalsh_follows_each_failed_factorization,
-                      nearest_psd_d5, record_certificates, script_F_point)
+from conftest import (ball_problem, cap_inner_iterations, cap_problem, cap_reference, counting,
+                      eigvalsh_follows_each_failed_factorization, nearest_psd_d5, record_certificates, script_F_point)
 
 
 class TestGammaRule:
@@ -57,46 +57,42 @@ class TestEstimateBCount:
 
 class TestConfig:
     def test_defaults_valid(self):
-        assert isinstance(driver.PenaltyConfig().tr, trustregion.TrConfig)
+        cfg = driver.PenaltyConfig()
+        assert dataclasses.replace(cfg) == cfg
 
     def test_fixed_settings_are_constants(self):
-        # the trust-region step rule, the start point's check and the audit's step and thresholds are fixed:
-        # module constants, not config fields, parameters or report fields
+        # the trust-region step rule, the start point's check, the gamma cap and the audit's step and thresholds
+        # are fixed: module constants, not config fields, parameters or report fields; the config is the solve flags
         assert [f.name for f in dataclasses.fields(trustregion.TrConfig)] == ["max_iter", "radius_min"]
-        assert "feas_check_tol" not in {f.name for f in dataclasses.fields(driver.PenaltyConfig)}
+        assert [f.name for f in dataclasses.fields(driver.PenaltyConfig)] == list(cli.CONFIG_FLAGS) == [
+            "eta", "theta", "gamma0", "delta0", "beta", "tol_feas", "tol_opt", "max_outer"]
         assert [f.name for f in dataclasses.fields(model.DerivativeAuditReport)] == ["errors", "step", "passed",
                                                                                       "failures"]
-        assert (trustregion.DELTA0_RADIUS, trustregion.ETA1, trustregion.ETA2, trustregion.SHRINK,
-                trustregion.GROW, driver.FEAS_CHECK_TOL, model.FD_STEP_AUDIT) == (1.0, 0.1, 0.75, 0.25, 2.0, 1e-8, 1e-6)
+        assert (trustregion.DELTA0_RADIUS, trustregion.ETA1, trustregion.ETA2, trustregion.SHRINK, trustregion.GROW,
+                driver.FEAS_CHECK_TOL, driver.GAMMA_CAP, model.FD_STEP_AUDIT) == (
+            1.0, 0.1, 0.75, 0.25, 2.0, 1e-8, 1e14, 1e-6)
         assert model.AUDIT_THRESHOLDS == {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6,
                                           "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
 
     def test_numpy_numbers_accepted(self):
-        cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7),
-                                   tr=trustregion.TrConfig(radius_min=np.float32(0.5), max_iter=np.int32(9)))
-        assert (cfg.eta, cfg.theta, cfg.tr.radius_min) == (0.25, 4, 0.5)
+        cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7))
+        tr_cfg = trustregion.TrConfig(radius_min=np.float32(0.5), max_iter=np.int32(9))
+        assert (cfg.eta, cfg.theta, tr_cfg.radius_min) == (0.25, 4, 0.5)
 
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
         dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
         dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
-        dict(gamma_cap=np.inf),
-        dict(max_outer=40.5), dict(max_outer=True),
-        dict(gamma_cap=0.5), dict(gamma0=1e15),
-        dict(tr=dict(max_iter=2.5)), dict(tr=dict(radius_min=np.nan)),
-        dict(tr=None),  # built, and solve then failed with an AttributeError
-        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True), dict(tr=dict(radius_min="1")),  # were TypeErrors
+        dict(max_outer=40.5), dict(max_outer=True), dict(gamma0=1e15),
+        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True),  # were TypeErrors
     ])
     def test_bad_fields_rejected(self, bad):
-        # a ``tr`` dict names fields of the nested TrConfig
-        cfg, fields = driver.PenaltyConfig(), bad
-        if isinstance(bad.get("tr"), dict):
-            cfg, fields = cfg.tr, bad["tr"]
+        cfg = driver.PenaltyConfig()
         with pytest.raises(InvalidInputError):
-            type(cfg)(**fields)
+            driver.PenaltyConfig(**bad)
         with pytest.raises(InvalidInputError):
-            dataclasses.replace(cfg, **fields)  # the CLI's path
-        for name, value in fields.items():
+            dataclasses.replace(cfg, **bad)  # the CLI's path
+        for name, value in bad.items():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, name, value)
 
@@ -262,9 +258,10 @@ class TestSolveGuards:
         assert report.final_status == driver.MAX_OUTER
         assert len(report.iterates) == 1
 
-    def test_gamma_cap_aborts(self):
+    def test_gamma_cap_aborts(self, monkeypatch):
         entry = problems.get_problem("scalar-bound")
-        cfg = driver.PenaltyConfig(tol_feas=1e-12, max_outer=60, gamma_cap=1e6)
+        monkeypatch.setattr(driver, "GAMMA_CAP", 1e6)
+        cfg = driver.PenaltyConfig(tol_feas=1e-12, max_outer=60)
         report = driver.solve(entry.problem, cfg, b_count=1)
         assert report.final_status == driver.INNER_FAILURE
         assert "cap" in report.detail
@@ -455,7 +452,7 @@ class TestSaddleStart:
         within = []
         tr_minimize = trustregion.tr_minimize
 
-        def recording_tr_minimize(fun, grad, hess, x0, delta, config):
+        def recording_tr_minimize(fun, grad, hess, x0, delta, config=None):
             def grad_spy(z):
                 g = grad(z)
                 within.append(np.linalg.norm(g) <= delta)
@@ -763,18 +760,21 @@ def counted_solve(case, monkeypatch):
     return prob, report, hooks, calls, grad_xs
 
 
-def exit_path(case):
-    """(problem, config, b_count, expected status, detail fragment) of a solve that ends on ``case``."""
+def exit_path(case, monkeypatch):
+    """(problem, config, b_count, expected status, detail fragment) of a solve that ends on ``case``; the gamma
+    cap and the inner iteration cap, which no config sets, are patched for the cases that need them."""
     if case == "estimated-b-count":
         return ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None, driver.FEAS_OPT_REACHED, ""
     name, changes, status, detail = {
         "max-outer": ("nearest-psd", dict(max_outer=3), driver.MAX_OUTER, ""),
-        "gamma-cap": ("scalar-bound", dict(tol_feas=1e-12, gamma_cap=1e6), driver.INNER_FAILURE, "exceeds cap"),
-        "inner-solver": ("corr-matrix", dict(tr=trustregion.TrConfig(max_iter=5)), driver.INNER_FAILURE,
-                         "inner solver returned MaxIter"),
-        "inner-solver-at-start": ("scalar-bound", dict(tr=trustregion.TrConfig(max_iter=1)), driver.INNER_FAILURE,
-                                  "returned MaxIter at outer iteration 0"),
+        "gamma-cap": ("scalar-bound", dict(tol_feas=1e-12), driver.INNER_FAILURE, "exceeds cap"),
+        "inner-solver": ("corr-matrix", {}, driver.INNER_FAILURE, "inner solver returned MaxIter"),
+        "inner-solver-at-start": ("scalar-bound", {}, driver.INNER_FAILURE, "returned MaxIter at outer iteration 0"),
     }[case]
+    if case == "gamma-cap":
+        monkeypatch.setattr(driver, "GAMMA_CAP", 1e6)
+    elif case.startswith("inner-solver"):
+        cap_inner_iterations(monkeypatch, 5 if case == "inner-solver" else 1)
     entry = problems.get_problem(name)
     b_count = None if case == "inner-solver-at-start" else entry.b_count_at_solution
     return entry.problem, dataclasses.replace(entry.config, **changes), b_count, status, detail
@@ -783,9 +783,9 @@ def exit_path(case):
 class TestRecordsBuiltAfterLoop:
     @pytest.mark.parametrize("case", ["max-outer", "gamma-cap", "inner-solver", "inner-solver-at-start",
                                       "estimated-b-count"])
-    def test_every_field_comes_from_the_record_point(self, case):
+    def test_every_field_comes_from_the_record_point(self, case, monkeypatch):
         # each record is built after the loop from its kept point, on every way a solve can end
-        prob, cfg, b_count, status, detail = exit_path(case)
+        prob, cfg, b_count, status, detail = exit_path(case, monkeypatch)
         report = driver.solve(prob, cfg, b_count=b_count)
         assert report.final_status == status and detail in report.detail
         assert (len(report.iterates) > 0) == (case != "inner-solver-at-start")

@@ -99,7 +99,6 @@ WRONG = {
     "tr_minimize config falsy": (lambda prob: tr_minimize_with(prob, []), "config must be a TrConfig, got list$"),
     "tr_minimize config PenaltyConfig": (lambda prob: tr_minimize_with(prob, driver.PenaltyConfig()),
                                          "config must be a TrConfig, got PenaltyConfig$"),
-    "PenaltyConfig tr": (lambda prob: driver.PenaltyConfig(tr=None), "tr must be a TrConfig, got NoneType$"),
     # each function taking a problem or a penalty point names one of another type, as solve does
     **{f"{name} prob": (lambda prob, call=call: call("prob"), "prob must be a NsdpProblem, got str$")
        for name, call in {

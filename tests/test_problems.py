@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsdpen import cli, driver, model, optimality, problems, trustregion
+from nsdpen import cli, driver, model, optimality, problems
 from nsdpen.errors import UnknownProblemError
 
-from conftest import script_F_point
+from conftest import cap_inner_iterations, script_F_point
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRegistry:
@@ -101,9 +103,25 @@ class TestKnownData:
         assert entry.known_multipliers is None
 
 
+def assigned(path: str, name: str):
+    """The expression of the top-level ``name = ...`` of a file of the repo, read with ``ast``: the file is not
+    run, since bench/run.py sets BLAS variables and imports scipy when run."""
+    tree = ast.parse((ROOT / path).read_text())
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
+
+
+def setting(node):
+    """The value of a literal, or of a ``PenaltyConfig(field=literal, ...)`` call, as an ``assigned`` node."""
+    if not isinstance(node, ast.Call):
+        return ast.literal_eval(node)
+    assert ast.unparse(node.func).endswith("PenaltyConfig") and not node.args
+    return driver.PenaltyConfig(**{keyword.arg: ast.literal_eval(keyword.value) for keyword in node.keywords})
+
+
 def corpus_script(monkeypatch):
     """scripts/run_corpus.py loaded as a module, with ``sys.argv`` set to solve scalar-bound."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    path = ROOT / "scripts" / "run_corpus.py"
     spec = importlib.util.spec_from_file_location("run_corpus", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -134,21 +152,23 @@ class TestKnownGoodConfig:
         # an inner failure at outer iteration 0 records no iterate: the script prints the status and
         # detail and counts the problem as failed, where it used to read final.x of None
         script = corpus_script(monkeypatch)
-        entry = problems.get_problem("scalar-bound")
-        config = dataclasses.replace(entry.config, tr=trustregion.TrConfig(max_iter=1))
-        monkeypatch.setattr(problems, "get_problem", lambda name: dataclasses.replace(entry, config=config))
+        cap_inner_iterations(monkeypatch, 1)
         assert script.main() == 1
         out = capsys.readouterr().out
         assert f"scalar-bound: {driver.INNER_FAILURE} in 0 outer iterations" in out
         assert "inner solver returned MaxIter at outer iteration 0" in out
         assert "FAILED: scalar-bound" in out
 
+    @pytest.mark.parametrize("script, name", [("scripts/artifact_digest.py", "FAMILY_CONFIG"),
+                                              ("scripts/run_corpus.py", "REFERENCE_TOL")])
+    def test_scripts_copy_the_benchmark_settings(self, script, name):
+        # a script that keeps its own copy of a benchmark setting must hold the benchmark's value
+        assert setting(assigned(script, name)) == setting(assigned("bench/run.py", name))
+
     def test_benchmark_flags_name_the_same_configs(self, tmp_path, capsys):
         # the benchmark passes the table as solve flags, in a copy of its own; a flagless solve runs
         # CorpusEntry.config, so with the flags the report, trace and output must be the same
-        source = (Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text()
-        flags = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CORPUS_FLAGS")
+        flags = setting(assigned("bench/run.py", "CORPUS_FLAGS"))
         assert sorted(flags) == problems.list_problems()
         for name, argv in flags.items():
             runs = []
