@@ -85,6 +85,8 @@ class TestConfig:
         dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
         dict(max_outer=40.5), dict(max_outer=True), dict(gamma0=1e15),
         dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True),  # were TypeErrors
+        dict(beta=0.0), dict(gamma0=-1.0), dict(eta=np.nan), dict(delta0=np.nan),  # the other ends of the intervals
+        dict(max_outer="60"), dict(delta0=None),
     ])
     def test_bad_fields_rejected(self, bad):
         cfg = driver.PenaltyConfig()
