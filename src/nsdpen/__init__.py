@@ -41,7 +41,7 @@ from .penalty import (
     special_params,
 )
 from .problems import CorpusEntry, get_problem, list_problems
-from .trustregion import TrConfig, TrResult, ms_subproblem, tr_minimize
+from .trustregion import TrResult, ms_subproblem, tr_minimize
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -14,11 +14,11 @@ gamma-update rules:
 
 The run stops once infeasibility and delta are below their tolerances, at
 the iteration cap, or on inner-solver failure / gamma passing ``GAMMA_CAP``;
-each inner solve runs under ``TrConfig()``'s limits.  Then the
-records are built from one ``optimality.evaluate_residuals`` call per
-distinct kept point: an outer iteration that keeps gamma and ends where it
-started repeats the certificate of the record before it, with its own copies
-of y and Z.
+each inner solve stops at ``trustregion.MAX_ITER`` iterations or a radius
+below ``trustregion.RADIUS_MIN``.  Then the records are built from one
+``optimality.evaluate_residuals`` call per distinct kept point: an outer
+iteration that keeps gamma and ends where it started repeats the certificate
+of the record before it, with its own copies of y and Z.
 
 A solve keeps one cache: the last point evaluated and its Hessian, made on
 first request.  The ``script_F`` parameters are built once per value of gamma

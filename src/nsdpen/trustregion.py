@@ -9,6 +9,8 @@ bound and an eigenvalue bound at termination.  The eigenvalue bound is
 computed only where the gradient bound already holds, since elsewhere it
 cannot change the decision, and is certified by a Cholesky factorization of
 the shifted Hessian; ``eigvalsh`` decides only where that factorization fails.
+The step rule and the radius floor are module constants; a caller sets only
+the iteration cap, ``MAX_ITER`` unless given.
 """
 
 import math
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, real_array, require_instance, require_int, require_real, require_real_fields
+from .errors import InvalidInputError, real_array, require_int, require_real
 from .matfun import _norm, _pow2_unit, symmetrize
 
 CONVERGED = "Converged"
-MAX_ITER = "MaxIter"
+MAX_ITER_REACHED = "MaxIter"
 RADIUS_COLLAPSE = "RadiusCollapse"
 
 # cap on the Newton steps for a boundary root; from the far-left start the
@@ -34,22 +36,10 @@ ETA1 = 0.1
 ETA2 = 0.75
 SHRINK = 0.25
 GROW = 2.0
-
-
-@dataclass(frozen=True)
-class TrConfig:
-    """The stopping limits of ``tr_minimize``: its iteration cap and the radius below which it reports
-    ``RadiusCollapse``.  Its step rule is fixed by the module constants ``DELTA0_RADIUS``, ``ETA1``, ``ETA2``,
-    ``SHRINK`` and ``GROW``.  Checked when built; frozen, so change a field with ``dataclasses.replace``."""
-
-    max_iter: int = 10000
-    radius_min: float = 1e-14
-
-    def __post_init__(self):
-        require_real_fields(self)
-        if not 0 <= self.radius_min < np.inf:
-            raise InvalidInputError("need finite radius_min >= 0")
-        require_int("max_iter", self.max_iter, 1)
+# the stopping limits of tr_minimize: its default iteration cap, and the radius below which it reports
+# RadiusCollapse
+MAX_ITER = 10000
+RADIUS_MIN = 1e-14
 
 
 @dataclass
@@ -184,7 +174,7 @@ def _second_order_certified(H: np.ndarray, delta: float) -> bool:
         return bool(np.linalg.eigvalsh(H)[0] >= -delta)
 
 
-def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = None) -> TrResult:
+def tr_minimize(fun, grad, hess, x0, delta: float, max_iter: int | None = None) -> TrResult:
     """Minimize a twice-differentiable function until both certificates hold.
 
     Terminates with status ``Converged`` at a point x where
@@ -192,8 +182,9 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     eigenvalue bound is checked once per start or accepted point, and only where
     ||grad|| <= delta: a successful Cholesky factorization of hess(x) + delta I
     certifies it, and ``eigvalsh`` decides only where that factorization fails.
-    Accepted iterates decrease the objective monotonically.  ``MaxIter`` and
-    ``RadiusCollapse`` report failure; the best point found is returned.
+    Accepted iterates decrease the objective monotonically.  ``MaxIter`` (after
+    ``max_iter`` iterations) and ``RadiusCollapse`` (the radius fell below
+    ``RADIUS_MIN``) report failure; the best point found is returned.
     A trial point whose value, gradient or Hessian raises an ArithmeticError or ValueError, or is not
     finite, real and of its shape, is rejected; at the start point these propagate.
 
@@ -207,14 +198,16 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         Start point of n entries (a scalar when n = 1).
     delta : float
         Certificate tolerance, in (0, 1).
-    config : TrConfig, optional
-        Iteration cap and radius floor; None (only None) selects ``TrConfig()``.
+    max_iter : int, optional
+        Iteration cap, an integer of at least 1; None (only None) selects
+        ``MAX_ITER``.  ``bench/tracer.py`` passes it on as the sixth positional
+        argument.
     """
     require_real("delta", delta)
     if not (0 < delta < 1):
         raise InvalidInputError("delta must lie in (0, 1)")
-    cfg = TrConfig() if config is None else config
-    require_instance("config", cfg, TrConfig)
+    max_iter = MAX_ITER if max_iter is None else max_iter
+    require_int("max_iter", max_iter, 1)
     x = np.atleast_1d(real_array("x0", x0)).copy()
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError(f"x0 must be a vector of at least one entry, got shape {x.shape}")
@@ -233,8 +226,8 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
     f_x = float(real_array("fun", fun(x), ()))
     g_x, gnorm, H_x, certified = derivatives(x)
 
-    for it in range(cfg.max_iter):
-        if certified or radius < cfg.radius_min:
+    for it in range(max_iter):
+        if certified or radius < RADIUS_MIN:
             status = CONVERGED if certified else RADIUS_COLLAPSE
             break
         p = ms_subproblem(H_x, g_x, radius)
@@ -263,5 +256,5 @@ def tr_minimize(fun, grad, hess, x0, delta: float, config: TrConfig | None = Non
         if grow:
             radius *= GROW
     else:
-        it, status = cfg.max_iter, MAX_ITER
+        it, status = max_iter, MAX_ITER_REACHED
     return TrResult(x=x, value=f_x, grad_norm=gnorm, iterations=it, status=status)

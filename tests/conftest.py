@@ -277,10 +277,8 @@ def counting(prob: NsdpProblem):
 
 
 def cap_inner_iterations(monkeypatch, max_iter: int):
-    """Run every later ``trustregion.tr_minimize`` call, a solve's inner solves among them, under
-    ``TrConfig(max_iter=max_iter)``."""
-    monkeypatch.setattr(trustregion, "tr_minimize", functools.partial(trustregion.tr_minimize,
-                                                                        config=trustregion.TrConfig(max_iter=max_iter)))
+    """Run every later ``trustregion.tr_minimize`` call, a solve's inner solves among them, with ``max_iter``."""
+    monkeypatch.setattr(trustregion, "tr_minimize", functools.partial(trustregion.tr_minimize, max_iter=max_iter))
 
 
 def record_certificates(monkeypatch) -> list:

@@ -63,21 +63,23 @@ class TestConfig:
     def test_fixed_settings_are_constants(self):
         # the trust-region step rule, the start point's check, the gamma cap and the audit's step and thresholds
         # are fixed: module constants, not config fields, parameters or report fields; the config is the solve flags
-        assert [f.name for f in dataclasses.fields(trustregion.TrConfig)] == ["max_iter", "radius_min"]
         assert [f.name for f in dataclasses.fields(driver.PenaltyConfig)] == list(cli.CONFIG_FLAGS) == [
             "eta", "theta", "gamma0", "delta0", "beta", "tol_feas", "tol_opt", "max_outer"]
         assert [f.name for f in dataclasses.fields(model.DerivativeAuditReport)] == ["errors", "step", "passed",
                                                                                       "failures"]
         assert (trustregion.DELTA0_RADIUS, trustregion.ETA1, trustregion.ETA2, trustregion.SHRINK, trustregion.GROW,
-                driver.FEAS_CHECK_TOL, driver.GAMMA_CAP, model.FD_STEP_AUDIT) == (
-            1.0, 0.1, 0.75, 0.25, 2.0, 1e-8, 1e14, 1e-6)
+                trustregion.MAX_ITER, trustregion.RADIUS_MIN, driver.FEAS_CHECK_TOL, driver.GAMMA_CAP,
+                model.FD_STEP_AUDIT) == (1.0, 0.1, 0.75, 0.25, 2.0, 10000, 1e-14, 1e-8, 1e14, 1e-6)
         assert model.AUDIT_THRESHOLDS == {"grad_f": 1e-6, "jac_g": 1e-6, "dG": 1e-6,
                                           "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
 
     def test_numpy_numbers_accepted(self):
         cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7))
-        tr_cfg = trustregion.TrConfig(radius_min=np.float32(0.5), max_iter=np.int32(9))
-        assert (cfg.eta, cfg.theta, tr_cfg.radius_min) == (0.25, 4, 0.5)
+        assert (cfg.eta, cfg.theta, cfg.max_outer) == (0.25, 4, 7)
+        # from 1e6 the doubling radius needs about 20 steps to reach the minimizer of ||x||^2 / 2, so 9 caps it
+        res = trustregion.tr_minimize(lambda x: 0.5 * float(x @ x), lambda x: x, lambda x: np.eye(1), np.array([1e6]),
+                                      1e-6, max_iter=np.int32(9))
+        assert (res.status, res.iterations) == (trustregion.MAX_ITER_REACHED, 9)
 
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
@@ -87,7 +89,7 @@ class TestConfig:
         dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True),  # were TypeErrors
         dict(beta=0.0), dict(gamma0=-1.0), dict(eta=np.nan), dict(delta0=np.nan),  # the other ends of the intervals
         dict(max_outer="60"), dict(delta0=None),
-    ])
+    ], ids=lambda bad: ",".join(f"{name}={value!r}" for name, value in bad.items()))
     def test_bad_fields_rejected(self, bad):
         cfg = driver.PenaltyConfig()
         with pytest.raises(InvalidInputError):
@@ -454,12 +456,12 @@ class TestSaddleStart:
         within = []
         tr_minimize = trustregion.tr_minimize
 
-        def recording_tr_minimize(fun, grad, hess, x0, delta, config=None):
+        def recording_tr_minimize(fun, grad, hess, x0, delta, max_iter=None):
             def grad_spy(z):
                 g = grad(z)
                 within.append(np.linalg.norm(g) <= delta)
                 return g
-            return tr_minimize(fun, grad_spy, hess, x0, delta, config)
+            return tr_minimize(fun, grad_spy, hess, x0, delta, max_iter)
 
         monkeypatch.setattr(trustregion, "tr_minimize", recording_tr_minimize)
         report = driver.solve(saddle_start_problem(True), driver.PenaltyConfig(tol_feas=1e-4))

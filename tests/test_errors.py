@@ -92,13 +92,14 @@ WRONG = {
     "solve config class": (lambda prob: driver.solve(prob, driver.PenaltyConfig),
                            "config must be a PenaltyConfig, got type$"),
     "solve config falsy": (lambda prob: driver.solve(prob, 0), "config must be a PenaltyConfig, got int$"),
-    "solve config TrConfig": (lambda prob: driver.solve(prob, trustregion.TrConfig()),
-                              "config must be a PenaltyConfig, got TrConfig$"),
+    "solve config PenaltyParams": (lambda prob: driver.solve(prob, penalty.special_params("script_P")),
+                                   "config must be a PenaltyConfig, got PenaltyParams$"),
     "solve prob": (lambda prob: driver.solve("prob"), "prob must be a NsdpProblem, got str$"),
-    "tr_minimize config str": (lambda prob: tr_minimize_with(prob, "c"), "config must be a TrConfig, got str$"),
-    "tr_minimize config falsy": (lambda prob: tr_minimize_with(prob, []), "config must be a TrConfig, got list$"),
-    "tr_minimize config PenaltyConfig": (lambda prob: tr_minimize_with(prob, driver.PenaltyConfig()),
-                                         "config must be a TrConfig, got PenaltyConfig$"),
+    # the inner iteration cap is an integer of at least 1; only None selects trustregion.MAX_ITER
+    **{f"tr_minimize max_iter={max_iter!r}": (
+        lambda prob, max_iter=max_iter: tr_minimize_with(prob, max_iter),
+        rf"max_iter must be an integer in \[1, inf\], got {re.escape(repr(max_iter))}$")
+       for max_iter in ("c", [], 1e4)},
     # each function taking a problem or a penalty point names one of another type, as solve does
     **{f"{name} prob": (lambda prob, call=call: call("prob"), "prob must be a NsdpProblem, got str$")
        for name, call in {
@@ -157,12 +158,12 @@ WRONG = {
 }
 
 
-def tr_minimize_with(prob, config):
-    """tr_minimize on ``prob``'s script_F penalty from its start point, under ``config``."""
+def tr_minimize_with(prob, max_iter):
+    """tr_minimize on ``prob``'s script_F penalty from its start point, capped at ``max_iter`` iterations."""
     def at(z):
         return script_F_point(prob, z)
     return trustregion.tr_minimize(lambda z: at(z).value, lambda z: at(z).grad,
-                                   lambda z: penalty.penalty_hess(at(z)), prob.start_point, 1e-6, config)
+                                   lambda z: penalty.penalty_hess(at(z)), prob.start_point, 1e-6, max_iter)
 
 
 @pytest.mark.parametrize("case", WRONG)

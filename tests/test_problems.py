@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -164,6 +166,14 @@ class TestKnownGoodConfig:
     def test_scripts_copy_the_benchmark_settings(self, script, name):
         # a script that keeps its own copy of a benchmark setting must hold the benchmark's value
         assert setting(assigned(script, name)) == setting(assigned("bench/run.py", name))
+
+    def test_readme_holds_each_constant(self):
+        # README's constants table is a copy too: each of its ten one-value rows holds its module attribute's value
+        rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", (ROOT / "README.md").read_text(), re.M)
+        assert len(rows) == 10
+        for module, name, value in rows:
+            expected, actual = ast.literal_eval(value), getattr(importlib.import_module(f"nsdpen.{module}"), name)
+            assert (type(actual), actual) == (type(expected), expected), f"{module}.{name}"
 
     def test_benchmark_flags_name_the_same_configs(self, tmp_path, capsys):
         # the benchmark passes the table as solve flags, in a copy of its own; a flagless solve runs
