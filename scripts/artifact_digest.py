@@ -9,8 +9,10 @@ under the benchmark's family config: the final status, detail and b_count
 of ``nsdpen.solve`` and every field of every iterate record, floats and
 arrays by their bits.  The same records of psd d = 5 and ball d = 4, seeds
 1, 2 and 7, and of psd d = 12, seed 7, with both second-derivative hooks left
-out (``hess_f=None, d2G=None, fd_second_order=True``), cover the synthesized
-second derivatives.
+out (``hess_f=None, d2G=None``), cover the synthesized second derivatives;
+those of the corpus problems corr-matrix and equality-degenerate, under their
+config and ``b_count_at_solution`` with ``hess_f``, ``hess_g`` and ``d2G``
+left out, cover a synthesized ``hess_g`` inside a solve.
 
 Run it on two checkouts and diff the outputs:
 
@@ -38,6 +40,7 @@ FAMILY_CONFIG = PenaltyConfig(tol_feas=1e-4, tol_opt=1e-6, max_outer=40)
 FAMILY_CASES = [("psd", 5), ("psd", 12), ("ball", 4), ("ball", 8)]
 SEEDS = (1, 2, 7)
 SYNTHESIZED_CASES = [("psd", 5, SEEDS), ("ball", 4, SEEDS), ("psd", 12, (7,))]
+SYNTHESIZED_CORPUS = ("corr-matrix", "equality-degenerate")
 
 
 def digest(data: bytes) -> str:
@@ -73,16 +76,21 @@ def value_bytes(value) -> bytes:
     return repr(value).encode()
 
 
-def family_records(kind: str, d: int, seed: int, synthesized: bool = False) -> bytes:
-    prob = families.FAMILIES[kind](d, np.random.default_rng(seed)).problem
-    if synthesized:
-        prob = dataclasses.replace(prob, hess_f=None, d2G=None, fd_second_order=True)
-    report = solve(prob, FAMILY_CONFIG)
+def solve_records(prob, config: PenaltyConfig, b_count: int | None = None) -> bytes:
+    """The final status, detail and b_count of ``nsdpen.solve`` and every field of every iterate record."""
+    report = solve(prob, config, b_count)
     parts = [value_bytes(v) for v in (report.final_status, report.detail, report.b_count)]
     for rec in report.iterates:
         parts += [field.name.encode() + b"=" + value_bytes(getattr(rec, field.name))
                   for field in dataclasses.fields(rec)]
     return b"\n".join(parts)
+
+
+def family_records(kind: str, d: int, seed: int, synthesized: bool = False) -> bytes:
+    prob = families.FAMILIES[kind](d, np.random.default_rng(seed)).problem
+    if synthesized:
+        prob = dataclasses.replace(prob, hess_f=None, d2G=None)
+    return solve_records(prob, FAMILY_CONFIG)
 
 
 def main() -> int:
@@ -97,6 +105,11 @@ def main() -> int:
         for seed in seeds:
             records = family_records(kind, d, seed, synthesized=True)
             print(digest(records), f"family/{kind}-d{d}-synthesized/seed-{seed}")
+    for name in SYNTHESIZED_CORPUS:
+        entry = problems.get_problem(name)
+        prob = dataclasses.replace(entry.problem, hess_f=None, hess_g=None, d2G=None)
+        records = solve_records(prob, entry.config, entry.b_count_at_solution)
+        print(digest(records), f"corpus/{name}-synthesized/records")
     return 0
 
 

@@ -4,8 +4,10 @@ A problem bundles twice-differentiable hooks for the objective f, equality
 constraints g (optional, m = 0 when absent) and a symmetric-matrix constraint
 G (optional, d = 0 when absent), together with the linear operators built on
 the partial derivatives of G.  Hooks must be reentrant and side-effect-free.
-This module makes every hook call, and reads every output in the shape
-``HOOK_SHAPES`` gives it: ``_read`` one output, ``_gather`` many of one hook.
+A second-derivative hook left out is synthesized from central differences of
+its first-derivative hook.  This module makes every hook call, and reads every
+output in the shape ``HOOK_SHAPES`` gives it: ``_read`` one output,
+``_gather`` many of one hook.
 """
 
 from dataclasses import dataclass
@@ -46,11 +48,11 @@ class NsdpProblem:
     hook may return one shared (say read-only) array for many entries, as a ``d2G`` of an affine G returns one zero.
     A contraction reads its outputs only after its last call, and an output shared by every call once.
 
-    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook given is callable, and the hooks read are
-    present (f, grad_f, hess_f; g, jac_g, hess_g when m > 0; G, dG, d2G when d > 0).  Second-derivative hooks may be
-    omitted by passing ``fd_second_order=True``; their fields stay None, and their readers difference this problem's
-    own grad_f, jac_g or dG stack at x + h_j e_j, then x - h_j e_j, for j = 0, ..., n - 1, contracting each
-    difference as it is made (``_synthesized``), so a ``dataclasses.replace`` copy differences its own hooks.
+    Checked when built: n >= 1, m >= 0 and d >= 0 are integers, every hook given is callable, and the first-order
+    hooks read are present (f, grad_f; g, jac_g when m > 0; G, dG when d > 0).  A second-derivative hook (hess_f,
+    hess_g, d2G) left out stays None, and its readers difference this problem's own grad_f, jac_g or dG stack at
+    x + h_j e_j, then x - h_j e_j, for j = 0, ..., n - 1, contracting each difference as it is made
+    (``_synthesized``), so a ``dataclasses.replace`` copy differences its own hooks.
     Frozen, with a read-only copy of ``start_point``.
     """
 
@@ -68,7 +70,6 @@ class NsdpProblem:
     G: Callable[[np.ndarray], np.ndarray] | None = None
     dG: Callable[[np.ndarray, int], np.ndarray] | None = None
     d2G: Callable[[np.ndarray, int, int], np.ndarray] | None = None
-    fd_second_order: bool = False
 
     def __post_init__(self):
         for name, lo in (("n", 1), ("m", 0), ("d", 0)):
@@ -82,11 +83,6 @@ class NsdpProblem:
             raise InvalidInputError(f"problem {self.name!r}: m > 0 requires g and jac_g hooks")
         if self.d > 0 and (self.G is None or self.dG is None):
             raise InvalidInputError(f"problem {self.name!r}: d > 0 requires G and dG hooks")
-        needed = (("hess_f", True), ("hess_g", self.m > 0), ("d2G", self.d > 0))
-        missing = [hook for hook, used in needed if used and getattr(self, hook) is None]
-        if missing and not self.fd_second_order:
-            raise InvalidInputError(f"problem {self.name!r} has no {', '.join(missing)} hook; "
-                                    "supply it or build the problem with fd_second_order=True")
 
 
 def _point(prob: NsdpProblem, x) -> np.ndarray:
@@ -132,7 +128,7 @@ def _synthesized(prob: NsdpProblem, hook: str, shifts: tuple[np.ndarray, np.ndar
     (k = m) or of the entries of the ``_dG_outputs`` stack (k = d*d): (k,) weights give an (n, n) matrix, (k, K) a
     (K, n, n) stack.  Each coordinate's ``_central_diff`` is contracted as soon as it is made, so two hook outputs
     are held at a time, and the result is symmetrized once.  At the step FD_STEP_SECOND_ORDER it is every second
-    derivative left to fd_second_order: hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
+    derivative a problem leaves out: hess_f(x) (grad_f, weights (1,)), hess_g(x, y) (jac_g, y) and
     [<d2G(x, i, j), W>]_ij (dG, W raveled), from 2n grad_f or jac_g calls, or 2n^2 dG calls."""
     n = prob.n
     out = np.empty((*np.shape(weights)[1:], n, n))
@@ -258,8 +254,8 @@ def audit_derivatives(prob: NsdpProblem, x) -> DerivativeAuditReport:
     check; hess_f and hess_g are checked against ``_synthesized`` with unit weights.  The hook calls are those of
     one difference per analytic output, and of one for all columns of jac_g: f, g and G 2n times each, grad_f and
     jac_g 1 + 2n, dG n + 2n^2 (a difference of the dG stack per coordinate), d2G n^2, hess_f once and hess_g m
-    times, once per unit weight e_j, with the weights handed as read-only rows too.  Second derivatives left to
-    ``fd_second_order`` are differences: not audited.
+    times, once per unit weight e_j, with the weights handed as read-only rows too.  A second derivative the
+    problem leaves out is a difference: not audited.
     """
     x = _point(prob, x)
     n, m, d = prob.n, prob.m, prob.d

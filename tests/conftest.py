@@ -48,13 +48,13 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def ball_problem(d: int, m: int = 0, fd_second_order: bool = False, seed: int = 0) -> NsdpProblem:
+def ball_problem(d: int, m: int = 0, synthesized: bool = False, seed: int = 0) -> NsdpProblem:
     """A non-affine test problem over a symmetric d x d matrix X(x) (n = d(d+1)/2).
 
     f = (1/2)||X(x) - C||^2, G(x) = I - X(x)^2 (so d2G is constant and
     nonzero) and, for m > 0, quadratic equalities g_k = x^T A_k x / 2 + b_k^T x.
-    With ``fd_second_order`` the second-derivative hooks are left out and
-    synthesized by the model.
+    With ``synthesized`` the second-derivative hooks are left out, so the
+    model synthesizes them.
     """
     gen = rng(seed)
     iu = np.triu_indices(d)
@@ -77,16 +77,15 @@ def ball_problem(d: int, m: int = 0, fd_second_order: bool = False, seed: int = 
         G=lambda x: np.eye(d) - X(x) @ X(x),
         dG=lambda x, i: -(B[i] @ X(x) + X(x) @ B[i]),
     )
-    if not fd_second_order:
+    if not synthesized:
         hooks.update(hess_f=lambda x: np.einsum("iab,jab->ij", B, B),
                      d2G=lambda x, i, j: -(B[i] @ B[j] + B[j] @ B[i]))
     if m > 0:
         hooks.update(g=lambda x: 0.5 * np.einsum("i,kij,j->k", x, A, x) + b @ x,
                      jac_g=lambda x: (A @ x + b).T)
-        if not fd_second_order:
+        if not synthesized:
             hooks["hess_g"] = lambda x, y: np.tensordot(y, A, 1)
-    return NsdpProblem(name=f"ball-test-d{d}", n=n, m=m, d=d, start_point=np.zeros(n),
-                       fd_second_order=fd_second_order, **hooks)
+    return NsdpProblem(name=f"ball-test-d{d}", n=n, m=m, d=d, start_point=np.zeros(n), **hooks)
 
 
 def cap_target(d: int, seed: int) -> np.ndarray:
@@ -97,13 +96,13 @@ def cap_target(d: int, seed: int) -> np.ndarray:
     return sym_from_spectrum(gen, values)
 
 
-def cap_problem(d: int, seed: int = 0, fd_second_order: bool = False) -> NsdpProblem:
+def cap_problem(d: int, seed: int = 0, synthesized: bool = False) -> NsdpProblem:
     """The nearest symmetric d x d matrix X(x) to a target C with X <= I, as G(x) = I - X(x)^3 (n = d(d+1)/2).
 
     G is cubic, so dG and d2G both depend on x.  f = (1/2)||X(x) - C||^2 and
     X(x) has the basis of ``ball_problem``; C is ``cap_target(d, seed)``, and
     the answer clips its eigenvalues at 1 (``cap_reference``).
-    With ``fd_second_order`` the second-derivative hooks are left out.
+    With ``synthesized`` the second-derivative hooks are left out.
     """
     iu = np.triu_indices(d)
     n = iu[0].size
@@ -127,10 +126,9 @@ def cap_problem(d: int, seed: int = 0, fd_second_order: bool = False) -> NsdpPro
     hooks = dict(f=lambda x: 0.5 * float(np.sum((X(x) - C) ** 2)),
                  grad_f=lambda x: np.einsum("kab,ab->k", B, X(x) - C),
                  G=lambda x: np.eye(d) - X(x) @ X(x) @ X(x), dG=dG)
-    if not fd_second_order:
+    if not synthesized:
         hooks.update(hess_f=lambda x: np.einsum("iab,jab->ij", B, B), d2G=d2G)
-    return NsdpProblem(name=f"cap-test-d{d}", n=n, m=0, d=d, start_point=np.zeros(n),
-                       fd_second_order=fd_second_order, **hooks)
+    return NsdpProblem(name=f"cap-test-d{d}", n=n, m=0, d=d, start_point=np.zeros(n), **hooks)
 
 
 def cap_reference(d: int, seed: int) -> np.ndarray:
@@ -225,7 +223,7 @@ def strip_wall_time(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if '"wall_time_sec"' not in line)
 
 
-# (d, m, fd_second_order) of the ball problems the loop-assembly references cover
+# (d, m, synthesized) of the ball problems the loop-assembly references cover
 BALL_CASES = [(4, 0, False), (4, 0, True), (3, 2, False), (3, 2, True)]
 
 
@@ -240,7 +238,7 @@ HOOKS = ("f", "grad_f", "hess_f", "g", "jac_g", "hess_g", "G", "dG", "d2G")
 
 def second_derivatives(prob: NsdpProblem):
     """hess_f(x), hess_g(x, j) = hess g_j(x) and d2G(x, i, j) of ``prob``, entry by entry: each hook the problem
-    supplies (hess_g at the unit weight e_j), and for each it leaves to ``fd_second_order`` the loop references' own
+    supplies (hess_g at the unit weight e_j), and for each it leaves out the loop references' own
     central differences of its first derivative, one coordinate at a time with the model's step, symmetrized."""
     n, units = prob.n, np.eye(prob.m)
 

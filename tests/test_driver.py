@@ -67,6 +67,9 @@ class TestConfig:
             "eta", "theta", "gamma0", "delta0", "beta", "tol_feas", "tol_opt", "max_outer"]
         assert [f.name for f in dataclasses.fields(model.DerivativeAuditReport)] == ["errors", "step", "passed",
                                                                                       "failures"]
+        # a problem is its dimensions, start point and hooks: the hooks left out decide what is synthesized
+        assert [f.name for f in dataclasses.fields(NsdpProblem)] == ["name", "n", "m", "d", "start_point",
+                                                                     *model.HOOK_SHAPES]
         assert (trustregion.DELTA0_RADIUS, trustregion.ETA1, trustregion.ETA2, trustregion.SHRINK, trustregion.GROW,
                 trustregion.MAX_ITER, trustregion.RADIUS_MIN, driver.FEAS_CHECK_TOL, driver.GAMMA_CAP,
                 model.FD_STEP_AUDIT) == (1.0, 0.1, 0.75, 0.25, 2.0, 10000, 1e-14, 1e-8, 1e14, 1e-6)
@@ -235,11 +238,6 @@ class TestSolveGuards:
         with pytest.raises(StartNotFeasibleError, match=f"has infeasibility {bad:.3e} > "):
             driver.solve(prob, entry.config)
 
-    @pytest.mark.parametrize("hook", ["hess_f", "hess_g", "d2G"])
-    def test_missing_second_order_hook_rejected(self, hook):
-        with pytest.raises(InvalidInputError, match=f"{hook}.*fd_second_order=True"):
-            dataclasses.replace(ball_problem(2, m=1), **{hook: None})
-
     @pytest.mark.parametrize("hess_f", [lambda x: 2.0, lambda x: np.ones(3)], ids=["scalar", "vector"])
     def test_wrong_shaped_hess_f_names_the_hook(self, hess_f):
         # the scalar was broadcast into every Hessian entry and the solve reached FeasOptReached;
@@ -270,10 +268,16 @@ class TestSolveGuards:
         assert report.final_status == driver.INNER_FAILURE
         assert "cap" in report.detail
 
-    def test_synthesized_second_derivatives_solve_as_analytic(self):
-        # central-difference hess_f, hess_g and d2G take the analytic twin's path to the same point
+    @pytest.mark.parametrize("left_out", [("hess_f",), ("hess_g",), ("d2G",), ("hess_f", "hess_g", "d2G")],
+                             ids="+".join)
+    def test_synthesized_second_derivatives_solve_as_analytic(self, left_out):
+        # any second derivative left out builds, is not audited, and its central difference takes the analytic
+        # twin's path to the same point
         cfg = driver.PenaltyConfig(tol_feas=1e-3, tol_opt=1e-6, max_outer=40)
-        analytic, fd = (driver.solve(ball_problem(2, m=1, seed=0, fd_second_order=fd), cfg) for fd in (False, True))
+        analytic = ball_problem(2, m=1, seed=0)
+        fd = dataclasses.replace(analytic, **dict.fromkeys(left_out))
+        assert set(model.audit_derivatives(fd, fd.start_point).errors) == set(model.AUDIT_THRESHOLDS) - set(left_out)
+        analytic, fd = (driver.solve(prob, cfg) for prob in (analytic, fd))
         assert fd.final_status == driver.FEAS_OPT_REACHED
         for report in (analytic, fd):
             assert (len(report.iterates), sum(rec.inner_iterations for rec in report.iterates)) == (18, 21)

@@ -452,7 +452,7 @@ class TestHugeStacks:
         # grad_f = c (x1, x0) has the Hessian c [[0, 1], [1, 0]], which its central differences recover
         c = 1e308
         prob = model.NsdpProblem(name="huge-hess", n=2, m=0, d=0, start_point=np.zeros(2), f=lambda x: c * x[0] * x[1],
-                                 grad_f=lambda x: c * x[::-1], fd_second_order=True)
+                                 grad_f=lambda x: c * x[::-1])
         H = model.hess_fg(prob, np.zeros(2), 1.0, None)
         assert np.isfinite(H).all() and np.array_equal(H, H.T)
         assert H[0, 1] == pytest.approx(c, rel=1e-10) and H[0, 0] == H[1, 1] == 0.0
@@ -587,7 +587,7 @@ class TestContractedHessG:
 
     def test_synthesized_is_the_contraction_of_one_difference(self):
         # powers of two as weights make every product exact, so a fused or a separate multiply-add gives these bits
-        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        prob, counts = counting(ball_problem(3, m=2, synthesized=True))
         x, y = rng(43).normal(size=prob.n), np.array([0.5, -2.0])
         H = -model.hess_fg(prob, x, 0.0, y)
         assert counts["jac_g"] == 2 * prob.n
@@ -704,9 +704,9 @@ class TestAudit:
         assert "dG" in report.failures and report.errors["dG"] == np.inf
 
     @given(st.integers(2, 4), st.integers(0, 2), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_matches_loop_reference(self, d, m, fd_second_order, seed):
+    def test_matches_loop_reference(self, d, m, synthesized, seed):
         # the stacked differences and norms round as the per-entry loop does
-        prob = ball_problem(d, m=m, fd_second_order=fd_second_order, seed=seed % 7)
+        prob = ball_problem(d, m=m, synthesized=synthesized, seed=seed % 7)
         x = rng(seed).normal(size=prob.n)
         report = model.audit_derivatives(prob, x)
         assert report.errors == loop_audit_errors(prob, x)
@@ -714,7 +714,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
     def test_x_dependent_curvature_matches_loop_reference(self, fd):
-        prob = cap_problem(3, seed=6, fd_second_order=fd)
+        prob = cap_problem(3, seed=6, synthesized=fd)
         x = rng(44).normal(size=prob.n)
         report = model.audit_derivatives(prob, x)
         assert report.errors == loop_audit_errors(prob, x) and report.passed
@@ -728,8 +728,8 @@ class TestAudit:
         assert report.failures == ["d2G"] and report.errors["d2G"] > 0.1
 
     def test_hook_call_counts_synthesized(self):
-        # a second derivative left to fd_second_order is not audited, so neither it nor its difference is read
-        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        # a second derivative left out is not audited, so neither it nor its difference is read
+        prob, counts = counting(ball_problem(3, m=2, synthesized=True))
         n = prob.n
         report = model.audit_derivatives(prob, rng(26).normal(size=n))
         assert list(report.errors) == ["grad_f", "jac_g", "dG"]
@@ -787,11 +787,11 @@ class TestSynthesizedSecondDerivatives:
     @pytest.mark.parametrize("out", [1.0, np.zeros(2), np.zeros((2, 3))])
     def test_wrong_shaped_dG_named(self, out):
         # the synthesized d2G reads dG at its shape, before the outputs are symmetrized
-        prob = dataclasses.replace(affine_matrix_problem(), dG=lambda x, i: out, d2G=None, fd_second_order=True)
+        prob = dataclasses.replace(affine_matrix_problem(), dG=lambda x, i: out, d2G=None)
         with pytest.raises(InvalidInputError, match=r"dG must have shape \(2, 2\)"):
             model.d2G_contract(prob, np.zeros(2), np.eye(2))
 
-    def test_fd_second_order_matches_analytic(self):
+    def test_left_out_second_derivatives_match_analytic(self):
         analytic = affine_matrix_problem()
         fd = model.NsdpProblem(
             name="affine-fd",
@@ -799,7 +799,6 @@ class TestSynthesizedSecondDerivatives:
             start_point=np.zeros(2),
             f=analytic.f, grad_f=analytic.grad_f,
             G=analytic.G, dG=analytic.dG,
-            fd_second_order=True,
         )
         x = np.array([0.4, -1.1])
         assert np.allclose(model.hess_fg(fd, x, 1.0, None), analytic.hess_f(x), atol=1e-8)
@@ -816,7 +815,6 @@ class TestSynthesizedSecondDerivatives:
             start_point=np.zeros(1),
             f=base.f, grad_f=base.grad_f,
             g=base.g, jac_g=base.jac_g,
-            fd_second_order=True,
         )
         x = np.array([0.7])
         assert -model.hess_fg(fd, x, 0.0, np.array([3.0]))[0, 0] == pytest.approx(6.0, abs=1e-8)
@@ -826,7 +824,7 @@ class TestSynthesizedSecondDerivatives:
     def test_d2G_contraction_is_one_difference_of_the_dG_stack(self):
         # 2n^2 dG calls (n at each of 2n points) and no d2G call; the weights contract each coordinate's difference
         # of the dG stack, symmetrized once, and a cubic G's d2G(x) is recovered at x itself
-        prob, counts = counting(cap_problem(3, seed=8, fd_second_order=True))
+        prob, counts = counting(cap_problem(3, seed=8, synthesized=True))
         n, x, W = prob.n, rng(46).normal(size=prob.n), rng(47).normal(size=(3, 3))
         out = model.d2G_contract(prob, x, W)
         assert (counts["dG"], counts["d2G"]) == (2 * n * n, 0)
@@ -839,7 +837,7 @@ class TestSynthesizedSecondDerivatives:
         # each coordinate's difference is contracted as soon as it is made, so about 7 dG stacks (n d^2 floats) are
         # held at once here, not the 2n shifted stacks
         prob = bench_families().nearest_psd(8, np.random.default_rng(7)).problem
-        prob = dataclasses.replace(prob, hess_f=None, d2G=None, fd_second_order=True)
+        prob = dataclasses.replace(prob, hess_f=None, d2G=None)
         tracemalloc.start()
         try:
             model.d2G_contract(prob, prob.start_point + 0.1, np.eye(8))
@@ -851,7 +849,7 @@ class TestSynthesizedSecondDerivatives:
     def test_one_jac_g_difference_per_point(self):
         # hess_fg differences jac_g once (2n calls) per call with a nonzero weight, and not at all when every
         # weight is zero
-        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        prob, counts = counting(ball_problem(3, m=2, synthesized=True))
         n, m = prob.n, prob.m
         for x in rng(29).normal(size=(2, n)):
             counts["jac_g"] = 0
@@ -865,7 +863,7 @@ class TestSynthesizedSecondDerivatives:
     def test_replace_differences_the_new_hooks(self):
         # a copy with new first derivatives synthesizes its second derivatives from them, not from the
         # original's; doubling is exact, so every synthesized entry doubles bit for bit
-        base = ball_problem(3, m=2, fd_second_order=True)
+        base = ball_problem(3, m=2, synthesized=True)
         doubled = dataclasses.replace(base, grad_f=lambda x: 2.0 * base.grad_f(x), jac_g=lambda x: 2.0 * base.jac_g(x),
                                       dG=lambda x, i: 2.0 * base.dG(x, i))
         x, W = rng(30).normal(size=base.n), rng(31).normal(size=(base.d, base.d))

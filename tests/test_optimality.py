@@ -86,12 +86,12 @@ def loop_sigma_term(prob, x, Z):
 class TestLoopEquivalence:
     @pytest.mark.parametrize("d,m,fd", BALL_CASES)
     def test_matches_loop_assembly(self, d, m, fd):
-        self.check_loop_assembly(ball_problem(d, m=m, fd_second_order=fd, seed=d + m))
+        self.check_loop_assembly(ball_problem(d, m=m, synthesized=fd, seed=d + m))
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
     def test_x_dependent_curvature_matches_loop_assembly(self, fd):
         # G = I - X^3: d2G moves with x, so a contraction or a difference taken at another point shows
-        self.check_loop_assembly(cap_problem(3, seed=3, fd_second_order=fd))
+        self.check_loop_assembly(cap_problem(3, seed=3, synthesized=fd))
 
     @staticmethod
     def check_loop_assembly(prob):
@@ -154,7 +154,7 @@ class TestLagrangian:
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
     def test_x_dependent_curvature_hessian_matches_difference_of_gradient(self, fd):
         # G = I - X^3 at an infeasible point (X has the eigenvalue 2 > 1): the d2G term is read at x
-        prob = cap_problem(3, seed=5, fd_second_order=fd)
+        prob = cap_problem(3, seed=5, synthesized=fd)
         x, _, Z = mixed_point(prob, 38)
         assert np.linalg.eigvalsh(prob.G(x))[0] < -1.0
         ana = optimality.lagrangian_hess(prob, x, None, Z)

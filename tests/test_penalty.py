@@ -418,7 +418,6 @@ class TestHessian:
             start_point=base.start_point,
             f=base.f, grad_f=base.grad_f,
             G=base.G, dG=base.dG,
-            fd_second_order=True,
         )
         x = np.array([0.2, -0.5, 0.9])
         p = penalty.special_params("script_F", 3.0)
@@ -428,17 +427,17 @@ class TestHessian:
 
     @pytest.mark.parametrize("d,m,fd", BALL_CASES)
     def test_matches_loop_assembly(self, d, m, fd):
-        self.check_loop_assembly(ball_problem(d, m=m, fd_second_order=fd, seed=d + m))
+        self.check_loop_assembly(ball_problem(d, m=m, synthesized=fd, seed=d + m))
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
     def test_x_dependent_curvature_matches_loop_assembly(self, fd):
         # G = I - X^3: d2G moves with x, so a contraction or a difference taken at another point shows
-        self.check_loop_assembly(cap_problem(3, seed=3, fd_second_order=fd))
+        self.check_loop_assembly(cap_problem(3, seed=3, synthesized=fd))
 
     @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "synthesized"])
     def test_x_dependent_curvature_matches_difference_of_gradient(self, fd):
         # at an infeasible point (X has the eigenvalue 2 > 1), where d2G(x) is far from its value at the start
-        prob = cap_problem(3, seed=4, fd_second_order=fd)
+        prob = cap_problem(3, seed=4, synthesized=fd)
         x, p = mixed_point(prob, 114)
         assert np.linalg.eigvalsh(prob.G(x))[0] < -1.0
         for params in (p, penalty.special_params("script_F", 3.0)):
@@ -474,7 +473,7 @@ class TestHessian:
     def test_hook_counts_synthesized(self):
         # the synthesized second derivatives read this problem's first-derivative hooks: one grad_f, one jac_g
         # and one dG-stack difference (2n calls each, the last of n dG calls), besides J and the dG stack
-        prob, counts = counting(ball_problem(3, m=2, fd_second_order=True))
+        prob, counts = counting(ball_problem(3, m=2, synthesized=True))
         n = prob.n
         at = penalty.penalty_at(prob, rng(113).normal(size=n), penalty.special_params("script_F", 3.0))
         counts.update(dict.fromkeys(counts, 0))
