@@ -12,7 +12,9 @@ arrays by their bits.  The same records of psd d = 5 and ball d = 4, seeds
 out (``hess_f=None, d2G=None``), cover the synthesized second derivatives;
 those of the corpus problems corr-matrix and equality-degenerate, under their
 config and ``b_count_at_solution`` with ``hess_f``, ``hess_g`` and ``d2G``
-left out, cover a synthesized ``hess_g`` inside a solve.
+left out, cover a synthesized ``hess_g`` inside a solve.  Last, scalar-bound's
+``check --at 9e307 --json`` document (exit 1: its audit fails) covers
+non-finite values, which it writes as ``null``.
 
 Run it on two checkouts and diff the outputs:
 
@@ -47,13 +49,13 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_cli(argv) -> bytes:
-    """The stdout of ``cli.main(argv)``, which must exit 0."""
+def run_cli(argv, expected: int = 0) -> bytes:
+    """The stdout of ``cli.main(argv)``, which must exit ``expected``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    if code != 0:
-        sys.exit(f"error: nsdpen {' '.join(argv)} exited {code}")
+    if code != expected:
+        sys.exit(f"error: nsdpen {' '.join(argv)} exited {code}, not {expected}")
     return out.getvalue().encode()
 
 
@@ -110,6 +112,10 @@ def main() -> int:
         prob = dataclasses.replace(entry.problem, hess_f=None, hess_g=None, d2G=None)
         records = solve_records(prob, entry.config, entry.b_count_at_solution)
         print(digest(records), f"corpus/{name}-synthesized/records")
+    with tempfile.TemporaryDirectory() as tmp:
+        huge = Path(tmp) / "check-huge.json"
+        run_cli(["check", "--problem", "scalar-bound", "--at", "9e307", "--json", str(huge)], expected=1)
+        print(digest(huge.read_bytes()), "corpus/scalar-bound/check-huge.json")
     return 0
 
 

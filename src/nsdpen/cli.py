@@ -8,15 +8,16 @@ optimality residuals with recovered multipliers.
 Exit codes: 0 success, 1 failed derivative audit or residuals that could
 not be evaluated (check), 2 iteration cap reached, 3 inner-solver failure
 or infeasible start, 64 bad flags, 65 unknown problem, 74 an output file
-could not be written.  Reports are written atomically (temp file + rename)
-and identical flags produce byte-identical numeric payloads; wall time lives
-in a separate non-compared field.
+could not be written.  Every document is strict JSON, with a non-finite
+number written as ``null``, and is written atomically (temp file + rename);
+identical flags give byte-identical payloads apart from ``wall_time_sec``.
 """
 
 import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -27,7 +28,7 @@ from .errors import (InvalidInputError, StartNotFeasibleError, UnknownProblemErr
                      require_int)
 from .matfun import _triangles
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 # the solve flags: every PenaltyConfig field, as the report's config section holds them
 CONFIG_FLAGS = tuple(field.name for field in dataclasses.fields(driver.PenaltyConfig))
@@ -98,8 +99,17 @@ def _atomic_write(path: str, text: str):
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _finite(value):
+    """``value`` with each non-finite float replaced by ``None``, as ``JSON.stringify`` writes it; the rest as is."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _dump_json(doc: dict, indent: int | None = 2) -> str:
+    return json.dumps(_finite(doc), indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _row(record, names) -> dict:
@@ -160,8 +170,7 @@ def _cmd_solve(args) -> int:
     report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution)
 
     if args.trace:
-        _atomic_write(args.trace, "".join(json.dumps(_row(rec, _TRACE_ROW), sort_keys=True) + "\n"
-                                          for rec in report.iterates))
+        _atomic_write(args.trace, "".join(_dump_json(_row(rec, _TRACE_ROW), indent=None) for rec in report.iterates))
     if args.report:
         _atomic_write(args.report, _dump_json(_report_document(report)))
 

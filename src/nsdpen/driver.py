@@ -8,9 +8,9 @@ gamma-update rules:
 
 * the next start is the new iterate if its penalty value does not exceed
   f(x0), otherwise the feasible start x0;
-* gamma is kept when k = 0 or the infeasibility fell by factor eta,
-  multiplied by theta otherwise;
-* delta decays geometrically.
+* gamma starts at ``GAMMA0`` and is kept when k = 0 or the infeasibility
+  fell by factor ``ETA``, multiplied by theta otherwise;
+* delta starts at ``DELTA0`` and decays by the factor ``BETA``.
 
 The run stops once infeasibility and delta are below their tolerances, at
 the iteration cap, or on inner-solver failure / gamma passing ``GAMMA_CAP``;
@@ -54,41 +54,31 @@ BRANCH_RESET = "reset"
 
 # the most infeasibility u(x0) a start point may have
 FEAS_CHECK_TOL = 1e-8
-# the largest penalty weight gamma a solve may start at or move to
+# the largest penalty weight gamma a solve may move to
 GAMMA_CAP = 1e14
+ETA = 0.5
+GAMMA0 = 1.0
+DELTA0 = 0.1
+BETA = 0.5
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """The outer loop's schedule, checked when built; frozen: change it by ``dataclasses.replace``.
+    """The settings a caller sets, exactly the ``solve`` flags; checked when built, frozen: change them by
+    ``dataclasses.replace``.  The rest of the schedule and the bounds on u(x0) and gamma are module constants."""
 
-    Its fields are exactly the ``solve`` flags.  The start point's infeasibility and gamma are checked against
-    the module constants ``FEAS_CHECK_TOL`` and ``GAMMA_CAP``."""
-
-    eta: float = 0.5
     theta: float = 10.0
-    gamma0: float = 1.0
-    delta0: float = 0.1
-    beta: float = 0.5
     tol_feas: float = 1e-8
     tol_opt: float = 1e-6
     max_outer: int = 60
 
     def __post_init__(self):
         require_real_fields(self)
-        for name in ("gamma0", "theta", "tol_feas", "tol_opt"):
+        for name in ("theta", "tol_feas", "tol_opt"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")
-        if not (0 < self.eta < 1):
-            raise InvalidInputError("eta must lie in (0, 1)")
         if not self.theta > 1:
             raise InvalidInputError("theta must exceed 1")
-        if not 0 < self.gamma0 <= GAMMA_CAP:
-            raise InvalidInputError(f"gamma0 must lie in (0, GAMMA_CAP] = (0, {GAMMA_CAP:g}]")
-        if not (0 < self.delta0 < 1):
-            raise InvalidInputError("delta0 must lie in (0, 1)")
-        if not (0 < self.beta < 1):
-            raise InvalidInputError("beta must lie in (0, 1)")
         if self.tol_feas < 0 or self.tol_opt < 0:
             raise InvalidInputError("tolerances must be nonnegative")
         require_int("max_outer", self.max_outer, 1)
@@ -182,9 +172,9 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
     steps = []
     xhat = x0
-    gamma = cfg.gamma0
+    gamma = GAMMA0
     params = penalty.special_params("script_F", gamma)  # stands for gamma: built again only when gamma moves
-    delta = cfg.delta0
+    delta = DELTA0
     status = MAX_OUTER
     detail = ""
     last = [None, None]  # the last point evaluated and its read-only Hessian, made on first request
@@ -228,7 +218,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
             status = FEAS_OPT_REACHED
             break
 
-        gamma_next = next_gamma(k, gamma, u_next, u_prev, cfg.eta, cfg.theta)
+        gamma_next = next_gamma(k, gamma, u_next, u_prev, ETA, cfg.theta)
         if gamma_next > GAMMA_CAP:
             status = INNER_FAILURE
             detail = f"penalty weight {gamma_next:.3e} exceeds cap {GAMMA_CAP:.3e}"
@@ -236,7 +226,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         if gamma_next != gamma:
             gamma = gamma_next
             params = penalty.special_params("script_F", gamma)
-        delta = cfg.beta * delta
+        delta = BETA * delta
         u_prev = u_next
 
     if b_count is None:

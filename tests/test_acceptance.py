@@ -325,5 +325,5 @@ def test_criterion_7_cli_contract(tmp_path):
     assert strip_wall_time(reports[0][0]) == strip_wall_time(reports[1][0])
     assert reports[0][1] == reports[1][1]
     doc = json.loads(reports[0][0])
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
     assert doc["final_status"] == "FeasOptReached"

@@ -23,6 +23,18 @@ def run_main(argv, capsys=None):
     return code
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def null_paths(doc, path=""):
+    """The slash-joined path of every null in a parsed document, a list entry named by its index."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is None:
+        return [path[1:]] if doc is None else []
+    return [found for key, value in items for found in null_paths(value, f"{path}/{key}")]
+
+
 class TestLowerTriangle:
     def test_round_trip(self):
         Z = np.array([[1.0, -2.5, 0.25], [-2.5, 3.0, 4.0], [0.25, 4.0, -1.0]])
@@ -70,7 +82,7 @@ class TestSolveCommand:
                          "--report", str(report), "--trace", str(trace)])
         assert code == 0
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == "3"
+        assert doc["schema_version"] == "4"
         assert doc["final_status"] == "FeasOptReached"
         assert doc["b_count"] == 1
         assert abs(doc["final"]["x"][0]) <= 1e-4
@@ -114,10 +126,10 @@ class TestSolveCommand:
         assert run_main(["solve", "--problem", "nope"]) == 65
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--eta", "1.5", "eta must lie in (0, 1)"), ("--eta", "2", "eta must lie in (0, 1)"),
+        ("--theta", "1", "theta must exceed 1"),
         ("--max-outer", "0", "max_outer must be an integer in [1, inf], got 0"),
-        ("--gamma0", "1e15", "gamma0 must lie in (0, GAMMA_CAP] = (0, 1e+14]"),
-    ], ids=["eta-1.5", "eta-2", "max-outer-0", "gamma0-1e15"])
+        ("--tol-feas", "-1", "tolerances must be nonnegative"),
+    ], ids=["theta-1", "max-outer-0", "tol-feas--1"])
     def test_invalid_config_exit(self, flag, value, message, capsys):
         # a flag that makes an invalid config is rejected when the config is built, before any solve
         code, out = run_main(["solve", "--problem", "scalar-bound", flag, value], capsys)
@@ -127,11 +139,18 @@ class TestSolveCommand:
     def test_unparseable_flag_exit(self):
         assert run_main(["solve", "--problem", "scalar-bound", "--max-outer", "xyz"]) == 64
 
-    @pytest.mark.parametrize("flag, value", [("--gamma0", "inf"), ("--tol-feas", "nan"), ("--theta", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--tol-opt", "inf"), ("--tol-feas", "nan"), ("--theta", "inf")])
     def test_non_finite_config_exit(self, flag, value, capsys):
         code, out = run_main(["solve", "--problem", "scalar-bound", flag, value], capsys)
         assert code == 64
         assert "must be finite" in out.err
+
+    @pytest.mark.parametrize("name", ["eta", "gamma0", "delta0", "beta"])
+    def test_removed_schedule_flags_are_usage_errors(self, name, capsys):
+        # the rest of the schedule is driver constants, not flags
+        code, out = run_main(["solve", "--problem", "scalar-bound", f"--{name}", "0.5"], capsys)
+        assert code == 64
+        assert f"unrecognized arguments: --{name} 0.5" in out.err
 
     def test_missing_required_flag_exit(self):
         assert run_main(["solve"]) == 64
@@ -257,16 +276,23 @@ class TestDocumentContract:
         report = tmp_path / "r.json"
         config = problems.get_problem("scalar-bound").config
         assert config != driver.PenaltyConfig()
-        every = dict(eta=0.25, theta=4.0, gamma0=2.0, delta0=0.2, beta=0.4, tol_feas=1e-3, tol_opt=1e-3, max_outer=2)
+        every = dict(theta=4.0, tol_feas=1e-3, tol_opt=1e-3, max_outer=2)
         assert sorted(every) == sorted(field.name for field in dataclasses.fields(driver.PenaltyConfig))
         assert all(value not in (getattr(config, name), getattr(driver.PenaltyConfig(), name))
                    for name, value in every.items())
         every_flags = [arg for name, value in every.items() for arg in ("--" + name.replace("_", "-"), str(value))]
-        for flags, changes in (([], {}), (["--max-outer", "3", "--eta", "0.25"], dict(max_outer=3, eta=0.25)),
+        for flags, changes in (([], {}), (["--max-outer", "3"], dict(max_outer=3)),
                                (every_flags, every)):
             run_main(["solve", "--problem", "scalar-bound", *flags, "--report", str(report)])
             expected = dataclasses.replace(config, **changes)
             assert json.loads(report.read_text())["config"] == {name: getattr(expected, name) for name in cli.CONFIG_FLAGS}
+
+    def test_non_finite_numbers_written_as_null(self):
+        # the one writer of the report, the trace and the check document: strict JSON, finite numbers kept
+        doc = {"a": [1.5, np.inf, {"b": float("nan")}], "c": [np.float64(-np.inf), 0.1 + 0.2], "d": 7}
+        assert cli._dump_json(doc, indent=None) == (
+            '{"a": [1.5, null, {"b": null}], "c": [null, 0.30000000000000004], "d": 7}\n')
+        assert json.loads(cli._dump_json(doc)) == json.loads(cli._dump_json(doc, indent=None))
 
     def test_rows_follow_iterate_record(self, tmp_path):
         report = tmp_path / "r.json"
@@ -302,7 +328,7 @@ class TestParserReuse:
         # no flag value of the first call survives into the second
         entry = problems.get_problem("scalar-bound")
         first, second = tmp_path / "a.json", tmp_path / "b.json"
-        assert run_main(["solve", "--problem", "scalar-bound", "--max-outer", "3", "--eta", "0.25", "--theta", "3",
+        assert run_main(["solve", "--problem", "scalar-bound", "--max-outer", "3", "--theta", "3",
                          "--report", str(first)]) == cli.EXIT_MAX_OUTER
         assert json.loads(first.read_text())["config"]["max_outer"] == 3
         assert run_main(["solve", "--problem", "scalar-bound", "--report", str(second)]) == 0
@@ -365,6 +391,23 @@ class TestCheckCommand:
         assert proc.returncode == cli.EXIT_AUDIT_FAILED
         assert "Traceback" not in proc.stderr and "derivative audit" in proc.stdout
         assert "nsdpen/model.py" not in proc.stderr
+
+    @pytest.mark.parametrize("problem, at, nulls", [
+        ("scalar-bound", "9e307", {"audit/errors/grad_f", "audit/errors/hess_f", "residuals/stationarity"}),
+        ("nearest-psd", "9e307,9e307,0", {"audit/errors/grad_f"}),
+        ("corr-matrix", "9e307,9e307,9e307", {"audit/errors/grad_f"}),
+        ("equality-degenerate", "9e307", {"audit/errors/jac_g", "audit/errors/hess_g", "residuals/feasibility_u",
+                                          "residuals/stationarity", "multipliers/y/0"}),
+    ])
+    def test_huge_point_document_is_strict_json(self, problem, at, nulls, tmp_path):
+        # Infinity and NaN are not JSON (RFC 8259): a non-finite number is written as null, as JSON.stringify
+        # writes it; run as a process, as above
+        path = tmp_path / "c.json"
+        proc = subprocess.run([sys.executable, "-m", "nsdpen", "check", "--problem", problem, "--at", at,
+                               "--json", str(path)], capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_AUDIT_FAILED, proc.stderr
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert set(null_paths(doc)) == nulls
 
     def test_unknown_problem_exit(self):
         assert run_main(["check", "--problem", "nope"]) == 65

@@ -64,7 +64,9 @@ class TestConfig:
         # the trust-region step rule, the start point's check, the gamma cap and the audit's step and thresholds
         # are fixed: module constants, not config fields, parameters or report fields; the config is the solve flags
         assert [f.name for f in dataclasses.fields(driver.PenaltyConfig)] == list(cli.CONFIG_FLAGS) == [
-            "eta", "theta", "gamma0", "delta0", "beta", "tol_feas", "tol_opt", "max_outer"]
+            "theta", "tol_feas", "tol_opt", "max_outer"]
+        # so is the rest of the outer schedule: gamma's start and hold factor, delta's start and decay
+        assert (driver.ETA, driver.GAMMA0, driver.DELTA0, driver.BETA) == (0.5, 1.0, 0.1, 0.5)
         assert [f.name for f in dataclasses.fields(model.DerivativeAuditReport)] == ["errors", "step", "passed",
                                                                                       "failures"]
         # a problem is its dimensions, start point and hooks: the hooks left out decide what is synthesized
@@ -77,21 +79,17 @@ class TestConfig:
                                           "hess_f": 1e-4, "hess_g": 1e-4, "d2G": 1e-4}
 
     def test_numpy_numbers_accepted(self):
-        cfg = driver.PenaltyConfig(eta=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7))
-        assert (cfg.eta, cfg.theta, cfg.max_outer) == (0.25, 4, 7)
+        cfg = driver.PenaltyConfig(tol_feas=np.float64(0.25), theta=np.int64(4), max_outer=np.int64(7))
+        assert (cfg.tol_feas, cfg.theta, cfg.max_outer) == (0.25, 4, 7)
         # from 1e6 the doubling radius needs about 20 steps to reach the minimizer of ||x||^2 / 2, so 9 caps it
         res = trustregion.tr_minimize(lambda x: 0.5 * float(x @ x), lambda x: x, lambda x: np.eye(1), np.array([1e6]),
                                       1e-6, max_iter=np.int32(9))
         assert (res.status, res.iterations) == (trustregion.MAX_ITER_REACHED, 9)
 
     @pytest.mark.parametrize("bad", [
-        dict(eta=0.0), dict(eta=1.0), dict(theta=1.0), dict(gamma0=0.0),
-        dict(delta0=0.0), dict(delta0=1.0), dict(beta=1.0), dict(max_outer=0),
-        dict(gamma0=np.inf), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
-        dict(max_outer=40.5), dict(max_outer=True), dict(gamma0=1e15),
-        dict(eta="0.5"), dict(gamma0="1"), dict(tol_opt=True),  # were TypeErrors
-        dict(beta=0.0), dict(gamma0=-1.0), dict(eta=np.nan), dict(delta0=np.nan),  # the other ends of the intervals
-        dict(max_outer="60"), dict(delta0=None),
+        dict(theta=1.0), dict(max_outer=0), dict(theta=np.inf), dict(tol_feas=np.nan), dict(tol_opt=np.inf),
+        dict(max_outer=40.5), dict(max_outer=True), dict(tol_opt=True), dict(max_outer="60"),
+        dict(theta="10"), dict(tol_feas=None),  # a string and a None are rejected by require_real_fields
     ], ids=lambda bad: ",".join(f"{name}={value!r}" for name, value in bad.items()))
     def test_bad_fields_rejected(self, bad):
         cfg = driver.PenaltyConfig()
@@ -802,7 +800,7 @@ class TestRecordsBuiltAfterLoop:
             expected = driver.estimate_b_count(script_F_point(prob, last.x, last.gamma), last.u) if last else 0
             assert report.b_count == expected
         x0 = np.asarray(prob.start_point, dtype=float)
-        start, f0, gamma, delta = x0, prob.f(x0), cfg.gamma0, cfg.delta0
+        start, f0, gamma, delta = x0, prob.f(x0), driver.GAMMA0, driver.DELTA0
         u_prev = optimality.infeasibility_u(script_F_point(prob, x0))
         for k, rec in enumerate(report.iterates, start=1):
             at = script_F_point(prob, rec.x, rec.gamma)
@@ -816,5 +814,5 @@ class TestRecordsBuiltAfterLoop:
             assert rec.stationarity <= rec.delta and rec.inner_iterations >= 0
             assert rec.xhat_branch == (driver.BRANCH_ACCEPT if rec.script_F_value <= f0 else driver.BRANCH_RESET)
             start = rec.x if rec.xhat_branch == driver.BRANCH_ACCEPT else x0
-            gamma, u_prev = driver.next_gamma(k - 1, gamma, rec.u, u_prev, cfg.eta, cfg.theta), rec.u
-            delta *= cfg.beta
+            gamma, u_prev = driver.next_gamma(k - 1, gamma, rec.u, u_prev, driver.ETA, cfg.theta), rec.u
+            delta *= driver.BETA

@@ -168,9 +168,9 @@ class TestKnownGoodConfig:
         assert setting(assigned(script, name)) == setting(assigned("bench/run.py", name))
 
     def test_readme_holds_each_constant(self):
-        # README's constants table is a copy too: each of its ten one-value rows holds its module attribute's value
+        # README's constants table is a copy too: each of its 14 one-value rows holds its module attribute's value
         rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", (ROOT / "README.md").read_text(), re.M)
-        assert len(rows) == 10
+        assert len(rows) == 14
         for module, name, value in rows:
             expected, actual = ast.literal_eval(value), getattr(importlib.import_module(f"nsdpen.{module}"), name)
             assert (type(actual), actual) == (type(expected), expected), f"{module}.{name}"
