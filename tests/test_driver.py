@@ -107,6 +107,15 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="^tolerances must be nonnegative$"):
             driver.PenaltyConfig(**{field: -1})
 
+    @pytest.mark.parametrize("name", ["eta", "gamma0", "delta0", "beta"])
+    def test_removed_schedule_fields_rejected(self, name):
+        # the schedule's constants are no fields: a caller that still passes one gets an error, not a silent default
+        value = getattr(driver, name.upper())
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            driver.PenaltyConfig(**{name: value})
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(driver.PenaltyConfig(), **{name: value})
+
 
 class TestSolveScalarBound:
     def test_end_to_end_against_stationarity_oracle(self, corpus_runs):
@@ -164,6 +173,16 @@ class TestSolveCorpus:
         assert np.linalg.norm(report.final.x - entry.known_solution) <= 1e-3
         assert np.allclose(report.final.y, entry.known_multipliers.y, atol=1e-3)
         assert np.allclose(report.final.Z, entry.known_multipliers.Z, atol=1e-3)
+
+    @pytest.mark.parametrize("name", problems.list_problems())
+    def test_schedule_follows_the_driver_constants(self, corpus_runs, name):
+        # gamma starts at GAMMA0 and moves by next_gamma with ETA; delta starts at DELTA0 and decays by BETA
+        entry, report = corpus_runs[name]
+        gamma, u_prev = driver.GAMMA0, optimality.infeasibility_u(script_F_point(entry.problem,
+                                                                                 entry.problem.start_point))
+        for k, rec in enumerate(report.iterates):
+            assert (rec.gamma, rec.delta) == (gamma, driver.DELTA0 * driver.BETA**k)
+            gamma, u_prev = driver.next_gamma(k, gamma, rec.u, u_prev, driver.ETA, entry.config.theta), rec.u
 
     def test_descent_chain_every_run(self, corpus_runs):
         for name, (entry, report) in corpus_runs.items():
