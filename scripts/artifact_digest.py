@@ -11,10 +11,10 @@ arrays by their bits.  The same records of psd d = 5 and ball d = 4, seeds
 1, 2 and 7, and of psd d = 12, seed 7, with both second-derivative hooks left
 out (``hess_f=None, d2G=None``), cover the synthesized second derivatives;
 those of the corpus problems corr-matrix and equality-degenerate, under their
-config and ``b_count_at_solution`` with ``hess_f``, ``hess_g`` and ``d2G``
-left out, cover a synthesized ``hess_g`` inside a solve.  Last, scalar-bound's
-``check --at 9e307 --json`` document (exit 1: its audit fails) covers
-non-finite values, which it writes as ``null``.
+config with ``hess_f``, ``hess_g`` and ``d2G`` left out, cover a synthesized
+``hess_g`` inside a solve.  Last, scalar-bound's ``check --at 9e307 --json``
+document (exit 1: its audit fails) covers non-finite values, which it writes
+as ``null``.
 
 Run it on two checkouts and diff the outputs:
 
@@ -78,9 +78,9 @@ def value_bytes(value) -> bytes:
     return repr(value).encode()
 
 
-def solve_records(prob, config: PenaltyConfig, b_count: int | None = None) -> bytes:
+def solve_records(prob, config: PenaltyConfig) -> bytes:
     """The final status, detail and b_count of ``nsdpen.solve`` and every field of every iterate record."""
-    report = solve(prob, config, b_count)
+    report = solve(prob, config)
     parts = [value_bytes(v) for v in (report.final_status, report.detail, report.b_count)]
     for rec in report.iterates:
         parts += [field.name.encode() + b"=" + value_bytes(getattr(rec, field.name))
@@ -110,7 +110,7 @@ def main() -> int:
     for name in SYNTHESIZED_CORPUS:
         entry = problems.get_problem(name)
         prob = dataclasses.replace(entry.problem, hess_f=None, hess_g=None, d2G=None)
-        records = solve_records(prob, entry.config, entry.b_count_at_solution)
+        records = solve_records(prob, entry.config)
         print(digest(records), f"corpus/{name}-synthesized/records")
     with tempfile.TemporaryDirectory() as tmp:
         huge = Path(tmp) / "check-huge.json"

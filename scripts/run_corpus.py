@@ -1,8 +1,9 @@
 """Run the outer penalty method on every corpus problem, under its known-good
 ``CorpusEntry.config``, and print a summary.
 
-Exits 1 if a problem does not end in ``FeasOptReached``, or ends farther
-than ``REFERENCE_TOL`` from its known solution; otherwise 0.
+Exits 1 if a problem does not end in ``FeasOptReached``, ends farther than
+``REFERENCE_TOL`` from its known solution, or estimates a critical-subspace
+dimension ``b_count`` other than its ``b_count_at_solution``; otherwise 0.
 
 Usage: python scripts/run_corpus.py [--problem NAME]
 """
@@ -19,14 +20,16 @@ REFERENCE_TOL = 1e-3
 
 
 def run_one(name) -> bool:
-    """Solve and print one problem; True if it reached FeasOptReached within REFERENCE_TOL of its known solution."""
+    """Solve and print one problem; True if it reached FeasOptReached within REFERENCE_TOL of its known solution
+    and estimated its known b_count."""
     entry = problems.get_problem(name)
-    report = driver.solve(entry.problem, entry.config, b_count=entry.b_count_at_solution)
+    report = driver.solve(entry.problem, entry.config)
     final = report.final
     print(f"\n== {name}: {report.final_status} in {len(report.iterates)} outer iterations "
           f"({report.wall_time_sec:.3f}s)")
     if report.detail:
         print(f"   {report.detail}")
+    print(f"   b_count = {report.b_count} (b_count_at_solution = {entry.b_count_at_solution})")
     if final is None:  # the first inner solve failed, so no iterate was recorded
         return False
     print(f"   {'k':>3} {'gamma':>10} {'delta':>10} {'u':>10} {'stat':>10} "
@@ -37,7 +40,7 @@ def run_one(name) -> bool:
                   f"{rec.stationarity:>10.2e} {rec.complementarity:>10.2e} "
                   f"{rec.second_order:>9.2e} {rec.subspace_dim:>4}")
     print(f"   final x = {np.array2string(final.x, precision=6)}")
-    ok = report.final_status == driver.FEAS_OPT_REACHED
+    ok = report.final_status == driver.FEAS_OPT_REACHED and report.b_count == entry.b_count_at_solution
     if entry.known_solution is not None:
         err = np.linalg.norm(final.x - entry.known_solution)
         print(f"   distance to known solution: {err:.3e}")
@@ -57,7 +60,7 @@ def main():
     failed = [name for name in names if not run_one(name)]
     if failed:
         print(f"\nFAILED: {', '.join(failed)} (not {driver.FEAS_OPT_REACHED} within {REFERENCE_TOL:g} "
-              "of the known solution)")
+              "of the known solution, or a b_count other than b_count_at_solution)")
     return 1 if failed else 0
 
 

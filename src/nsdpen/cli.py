@@ -167,7 +167,7 @@ def _cmd_solve(args) -> int:
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 
-    report = driver.solve(entry.problem, cfg, b_count=entry.b_count_at_solution)
+    report = driver.solve(entry.problem, cfg)
 
     if args.trace:
         _atomic_write(args.trace, "".join(_dump_json(_row(rec, _TRACE_ROW), indent=None) for rec in report.iterates))

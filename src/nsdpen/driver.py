@@ -142,31 +142,29 @@ def estimate_b_count(at: penalty.PenaltyPoint, u: float) -> int:
     Counts eigenvalues of G (the negated ones of the point ``at``) below
     max(10 * u, classification tolerance); an active constraint approached
     from the infeasible side leaves eigenvalues of magnitude about u, which
-    the plain classification tolerance would miss.
+    the plain classification tolerance would miss.  The point must be built
+    without shifts, as the certificates' points are.
     """
-    require_instance("at", at, penalty.PenaltyPoint)
+    optimality._gamma(at)
     if at.dec is None:
         return 0
     cut = max(10.0 * u, default_zero_tol(at.dec))
     return int(np.sum(at.dec.values >= -cut))
 
 
-def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
-          b_count: int | None = None) -> SolveReport:
+def solve(prob: NsdpProblem, config: PenaltyConfig | None = None) -> SolveReport:
     """Run the outer penalty method on a problem with a feasible start.
 
     ``prob`` and ``config`` are checked when built; here only their types are
-    checked, and only ``config=None`` selects ``PenaltyConfig()``.  ``b_count``
-    is the trusted dimension of the null eigenspace of G at the limit, used for
-    the second-order certificates; when omitted it is estimated from the final
-    iterate.  Every record is built after the loop, from
+    checked, and only ``config=None`` selects ``PenaltyConfig()``.  The
+    dimension b of the null eigenspace of G at the limit, which the
+    second-order certificates use, is ``estimate_b_count`` at the final
+    iterate, or 0 when no outer iteration converged.  Every record is built after the loop, from
     ``optimality.evaluate_residuals`` at the penalty point it was taken at, once per distinct point.
     """
     require_instance("prob", prob, NsdpProblem)
     cfg = PenaltyConfig() if config is None else config
     require_instance("config", cfg, PenaltyConfig)
-    if b_count is not None:
-        require_int("b_count", b_count, 0, prob.d)
     t0 = time.perf_counter()
     x0 = prob.start_point
     # (k, gamma, delta, start value, TrResult, branch, point) of every converged outer iteration
@@ -229,8 +227,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         delta = BETA * delta
         u_prev = u_next
 
-    if b_count is None:
-        b_count = estimate_b_count(steps[-1][-1], u_next) if steps else 0
+    b_count = estimate_b_count(steps[-1][-1], u_next) if steps else 0
     records = []
     certified = None  # the point of the last record; a repeated point repeats its certificate
     for k, gamma_k, delta_k, start_value, res, branch, point in steps:
@@ -248,7 +245,7 @@ def solve(prob: NsdpProblem, config: PenaltyConfig | None = None,
         config=cfg,
         iterates=records,
         final_status=status,
-        b_count=int(b_count),
+        b_count=b_count,
         detail=detail,
         wall_time_sec=time.perf_counter() - t0,
     )

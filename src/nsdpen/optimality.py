@@ -125,9 +125,9 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
 
     The subspace consists of directions h with jac_g(x)^T h = 0 whose image
     dG(x)h compresses to zero on the span U of the eigenvectors belonging to
-    the ``b_count`` smallest eigenvalues of G(x).  The caller supplies
-    ``b_count`` from the reference point it trusts (a known solution or the
-    final iterate).  Returns an n x s matrix; s = 0 yields an empty basis.
+    the ``b_count`` smallest eigenvalues of G(x): ``driver.solve`` passes its
+    estimate at the final iterate, ``check`` the corpus entry's known value.
+    Returns an n x s matrix; s = 0 yields an empty basis.
     """
     _gamma(at)
     prob = at.prob
@@ -153,7 +153,7 @@ def critical_subspace_basis(at: PenaltyPoint, b_count: int) -> np.ndarray:
 def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
     """max(0, -lambda_min) of the Lagrangian Hessian plus sigma-term reduced to the basis.
 
-    An empty basis makes the bound vacuous and the residual 0.
+    An empty basis makes the bound vacuous and the residual 0; a NaN lambda_min (an overflowed matrix) stays NaN.
     """
     _gamma(at)
     prob = at.prob
@@ -165,7 +165,7 @@ def second_order_residual(at: PenaltyPoint, y, Z, basis: np.ndarray) -> float:
     M = lagrangian_hess(prob, at.x, y, Z) + sigma_term(at, Z)
     R = symmetrize(basis.T @ M @ basis)
     lam_min = float(np.linalg.eigvalsh(R)[0])
-    return max(0.0, -lam_min)
+    return lam_min if np.isnan(lam_min) else max(0.0, -lam_min)
 
 
 def evaluate_residuals(at: PenaltyPoint, b_count: int) -> tuple[OptimalityResiduals, MultiplierPair]:

@@ -23,7 +23,7 @@ def corpus_runs():
     runs = {}
     for name in problems.list_problems():
         entry = problems.get_problem(name)
-        report = driver.solve(entry.problem, entry.config, b_count=entry.b_count_at_solution)
+        report = driver.solve(entry.problem, entry.config)
         runs[name] = (entry, report)
     return runs
 

@@ -409,6 +409,18 @@ class TestCheckCommand:
         doc = json.loads(path.read_text(), parse_constant=reject_constant)
         assert set(null_paths(doc)) == nulls
 
+    def test_overflowed_curvature_bound_is_null_not_a_pass(self, tmp_path):
+        # at gamma 1e307 the reduced Hessian holds +-inf and its smallest eigenvalue is NaN, which max(0, -NaN)
+        # read as the passing bound 0; run as a process, as above
+        path = tmp_path / "c.json"
+        proc = subprocess.run([sys.executable, "-m", "nsdpen", "check", "--problem", "nearest-psd", "--at", "0,0,-3",
+                               "--gamma", "1e307", "--json", str(path)], capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert "second_order=nan subspace_dim=2" in proc.stdout
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert set(null_paths(doc)) == {"residuals/stationarity", "residuals/complementarity",
+                                        "residuals/second_order"}
+
     def test_unknown_problem_exit(self):
         assert run_main(["check", "--problem", "nope"]) == 65
 

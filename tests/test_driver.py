@@ -221,10 +221,12 @@ class TestSolveCorpus:
                 assert comp == pytest.approx(rec.complementarity, abs=1e-14)
 
     def test_check_reproduces_solve(self, corpus_runs):
-        # check and solve certify along one path, so every recorded number comes back exactly
+        # check and solve certify along one path, so every recorded number comes back exactly under the
+        # b_count_at_solution that check reads
         for name, (entry, report) in corpus_runs.items():
             for rec in report.iterates:
-                res, mult = optimality.evaluate_residuals(script_F_point(entry.problem, rec.x, rec.gamma), report.b_count)
+                at = script_F_point(entry.problem, rec.x, rec.gamma)
+                res, mult = optimality.evaluate_residuals(at, entry.b_count_at_solution)
                 assert (res.stationarity, res.feasibility_u, res.complementarity, res.second_order,
                         res.subspace_dim) == (rec.stationarity, rec.u, rec.complementarity,
                                               rec.second_order, rec.subspace_dim), (name, rec.k)
@@ -263,17 +265,10 @@ class TestSolveGuards:
         with pytest.raises(InvalidInputError, match=r"^hess_f must have shape \(3, 3\), got"):
             driver.solve(prob, problems.get_problem("nearest-psd").config)
 
-    @pytest.mark.parametrize("b_count", [1.5, 5, -1])  # d = 2 for nearest-psd
-    def test_bad_b_count_rejected_before_any_hook_call(self, b_count):
-        prob, counts = counting(problems.get_problem("nearest-psd").problem)
-        with pytest.raises(InvalidInputError, match="b_count"):
-            driver.solve(prob, driver.PenaltyConfig(), b_count=b_count)
-        assert not any(counts.values())
-
     def test_max_outer_status(self):
         entry = problems.get_problem("scalar-bound")
         cfg = driver.PenaltyConfig(max_outer=1)
-        report = driver.solve(entry.problem, cfg, b_count=1)
+        report = driver.solve(entry.problem, cfg)
         assert report.final_status == driver.MAX_OUTER
         assert len(report.iterates) == 1
 
@@ -281,7 +276,7 @@ class TestSolveGuards:
         entry = problems.get_problem("scalar-bound")
         monkeypatch.setattr(driver, "GAMMA_CAP", 1e6)
         cfg = driver.PenaltyConfig(tol_feas=1e-12, max_outer=60)
-        report = driver.solve(entry.problem, cfg, b_count=1)
+        report = driver.solve(entry.problem, cfg)
         assert report.final_status == driver.INNER_FAILURE
         assert "cap" in report.detail
 
@@ -307,11 +302,15 @@ class TestSolveGuards:
         assert report.final_status == driver.FEAS_OPT_REACHED
         assert np.max(np.abs(report.final.x - cap_reference(3, 7))) <= 1e-4
 
-    def test_estimated_b_count_matches_known(self):
-        # omit b_count: the driver estimates it from the final iterate
-        entry = problems.get_problem("scalar-bound")
-        report = driver.solve(entry.problem, entry.config)
-        assert report.b_count == entry.b_count_at_solution
+    def test_estimated_b_count_matches_known(self, corpus_runs):
+        # the driver estimates b_count from the final iterate; on every corpus problem, with analytic second
+        # derivatives and with hess_f, hess_g and d2G synthesized, it is the b_count_at_solution that check reads
+        for name, (entry, analytic) in corpus_runs.items():
+            synthesized = driver.solve(dataclasses.replace(entry.problem, hess_f=None, hess_g=None, d2G=None),
+                                       entry.config)
+            for report in (analytic, synthesized):
+                assert report.final_status == driver.FEAS_OPT_REACHED, name
+                assert report.b_count == entry.b_count_at_solution, name
 
     def test_larger_projection_problem_with_rank_two_active_block(self):
         # 4x4 projection parametrized by its 10 lower-triangle entries: the
@@ -352,8 +351,8 @@ class TestSolveGuards:
         sol = np.array([sol_mat[p] for p in pairs])
 
         cfg = driver.PenaltyConfig(tol_feas=2e-4, tol_opt=1e-6, max_outer=45)
-        report = driver.solve(prob, cfg, b_count=2)
-        assert report.final_status == driver.FEAS_OPT_REACHED
+        report = driver.solve(prob, cfg)
+        assert report.final_status == driver.FEAS_OPT_REACHED and report.b_count == 2
         assert np.linalg.norm(report.final.x - sol) <= 1e-3
         assert all(r.subspace_dim == 7 for r in report.iterates)
         assert all(r.second_order <= r.delta for r in report.iterates[-5:])
@@ -373,9 +372,8 @@ class TestSolveGuards:
             dG=lambda x, i: np.array([[1.0]]),
             d2G=lambda x, i, j: np.zeros((1, 1)),
         )
-        report = driver.solve(prob, driver.PenaltyConfig(tol_feas=1e-8, tol_opt=1e-6),
-                              b_count=0)
-        assert report.final_status == driver.FEAS_OPT_REACHED
+        report = driver.solve(prob, driver.PenaltyConfig(tol_feas=1e-8, tol_opt=1e-6))
+        assert report.final_status == driver.FEAS_OPT_REACHED and report.b_count == 0
         assert all(r.u == 0.0 for r in report.iterates)
         assert all(r.gamma == 1.0 for r in report.iterates)
         assert abs(report.final.x[0] - 1.0) <= 1e-6
@@ -658,12 +656,12 @@ class TestSharedDGStack:
         # an affine G keeps one dG stack for every certified point; the ball's stack depends on x, so
         # consecutive kept points share one exactly when they are at the same x
         if case == "ball":
-            prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+            prob, cfg = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
         elif case == "psd-d5":
-            (prob, cfg), b_count = nearest_psd_d5(), None
+            prob, cfg = nearest_psd_d5()
         else:
             entry = problems.get_problem(case)
-            prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
+            prob, cfg = entry.problem, entry.config
         certified = []  # (x, dG stack) of each certified point
         evaluate_residuals = optimality.evaluate_residuals
 
@@ -672,7 +670,7 @@ class TestSharedDGStack:
             return evaluate_residuals(at, b_count)
 
         monkeypatch.setattr(optimality, "evaluate_residuals", recording)
-        report = driver.solve(prob, cfg, b_count=b_count)
+        report = driver.solve(prob, cfg)
         monkeypatch.undo()
         assert report.final_status == driver.FEAS_OPT_REACHED
         # one certificate per distinct kept point: a record that keeps gamma and ends where it started repeats one
@@ -720,10 +718,10 @@ class TestOneParamsPerGamma:
         # the script_F parameters are built at the start and when gamma changes, not at every point or
         # outer iteration; nearest-psd made 25 for 14 and corr-matrix 23 for 13 when every outer iteration built one
         if case == "psd-d5":
-            (prob, cfg), b_count = nearest_psd_d5(), None
+            prob, cfg = nearest_psd_d5()
         else:
             entry = problems.get_problem(case)
-            prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
+            prob, cfg = entry.problem, entry.config
         calls = [0]
         special_params = penalty.special_params
 
@@ -732,7 +730,7 @@ class TestOneParamsPerGamma:
             return special_params(*args)
 
         monkeypatch.setattr(penalty, "special_params", counting_params)
-        report = driver.solve(prob, cfg, b_count=b_count)
+        report = driver.solve(prob, cfg)
         assert report.final_status == driver.FEAS_OPT_REACHED
         gammas = [rec.gamma for rec in report.iterates]
         assert calls[0] == 1 + sum(a != b for a, b in zip(gammas, gammas[1:]))
@@ -755,16 +753,16 @@ def counted_solve(case, monkeypatch):
     """A solve whose hooks, ``penalty_at``, ``penalty_grad`` and ``eig_sym`` calls are counted; also returns
     the x (as bytes) of each ``penalty_grad`` call, in order.
 
-    ``b_count`` is estimated on the ball problems and given on the corpus problems.  "ball-m2" has two
-    quadratic equalities; its seed-0 instance ends in MaxIter at tol_feas 1e-4 and 1e-3, so it takes seed 1 at 1e-3.
+    "ball-m2" has two quadratic equalities; its seed-0 instance ends in MaxIter at tol_feas 1e-4 and 1e-3, so it
+    takes seed 1 at 1e-3.
     """
     if case == "ball":
-        prob, cfg, b_count = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None
+        prob, cfg = ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40)
     elif case == "ball-m2":
-        prob, cfg, b_count = ball_problem(3, m=2, seed=1), driver.PenaltyConfig(tol_feas=1e-3, max_outer=40), None
+        prob, cfg = ball_problem(3, m=2, seed=1), driver.PenaltyConfig(tol_feas=1e-3, max_outer=40)
     else:
         entry = problems.get_problem(case)
-        prob, cfg, b_count = entry.problem, entry.config, entry.b_count_at_solution
+        prob, cfg = entry.problem, entry.config
     prob, hooks = counting(prob)
     calls = dict(penalty_at=0, penalty_grad=0, eig_sym=0)
     grad_xs = []
@@ -780,16 +778,16 @@ def counted_solve(case, monkeypatch):
     monkeypatch.setattr(penalty, "penalty_at", counted("penalty_at", penalty.penalty_at))
     monkeypatch.setattr(penalty, "penalty_grad", counted("penalty_grad", penalty.penalty_grad))
     monkeypatch.setattr(matfun, "eig_sym", counted("eig_sym", matfun.eig_sym))
-    report = driver.solve(prob, cfg, b_count=b_count)
+    report = driver.solve(prob, cfg)
     assert report.final_status == driver.FEAS_OPT_REACHED
     return prob, report, hooks, calls, grad_xs
 
 
 def exit_path(case, monkeypatch):
-    """(problem, config, b_count, expected status, detail fragment) of a solve that ends on ``case``; the gamma
+    """(problem, config, expected status, detail fragment) of a solve that ends on ``case``; the gamma
     cap and the inner iteration cap, which no config sets, are patched for the cases that need them."""
     if case == "estimated-b-count":
-        return ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), None, driver.FEAS_OPT_REACHED, ""
+        return ball_problem(3), driver.PenaltyConfig(tol_feas=1e-4, max_outer=40), driver.FEAS_OPT_REACHED, ""
     name, changes, status, detail = {
         "max-outer": ("nearest-psd", dict(max_outer=3), driver.MAX_OUTER, ""),
         "gamma-cap": ("scalar-bound", dict(tol_feas=1e-12), driver.INNER_FAILURE, "exceeds cap"),
@@ -801,8 +799,7 @@ def exit_path(case, monkeypatch):
     elif case.startswith("inner-solver"):
         cap_inner_iterations(monkeypatch, 5 if case == "inner-solver" else 1)
     entry = problems.get_problem(name)
-    b_count = None if case == "inner-solver-at-start" else entry.b_count_at_solution
-    return entry.problem, dataclasses.replace(entry.config, **changes), b_count, status, detail
+    return entry.problem, dataclasses.replace(entry.config, **changes), status, detail
 
 
 class TestRecordsBuiltAfterLoop:
@@ -810,14 +807,13 @@ class TestRecordsBuiltAfterLoop:
                                       "estimated-b-count"])
     def test_every_field_comes_from_the_record_point(self, case, monkeypatch):
         # each record is built after the loop from its kept point, on every way a solve can end
-        prob, cfg, b_count, status, detail = exit_path(case, monkeypatch)
-        report = driver.solve(prob, cfg, b_count=b_count)
+        prob, cfg, status, detail = exit_path(case, monkeypatch)
+        report = driver.solve(prob, cfg)
         assert report.final_status == status and detail in report.detail
         assert (len(report.iterates) > 0) == (case != "inner-solver-at-start")
-        if b_count is None:
-            last = report.final
-            expected = driver.estimate_b_count(script_F_point(prob, last.x, last.gamma), last.u) if last else 0
-            assert report.b_count == expected
+        last = report.final
+        assert report.b_count == (driver.estimate_b_count(script_F_point(prob, last.x, last.gamma), last.u)
+                                  if last else 0)
         x0 = np.asarray(prob.start_point, dtype=float)
         start, f0, gamma, delta = x0, prob.f(x0), driver.GAMMA0, driver.DELTA0
         u_prev = optimality.infeasibility_u(script_F_point(prob, x0))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nsdpen import cli, driver, matfun, model, optimality, penalty, trustregion
+from nsdpen import cli, driver, matfun, model, optimality, penalty, problems, trustregion
 from nsdpen.errors import InvalidInputError, real_array
 
 from conftest import ball_problem, counting, rng, script_F_point
@@ -138,6 +138,12 @@ WRONG = {
     # the point is made from another problem, whose hook calls are not counted
     "reweighted params": (lambda prob: script_F_point(ball_problem(2, m=1), X).reweighted("p"),
                           "p must be a PenaltyParams, got str$"),
+    # a point built with shifts holds eig(M/tau - G), not eig(-G): at nearest-psd's x = (0.5, 0.5, 0.5) with M = 5I
+    # it counted b = 2, where the unshifted point counts 1
+    "estimate_b_count shifted": (lambda prob: driver.estimate_b_count(penalty.penalty_at(
+        problems.get_problem("nearest-psd").problem, np.full(3, 0.5),
+        penalty.PenaltyParams(v=None, M=5.0 * np.eye(2), **PARAMS)), 0.0),
+        "certificates need a penalty point built with v = M = None$"),
     # degenerate inputs: no unknowns or a matrix of them, a stack of another rank, a document that is no dict
     # or misses an entry
     **{f"ms_subproblem grad {shape}": (

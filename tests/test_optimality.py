@@ -427,6 +427,14 @@ class TestSecondOrderResidual:
         prob = unconstrained_indefinite()
         assert optimality.second_order_residual(script_F_point(prob, np.zeros(2)), None, None, np.zeros((2, 0))) == 0.0
 
+    def test_nan_smallest_eigenvalue_is_not_a_pass(self, monkeypatch):
+        # an overflowed reduced matrix has a NaN smallest eigenvalue, which max(0, -NaN) read as the bound 0;
+        # a zero smallest eigenvalue of either sign still gives +0.0
+        at = script_F_point(unconstrained_indefinite(), np.zeros(2))
+        for lam_min, expected in ((np.nan, "nan"), (0.0, "0x0.0p+0"), (-0.0, "0x0.0p+0")):
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda R, lam_min=lam_min: np.array([lam_min, 1.0]))
+            assert optimality.second_order_residual(at, None, None, np.eye(2)).hex() == expected
+
     @pytest.mark.parametrize("basis", [np.eye(3), np.ones(2), np.zeros((1, 2, 0))], ids=["rows", "vector", "stack"])
     def test_wrongly_shaped_basis_rejected(self, basis):
         prob = unconstrained_indefinite()

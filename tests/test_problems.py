@@ -138,17 +138,24 @@ class TestKnownGoodConfig:
             assert report.final.u <= entry.config.tol_feas, name
 
     def test_corpus_script_exit_code(self, monkeypatch, capsys):
-        # scripts/run_corpus.py fails when a problem misses FeasOptReached or ends too far from its known solution
+        # scripts/run_corpus.py fails when a problem misses FeasOptReached, ends too far from its known solution or
+        # estimates a b_count other than its b_count_at_solution
         script = corpus_script(monkeypatch)
         assert script.main() == 0
+        assert "b_count = 1 (b_count_at_solution = 1)" in capsys.readouterr().out
         with monkeypatch.context() as patch:
             patch.setattr(script, "REFERENCE_TOL", 1e-6)
             assert script.main() == 1
         entry = problems.get_problem("scalar-bound")
+        with monkeypatch.context() as patch:
+            patch.setattr(problems, "get_problem", lambda name: dataclasses.replace(entry, b_count_at_solution=0))
+            assert script.main() == 1
+        out = capsys.readouterr().out
+        assert "b_count = 1 (b_count_at_solution = 0)" in out and out.count("FAILED: scalar-bound") == 2
         capped = dataclasses.replace(entry, config=dataclasses.replace(entry.config, max_outer=1))
         monkeypatch.setattr(problems, "get_problem", lambda name: capped)
         assert script.main() == 1
-        assert capsys.readouterr().out.count("FAILED: scalar-bound") == 2
+        assert capsys.readouterr().out.count("FAILED: scalar-bound") == 1
 
     def test_corpus_script_solve_without_iterates(self, monkeypatch, capsys):
         # an inner failure at outer iteration 0 records no iterate: the script prints the status and
